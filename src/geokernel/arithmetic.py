@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from .field import FieldElement, Negative, Q, inv_positive, sqrt_nonneg
 from .geometry import (
-    CONSTRUCTIBLE, Point, between, distinct, midpoint, pt, reflect_in_point,
-    right_angle, sqdist,
+    Point, between, distinct, midpoint, pt, reflect_in_point, right_angle,
+    sqdist,
 )
 from .constructions import (
     CircleSpec, ConstructionError, _project, line_circle, line_intersect,

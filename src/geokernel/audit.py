@@ -19,12 +19,12 @@ import time
 import zlib
 from fractions import Fraction
 
-from .field import NA, Q, eps, sqrt_nonneg
+from .field import NA, FieldElement, Q, eps, sqrt_nonneg
 from .geometry import (
-    CONSTRUCTIBLE, NODE0, Point, angle_cong, between, collinear, congruent,
-    distinct, distinct_witness, midpoint, nonstrict_between, on_ray,
-    pos_angle, pt, reflect_in_point, right_angle, rot90, sqdist,
-    verify_witness, vsub, dot, cross, apex_witness, NotPositiveAngle,
+    CONSTRUCTIBLE, NODE0, Point, angle_cong, between, congruent, distinct,
+    distinct_witness, midpoint, nonstrict_between, on_ray, pos_angle,
+    reflect_in_point, right_angle, rot90, verify_witness, vsub, cross,
+    apex_witness, NotPositiveAngle,
 )
 from .constructions import (
     CircleSpec, ConstructionError, PostconditionFailure, angle_bisect,
@@ -101,7 +101,6 @@ class _Gen:
         return Point(self._fe(x), self._fe(y))
 
     def _fe(self, v):
-        from .field import FieldElement
         if isinstance(v, FieldElement):
             return v
         return self.lift(Fraction(v))
@@ -201,8 +200,7 @@ def gen_instance(axiom_id: str, seed: int,
             inst.update(a=a, b=a, c=g.point(), d=g.point(),
                         expect_refusal=True)
             return inst
-        b = g.off_line_point(a, a) if False else Point(
-            a.x + g._fe(g.qnz()), a.y + g._fe(g.q()))
+        b = Point(a.x + g._fe(g.qnz()), a.y + g._fe(g.q()))
         c = g.point()
         if axiom_id == "A4-i1" and seed % 8 == 3:
             d = c  # null extension segment, allowed non-strictly
@@ -245,7 +243,6 @@ def gen_instance(axiom_id: str, seed: int,
         center = g.point()
         ux, uy = g.unit_dir()
         r = g.qpos()
-        u = g.pt(0, 0)
         u = Point(center.x + g._fe(r * ux), center.y + g._fe(r * uy))
         v = Point(center.x - g._fe(r * ux), center.y - g._fe(r * uy))
         # radius segment pq congruent to the radius, placed elsewhere
@@ -662,7 +659,6 @@ def check_theorem(name: str, inst: dict,
 
 def _mk_off(p: Point, length) -> Point:
     """A helper point at a rational offset, fixing an extension length."""
-    from .field import FieldElement
     off = length if isinstance(length, FieldElement) else Q(Fraction(length))
     return Point(p.x + off, p.y)
 

@@ -10,6 +10,7 @@ import sys
 from . import __version__
 from .audit import audit_run, report_to_json
 from .dsl import ScriptSyntaxError, parse_script, run_script
+from .field import render_element
 from .kripke import check_ef_axioms, mp_counterexample
 from .svg import UnrenderableMode, render_svg
 
@@ -32,7 +33,6 @@ def cmd_run(args) -> int:
         print(f"assert {mark}: {a['statement']}")
     for e in env.errors:
         print(f"error [{e['error']}]: {e['statement']}  ({e['detail']})")
-    from .field import render_element
     for name, p in env.bindings.items():
         print(f"{name} = ({render_element(p.x)}, {render_element(p.y)})")
     return 1 if env.failed else 0

@@ -18,13 +18,14 @@ textbook proofs step by step.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 from .field import FieldElement, sqrt_nonneg
 from .geometry import (
     CONSTRUCTIBLE, Point, angle_cong, angle_lt_pi, apex_witness, between,
     collinear, congruent, cross, distinct, dot, midpoint, nonstrict_between,
-    on_ray, pos_angle, pt, reflect_in_point, right_angle, rot90, sqdist, vsub,
+    on_ray, pos_angle, positive, reflect_in_point, right_angle, rot90, sqdist,
+    vsub,
 )
 
 
@@ -211,7 +212,6 @@ def line_circle(circle: CircleSpec, a: Point, b: Point, strict: bool = True,
     r2 = circle.sq_radius()
     inside = r2 - sqdist(a, circle.center)
     if strict:
-        from .geometry import positive
         if not positive(inside, sem):
             raise ConstructionError("NotInside", "LC-strict", "a inside circle")
     else:
@@ -276,24 +276,6 @@ def circle_circle(c1: CircleSpec, c2: CircleSpec, side: Point | None = None,
     if s > 0:
         return right
     return left
-
-
-_PRIMITIVES = {
-    "ext": ext, "ext-strict": ext_strict, "inner-pasch": inner_pasch,
-    "outer-pasch": outer_pasch, "euclid5": euclid5,
-}
-
-
-def primitive_construct(kind: str, **kwargs):
-    if kind in _PRIMITIVES:
-        return _PRIMITIVES[kind](**kwargs)
-    if kind == "line-circle-strict":
-        return line_circle(strict=True, **kwargs)
-    if kind == "line-circle-nonstrict":
-        return line_circle(strict=False, **kwargs)
-    if kind == "circle-circle":
-        return circle_circle(**kwargs)
-    raise ValueError(f"unknown primitive {kind!r}")
 
 
 # -- derived constructions ---------------------------------------------------

@@ -13,6 +13,8 @@ Grammar::
     factor := atom ["^" INT]
     atom   := INT | "eps" | "sqrt" "(" expr ")" | "-" atom | "(" expr ")"
 
+`parse_element` evaluates a single ``expr`` with the same tokenizer,
+parser and evaluator; it reads back `field.render_element` output.
 Pretty-printing is a left inverse of parsing on the AST.  The interpreter
 executes statements in order against a chosen field mode; failed
 assertions and refused constructions are recorded in the environment (with
@@ -24,10 +26,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 
 from .field import (
-    FieldElement, FieldError, NA, Q, eps, sqrt_nonneg,
+    DomainViolation, FieldElement, FieldError, NA, Q, eps, sqrt_nonneg,
 )
 from .geometry import (
     CONSTRUCTIBLE, NODE0, ArityMismatch, NotPositiveAngle, Point, midpoint,
@@ -47,10 +48,6 @@ class ScriptSyntaxError(SyntaxError):
         self.column = column
         self.expected = expected
         super().__init__(f"line {line}, column {column}: expected {expected}")
-
-
-class DomainViolation(Exception):
-    """A value outside the active field mode (eps in Constructible mode)."""
 
 
 # -- tokens ------------------------------------------------------------------
@@ -416,6 +413,14 @@ def _eval_expr(e, mode: str) -> FieldElement:
             return le * r
         return le / r
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def parse_element(text: str, mode: str = "constructible") -> FieldElement:
+    """Parse one expression (e.g. a `render_element` output) in `mode`."""
+    p = _Parser(tokenize(text))
+    node = p.expr()
+    p.eat("eof")
+    return _eval_expr(node, mode)
 
 
 def operation_registry() -> dict:

@@ -35,6 +35,11 @@ class Negative(FieldError):
     """sqrt_nonneg called on a strictly negative element."""
 
 
+class DomainViolation(Exception):
+    """A value outside the active domain: eps in Constructible mode, or an
+    element outside a Kripke node's domain."""
+
+
 # ---------------------------------------------------------------------------
 # base-field helpers (leaves are Fraction or RatFunc)
 
@@ -53,10 +58,6 @@ def _bsqrt(v):
 
 def _bzero(v):
     return Fraction(0) if isinstance(v, Fraction) else RatFunc.const(0)
-
-
-def _bone(v):
-    return Fraction(1) if isinstance(v, Fraction) else RatFunc.const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +565,7 @@ def approx(x: FieldElement, use_shadow: bool = False) -> float:
 
 
 # ---------------------------------------------------------------------------
-# canonical rendering and parsing
+# canonical rendering (parsed back by dsl.parse_element)
 
 
 def _atomic(s: str) -> bool:
@@ -600,110 +601,3 @@ def render_element(x: FieldElement) -> str:
 
     x = x._normalized()
     return rend(x.rep, x.depth, x.tower)
-
-
-class ElementParseError(FieldError):
-    pass
-
-
-def parse_element(text: str, mode: str = "constructible") -> FieldElement:
-    """Parse the canonical expression grammar into a FieldElement."""
-    toks = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
-
-    def take(expected=None):
-        t = peek()
-        if t is None or (expected is not None and t != expected):
-            raise ElementParseError(f"expected {expected!r}, got {t!r} in {text!r}")
-        pos[0] += 1
-        return t
-
-    const = Q if mode == "constructible" else NA
-
-    def parse_expr():
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term():
-        node = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_factor()
-            node = node * rhs if op == "*" else node / rhs
-        return node
-
-    def parse_factor():
-        node = parse_atom()
-        while peek() == "^":
-            take()
-            n = take()
-            if not n.isdigit():
-                raise ElementParseError(f"expected integer exponent, got {n!r}")
-            node = node ** int(n)
-        return node
-
-    def parse_atom():
-        t = peek()
-        if t == "-":
-            take()
-            return -parse_atom()
-        if t == "(":
-            take()
-            node = parse_expr()
-            take(")")
-            return node
-        if t == "sqrt":
-            take()
-            take("(")
-            node = parse_expr()
-            take(")")
-            return sqrt_nonneg(node)
-        if t == "eps":
-            take()
-            if mode == "constructible":
-                raise ElementParseError(
-                    "eps is only valid in NonArchimedean mode")
-            return eps()
-        if t is not None and t[0].isdigit():
-            take()
-            return const(Fraction(t))
-        raise ElementParseError(f"unexpected token {t!r} in {text!r}")
-
-    node = parse_expr()
-    if peek() is not None:
-        raise ElementParseError(f"trailing input at {peek()!r} in {text!r}")
-    return node
-
-
-def _tokenize(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/()^":
-            toks.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise ElementParseError(f"bad character {ch!r} in {text!r}")
-    return toks

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldElement, Q, sqrt_nonneg
+from .field import FieldElement, Q, render_element, sqrt_nonneg
 
 # semantics tags
 CONSTRUCTIBLE = "constructible"
@@ -47,7 +47,6 @@ class Point:
                 and self.x == other.x and self.y == other.y)
 
     def __repr__(self):
-        from .field import render_element
         return f"({render_element(self.x)}, {render_element(self.y)})"
 
 

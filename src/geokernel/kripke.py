@@ -13,21 +13,18 @@ but P(eps) is not.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldElement, NA, eps, render_element, sqrt_nonneg
+from .field import (
+    DomainViolation, FieldElement, NA, eps, render_element, sqrt_nonneg,
+)
 
 M0 = "M0"
 M1 = "M1"
 
 NAElement = FieldElement  # NonArchimedean-mode elements
-
-
-class DomainViolation(Exception):
-    pass
 
 
 class TermUndefined(Exception):
@@ -85,10 +82,6 @@ def tadd(a, b):
 
 def tmul(a, b):
     return TOp("mul", (a, b))
-
-
-def tneg(a):
-    return TOp("neg", (a,))
 
 
 def tconst(q) -> TConst:
@@ -315,7 +308,3 @@ def mp_counterexample() -> dict:
         "MP_forced_at_M0": forces(M0, MP, env),
         "sanity_P_of_1_at_M0": forces(M0, FP(X), sanity_env),
     }
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

@@ -1,7 +1,10 @@
 """The audit harness itself: generators honor hypotheses, checks pass,
 reports are deterministic."""
 
+import hashlib
 import json
+
+import pytest
 
 from geokernel.audit import (
     AXIOM_IDS, THEOREM_NAMES, audit_run, check_axiom, check_theorem,
@@ -61,6 +64,26 @@ class TestHarness:
         b = report_to_json(audit_run(per_axiom=4, seed=11))
         assert a == b
         assert "runtime" not in json.loads(a)
+
+    @pytest.mark.parametrize("mode, per_axiom, seed, digest", [
+        ("constructible", 8, 0, "95d15a88540bc0d580af52ae94e67ad0"
+                                "d9973155c7118c0225ba4944e6f6f09f"),
+        ("constructible", 8, 7, "ecd3ea8ffb3465714ebc1dd400c1ed90"
+                                "41aff94d1dbee342745be679a3798454"),
+        ("constructible", 8, 42, "fcd803671ff5c0be288b252d02234c7f"
+                                 "ec7f1110296611133d4679c511cede00"),
+        ("nonarchimedean", 2, 0, "c5f436cf727e69b990b2a49105e48f2d"
+                                 "9236f9c0d3e5f8a2d1cd63f889eef982"),
+        ("nonarchimedean", 2, 7, "f173846694e15e17bc087eba10ec1b49"
+                                 "44bbfeb1f1597a01ddb8aa68c33fe200"),
+        ("nonarchimedean", 2, 42, "35a49247da8189b99426c9128675afbd"
+                                  "06f34782f03b15b9dfbe0bb45bbacc05"),
+    ])
+    def test_golden_report_digest(self, mode, per_axiom, seed, digest):
+        # fixed-seed reports are pinned byte for byte: refactors of the
+        # generators and checks must not change a single verdict or seed
+        body = report_to_json(audit_run(mode, per_axiom, seed)).encode()
+        assert hashlib.sha256(body).hexdigest() == digest
 
     def test_constructible_run_no_refusals_outside_probes(self):
         rep = audit_run(per_axiom=16, seed=2)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geokernel.dsl import ScriptSyntaxError, parse_element
 from geokernel.field import (
-    NA, Negative, NotPositive, Q, approx, compare, eps, inv_positive,
-    parse_element, render_element, ring_op, sqrt_nonneg,
+    DomainViolation, NA, Negative, NotPositive, Q, approx, compare, eps,
+    inv_positive, render_element, ring_op, sqrt_nonneg,
 )
 
 
@@ -110,6 +111,16 @@ class TestRenderParse:
     def test_roundtrip_nonarch(self):
         x = eps() + NA(Fraction(1, 3))
         assert parse_element(render_element(x), mode="nonarchimedean") == x
+
+    def test_eps_outside_nonarch_mode(self):
+        with pytest.raises(DomainViolation):
+            parse_element("eps")
+
+    @pytest.mark.parametrize("text, column", [("1+", 3), ("1 2", 3)])
+    def test_syntax_errors_carry_position(self, text, column):
+        with pytest.raises(ScriptSyntaxError) as err:
+            parse_element(text)
+        assert (err.value.line, err.value.column) == (1, column)
 
 
 class TestNonArchimedean:

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from geokernel.audit import report_to_json
 from geokernel.field import NA, eps
 from geokernel.kripke import (
     EF_AXIOMS, MP, M0, M1, DomainViolation, FEq, FExists, FNot, FP, TOp,
-    TVar, check_ef_axioms, forces, mp_counterexample, na_classify,
-    report_to_json, tconst,
+    TVar, check_ef_axioms, forces, mp_counterexample, na_classify, tconst,
 )
 
 X = TVar("x")
