@@ -18,8 +18,8 @@ from .geometry import (
     sqdist,
 )
 from .constructions import (
-    CircleSpec, ConstructionError, _project, line_circle, line_intersect,
-    perpendicular, reflect,
+    CircleSpec, ConstructionError, _post, _project, line_circle,
+    line_intersect, perpendicular, reflect,
 )
 
 ORIGIN = pt(0, 0)
@@ -64,10 +64,10 @@ def coordinates(p: Point) -> tuple[Point, Point]:
     if all(distinct(corners[i], corners[(i + 1) % 4])
            for i in range(4)):
         # three right angles by construction; the fourth exactly closes
-        assert right_angle(ORIGIN, footx, p)
-        assert right_angle(footx, ORIGIN, footy)
-        assert right_angle(ORIGIN, footy, p)
-        assert right_angle(footx, p, footy)
+        _post(right_angle(ORIGIN, footx, p), "coordinates x-foot")
+        _post(right_angle(footx, ORIGIN, footy), "coordinates origin")
+        _post(right_angle(ORIGIN, footy, p), "coordinates y-foot")
+        _post(right_angle(footx, p, footy), "coordinates fourth angle")
     return footx, _mirror_diag(footy)
 
 
@@ -82,7 +82,7 @@ def point_from_coords(x: Point, y: Point) -> Point:
     else:
         p = _project(ypt, x, tip)
     fx, fy = coordinates(p)
-    assert fx == x and fy == y
+    _post(fx == x and fy == y, "point_from_coords round trip")
     return p
 
 
@@ -91,7 +91,7 @@ def geo_add(a: Point, b: Point) -> Point:
     a, b = _as_axis(a), _as_axis(b)
     m = midpoint(a, b)
     out = reflect_in_point(ORIGIN, m)
-    assert out.x == a.x + b.x and out.y.is_zero()
+    _post(out.x == a.x + b.x and out.y.is_zero(), "geo_add")
     return out
 
 
@@ -108,13 +108,13 @@ def geo_mul(a: Point, b: Point) -> Point:
     mid2_perp = Point(mid2.x - d2[1], mid2.y + d2[0])
     center = line_intersect(m, m_up, mid2, mid2_perp)
     circle = CircleSpec(center, center, a)
-    assert congruent_radius(circle, UNIT_Y)
+    _post(congruent_radius(circle, UNIT_Y), "geo_mul circle through (0,1)")
     p1, p2 = line_circle(circle, UNIT_Y, ORIGIN, strict=False)
     z = 2 * center.y - UNIT_Y.y  # Vieta: the two chord heights sum to 2*cy
     zpt = p1 if p1.y == z else p2
-    assert zpt.y == z and zpt.x.is_zero()
+    _post(zpt.y == z and zpt.x.is_zero(), "geo_mul chord point")
     out = _mirror_diag(zpt)
-    assert out.x == a.x * b.x and out.y.is_zero()
+    _post(out.x == a.x * b.x and out.y.is_zero(), "geo_mul")
     return out
 
 
@@ -130,12 +130,12 @@ def geo_inv(a: Point) -> Point:
         raise ConstructionError("NotDistinct", None, "a#0")
     _, tip_a = perpendicular("erect", a, (ORIGIN, UNIT_X))
     w = _project(_mirror_diag(pt(1, 0)), a, tip_a)  # (a, 1) on the vertical
-    assert w.x == a.x and w.y == Q(1)
+    _post(w.x == a.x and w.y == Q(1), "geo_inv point (a, 1)")
     _, tip1 = perpendicular("erect", UNIT_X, (ORIGIN, UNIT_X))
     z = line_intersect(ORIGIN, w, UNIT_X, tip1)
     foot = _project(z, ORIGIN, UNIT_Y)
     out = _mirror_diag(foot)
-    assert out.x * a.x == Q(1) and out.y.is_zero()
+    _post(out.x * a.x == Q(1) and out.y.is_zero(), "geo_inv")
     return out
 
 
@@ -154,7 +154,7 @@ def geo_sqrt(a: Point, strict: bool = False) -> Point:
     # ordered along 0 -> (0,1): the second point is the non-negative root
     root = p2
     out = _mirror_diag(root)
-    assert out.x * out.x == a.x and out.y.is_zero()
+    _post(out.x * out.x == a.x and out.y.is_zero(), "geo_sqrt")
     return out
 
 

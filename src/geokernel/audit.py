@@ -1,14 +1,15 @@
 """Exactly-checked axiom and theorem audit over the plane F².
 
-For every axiom identifier, `gen_instance` builds a random configuration
-whose hypotheses hold exactly *by construction* (interior parameters,
-exact isometry copies, symmetric transversals), and `check_axiom` runs
-the asserted construction and re-checks the conclusion with zero
-tolerance.  A scheduled fraction of instances are degenerate-adjacent
-(gaps of 1/2³²); in NonArchimedean mode those gaps become infinitesimal
-and the guards must refuse — refusals are counted separately from
-failures.  A separate suite re-checks named theorems on constructed
-instances the same way.
+Each label is one `Spec` row in `AXIOMS` or `THEOREMS`: a generator whose
+configurations satisfy the hypotheses exactly *by construction*, an
+optional hypothesis re-checked first, a check that runs the construction
+and re-checks its conclusion with zero tolerance, and whether the label
+must refuse an infinitesimal gap.  Every 8th axiom instance has a gap of
+1/2³², infinitesimal in NonArchimedean mode, where the `refuses` labels
+must refuse rather than decide (deciding is Markov's principle); the a = b
+probes of the extension axioms refuse in both modes.  A verdict that
+disagrees with `expect_refusal` is an `unexpected-refusal` or a
+`missed-refusal`, and counts as a failure.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import random
 import time
 import zlib
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .field import NA, FieldElement, Q, eps, sqrt_nonneg
+from .field import FieldElement, Q, eps, sqrt_nonneg
 from .geometry import (
-    CONSTRUCTIBLE, NODE0, Point, angle_cong, between, congruent, distinct,
-    distinct_witness, midpoint, nonstrict_between, on_ray, pos_angle,
-    reflect_in_point, right_angle, rot90, verify_witness, vsub, cross,
+    Point, angle_cong, between, congruent, distinct, distinct_witness,
+    midpoint, nonstrict_between, on_ray, pos_angle, reflect_in_point,
+    resolve_mode, right_angle, rot90, verify_witness, vsub, cross,
     apex_witness, NotPositiveAngle,
 )
 from .constructions import (
@@ -35,21 +37,6 @@ from .constructions import (
 CONSTRUCTIBLE_MODE = "constructible"
 NONARCH_MODE = "nonarchimedean"
 
-AXIOM_IDS = [
-    "A4-i1", "A4-i2", "A5-i", "A6-i", "A14-i", "A15-i", "A17-i",
-    "A7-i1", "A7-i2", "LC-strict", "LC-nonstrict", "CC", "Euclid5",
-    "LowerDim",
-]
-
-THEOREM_NAMES = [
-    "vertical-angles", "outer-transitivity", "distinct-congruence",
-    "crossbar", "exterior-angle", "leg-lt-hypotenuse",
-    "triangle-inequality", "all-right-angles-congruent", "saccheri-helper",
-    "parallelogram-sides", "parallelogram-diagonals", "lambert-rectangle",
-    "positive-hypotenuse", "positive-implies-apex", "angle-bisection",
-    "two-sides-expressibility",
-]
-
 TINY = Fraction(1, 2 ** 32)  # degenerate-adjacent but exactly positive gap
 
 
@@ -59,21 +46,22 @@ def _instance_seed(seed: int, label: str, index: int) -> int:
     return zlib.crc32(f"{seed}:{label}:{index}".encode())
 
 
-def _lift(mode: str):
-    return NA if mode == NONARCH_MODE else Q
-
-
-def _sem(mode: str) -> str:
-    return NODE0 if mode == NONARCH_MODE else CONSTRUCTIBLE
-
-
 class _Gen:
     """Random exact-rational geometry, lifted into the requested field."""
 
     def __init__(self, seed: int, mode: str = CONSTRUCTIBLE_MODE):
         self.rng = random.Random(seed)
-        self.mode = mode
-        self.lift = _lift(mode)
+        self.seed, self.mode = seed, mode
+        self.lift, _ = resolve_mode(mode)
+        self.degenerate = self.na_inf = self.probe = False
+
+    def schedule(self) -> None:
+        """Axiom gaps: 1/2³² on every 8th seed, infinitesimal in
+        NonArchimedean mode; otherwise an interior parameter."""
+        self.degenerate = self.seed % 8 == 7
+        self.na_inf = self.degenerate and self.mode == NONARCH_MODE
+        self.gap = eps() if self.na_inf else self._fe(
+            TINY if self.degenerate else self.t01())
 
     def q(self, lo: int = -2 ** 16, hi: int = 2 ** 16) -> Fraction:
         return Fraction(self.rng.randint(lo, hi),
@@ -95,15 +83,26 @@ class _Gen:
         return Fraction(self.rng.randint(1, 2 ** 10 - 1), 2 ** 10)
 
     def point(self) -> Point:
-        return self.pt(self.q(), self.q())
-
-    def pt(self, x, y) -> Point:
-        return Point(self._fe(x), self._fe(y))
+        return Point(self._fe(self.q()), self._fe(self.q()))
 
     def _fe(self, v):
         if isinstance(v, FieldElement):
             return v
         return self.lift(Fraction(v))
+
+    def direction(self) -> tuple:
+        """A vector with a nonzero x part, hence nonzero."""
+        return self._fe(self.qnz()), self._fe(self.q())
+
+    def along(self, a: Point, d, t) -> Point:
+        """The point a + t·d."""
+        t = self._fe(t)
+        return Point(a.x + d[0] * t, a.y + d[1] * t)
+
+    def away(self, a: Point) -> Point:
+        """A point distinct from a."""
+        dx, dy = self.direction()
+        return Point(a.x + dx, a.y + dy)
 
     def combine(self, a: Point, b: Point, t) -> Point:
         t = self._fe(t)
@@ -111,16 +110,22 @@ class _Gen:
 
     def off_line_point(self, a: Point, b: Point) -> Point:
         """A point exactly off line ab, built from a nonzero height."""
-        s, h = self.q(-8, 8), self.qnz()
+        s, h = self._fe(self.q(-8, 8)), self._fe(self.qnz())
         d = vsub(b, a)
         n = rot90(d)
-        s, h = self._fe(s), self._fe(h)
         return Point(a.x + d[0] * s + n[0] * h, a.y + d[1] * s + n[1] * h)
 
     def triangle(self) -> tuple[Point, Point, Point]:
         a = self.point()
-        b = Point(a.x + self._fe(self.qnz()), a.y + self._fe(self.q()))
+        b = self.away(a)
         return a, b, self.off_line_point(a, b)
+
+    def right_triangle(self) -> tuple[Point, Point, Point]:
+        """a, b, c with an exact right angle at b."""
+        b = self.point()
+        u = self.direction()
+        a = Point(b.x + u[0], b.y + u[1])
+        return a, b, self.along(b, rot90(u), self.qnz())
 
     def unit_dir(self) -> tuple[Fraction, Fraction]:
         """Exact rational unit vector from a Pythagorean parameterization."""
@@ -150,170 +155,470 @@ class _Gen:
         return phi
 
 
-# -- axiom instances ----------------------------------------------------------
+class Spec(NamedTuple):
+    """One audit label: its generator, hypothesis, check and refusal."""
+    generate: Callable[[_Gen], dict]
+    check: Callable[[dict, str], bool]  # (instance, semantics) -> holds
+    detail: str  # reported when the check fails
+    hypothesis: tuple[str, Callable[[dict, str], bool]] | None = None
+    refuses: bool = False  # must refuse when the gap is infinitesimal
+
+
+# -- axiom generators and checks ----------------------------------------------
+
+def _gen_ext(g: _Gen, null_ok: bool) -> dict:
+    a = g.point()
+    if g.seed % 32 == 17:  # guard-violation probe: a = b
+        g.probe = True
+        return dict(a=a, b=a, c=g.point(), d=g.point())
+    b = g.away(a)
+    c = g.point()
+    if null_ok and g.seed % 8 == 3:
+        d = c  # null extension segment, allowed non-strictly
+    else:
+        d = g.along(c, g.direction(), g.gap if g.degenerate else 1)
+    return dict(a=a, b=b, c=c, d=d)
+
+
+def _ext_holds(i: dict, sem: str) -> bool:
+    e = ext(i["a"], i["b"], i["c"], i["d"], sem)
+    return (nonstrict_between(i["a"], i["b"], e)
+            and congruent(i["b"], e, i["c"], i["d"]))
+
+
+def _ext_strict_holds(i: dict, sem: str) -> bool:
+    e = ext_strict(i["a"], i["b"], i["c"], i["d"], sem)
+    return (between(i["a"], i["b"], e, sem)
+            and congruent(i["b"], e, i["c"], i["d"]))
+
+
+def _gen_chain(g: _Gen, names: str) -> dict:
+    """a, then `names` at parameters gap, gap + 1, ... along one line."""
+    a, d = g.point(), g.direction()
+    t = g.gap if g.degenerate else g._fe(g.t01())
+    return {"a": a, **{n: g.along(a, d, t + k) for k, n in enumerate(names)}}
+
+
+def _gen_a17(g: _Gen) -> dict:
+    a, d = g.point(), g.direction()
+    b = g.along(a, d, g.t01())
+    return dict(a=a, b=b, c=b, d=g.along(a, d, 2))
+
+
+def _a17_hypothesis(i: dict, sem: str) -> bool:
+    a, b, c, d = i["a"], i["b"], i["c"], i["d"]
+    return (between(a, b, d, sem) and between(a, c, d, sem)
+            and not between(a, b, c, sem) and not between(a, c, b, sem))
+
+
+def _gen_a5(g: _Gen) -> dict:
+    a, c, d = g.triangle()
+    b = g.combine(a, c, g.t01(g.degenerate))  # T(a,b,c) with a # b
+    phi = g.isometry()
+    return dict(a=a, b=b, c=c, d=d, A=phi(a), B=phi(b), C=phi(c), D=phi(d))
+
+
+def _a5_hypothesis(i: dict, sem: str) -> bool:
+    a, b, c, d, A, B, C, D = (i[n] for n in "abcdABCD")
+    return (distinct(a, b, sem)
+            and nonstrict_between(a, b, c) and nonstrict_between(A, B, C)
+            and congruent(a, b, A, B) and congruent(b, c, B, C)
+            and congruent(a, d, A, D) and congruent(b, d, B, D))
+
+
+def _gen_pasch(g: _Gen, q_beyond: bool) -> dict:
+    a, b, c = g.triangle()
+    tp = g.gap if g.na_inf else g._fe(g.t01(g.degenerate))
+    tq = 1 + g.t01() if q_beyond else g.t01()
+    return dict(a=a, c=c, b=b, p=g.combine(a, c, tp), q=g.combine(b, c, tq))
+
+
+def _inner_pasch_holds(i: dict, sem: str) -> bool:
+    x = inner_pasch(i["a"], i["p"], i["c"], i["b"], i["q"], sem)
+    return between(i["p"], x, i["b"], sem) and between(i["a"], x, i["q"], sem)
+
+
+def _outer_pasch_holds(i: dict, sem: str) -> bool:
+    x = outer_pasch(i["a"], i["p"], i["c"], i["b"], i["q"], sem)
+    return between(i["b"], i["p"], x, sem) and between(i["a"], x, i["q"], sem)
+
+
+def _gen_lc(g: _Gen, strict: bool) -> dict:
+    center = g.point()
+    ux, uy = g.unit_dir()
+    r = g.qpos()
+    u = Point(center.x + g._fe(r * ux), center.y + g._fe(r * uy))
+    v = Point(center.x - g._fe(r * ux), center.y - g._fe(r * uy))
+    # radius segment pq congruent to the radius, placed elsewhere
+    wx, wy = g.unit_dir()
+    p = g.point()
+    q = Point(p.x + g._fe(r * wx), p.y + g._fe(r * wy))
+    if not strict and g.seed % 8 == 3:
+        t = 1  # a = v, exactly on the circle
+    elif g.na_inf:
+        t = g.gap  # infinitesimally inside from u: the strict guard refuses
+    else:
+        t = g.t01(g.degenerate)
+    return dict(center=center, u=u, v=v, p=p, q=q, a=g.combine(u, v, t),
+                b=g.off_line_point(center, u))
+
+
+def _lc_holds(i: dict, sem: str, strict: bool) -> bool:
+    o, p, q, a = i["center"], i["p"], i["q"], i["a"]
+    x, y = line_circle(CircleSpec(o, p, q), a, i["b"], strict=strict, sem=sem)
+    sep = between(x, a, y, sem) if strict else nonstrict_between(x, a, y)
+    return congruent(o, x, p, q) and congruent(o, y, p, q) and sep
+
+
+def _gen_cc(g: _Gen) -> dict:
+    o1 = g.point()
+    o2 = g.away(o1)
+    e = (g.combine(o1, o2, g.t01()) if g.degenerate  # tangent-like
+         else g.off_line_point(o1, o2))
+    return dict(o1=o1, o2=o2, e=e)
+
+
+def _cc_holds(i: dict, sem: str) -> bool:
+    o1, o2, e = i["o1"], i["o2"], i["e"]
+    pts = circle_circle(CircleSpec(o1, o1, e), CircleSpec(o2, o2, e), sem=sem)
+    return all(congruent(o1, x, o1, e) and congruent(o2, x, o2, e)
+               for x in pts)
+
+
+def _gen_euclid5(g: _Gen) -> dict:
+    # symmetric transversal: p,q opposite through t; s,r opposite
+    # through t; then pr = qs automatically (q-s is a translate of r-p)
+    t = g.point()
+    v1 = g.direction()
+    v2 = g.direction()
+    while cross(v1, v2).is_zero():
+        v2 = g.direction()
+    p = Point(t.x + v1[0], t.y + v1[1])
+    q = Point(t.x - v1[0], t.y - v1[1])
+    r = Point(t.x + v2[0], t.y + v2[1])
+    s = Point(t.x - v2[0], t.y - v2[1])
+    ta = g.gap if g.na_inf else g._fe(g.t01(g.degenerate))
+    return dict(t=t, p=p, q=q, s=s, r=r, a=g.combine(q, r, ta))
+
+
+def _euclid5_holds(i: dict, sem: str) -> bool:
+    e = euclid5(i["t"], i["p"], i["q"], i["s"], i["r"], i["a"], sem)
+    return between(i["p"], i["a"], e, sem) and between(i["s"], i["q"], e, sem)
+
+
+def _gen_lower_dim(g: _Gen) -> dict:
+    phi = g.isometry()
+    scale = g._fe(g.qpos())
+    root3 = sqrt_nonneg(g._fe(3))
+    half = g._fe(Fraction(1, 2))
+
+    def fixed(x, y):
+        return phi(Point(x * scale, y * scale))
+
+    return dict(
+        alpha=fixed(g._fe(0), g._fe(0)),
+        beta=fixed(g._fe(1), g._fe(0)),
+        gamma=fixed(half, root3 * half),
+        c1=fixed(half, g._fe(0)),
+        c2=fixed(g._fe(Fraction(1, 4)), root3 * g._fe(Fraction(1, 4))),
+        c3=fixed(g._fe(Fraction(3, 4)), root3 * g._fe(Fraction(1, 4))),
+        c4=fixed(half, root3 * g._fe(Fraction(1, 6))))
+
+
+def _lower_dim_holds(i: dict, sem: str) -> bool:
+    al, be, ga = i["alpha"], i["beta"], i["gamma"]
+    c1, c2, c3, c4 = i["c1"], i["c2"], i["c3"], i["c4"]
+    return (congruent(al, be, be, ga) and congruent(al, be, al, ga)
+            and distinct(al, be, sem)
+            and between(al, c1, be, sem) and congruent(al, c1, c1, be)
+            and between(al, c2, ga, sem) and congruent(al, c2, c2, ga)
+            and between(be, c3, ga, sem) and congruent(be, c3, c3, ga)
+            and between(be, c4, c2, sem) and between(ga, c4, c1, sem))
+
+
+AXIOMS: dict[str, Spec] = {
+    "A4-i1": Spec(lambda g: _gen_ext(g, null_ok=True), _ext_holds,
+                  "extension conclusion failed"),
+    "A4-i2": Spec(lambda g: _gen_ext(g, null_ok=False), _ext_strict_holds,
+                  "strict extension conclusion failed", refuses=True),
+    "A5-i": Spec(_gen_a5,
+                 lambda i, sem: congruent(i["c"], i["d"], i["C"], i["D"]),
+                 "five-segment failed",
+                 hypothesis=("hypotheses", _a5_hypothesis)),
+    "A6-i": Spec(lambda g: dict(a=g.point(), b=g.point()),
+                 lambda i, sem: not between(i["a"], i["b"], i["a"], sem),
+                 "B(a,b,a) held"),
+    "A14-i": Spec(lambda g: _gen_chain(g, "bc"),
+                  lambda i, sem: between(i["c"], i["b"], i["a"], sem),
+                  "symmetry failed",
+                  hypothesis=("B(a,b,c)", lambda i, sem: between(
+                      i["a"], i["b"], i["c"], sem)),
+                  refuses=True),
+    "A15-i": Spec(lambda g: _gen_chain(g, "bcd"),
+                  lambda i, sem: between(i["a"], i["b"], i["c"], sem),
+                  "inner transitivity failed",
+                  hypothesis=("betweenness", lambda i, sem: (
+                      between(i["a"], i["b"], i["d"], sem)
+                      and between(i["b"], i["c"], i["d"], sem))),
+                  refuses=True),
+    "A17-i": Spec(_gen_a17, lambda i, sem: i["b"] == i["c"],
+                  "connectivity failed",
+                  hypothesis=("hypotheses", _a17_hypothesis)),
+    "A7-i1": Spec(lambda g: _gen_pasch(g, q_beyond=False), _inner_pasch_holds,
+                  "inner Pasch conclusion failed", refuses=True),
+    "A7-i2": Spec(lambda g: _gen_pasch(g, q_beyond=True), _outer_pasch_holds,
+                  "outer Pasch conclusion failed", refuses=True),
+    "LC-strict": Spec(lambda g: _gen_lc(g, strict=True),
+                      lambda i, sem: _lc_holds(i, sem, strict=True),
+                      "line-circle conclusion failed", refuses=True),
+    "LC-nonstrict": Spec(lambda g: _gen_lc(g, strict=False),
+                         lambda i, sem: _lc_holds(i, sem, strict=False),
+                         "line-circle conclusion failed"),
+    "CC": Spec(_gen_cc, _cc_holds, "circle-circle conclusion failed"),
+    "Euclid5": Spec(_gen_euclid5, _euclid5_holds,
+                    "parallel-axiom conclusion failed", refuses=True),
+    "LowerDim": Spec(_gen_lower_dim, _lower_dim_holds,
+                     "equilateral constants configuration failed"),
+}
+
+
+# -- theorem generators and checks --------------------------------------------
+
+def _gen_triangle(g: _Gen) -> dict:
+    return dict(zip("abc", g.triangle()))
+
+
+def _gen_right_triangle(g: _Gen) -> dict:
+    return dict(zip("abc", g.right_triangle()))
+
+
+def _witnessed_distinct(p: Point, q: Point, sem: str) -> bool:
+    return (distinct(p, q, sem) and verify_witness(
+        "Distinct", (p, q), distinct_witness(p, q), sem))
+
+
+def _gen_outer_transitivity(g: _Gen) -> dict:
+    a, d = g.point(), g.direction()
+    t1, t2 = g._fe(g.t01()), g._fe(1 + g.t01())
+    return dict(a=a, b=g.along(a, d, t1), c=g.along(a, d, t2),
+                d=g.along(a, d, t2 + 1))
+
+
+def _gen_distinct_congruence(g: _Gen) -> dict:
+    a = g.point()
+    b = g.away(a)
+    phi = g.isometry()
+    return dict(a=a, b=b, c=phi(a), d=phi(b))
+
+
+def _gen_crossbar(g: _Gen) -> dict:
+    a, b, c = g.triangle()
+    return dict(a=a, b=b, c=c, e=g.combine(a, c, g.t01()),
+                u=g.combine(b, a, 1 + g.qpos()),
+                v=g.combine(b, c, 1 + g.qpos()))
+
+
+def _crossbar_holds(i: dict, sem: str) -> bool:
+    b, e, u, v = i["b"], i["e"], i["u"], i["v"]
+    w = crossbar_point(i["a"], b, i["c"], e, u, v, sem)
+    return between(u, w, v, sem) and between(b, e, w, sem) and on_ray(b, e, w)
+
+
+def _exterior_angle_holds(i: dict, sem: str) -> bool:
+    a, b, c = i["a"], i["b"], i["c"]
+    d = ext(b, c, c, _mk_off(c, i["text"]), sem)
+    f = reflect_in_point(b, midpoint(a, c))
+    # median-doubling: angle bac reappears as acf, interior to acd
+    cong = angle_cong(b, a, c, f, c, a)
+    s1 = cross(vsub(a, c), vsub(f, c)).sign()
+    s2 = cross(vsub(f, c), vsub(d, c)).sign()
+    return cong and s1 != 0 and s1 == s2
+
+
+def _leg_lt_hypotenuse_holds(i: dict, sem: str) -> bool:
+    a, b, c = i["a"], i["b"], i["c"]
+    x = lay_off(a, c, b, a, sem)
+    y = lay_off(c, a, b, c, sem)
+    return between(a, x, c, sem) and between(c, y, a, sem)
+
+
+def _triangle_inequality_holds(i: dict, sem: str) -> bool:
+    a, b, c = i["a"], i["b"], i["c"]
+    d = ext(a, b, b, c, sem)   # |ad| = |ab| + |bc| along Ray(a,b)
+    return between(a, c, lay_off(a, c, a, d, sem), sem)
+
+
+def _gen_all_right_angles(g: _Gen) -> dict:
+    a, b, c = g.right_triangle()
+    a2, b2, c2 = _Gen(g.seed + 10 ** 9, g.mode).right_triangle()
+    return dict(a=a, b=b, c=c, a2=a2, b2=b2, c2=c2)
+
+
+def _gen_saccheri(g: _Gen) -> dict:
+    u = g.point()
+    d = g.direction()
+    v = Point(u.x + d[0], u.y + d[1])
+    n = rot90(d)
+    h = g._fe(g.qnz())
+    return dict(u=u, v=v, a=g.along(u, n, h), d=g.along(v, n, h))
+
+
+def _saccheri_holds(i: dict, sem: str) -> bool:
+    u, v, a, d = i["u"], i["v"], i["a"], i["d"]
+    summit = angle_cong(u, a, d, v, d, a)
+    mb, ms = midpoint(u, v), midpoint(a, d)
+    return (summit and right_angle(ms, mb, u, sem)
+            and right_angle(mb, ms, a, sem))
+
+
+def _gen_parallelogram(g: _Gen) -> dict:
+    a, b, c = g.triangle()
+    return dict(a=a, b=b, c=c, d=Point(a.x + c.x - b.x, a.y + c.y - b.y))
+
+
+def _diagonals_bisect(i: dict, sem: str) -> bool:
+    a, b, c, d = i["a"], i["b"], i["c"], i["d"]
+    m = line_intersect(a, c, b, d)
+    return (m == midpoint(a, c) and m == midpoint(b, d)
+            and between(a, m, c, sem) and between(b, m, d, sem))
+
+
+def _gen_lambert(g: _Gen) -> dict:
+    o = g.point()
+    u = g.direction()
+    al, be = g._fe(g.qnz()), g._fe(g.qnz())
+    fx, fy = g.along(o, u, al), g.along(o, rot90(u), be)
+    p = Point(fx.x + fy.x - o.x, fx.y + fy.y - o.y)
+    return dict(o=o, fx=fx, fy=fy, p=p)
+
+
+def _angle_bisection_holds(i: dict, sem: str) -> bool:
+    a, b, c = i["a"], i["b"], i["c"]
+    m = angle_bisect(a, b, c, sem)
+    return angle_cong(a, b, m, m, b, c) and distinct(b, m, sem)
+
+
+def _two_sides_holds(i: dict, sem: str) -> bool:
+    from .arithmetic import axis, expresses_negative
+    return expresses_negative(axis(Q(i["x"]))) == (i["x"] < 0)
+
+
+_RIGHT_AT_B = ("right angle at b",
+               lambda i, sem: right_angle(i["a"], i["b"], i["c"], sem))
+
+THEOREMS: dict[str, Spec] = {
+    "vertical-angles": Spec(
+        _gen_triangle,
+        lambda i, sem: angle_cong(
+            i["a"], i["b"], i["c"], reflect_in_point(i["a"], i["b"]),
+            i["b"], reflect_in_point(i["c"], i["b"])),
+        "vertical angles not congruent"),
+    "outer-transitivity": Spec(
+        _gen_outer_transitivity,
+        lambda i, sem: (between(i["a"], i["b"], i["d"], sem)
+                        and between(i["a"], i["c"], i["d"], sem)),
+        "outer transitivity failed",
+        hypothesis=("betweenness", lambda i, sem: (
+            between(i["a"], i["b"], i["c"], sem)
+            and between(i["b"], i["c"], i["d"], sem)))),
+    "distinct-congruence": Spec(
+        _gen_distinct_congruence,
+        lambda i, sem: _witnessed_distinct(i["c"], i["d"], sem),
+        "transported distinctness failed",
+        hypothesis=("a#b and ab=cd", lambda i, sem: (
+            distinct(i["a"], i["b"], sem)
+            and congruent(i["a"], i["b"], i["c"], i["d"])))),
+    "crossbar": Spec(_gen_crossbar, _crossbar_holds,
+                     "crossbar conclusion failed"),
+    "exterior-angle": Spec(lambda g: {**_gen_triangle(g), "text": g.qpos()},
+                           _exterior_angle_holds,
+                           "exterior-angle comparison failed"),
+    "leg-lt-hypotenuse": Spec(_gen_right_triangle, _leg_lt_hypotenuse_holds,
+                              "a leg reached the hypotenuse",
+                              hypothesis=_RIGHT_AT_B),
+    "triangle-inequality": Spec(_gen_triangle, _triangle_inequality_holds,
+                                "triangle inequality failed"),
+    "all-right-angles-congruent": Spec(
+        _gen_all_right_angles,
+        lambda i, sem: angle_cong(i["a"], i["b"], i["c"],
+                                  i["a2"], i["b2"], i["c2"]),
+        "right angles not congruent"),
+    "saccheri-helper": Spec(
+        _gen_saccheri, _saccheri_holds, "Saccheri helper failed",
+        hypothesis=("Saccheri sides", lambda i, sem: (
+            right_angle(i["a"], i["u"], i["v"], sem)
+            and right_angle(i["d"], i["v"], i["u"], sem)
+            and congruent(i["u"], i["a"], i["v"], i["d"])))),
+    "parallelogram-sides": Spec(
+        _gen_parallelogram,
+        lambda i, sem: (congruent(i["a"], i["b"], i["d"], i["c"])
+                        and congruent(i["b"], i["c"], i["a"], i["d"])),
+        "opposite sides not congruent"),
+    "parallelogram-diagonals": Spec(_gen_parallelogram, _diagonals_bisect,
+                                    "diagonals do not bisect each other"),
+    "lambert-rectangle": Spec(
+        _gen_lambert,
+        lambda i, sem: right_angle(i["fx"], i["p"], i["fy"], sem),
+        "fourth angle not right",
+        hypothesis=("three right angles", lambda i, sem: (
+            right_angle(i["fx"], i["o"], i["fy"], sem)
+            and right_angle(i["o"], i["fx"], i["p"], sem)
+            and right_angle(i["o"], i["fy"], i["p"], sem)))),
+    "positive-hypotenuse": Spec(
+        _gen_right_triangle,
+        lambda i, sem: _witnessed_distinct(i["a"], i["c"], sem),
+        "hypotenuse not positively long", hypothesis=_RIGHT_AT_B),
+    "positive-implies-apex": Spec(
+        _gen_triangle,
+        lambda i, sem: verify_witness(
+            "PosAngle", (i["a"], i["b"], i["c"]),
+            apex_witness(i["a"], i["b"], i["c"], sem), sem),
+        "apex witness failed its re-check",
+        hypothesis=("0<abc", lambda i, sem: pos_angle(
+            i["a"], i["b"], i["c"], sem))),
+    "angle-bisection": Spec(_gen_triangle, _angle_bisection_holds,
+                            "bisector halves not congruent"),
+    "two-sides-expressibility": Spec(lambda g: dict(x=g.qnz()),
+                                     _two_sides_holds,
+                                     "B(x,0,1) disagrees with the sign of x"),
+}
+
+AXIOM_IDS = list(AXIOMS)
+THEOREM_NAMES = list(THEOREMS)
+
+
+# -- generation and checking --------------------------------------------------
+
+def _spec(table: dict, label: str, kind: str) -> Spec:
+    if label not in table:
+        raise ValueError(f"unknown {kind} {label!r}")
+    return table[label]
+
+
+def _instance(spec: Spec, g: _Gen, **label) -> dict:
+    inst = {**label, "seed": g.seed, **spec.generate(g)}
+    inst["expect_refusal"] = g.probe or (g.na_inf and spec.refuses)
+    return inst
+
 
 def gen_instance(axiom_id: str, seed: int,
                  mode: str = CONSTRUCTIBLE_MODE) -> dict:
     """A configuration whose hypotheses hold exactly by construction.
 
     Every 8th seed is degenerate-adjacent (1/2³² gaps; infinitesimal gaps
-    in NonArchimedean mode, where the guard must refuse); a sparser
-    schedule produces outright guard-violation probes for the guarded
-    extension axioms."""
+    in NonArchimedean mode, where the `refuses` labels must refuse); a
+    sparser schedule produces outright guard-violation probes for the
+    guarded extension axioms."""
+    spec = _spec(AXIOMS, axiom_id, "axiom id")
     g = _Gen(seed, mode)
-    degenerate = (seed % 8 == 7)
-    na_inf = degenerate and mode == NONARCH_MODE
-    gap = eps() if na_inf else (g._fe(TINY) if degenerate
-                                else g._fe(g.t01()))
-    inst: dict = {"axiom_id": axiom_id, "seed": seed,
-                  "expect_refusal": na_inf}
+    g.schedule()
+    return _instance(spec, g, axiom_id=axiom_id)
 
-    if axiom_id == "A6-i":
-        inst["a"], inst["b"] = g.point(), g.point()
-        inst["expect_refusal"] = False
-        return inst
 
-    if axiom_id in ("A14-i", "A15-i", "A17-i"):
-        a = g.point()
-        d = Point(g._fe(g.qnz()), g._fe(g.q()))
-
-        def along(t):
-            t = g._fe(t)
-            return Point(a.x + d.x * t, a.y + d.y * t)
-
-        if axiom_id == "A14-i":
-            t1 = gap if (degenerate or na_inf) else g._fe(g.t01())
-            inst.update(a=a, b=along(t1), c=along(t1 + 1))
-        elif axiom_id == "A15-i":
-            # a < b < c < d along the line; B(a,b,d) and B(b,c,d) exact
-            t1 = gap if (degenerate or na_inf) else g._fe(g.t01())
-            inst.update(a=a, b=along(t1), c=along(t1 + 1), d=along(t1 + 2))
-        else:
-            b = along(g._fe(g.t01()))
-            inst.update(a=a, b=b, c=b, d=along(2))
-            inst["expect_refusal"] = False
-        return inst
-
-    if axiom_id in ("A4-i1", "A4-i2"):
-        a = g.point()
-        if seed % 32 == 17:  # guard-violation probe: a = b
-            inst.update(a=a, b=a, c=g.point(), d=g.point(),
-                        expect_refusal=True)
-            return inst
-        b = Point(a.x + g._fe(g.qnz()), a.y + g._fe(g.q()))
-        c = g.point()
-        if axiom_id == "A4-i1" and seed % 8 == 3:
-            d = c  # null extension segment, allowed non-strictly
-        else:
-            dd = Point(g._fe(g.qnz()), g._fe(g.q()))
-            scale = gap if (degenerate or na_inf) else g._fe(1)
-            d = Point(c.x + dd.x * scale, c.y + dd.y * scale)
-            if na_inf:
-                inst["expect_refusal"] = axiom_id == "A4-i2"
-        inst.update(a=a, b=b, c=c, d=d)
-        return inst
-
-    if axiom_id == "A5-i":
-        a, c0, dpt = g.triangle()
-        t = g.t01(degenerate)
-        b = g.combine(a, c0, t)  # T(a,b,c0) with a # b
-        phi = g.isometry()
-        inst.update(a=a, b=b, c=c0, d=dpt,
-                    A=phi(a), B=phi(b), C=phi(c0), D=phi(dpt))
-        if na_inf:
-            inst["expect_refusal"] = False  # hypotheses classical here
-        return inst
-
-    if axiom_id == "A7-i1":
-        a, b, c = g.triangle()
-        tp = gap if na_inf else g._fe(g.t01(degenerate))
-        tq = g._fe(g.t01())
-        inst.update(a=a, c=c, b=b,
-                    p=g.combine(a, c, tp), q=g.combine(b, c, tq))
-        return inst
-
-    if axiom_id == "A7-i2":
-        a, b, c = g.triangle()
-        tp = gap if na_inf else g._fe(g.t01(degenerate))
-        inst.update(a=a, c=c, b=b, p=g.combine(a, c, tp),
-                    q=g.combine(b, c, g._fe(1 + g.t01())))
-        return inst
-
-    if axiom_id in ("LC-strict", "LC-nonstrict"):
-        center = g.point()
-        ux, uy = g.unit_dir()
-        r = g.qpos()
-        u = Point(center.x + g._fe(r * ux), center.y + g._fe(r * uy))
-        v = Point(center.x - g._fe(r * ux), center.y - g._fe(r * uy))
-        # radius segment pq congruent to the radius, placed elsewhere
-        wx, wy = g.unit_dir()
-        p = g.point()
-        q = Point(p.x + g._fe(r * wx), p.y + g._fe(r * wy))
-        if axiom_id == "LC-nonstrict" and seed % 8 == 3:
-            t = g._fe(Fraction(seed % 2))  # exactly on the circle
-            inst["expect_refusal"] = False
-        elif na_inf:
-            t = eps()  # infinitesimally inside from u: strict guard refuses
-        else:
-            t = g._fe(g.t01(degenerate))
-        a = g.combine(u, v, t)
-        b = g.off_line_point(center, u)
-        inst.update(center=center, u=u, v=v, p=p, q=q, a=a, b=b)
-        if axiom_id == "LC-nonstrict":
-            inst["expect_refusal"] = False
-        return inst
-
-    if axiom_id == "CC":
-        o1 = g.point()
-        o2 = Point(o1.x + g._fe(g.qnz()), o1.y + g._fe(g.q()))
-        e = g.off_line_point(o1, o2) if not degenerate else g.combine(
-            o1, o2, g._fe(g.t01()))  # meeting point on the center line: tangent-like
-        inst.update(o1=o1, o2=o2, e=e)
-        inst["expect_refusal"] = False
-        return inst
-
-    if axiom_id == "Euclid5":
-        # symmetric transversal: p,q opposite through t; s,r opposite
-        # through t; then pr = qs automatically (q-s is a translate of r-p)
-        tt = g.point()
-        v1 = Point(g._fe(g.qnz()), g._fe(g.q()))
-        while True:
-            v2 = Point(g._fe(g.qnz()), g._fe(g.q()))
-            if not cross((v1.x, v1.y), (v2.x, v2.y)).is_zero():
-                break
-        p = Point(tt.x + v1.x, tt.y + v1.y)
-        q = Point(tt.x - v1.x, tt.y - v1.y)
-        r = Point(tt.x + v2.x, tt.y + v2.y)
-        s = Point(tt.x - v2.x, tt.y - v2.y)
-        ta = gap if na_inf else g._fe(g.t01(degenerate))
-        a = g.combine(q, r, ta)
-        inst.update(t=tt, p=p, q=q, s=s, r=r, a=a)
-        if na_inf:
-            inst["expect_refusal"] = True  # B(q,a,r) gap infinitesimal
-        return inst
-
-    if axiom_id == "LowerDim":
-        phi = g.isometry()
-        scale = g._fe(g.qpos())
-        root3 = sqrt_nonneg(g._fe(3))
-        half = g._fe(Fraction(1, 2))
-
-        def fixed(x, y):
-            return phi(Point(x * scale, y * scale))
-
-        alpha = fixed(g._fe(0), g._fe(0))
-        beta = fixed(g._fe(1), g._fe(0))
-        gamma = fixed(half, root3 * half)
-        c1 = fixed(half, g._fe(0))
-        c2 = fixed(g._fe(Fraction(1, 4)), root3 * g._fe(Fraction(1, 4)))
-        c3 = fixed(g._fe(Fraction(3, 4)), root3 * g._fe(Fraction(1, 4)))
-        c4 = fixed(half, root3 * g._fe(Fraction(1, 6)))
-        inst.update(alpha=alpha, beta=beta, gamma=gamma,
-                    c1=c1, c2=c2, c3=c3, c4=c4)
-        inst["expect_refusal"] = False
-        return inst
-
-    raise ValueError(f"unknown axiom id {axiom_id!r}")
+def gen_theorem_instance(name: str, seed: int,
+                         mode: str = CONSTRUCTIBLE_MODE) -> dict:
+    return _instance(_spec(THEOREMS, name, "theorem name"),
+                     _Gen(seed, mode), name=name)
 
 
 def _verdict(ok: bool, detail: str | None = None) -> dict:
@@ -325,336 +630,37 @@ def _refused(err: Exception) -> dict:
     return {"verdict": "guard-refused", "detail": str(err)}
 
 
+def _check(spec: Spec, inst: dict, mode: str, tag: str | None) -> dict:
+    """Re-check the hypothesis, run the check, and hold the verdict to the
+    instance's refusal expectation."""
+    _, sem = resolve_mode(mode)
+    try:
+        if spec.hypothesis is not None:
+            text, holds = spec.hypothesis
+            if not holds(inst, sem):
+                raise ConstructionError("PreconditionViolated", tag, text)
+        res = _verdict(spec.check(inst, sem), spec.detail)
+    except (ConstructionError, NotPositiveAngle) as err:
+        res = _refused(err)
+    except PostconditionFailure as err:
+        res = {"verdict": "fail", "detail": f"postcondition: {err}"}
+    if res["verdict"] == "guard-refused" and not inst["expect_refusal"]:
+        return {**res, "verdict": "unexpected-refusal"}
+    if inst["expect_refusal"] and res["verdict"] == "pass":
+        return {"verdict": "missed-refusal",
+                "detail": "a guard decided a case it must refuse"}
+    return res
+
+
 def check_axiom(axiom_id: str, inst: dict,
                 mode: str = CONSTRUCTIBLE_MODE) -> dict:
     """Run the axiom's construction and re-check its conclusion, exactly."""
-    sem = _sem(mode)
-    i = inst
-    try:
-        if axiom_id == "A6-i":
-            return _verdict(not between(i["a"], i["b"], i["a"], sem),
-                            "B(a,b,a) held")
-        if axiom_id == "A14-i":
-            if not between(i["a"], i["b"], i["c"], sem):
-                return _refused(ConstructionError(
-                    "PreconditionViolated", axiom_id, "B(a,b,c)"))
-            return _verdict(between(i["c"], i["b"], i["a"], sem),
-                            "symmetry failed")
-        if axiom_id == "A15-i":
-            if not (between(i["a"], i["b"], i["d"], sem)
-                    and between(i["b"], i["c"], i["d"], sem)):
-                return _refused(ConstructionError(
-                    "PreconditionViolated", axiom_id, "betweenness"))
-            return _verdict(between(i["a"], i["b"], i["c"], sem),
-                            "inner transitivity failed")
-        if axiom_id == "A17-i":
-            a, b, c, d = i["a"], i["b"], i["c"], i["d"]
-            hyp = (between(a, b, d, sem) and between(a, c, d, sem)
-                   and not between(a, b, c, sem)
-                   and not between(a, c, b, sem))
-            if not hyp:
-                return _refused(ConstructionError(
-                    "PreconditionViolated", axiom_id, "hypotheses"))
-            return _verdict(b == c, "connectivity failed")
-        if axiom_id == "A4-i1":
-            e = ext(i["a"], i["b"], i["c"], i["d"], sem)
-            return _verdict(nonstrict_between(i["a"], i["b"], e)
-                            and congruent(i["b"], e, i["c"], i["d"]),
-                            "extension conclusion failed")
-        if axiom_id == "A4-i2":
-            e = ext_strict(i["a"], i["b"], i["c"], i["d"], sem)
-            return _verdict(between(i["a"], i["b"], e, sem)
-                            and congruent(i["b"], e, i["c"], i["d"]),
-                            "strict extension conclusion failed")
-        if axiom_id == "A5-i":
-            names = ("a", "b", "c", "d", "A", "B", "C", "D")
-            a, b, c, d, A, B, C, D = (i[n] for n in names)
-            hyp = (distinct(a, b, sem)
-                   and nonstrict_between(a, b, c)
-                   and nonstrict_between(A, B, C)
-                   and congruent(a, b, A, B) and congruent(b, c, B, C)
-                   and congruent(a, d, A, D) and congruent(b, d, B, D))
-            if not hyp:
-                return _refused(ConstructionError(
-                    "PreconditionViolated", axiom_id, "hypotheses"))
-            return _verdict(congruent(c, d, C, D), "five-segment failed")
-        if axiom_id == "A7-i1":
-            x = inner_pasch(i["a"], i["p"], i["c"], i["b"], i["q"], sem)
-            return _verdict(between(i["p"], x, i["b"], sem)
-                            and between(i["a"], x, i["q"], sem),
-                            "inner Pasch conclusion failed")
-        if axiom_id == "A7-i2":
-            x = outer_pasch(i["a"], i["p"], i["c"], i["b"], i["q"], sem)
-            return _verdict(between(i["b"], i["p"], x, sem)
-                            and between(i["a"], x, i["q"], sem),
-                            "outer Pasch conclusion failed")
-        if axiom_id in ("LC-strict", "LC-nonstrict"):
-            strict = axiom_id == "LC-strict"
-            circle = CircleSpec(i["center"], i["p"], i["q"])
-            x, y = line_circle(circle, i["a"], i["b"], strict=strict, sem=sem)
-            on = (congruent(i["center"], x, i["p"], i["q"])
-                  and congruent(i["center"], y, i["p"], i["q"]))
-            sep = (between(x, i["a"], y, sem) if strict
-                   else nonstrict_between(x, i["a"], y))
-            return _verdict(on and sep, "line-circle conclusion failed")
-        if axiom_id == "CC":
-            c1 = CircleSpec(i["o1"], i["o1"], i["e"])
-            c2 = CircleSpec(i["o2"], i["o2"], i["e"])
-            pts = circle_circle(c1, c2, sem=sem)
-            ok = all(congruent(i["o1"], x, i["o1"], i["e"])
-                     and congruent(i["o2"], x, i["o2"], i["e"])
-                     for x in pts)
-            return _verdict(ok, "circle-circle conclusion failed")
-        if axiom_id == "Euclid5":
-            e = euclid5(i["t"], i["p"], i["q"], i["s"], i["r"], i["a"], sem)
-            return _verdict(between(i["p"], i["a"], e, sem)
-                            and between(i["s"], i["q"], e, sem),
-                            "parallel-axiom conclusion failed")
-        if axiom_id == "LowerDim":
-            al, be, ga = i["alpha"], i["beta"], i["gamma"]
-            c1, c2, c3, c4 = i["c1"], i["c2"], i["c3"], i["c4"]
-            ok = (congruent(al, be, be, ga) and congruent(al, be, al, ga)
-                  and distinct(al, be, sem)
-                  and between(al, c1, be, sem) and congruent(al, c1, c1, be)
-                  and between(al, c2, ga, sem) and congruent(al, c2, c2, ga)
-                  and between(be, c3, ga, sem) and congruent(be, c3, c3, ga)
-                  and between(be, c4, c2, sem) and between(ga, c4, c1, sem))
-            return _verdict(ok, "equilateral constants configuration failed")
-    except ConstructionError as err:
-        return _refused(err)
-    except PostconditionFailure as err:
-        return {"verdict": "fail", "detail": f"postcondition: {err}"}
-    raise ValueError(f"unknown axiom id {axiom_id!r}")
-
-
-# -- theorem instances --------------------------------------------------------
-
-def gen_theorem_instance(name: str, seed: int,
-                         mode: str = CONSTRUCTIBLE_MODE) -> dict:
-    g = _Gen(seed, mode)
-    inst: dict = {"name": name, "seed": seed}
-
-    if name in ("vertical-angles", "positive-implies-apex",
-                "angle-bisection", "exterior-angle", "triangle-inequality",
-                "crossbar"):
-        a, b, c = g.triangle()
-        inst.update(a=a, b=b, c=c)
-        if name == "crossbar":
-            inst["te"] = g.t01()
-            inst["ext1"] = g.qpos()
-            inst["ext2"] = g.qpos()
-        if name == "exterior-angle":
-            inst["text"] = g.qpos()
-        return inst
-
-    if name == "outer-transitivity":
-        a = g.point()
-        d = Point(g._fe(g.qnz()), g._fe(g.q()))
-        t1, t2 = g._fe(g.t01()), g._fe(1 + g.t01())
-        b = Point(a.x + d.x * t1, a.y + d.y * t1)
-        c = Point(a.x + d.x * t2, a.y + d.y * t2)
-        dd = Point(a.x + d.x * (t2 + 1), a.y + d.y * (t2 + 1))
-        inst.update(a=a, b=b, c=c, d=dd)
-        return inst
-
-    if name == "distinct-congruence":
-        a = g.point()
-        b = Point(a.x + g._fe(g.qnz()), a.y + g._fe(g.q()))
-        phi = g.isometry()
-        inst.update(a=a, b=b, c=phi(a), d=phi(b))
-        return inst
-
-    if name in ("leg-lt-hypotenuse", "positive-hypotenuse",
-                "all-right-angles-congruent"):
-        b = g.point()
-        u = (g._fe(g.qnz()), g._fe(g.q()))
-        n = rot90(u)
-        s = g._fe(g.qnz())
-        a = Point(b.x + u[0], b.y + u[1])
-        c = Point(b.x + n[0] * s, b.y + n[1] * s)
-        inst.update(a=a, b=b, c=c)
-        if name == "all-right-angles-congruent":
-            g2 = _Gen(seed + 10 ** 9, mode)
-            b2 = g2.point()
-            u2 = (g2._fe(g2.qnz()), g2._fe(g2.q()))
-            n2 = rot90(u2)
-            s2 = g2._fe(g2.qnz())
-            inst.update(a2=Point(b2.x + u2[0], b2.y + u2[1]), b2=b2,
-                        c2=Point(b2.x + n2[0] * s2, b2.y + n2[1] * s2))
-        return inst
-
-    if name == "saccheri-helper":
-        u = g.point()
-        d = (g._fe(g.qnz()), g._fe(g.q()))
-        v = Point(u.x + d[0], u.y + d[1])
-        n = rot90(d)
-        h = g._fe(g.qnz())
-        a = Point(u.x + n[0] * h, u.y + n[1] * h)
-        dd = Point(v.x + n[0] * h, v.y + n[1] * h)
-        inst.update(u=u, v=v, a=a, d=dd)
-        return inst
-
-    if name in ("parallelogram-sides", "parallelogram-diagonals"):
-        a, b, c = g.triangle()
-        d = Point(a.x + c.x - b.x, a.y + c.y - b.y)
-        inst.update(a=a, b=b, c=c, d=d)
-        return inst
-
-    if name == "lambert-rectangle":
-        o = g.point()
-        u = (g._fe(g.qnz()), g._fe(g.q()))
-        n = rot90(u)
-        al, be = g._fe(g.qnz()), g._fe(g.qnz())
-        fx = Point(o.x + u[0] * al, o.y + u[1] * al)
-        fy = Point(o.x + n[0] * be, o.y + n[1] * be)
-        p = Point(fx.x + fy.x - o.x, fx.y + fy.y - o.y)
-        inst.update(o=o, fx=fx, fy=fy, p=p)
-        return inst
-
-    if name == "two-sides-expressibility":
-        inst["x"] = g.qnz()
-        return inst
-
-    raise ValueError(f"unknown theorem name {name!r}")
+    return _check(_spec(AXIOMS, axiom_id, "axiom id"), inst, mode, axiom_id)
 
 
 def check_theorem(name: str, inst: dict,
                   mode: str = CONSTRUCTIBLE_MODE) -> dict:
-    sem = _sem(mode)
-    i = inst
-    try:
-        if name == "vertical-angles":
-            a, b, c = i["a"], i["b"], i["c"]
-            a2 = reflect_in_point(a, b)
-            c2 = reflect_in_point(c, b)
-            return _verdict(angle_cong(a, b, c, a2, b, c2),
-                            "vertical angles not congruent")
-        if name == "outer-transitivity":
-            a, b, c, d = i["a"], i["b"], i["c"], i["d"]
-            hyp = between(a, b, c, sem) and between(b, c, d, sem)
-            if not hyp:
-                return _refused(ConstructionError(
-                    "PreconditionViolated", None, "betweenness"))
-            return _verdict(between(a, b, d, sem) and between(a, c, d, sem),
-                            "outer transitivity failed")
-        if name == "distinct-congruence":
-            a, b, c, d = i["a"], i["b"], i["c"], i["d"]
-            if not (distinct(a, b, sem) and congruent(a, b, c, d)):
-                return _refused(ConstructionError(
-                    "PreconditionViolated", None, "a#b and ab=cd"))
-            w = distinct_witness(c, d)
-            return _verdict(distinct(c, d, sem)
-                            and verify_witness("Distinct", (c, d), w, sem),
-                            "transported distinctness failed")
-        if name == "crossbar":
-            a, b, c = i["a"], i["b"], i["c"]
-            lift = _lift(mode)
-            e = Point(a.x + (c.x - a.x) * lift(i["te"]),
-                      a.y + (c.y - a.y) * lift(i["te"]))
-            t1, t2 = lift(1 + i["ext1"]), lift(1 + i["ext2"])
-            u = Point(b.x + (a.x - b.x) * t1, b.y + (a.y - b.y) * t1)
-            v = Point(b.x + (c.x - b.x) * t2, b.y + (c.y - b.y) * t2)
-            w = crossbar_point(a, b, c, e, u, v, sem)
-            return _verdict(between(u, w, v, sem) and between(b, e, w, sem)
-                            and on_ray(b, e, w),
-                            "crossbar conclusion failed")
-        if name == "exterior-angle":
-            a, b, c = i["a"], i["b"], i["c"]
-            d = ext(b, c, c, _mk_off(c, i["text"]), sem)
-            e = midpoint(a, c)
-            f = reflect_in_point(b, e)
-            # median-doubling: angle bac reappears as acf, interior to acd
-            cong = angle_cong(b, a, c, f, c, a)
-            s1 = cross(vsub(a, c), vsub(f, c)).sign()
-            s2 = cross(vsub(f, c), vsub(d, c)).sign()
-            interior = s1 != 0 and s1 == s2
-            return _verdict(cong and interior,
-                            "exterior-angle comparison failed")
-        if name == "leg-lt-hypotenuse":
-            a, b, c = i["a"], i["b"], i["c"]
-            if not right_angle(a, b, c, sem):
-                return _refused(ConstructionError(
-                    "PreconditionViolated", None, "right angle at b"))
-            x = lay_off(a, c, b, a, sem)
-            y = lay_off(c, a, b, c, sem)
-            return _verdict(between(a, x, c, sem) and between(c, y, a, sem),
-                            "a leg reached the hypotenuse")
-        if name == "triangle-inequality":
-            a, b, c = i["a"], i["b"], i["c"]
-            d = ext(a, b, b, c, sem)   # |ad| = |ab| + |bc| along Ray(a,b)
-            y = lay_off(a, c, a, d, sem)
-            return _verdict(between(a, c, y, sem),
-                            "triangle inequality failed")
-        if name == "all-right-angles-congruent":
-            ok = angle_cong(i["a"], i["b"], i["c"],
-                            i["a2"], i["b2"], i["c2"])
-            return _verdict(ok, "right angles not congruent")
-        if name == "saccheri-helper":
-            u, v, a, d = i["u"], i["v"], i["a"], i["d"]
-            hyp = (right_angle(a, u, v, sem) and right_angle(d, v, u, sem)
-                   and congruent(u, a, v, d))
-            if not hyp:
-                return _refused(ConstructionError(
-                    "PreconditionViolated", None, "Saccheri sides"))
-            summit = angle_cong(u, a, d, v, d, a)
-            mb, ms = midpoint(u, v), midpoint(a, d)
-            midline = (right_angle(ms, mb, u, sem)
-                       and right_angle(mb, ms, a, sem))
-            return _verdict(summit and midline, "Saccheri helper failed")
-        if name == "parallelogram-sides":
-            a, b, c, d = i["a"], i["b"], i["c"], i["d"]
-            return _verdict(congruent(a, b, d, c) and congruent(b, c, a, d),
-                            "opposite sides not congruent")
-        if name == "parallelogram-diagonals":
-            a, b, c, d = i["a"], i["b"], i["c"], i["d"]
-            m = line_intersect(a, c, b, d)
-            ok = (m == midpoint(a, c) and m == midpoint(b, d)
-                  and between(a, m, c, sem) and between(b, m, d, sem))
-            return _verdict(ok, "diagonals do not bisect each other")
-        if name == "lambert-rectangle":
-            o, fx, fy, p = i["o"], i["fx"], i["fy"], i["p"]
-            hyp = (right_angle(fx, o, fy, sem) and right_angle(o, fx, p, sem)
-                   and right_angle(o, fy, p, sem))
-            if not hyp:
-                return _refused(ConstructionError(
-                    "PreconditionViolated", None, "three right angles"))
-            return _verdict(right_angle(fx, p, fy, sem),
-                            "fourth angle not right")
-        if name == "positive-hypotenuse":
-            a, b, c = i["a"], i["b"], i["c"]
-            if not right_angle(a, b, c, sem):
-                return _refused(ConstructionError(
-                    "PreconditionViolated", None, "right angle at b"))
-            w = distinct_witness(a, c)
-            return _verdict(distinct(a, c, sem)
-                            and verify_witness("Distinct", (a, c), w, sem),
-                            "hypotenuse not positively long")
-        if name == "positive-implies-apex":
-            a, b, c = i["a"], i["b"], i["c"]
-            if not pos_angle(a, b, c, sem):
-                return _refused(ConstructionError(
-                    "PreconditionViolated", None, "0<abc"))
-            w = apex_witness(a, b, c, sem)
-            return _verdict(verify_witness("PosAngle", (a, b, c), w, sem),
-                            "apex witness failed its re-check")
-        if name == "angle-bisection":
-            a, b, c = i["a"], i["b"], i["c"]
-            m = angle_bisect(a, b, c, sem)
-            return _verdict(angle_cong(a, b, m, m, b, c)
-                            and distinct(b, m, sem),
-                            "bisector halves not congruent")
-        if name == "two-sides-expressibility":
-            from .arithmetic import axis, expresses_negative
-            x = i["x"]
-            p = axis(Q(x))
-            neg = expresses_negative(p)
-            return _verdict(neg == (x < 0),
-                            "B(x,0,1) disagrees with the sign of x")
-    except (ConstructionError, NotPositiveAngle) as err:
-        return _refused(err)
-    except PostconditionFailure as err:
-        return {"verdict": "fail", "detail": f"postcondition: {err}"}
-    raise ValueError(f"unknown theorem name {name!r}")
+    return _check(_spec(THEOREMS, name, "theorem name"), inst, mode, None)
 
 
 def _mk_off(p: Point, length) -> Point:
@@ -665,48 +671,36 @@ def _mk_off(p: Point, length) -> Point:
 
 # -- the harness --------------------------------------------------------------
 
+# report counter per verdict; every other verdict counts as a failure
+_TALLY = {"pass": "passes", "guard-refused": "guard_refusals"}
+
+
 def audit_run(mode: str = CONSTRUCTIBLE_MODE, per_axiom: int = 100,
               seed: int = 0, include_theorems: bool = True) -> dict:
+    resolve_mode(mode)  # reject an unknown mode before any work
     t0 = time.perf_counter()
     entries = []
     summary: dict[str, dict] = {}
-    labels = list(AXIOM_IDS)
+    suites = [(AXIOMS, gen_instance, check_axiom)]
     if include_theorems:
-        labels += THEOREM_NAMES
-    for label in labels:
-        is_axiom = label in AXIOM_IDS
-        counts = {"count": 0, "passes": 0, "failures": 0,
-                  "guard_refusals": 0}
-        for idx in range(per_axiom):
-            iseed = _instance_seed(seed, label, idx)
-            if is_axiom:
-                inst = gen_instance(label, iseed, mode)
-                res = check_axiom(label, inst, mode)
-            else:
-                inst = gen_theorem_instance(label, iseed, mode)
-                res = check_theorem(label, inst, mode)
-            counts["count"] += 1
-            v = res["verdict"]
-            if v == "pass":
-                counts["passes"] += 1
-            elif v == "guard-refused":
-                counts["guard_refusals"] += 1
-            else:
-                counts["failures"] += 1
-            entry = {"axiom_id": label, "instance_index": idx,
-                     "verdict": v, "seed": iseed}
-            if "detail" in res:
-                entry["detail"] = res["detail"]
-            if v == "fail":
-                entries.append(entry)
-            elif v == "guard-refused":
-                entries.append(entry)
-        summary[label] = counts
-    runtime = time.perf_counter() - t0
-    total_fail = sum(c["failures"] for c in summary.values())
+        suites.append((THEOREMS, gen_theorem_instance, check_theorem))
+    for specs, generate, check in suites:
+        for label in specs:
+            counts = {"count": per_axiom, "passes": 0, "failures": 0,
+                      "guard_refusals": 0}
+            for idx in range(per_axiom):
+                iseed = _instance_seed(seed, label, idx)
+                res = check(label, generate(label, iseed, mode), mode)
+                v = res["verdict"]
+                counts[_TALLY.get(v, "failures")] += 1
+                if v != "pass":
+                    entries.append({"axiom_id": label, "instance_index": idx,
+                                    "seed": iseed, **res})
+            summary[label] = counts
     return {"mode": mode, "seed": seed, "per_axiom": per_axiom,
             "summary": summary, "entries": entries,
-            "failures": total_fail, "runtime": runtime}
+            "failures": sum(c["failures"] for c in summary.values()),
+            "runtime": time.perf_counter() - t0}
 
 
 def report_to_json(report: dict) -> str:

@@ -28,11 +28,11 @@ import re
 from dataclasses import dataclass, field as dfield
 
 from .field import (
-    DomainViolation, FieldElement, FieldError, NA, Q, eps, sqrt_nonneg,
+    DomainViolation, FieldElement, FieldError, eps, sqrt_nonneg,
 )
 from .geometry import (
-    CONSTRUCTIBLE, NODE0, ArityMismatch, NotPositiveAngle, Point, midpoint,
-    predicate_eval, reflect_in_point,
+    ArityMismatch, NotPositiveAngle, Point, midpoint, predicate_eval,
+    reflect_in_point, resolve_mode,
 )
 from .constructions import (
     ConstructionError, PostconditionFailure, angle_bisect, crossbar_point,
@@ -389,7 +389,7 @@ class Env:
 
 
 def _eval_expr(e, mode: str) -> FieldElement:
-    lift = NA if mode == "nonarchimedean" else Q
+    lift, _ = resolve_mode(mode)
     if isinstance(e, Num):
         return lift(e.value)
     if isinstance(e, EpsLit):
@@ -433,8 +433,8 @@ _RUNTIME_ERRORS = (ConstructionError, PostconditionFailure, FieldError,
 
 
 def run_script(script: Script, mode: str = "constructible") -> Env:
+    _, sem = resolve_mode(mode)
     env = Env(mode=mode)
-    sem = NODE0 if mode == "nonarchimedean" else CONSTRUCTIBLE
     ops = operation_registry()
 
     def resolve(call: Call) -> list[Point]:

@@ -15,12 +15,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldElement, Q, render_element, sqrt_nonneg
+from .field import NA, FieldElement, Q, render_element, sqrt_nonneg
 
 # semantics tags
 CONSTRUCTIBLE = "constructible"
 NODE0 = "node0"
 NODE1 = "node1"
+
+# named modes -> (lift of rationals into the field, predicate semantics)
+MODES = {"constructible": (Q, CONSTRUCTIBLE), "nonarchimedean": (NA, NODE0)}
+
+
+def resolve_mode(mode: str):
+    """The field lift and predicate semantics of a named mode."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return MODES[mode]
 
 
 class ArityMismatch(Exception):
@@ -179,22 +189,19 @@ def angle_cong(a: Point, b: Point, c: Point,
 
 @dataclass(frozen=True, eq=False)
 class DistinctWitness:
-    e: Point
-    clause: str  # outer-left | inner | outer-right
+    e: Point  # strictly between the two points
 
 
 @dataclass(frozen=True, eq=False)
 class AngleWitness:
-    kind: str  # apex | right | right-triangle
+    kind: str  # apex | right
     u: Point | None = None
     v: Point | None = None
     d: Point | None = None
-    copy: tuple | None = None
-    right_at: str | None = None
 
 
 def distinct_witness(a: Point, b: Point) -> DistinctWitness:
-    return DistinctWitness(e=midpoint(a, b), clause="inner")
+    return DistinctWitness(e=midpoint(a, b))
 
 
 def apex_witness(a: Point, b: Point, c: Point,
@@ -219,12 +226,7 @@ def verify_witness(kind: str, args, witness, sem: str = CONSTRUCTIBLE) -> bool:
     """Re-check a witness's defining relations exactly."""
     if kind == "Distinct":
         a, b = args
-        w: DistinctWitness = witness
-        if w.clause == "inner":
-            return between(a, w.e, b, sem)
-        if w.clause == "outer-left":
-            return between(w.e, a, b, sem)
-        return between(a, b, w.e, sem)
+        return between(a, witness.e, b, sem)
     if kind == "PosAngle":
         a, b, c = args
         if witness.kind == "right":

@@ -13,7 +13,8 @@ from geokernel.arithmetic import (
     expresses_negative, geo_add, geo_inv, geo_mul, geo_sqrt,
     point_from_coords, rotate90,
 )
-from geokernel.constructions import ConstructionError
+from geokernel import arithmetic
+from geokernel.constructions import ConstructionError, PostconditionFailure
 
 nonzero = st.fractions(min_value=-30, max_value=30).filter(lambda v: v != 0)
 anyq = st.fractions(min_value=-30, max_value=30)
@@ -47,6 +48,14 @@ class TestOps:
         assert geo_sqrt(ORIGIN) == ORIGIN
         with pytest.raises(Negative):
             geo_sqrt(axis(Fraction(-1)))
+
+    def test_postcondition_survives_optimize(self, monkeypatch):
+        # a wrong chord point must fail the exact re-check, which is a
+        # raise, not an assert, so it holds under python -O as well
+        monkeypatch.setattr(arithmetic, "line_circle",
+                            lambda *args, **kw: (pt(5, 5), pt(7, 7)))
+        with pytest.raises(PostconditionFailure):
+            geo_mul(axis(Fraction(2)), axis(Fraction(3)))
 
     def test_rotate90(self):
         assert rotate90(pt(1, 0)) == pt(0, 1)

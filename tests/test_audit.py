@@ -7,7 +7,7 @@ import json
 import pytest
 
 from geokernel.audit import (
-    AXIOM_IDS, THEOREM_NAMES, audit_run, check_axiom, check_theorem,
+    AXIOMS, AXIOM_IDS, THEOREM_NAMES, audit_run, check_axiom, check_theorem,
     gen_instance, gen_theorem_instance, report_to_json,
 )
 from geokernel.geometry import between, distinct, nonstrict_between
@@ -52,6 +52,7 @@ class TestChecks:
                 inst = gen_theorem_instance(name, idx * 17 + 3)
                 res = check_theorem(name, inst)
                 assert res["verdict"] == "pass", (name, idx, res)
+                assert inst["expect_refusal"] is False
 
 
 class TestHarness:
@@ -99,3 +100,24 @@ class TestHarness:
         assert rep["failures"] == 0
         refusals = sum(c["guard_refusals"] for c in rep["summary"].values())
         assert refusals > 0
+
+    @pytest.mark.parametrize("label, refuses, verdict", [
+        ("Euclid5", False, "unexpected-refusal"),
+        ("A5-i", True, "missed-refusal"),
+    ])
+    def test_refusal_expectation_enforced(self, monkeypatch, label, refuses,
+                                          verdict):
+        # at seed 6, instance 1 of both labels has an infinitesimal gap:
+        # Euclid5 refuses it and A5-i decides it; flipping the spec's
+        # expectation must turn that verdict into a counted failure
+        monkeypatch.setitem(AXIOMS, label,
+                            AXIOMS[label]._replace(refuses=refuses))
+        rep = audit_run("nonarchimedean", per_axiom=2, seed=6,
+                        include_theorems=False)
+        assert rep["failures"] == rep["summary"][label]["failures"] == 1
+        got = [e["verdict"] for e in rep["entries"] if e["axiom_id"] == label]
+        assert got == [verdict]
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="nonarch"):
+            audit_run(mode="nonarch", per_axiom=1)

@@ -101,6 +101,10 @@ class TestInterpreter:
         env = run_script(parse_script("point a eps 0;"))
         assert env.errors and env.errors[0]["error"] == "DomainViolation"
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="nonarch"):
+            run_script(parse_script("point a 0 0;"), mode="nonarch")
+
 
 class TestSvg:
     def _env(self, name="equilateral"):

@@ -116,6 +116,10 @@ class TestRenderParse:
         with pytest.raises(DomainViolation):
             parse_element("eps")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="nonarch"):
+            parse_element("1", mode="nonarch")
+
     @pytest.mark.parametrize("text, column", [("1+", 3), ("1 2", 3)])
     def test_syntax_errors_carry_position(self, text, column):
         with pytest.raises(ScriptSyntaxError) as err:
