@@ -10,7 +10,7 @@ Grammar::
             | "render" STRING ";"
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
-    factor := atom ["^" INT]
+    factor := atom ["^" INT]        (INT at most MAX_EXPONENT)
     atom   := INT | "eps" | "sqrt" "(" expr ")" | "-" atom | "(" expr ")"
 
 `parse_element` evaluates a single ``expr`` with the same tokenizer,
@@ -40,6 +40,12 @@ from .constructions import (
     line_intersect, midpoint_gupta, outer_pasch, perpendicular, reflect,
     tracing,
 )
+
+
+# Largest accepted "^" exponent.  `render_element` writes eps^k only up to
+# the degree of a RatFunc, far below this; the cap keeps "2^100000000" from
+# running for minutes, and is checked while parsing, before any evaluation.
+MAX_EXPONENT = 256
 
 
 class ScriptSyntaxError(SyntaxError):
@@ -251,6 +257,9 @@ class _Parser:
         node = self.atom()
         if self.cur.kind == "sym" and self.cur.text == "^":
             self.eat("sym")
+            t = self.cur
+            if t.kind == "int" and int(t.text) > MAX_EXPONENT:
+                self.error(f"an exponent of at most {MAX_EXPONENT}")
             node = BinOp("^", node, Num(int(self.eat("int").text)))
         return node
 

@@ -15,6 +15,7 @@ c^2 = r recursively), so zero-testing is structural.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .nafield import RatFunc, frac_sqrt
@@ -375,6 +376,8 @@ class FieldElement:
 
     def __rtruediv__(self, other):
         a, b = self._coerce(other)
+        if b is None:
+            return NotImplemented
         return b._binop(a, "div")
 
     def __neg__(self):
@@ -408,21 +411,23 @@ class FieldElement:
             return a.rep == b.rep
         return (a - b).is_zero()
 
-    def __lt__(self, other):
+    def _cmp(self, other, op):
         a, b = self._coerce(other)
-        return (a - b).sign() < 0
+        if b is None:
+            return NotImplemented
+        return op((a - b).sign(), 0)
+
+    def __lt__(self, other):
+        return self._cmp(other, operator.lt)
 
     def __le__(self, other):
-        a, b = self._coerce(other)
-        return (a - b).sign() <= 0
+        return self._cmp(other, operator.le)
 
     def __gt__(self, other):
-        a, b = self._coerce(other)
-        return (a - b).sign() > 0
+        return self._cmp(other, operator.gt)
 
     def __ge__(self, other):
-        a, b = self._coerce(other)
-        return (a - b).sign() >= 0
+        return self._cmp(other, operator.ge)
 
     def __hash__(self):
         raise TypeError("FieldElement is not hashable (use explicit keys)")
@@ -474,12 +479,6 @@ class FieldElement:
 
 # ---------------------------------------------------------------------------
 # module-level API
-
-
-def ring_op(a: FieldElement, b: FieldElement, kind: str) -> FieldElement:
-    if kind not in ("add", "sub", "mul"):
-        raise ValueError(f"unknown ring op {kind!r}")
-    return a._binop(b, kind)
 
 
 def compare(a: FieldElement, b: FieldElement) -> str:

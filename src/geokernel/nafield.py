@@ -2,7 +2,9 @@
 
 Elements are fractions p(eps)/q(eps) of polynomials with exact rational
 coefficients, kept in a canonical form (gcd removed, denominator scaled so
-its lowest-order nonzero coefficient is 1).  The ordering treats ``eps`` as
+its lowest-order nonzero coefficient is 1).  When q is a constant c or p is
+zero, that form is (p/c, 1) and is built without a gcd; every such value
+shares one unit-denominator `Poly`.  The ordering treats ``eps`` as
 a positive infinitesimal: the sign of an element is the sign of the
 lowest-degree coefficient of its eps-expansion, and the valuation
 (eps-adic order) separates infinitesimal, finite and unbounded elements.
@@ -134,6 +136,9 @@ class Poly:
     __repr__ = __str__
 
 
+_UNIT = Poly((ONE,))  # shared: a Poly is immutable
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
@@ -175,19 +180,22 @@ class RatFunc:
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
-            den = Poly((ONE,))
+            den = _UNIT
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if not g.is_zero():
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        if not den.is_zero() and not num.is_zero():
-            lc = den.lowcoeff()
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        elif num.is_zero():
-            den = Poly((ONE,))
+        if num.is_zero() or den.degree() == 0:
+            # the gcd is a unit, so the canonical form is (num / den, 1)
+            if num.c:
+                num = num.scale(1 / den.c[0])
+            self.num = num
+            self.den = _UNIT
+            return
+        g = poly_gcd(num, den)  # nonzero, since num is
+        num = num.divmod(g)[0]
+        den = den.divmod(g)[0]
+        lc = den.lowcoeff()
+        num = num.scale(1 / lc)
+        den = den.scale(1 / lc)
         self.num = num
         self.den = den
 
@@ -243,7 +251,11 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        # negating a canonical form leaves it canonical
+        r = RatFunc.__new__(RatFunc)
+        r.num = -self.num
+        r.den = self.den
+        return r
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -272,6 +284,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def sqrt_exact(self) -> "RatFunc | None":
@@ -301,7 +315,7 @@ class RatFunc:
         return self.num.lowcoeff() / self.den.lowcoeff()
 
     def __str__(self) -> str:
-        if self.den == Poly((ONE,)):
+        if self.den == _UNIT:
             return str(self.num)
         return f"({self.num})/({self.den})"
 

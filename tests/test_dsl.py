@@ -28,6 +28,11 @@ class TestParser:
             parse_script("let x = ")
         assert ei.value.line == 1 and ei.value.column == 9
 
+    def test_exponent_cap_rejected_while_parsing(self):
+        with pytest.raises(ScriptSyntaxError) as ei:
+            parse_script("point a 0 0;\npoint b 3^257 0;")
+        assert (ei.value.line, ei.value.column) == (2, 11)
+
     def test_error_line_tracking(self):
         with pytest.raises(ScriptSyntaxError) as ei:
             parse_script("point a 0 0;\npoint b 1 oops;")

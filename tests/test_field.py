@@ -1,14 +1,15 @@
 """Quadratic-extension tower arithmetic: exact signs, roots, valuations."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geokernel.dsl import ScriptSyntaxError, parse_element
+from geokernel.dsl import MAX_EXPONENT, ScriptSyntaxError, parse_element
 from geokernel.field import (
     DomainViolation, NA, Negative, NotPositive, Q, approx, compare, eps,
-    inv_positive, render_element, ring_op, sqrt_nonneg,
+    inv_positive, render_element, sqrt_nonneg,
 )
 
 
@@ -66,8 +67,17 @@ class TestConstructible:
             hash(Q(1))
 
     def test_ring_op(self):
-        assert ring_op(Q(2), Q(3), "add") == Q(5)
-        assert ring_op(Q(2), Q(3), "mul") == Q(6)
+        assert Q(2) + Q(3) == Q(5)
+        assert Q(2) * Q(3) == Q(6)
+
+    @pytest.mark.parametrize("op", [
+        operator.truediv, operator.lt, operator.le, operator.gt, operator.ge,
+    ])
+    def test_unsupported_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op("x", Q(2))
+        with pytest.raises(TypeError):
+            op(Q(2), "x")
 
     def test_approx(self):
         v = approx(sqrt_nonneg(Q(2)))
@@ -107,6 +117,7 @@ class TestRenderParse:
         assert parse_element("1/2 + sqrt(2)") == Q(1, 2) + sqrt_nonneg(Q(2))
         assert parse_element("(1+2)*3") == Q(9)
         assert parse_element("2^10") == Q(1024)
+        assert parse_element(f"2^{MAX_EXPONENT}") == Q(2 ** MAX_EXPONENT)
 
     def test_roundtrip_nonarch(self):
         x = eps() + NA(Fraction(1, 3))
@@ -120,7 +131,9 @@ class TestRenderParse:
         with pytest.raises(ValueError, match="nonarch"):
             parse_element("1", mode="nonarch")
 
-    @pytest.mark.parametrize("text, column", [("1+", 3), ("1 2", 3)])
+    @pytest.mark.parametrize("text, column", [
+        ("1+", 3), ("1 2", 3), ("2^100000000", 3),
+    ])
     def test_syntax_errors_carry_position(self, text, column):
         with pytest.raises(ScriptSyntaxError) as err:
             parse_element(text)

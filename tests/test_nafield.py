@@ -82,3 +82,51 @@ class TestRatFunc:
         xa = RatFunc.const(a) + EPS * b
         if xa.sign() > 0:
             assert (xa + EPS).sign() > 0
+
+    def test_unsupported_operand_raises_type_error(self):
+        with pytest.raises(TypeError):
+            "x" / EPS
+        with pytest.raises(TypeError):
+            EPS / "x"
+
+
+def _polys(max_degree):
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    return st.lists(coeff, max_size=max_degree + 1).map(Poly)
+
+
+def _nonzero(p):
+    return not p.is_zero()
+
+
+class TestCanonicalFormOracle:
+    """RatFunc's canonical form against sympy's exact cancellation."""
+
+    @given(num=_polys(2),
+           den=st.one_of(_polys(0), _polys(2)).filter(_nonzero),
+           shared=st.one_of(st.just(Poly((1,))), _polys(2).filter(_nonzero)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy_cancel(self, num, den, shared):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("eps")
+
+        def to_sympy(p):
+            return sum(sympy.Rational(q.numerator, q.denominator) * x ** i
+                       for i, q in enumerate(p.c))
+
+        def from_sympy(e):
+            cs = sympy.Poly(e, x).all_coeffs()[::-1]
+            return Poly(Fraction(int(c.p), int(c.q)) for c in cs)
+
+        # degree <= 4 each, with a common factor of degree <= 2 (or none)
+        num, den = num * shared, den * shared
+        n, d = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+        want_num, want_den = from_sympy(n), from_sympy(d)
+        lc = want_den.lowcoeff()
+        want_num, want_den = want_num.scale(1 / lc), want_den.scale(1 / lc)
+
+        r = RatFunc(num, den)
+        assert (r.num, r.den) == (want_num, want_den)
+        neg = -r
+        assert (neg.num, neg.den) == (-want_num, want_den)
+        assert neg == RatFunc(-r.num, r.den)
