@@ -47,12 +47,12 @@ def _instance_seed(seed: int, label: str, index: int) -> int:
 
 
 class _Gen:
-    """Random exact-rational geometry, lifted into the requested field."""
+    """Random exact-rational geometry; in NonArchimedean mode some axiom
+    gaps are eps."""
 
     def __init__(self, seed: int, mode: str = CONSTRUCTIBLE_MODE):
         self.rng = random.Random(seed)
         self.seed, self.mode = seed, mode
-        self.lift, _ = resolve_mode(mode)
         self.degenerate = self.na_inf = self.probe = False
 
     def schedule(self) -> None:
@@ -88,7 +88,7 @@ class _Gen:
     def _fe(self, v):
         if isinstance(v, FieldElement):
             return v
-        return self.lift(Fraction(v))
+        return Q(v)
 
     def direction(self) -> tuple:
         """A vector with a nonzero x part, hence nonzero."""
@@ -633,7 +633,7 @@ def _refused(err: Exception) -> dict:
 def _check(spec: Spec, inst: dict, mode: str, tag: str | None) -> dict:
     """Re-check the hypothesis, run the check, and hold the verdict to the
     instance's refusal expectation."""
-    _, sem = resolve_mode(mode)
+    sem = resolve_mode(mode)
     try:
         if spec.hypothesis is not None:
             text, holds = spec.hypothesis

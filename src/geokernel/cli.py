@@ -19,13 +19,20 @@ def _field_mode(flag: str) -> str:
     return "nonarchimedean" if flag == "nonarch" else "constructible"
 
 
-def cmd_run(args) -> int:
-    with open(args.file) as fh:
+def _load_script(path: str):
+    """The parsed script at `path`, or None after reporting a syntax error."""
+    with open(path) as fh:
         text = fh.read()
     try:
-        script = parse_script(text)
+        return parse_script(text)
     except ScriptSyntaxError as err:
         print(f"syntax error: {err}", file=sys.stderr)
+        return None
+
+
+def cmd_run(args) -> int:
+    script = _load_script(args.file)
+    if script is None:
         return 2
     env = run_script(script, _field_mode(args.field))
     for a in env.assertions:
@@ -73,8 +80,9 @@ def cmd_kripke(args) -> int:
 
 
 def cmd_render(args) -> int:
-    with open(args.file) as fh:
-        script = parse_script(fh.read())
+    script = _load_script(args.file)
+    if script is None:
+        return 2
     env = run_script(script, _field_mode(args.field))
     try:
         doc = render_svg(env, shadow=args.shadow)

@@ -13,6 +13,8 @@ Grammar::
     factor := atom ["^" INT]        (INT at most MAX_EXPONENT)
     atom   := INT | "eps" | "sqrt" "(" expr ")" | "-" atom | "(" expr ")"
 
+Every INT has at most MAX_DIGITS digits.
+
 `parse_element` evaluates a single ``expr`` with the same tokenizer,
 parser and evaluator; it reads back `field.render_element` output.
 Pretty-printing is a left inverse of parsing on the AST.  The interpreter
@@ -28,7 +30,7 @@ import re
 from dataclasses import dataclass, field as dfield
 
 from .field import (
-    DomainViolation, FieldElement, FieldError, eps, sqrt_nonneg,
+    DomainViolation, FieldElement, FieldError, Q, eps, sqrt_nonneg,
 )
 from .geometry import (
     ArityMismatch, NotPositiveAngle, Point, midpoint, predicate_eval,
@@ -46,6 +48,10 @@ from .constructions import (
 # the degree of a RatFunc, far below this; the cap keeps "2^100000000" from
 # running for minutes, and is checked while parsing, before any evaluation.
 MAX_EXPONENT = 256
+
+# Longest accepted integer literal: CPython's default limit on int() of a
+# decimal string, so a longer literal is a syntax error, not a ValueError.
+MAX_DIGITS = 4300
 
 
 class ScriptSyntaxError(SyntaxError):
@@ -253,21 +259,25 @@ class _Parser:
             node = BinOp(op, node, self.factor())
         return node
 
+    def integer(self, limit: int | None = None) -> int:
+        t = self.cur
+        if t.kind == "int" and len(t.text) > MAX_DIGITS:
+            self.error(f"an integer of at most {MAX_DIGITS} digits")
+        if t.kind == "int" and limit is not None and int(t.text) > limit:
+            self.error(f"an exponent of at most {limit}")
+        return int(self.eat("int").text)
+
     def factor(self):
         node = self.atom()
         if self.cur.kind == "sym" and self.cur.text == "^":
             self.eat("sym")
-            t = self.cur
-            if t.kind == "int" and int(t.text) > MAX_EXPONENT:
-                self.error(f"an exponent of at most {MAX_EXPONENT}")
-            node = BinOp("^", node, Num(int(self.eat("int").text)))
+            node = BinOp("^", node, Num(self.integer(MAX_EXPONENT)))
         return node
 
     def atom(self):
         t = self.cur
         if t.kind == "int":
-            self.eat("int")
-            return Num(int(t.text))
+            return Num(self.integer())
         if t.kind == "keyword" and t.text == "eps":
             self.eat("keyword")
             return EpsLit()
@@ -398,9 +408,8 @@ class Env:
 
 
 def _eval_expr(e, mode: str) -> FieldElement:
-    lift, _ = resolve_mode(mode)
     if isinstance(e, Num):
-        return lift(e.value)
+        return Q(e.value)
     if isinstance(e, EpsLit):
         if mode != "nonarchimedean":
             raise DomainViolation("eps outside NonArchimedean mode")
@@ -426,6 +435,7 @@ def _eval_expr(e, mode: str) -> FieldElement:
 
 def parse_element(text: str, mode: str = "constructible") -> FieldElement:
     """Parse one expression (e.g. a `render_element` output) in `mode`."""
+    resolve_mode(mode)  # reject an unknown mode
     p = _Parser(tokenize(text))
     node = p.expr()
     p.eat("eof")
@@ -442,7 +452,7 @@ _RUNTIME_ERRORS = (ConstructionError, PostconditionFailure, FieldError,
 
 
 def run_script(script: Script, mode: str = "constructible") -> Env:
-    _, sem = resolve_mode(mode)
+    sem = resolve_mode(mode)
     env = Env(mode=mode)
     ops = operation_registry()
 

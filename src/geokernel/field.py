@@ -1,10 +1,11 @@
-"""Exact arithmetic in towers of quadratic extensions.
+"""Exact arithmetic in towers of quadratic extensions over Q(eps).
 
-A FieldElement lives in a tower Q(sqrt(r1))(sqrt(r2))... over a base field
-that is either the rationals (Constructible mode) or the rational functions
-in a positive infinitesimal ``eps`` (NonArchimedean mode).  Representation:
-a depth-k element is a nested pair tree whose leaves are base values; the
-pair (a, b) at level i denotes a + b*sqrt(r_i).
+A FieldElement lives in a tower F(sqrt(r1))(sqrt(r2))... over F = Q(eps),
+the rational functions in a positive infinitesimal ``eps``.  Rationals are
+`Fraction` leaves: a leaf is a `RatFunc` only once ``eps`` entered its
+computation, and the two kinds mix freely because Q is a subfield of
+Q(eps).  Representation: a depth-k element is a nested pair tree whose
+leaves are base values; the pair (a, b) at level i denotes a + b*sqrt(r_i).
 
 Every operation is exact.  Comparison is decided recursively: the sign of
 a + b*sqrt(r) follows from the signs of a and b and a comparison of a^2
@@ -19,6 +20,11 @@ import operator
 from fractions import Fraction
 
 from .nafield import RatFunc, frac_sqrt
+
+# Most sqrt nodes a tower may hold.  A sign or a root search costs about
+# five times as much with each level of depth; the audit needs depth 2 and
+# the figures depth 1.
+MAX_TOWER_DEPTH = 6
 
 # ---------------------------------------------------------------------------
 # errors
@@ -36,9 +42,13 @@ class Negative(FieldError):
     """sqrt_nonneg called on a strictly negative element."""
 
 
+class TowerTooDeep(FieldError):
+    """A new sqrt node would take a tower past MAX_TOWER_DEPTH."""
+
+
 class DomainViolation(Exception):
-    """A value outside the active domain: eps in Constructible mode, or an
-    element outside a Kripke node's domain."""
+    """A value outside the active domain: eps in a constructible script, or
+    an element outside a Kripke node's domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -57,30 +67,26 @@ def _bsqrt(v):
     return v.sqrt_exact()
 
 
-def _bzero(v):
-    return Fraction(0) if isinstance(v, Fraction) else RatFunc.const(0)
-
-
 # ---------------------------------------------------------------------------
 # rep-level arithmetic; a rep of depth 0 is a base value, of depth k a pair
 
 
-def _rzero(depth, proto):
+def _rzero(depth):
     if depth == 0:
-        return _bzero(proto)
-    z = _rzero(depth - 1, proto)
+        return Fraction(0)
+    z = _rzero(depth - 1)
     return (z, z)
 
 
-def _rconst(q, depth, proto):
+def _rconst(q, depth):
     if depth == 0:
-        return Fraction(q) if isinstance(proto, Fraction) else RatFunc.const(q)
-    return (_rconst(q, depth - 1, proto), _rzero(depth - 1, proto))
+        return Fraction(q)
+    return (_rconst(q, depth - 1), _rzero(depth - 1))
 
 
-def _rlift(rep, fromdepth, todepth, proto):
+def _rlift(rep, fromdepth, todepth):
     for d in range(fromdepth, todepth):
-        rep = (rep, _rzero(d, proto))
+        rep = (rep, _rzero(d))
     return rep
 
 
@@ -116,7 +122,7 @@ def _rmul(x, y, rads, depth):
 
 def _ris_zero(x, depth) -> bool:
     if depth == 0:
-        return (x == 0) if isinstance(x, Fraction) else x.is_zero()
+        return not x
     return _ris_zero(x[0], depth - 1) and _ris_zero(x[1], depth - 1)
 
 
@@ -142,9 +148,7 @@ def _rsign(x, rads, depth) -> int:
 
 def _rinv(x, rads, depth):
     if depth == 0:
-        if isinstance(x, Fraction):
-            return 1 / x
-        return RatFunc.const(1) / x
+        return 1 / x
     a, b = x
     r = rads[depth - 1]
     den = _rsub(_rmul(a, a, rads, depth - 1),
@@ -159,25 +163,25 @@ def _rdiv(x, y, rads, depth):
     return _rmul(x, _rinv(y, rads, depth), rads, depth)
 
 
-def _rhalf(x, rads, depth, proto):
-    return _rmul(x, _rconst(Fraction(1, 2), depth, proto), rads, depth)
+def _rhalf(x, rads, depth):
+    return _rmul(x, _rconst(Fraction(1, 2), depth), rads, depth)
 
 
-def _sqrt_in(rads, x, depth, proto):
+def _sqrt_in(rads, x, depth):
     """Square root of rep x inside the tower, or None if none exists there."""
     if depth == 0:
         return _bsqrt(x)
     a, b = x
     if _ris_zero(b, depth - 1):
-        s = _sqrt_in(rads, a, depth - 1, proto)
+        s = _sqrt_in(rads, a, depth - 1)
         if s is not None:
-            return (s, _rzero(depth - 1, proto))
+            return (s, _rzero(depth - 1))
         # maybe sqrt(a) = d*sqrt(r) with d^2 = a/r
         r = rads[depth - 1]
         q = _rdiv(a, r, rads, depth - 1)
-        d = _sqrt_in(rads, q, depth - 1, proto)
+        d = _sqrt_in(rads, q, depth - 1)
         if d is not None:
-            return (_rzero(depth - 1, proto), d)
+            return (_rzero(depth - 1), d)
         return None
     # want (c + d*sqrt(r))^2 = a + b*sqrt(r):
     #   c^2 + d^2 r = a, 2cd = b  =>  c^2 = (a +- sqrt(a^2 - b^2 r)) / 2
@@ -185,12 +189,12 @@ def _sqrt_in(rads, x, depth, proto):
     disc = _rsub(_rmul(a, a, rads, depth - 1),
                  _rmul(_rmul(b, b, rads, depth - 1), r, rads, depth - 1),
                  depth - 1)
-    s = _sqrt_in(rads, disc, depth - 1, proto)
+    s = _sqrt_in(rads, disc, depth - 1)
     if s is None:
         return None
     for t in (_radd(a, s, depth - 1), _rsub(a, s, depth - 1)):
-        c2 = _rhalf(t, rads, depth - 1, proto)
-        c = _sqrt_in(rads, c2, depth - 1, proto)
+        c2 = _rhalf(t, rads, depth - 1)
+        c = _sqrt_in(rads, c2, depth - 1)
         if c is not None and not _ris_zero(c, depth - 1):
             twoc_inv = _rinv(_radd(c, c, depth - 1), rads, depth - 1)
             d = _rmul(b, twoc_inv, rads, depth - 1)
@@ -207,44 +211,16 @@ def _sqrt_in(rads, x, depth, proto):
 class FieldElement:
     """Immutable exact element of a quadratic-extension tower."""
 
-    __slots__ = ("tower", "rep", "_rads", "_proto")
+    __slots__ = ("tower", "rep", "_rads")
 
     def __init__(self, tower, rep):
         self.tower = tower
         self.rep = rep
         self._rads = tuple(t.rep for t in tower)
-        p = rep
-        for _ in range(len(tower)):
-            p = p[0]
-        self._proto = p  # a leaf, identifies the base field
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q) -> "FieldElement":
-        return cls((), Fraction(q))
-
-    @classmethod
-    def from_ratfunc(cls, rf: RatFunc) -> "FieldElement":
-        return cls((), rf)
 
     @property
     def depth(self) -> int:
         return len(self.tower)
-
-    @property
-    def mode(self) -> str:
-        return "constructible" if isinstance(self._proto, Fraction) else "nonarch"
-
-    def _const(self, q) -> "FieldElement":
-        return FieldElement((), Fraction(q) if isinstance(self._proto, Fraction)
-                            else RatFunc.const(q))
-
-    def zero(self) -> "FieldElement":
-        return self._const(0)
-
-    def one(self) -> "FieldElement":
-        return self._const(1)
 
     # -- normalization and tower merging ------------------------------------
 
@@ -256,20 +232,6 @@ class FieldElement:
         if tower is self.tower:
             return self
         return FieldElement(tower, rep)
-
-    def _to_nonarch(self) -> "FieldElement":
-        if self.mode == "nonarch":
-            return self
-
-        def conv(rep, depth):
-            if depth == 0:
-                return RatFunc.const(rep)
-            return (conv(rep[0], depth - 1), conv(rep[1], depth - 1))
-
-        tower = []
-        for i, rad in enumerate(self.tower):
-            tower.append(FieldElement(tuple(tower[:i]), conv(rad.rep, i)))
-        return FieldElement(tuple(tower), conv(self.rep, self.depth))
 
     @staticmethod
     def _same_tower(ta, tb) -> bool:
@@ -286,61 +248,56 @@ class FieldElement:
         T = list(ta)
         emb: list = []
 
-        def tower_tuple():
-            return tuple(T)
-
-        def convert(rep, depth, proto):
+        def convert(rep, depth):
             # rep over tb[:depth] -> rep over T, using emb[:depth]
             if depth == 0:
-                return _rlift(rep, 0, len(T), proto)
+                return _rlift(rep, 0, len(T))
             rads = tuple(t.rep for t in T)
-            u = convert(rep[0], depth - 1, proto)
-            v = convert(rep[1], depth - 1, proto)
+            u = convert(rep[0], depth - 1)
+            v = convert(rep[1], depth - 1)
             return _radd(u, _rmul(v, emb[depth - 1], rads, len(T)), len(T))
 
         for i, rad in enumerate(tb):
-            proto = rad._proto
-            r_rep = convert(rad.rep, i, proto)
+            r_rep = convert(rad.rep, i)
             rads = tuple(t.rep for t in T)
-            s = _sqrt_in(rads, r_rep, len(T), proto)
+            s = _sqrt_in(rads, r_rep, len(T))
             if s is None:
-                T.append(FieldElement(tower_tuple(), r_rep))
-                emb = [(e, _rzero(len(T) - 1, proto)) for e in emb]
-                s = (_rzero(len(T) - 1, proto), _rconst(1, len(T) - 1, proto))
+                _check_depth(len(T) + 1)
+                T.append(FieldElement(tuple(T), r_rep))
+                emb = [(e, _rzero(len(T) - 1)) for e in emb]
+                s = (_rzero(len(T) - 1), _rconst(1, len(T) - 1))
             emb.append(s)
-        return tower_tuple(), emb, convert
+        return tuple(T), emb, convert
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, FieldElement):
-            a, b = self, other
-            if a.mode != b.mode:
-                a, b = a._to_nonarch(), b._to_nonarch()
-            return a, b
+            return other
         if isinstance(other, (int, Fraction)):
-            return self, self._const(other)
-        return self, None
+            return FieldElement((), Fraction(other))
+        return None
 
     @staticmethod
     def _align(a: "FieldElement", b: "FieldElement"):
-        """Bring two same-mode elements into one tower; return (tower, xa, xb)."""
+        """Bring two elements into one tower; return (tower, xa, xb)."""
         if FieldElement._same_tower(a.tower, b.tower):
             return a.tower, a.rep, b.rep
         if not b.tower:
-            return a.tower, a.rep, _rlift(b.rep, 0, a.depth, b._proto)
+            return a.tower, a.rep, _rlift(b.rep, 0, a.depth)
         if not a.tower:
-            return b.tower, _rlift(a.rep, 0, b.depth, a._proto), b.rep
+            return b.tower, _rlift(a.rep, 0, b.depth), b.rep
         T, emb, convert = FieldElement._merge(a.tower, b.tower)
-        xa = _rlift(a.rep, a.depth, len(T), a._proto)
-        xb = convert(b.rep, b.depth, b._proto)
+        xa = _rlift(a.rep, a.depth, len(T))
+        xb = convert(b.rep, b.depth)
         return T, xa, xb
 
     # -- arithmetic ----------------------------------------------------------
 
     def _binop(self, other, op):
-        a, b = self._coerce(other)
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
-        T, xa, xb = FieldElement._align(a, b)
+        T, xa, xb = FieldElement._align(self, b)
         rads = tuple(t.rep for t in T)
         d = len(T)
         if op == "add":
@@ -375,10 +332,10 @@ class FieldElement:
         return self._binop(other, "div")
 
     def __rtruediv__(self, other):
-        a, b = self._coerce(other)
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return b._binop(a, "div")
+        return b._binop(self, "div")
 
     def __neg__(self):
         return FieldElement(self.tower, _rneg(self.rep, self.depth))
@@ -386,7 +343,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent; use inv_positive")
-        out = self.one()
+        out = Q(1)
         base = self
         while n:
             if n & 1:
@@ -404,18 +361,18 @@ class FieldElement:
         return _rsign(self.rep, self._rads, self.depth)
 
     def __eq__(self, other):
-        a, b = self._coerce(other)
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
-        if FieldElement._same_tower(a.tower, b.tower):
-            return a.rep == b.rep
-        return (a - b).is_zero()
+        if FieldElement._same_tower(self.tower, b.tower):
+            return self.rep == b.rep
+        return (self - b).is_zero()
 
     def _cmp(self, other, op):
-        a, b = self._coerce(other)
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return op((a - b).sign(), 0)
+        return op((self - b).sign(), 0)
 
     def __lt__(self, other):
         return self._cmp(other, operator.lt)
@@ -435,16 +392,16 @@ class FieldElement:
     def __repr__(self):
         return f"FieldElement({render_element(self)})"
 
-    # -- valuation (NonArchimedean mode) --------------------------------------
+    # -- valuation -------------------------------------------------------------
 
     def valuation(self) -> Fraction | None:
-        """eps-adic valuation; None for zero.  Constructible elements have
-        valuation 0 unless zero."""
+        """eps-adic valuation; None for zero.  A nonzero rational has
+        valuation 0."""
         if self.is_zero():
             return None
-        if self.mode == "constructible":
-            return Fraction(0)
         if self.depth == 0:
+            if isinstance(self.rep, Fraction):
+                return Fraction(0)
             return Fraction(self.rep.valuation())
         d = self.depth
         y = self ** (2 ** d)  # valuation of y is an integer
@@ -452,7 +409,7 @@ class FieldElement:
 
         def geq(k: int) -> bool:
             # val(y) >= k  <=>  y^2 < eps^(2k-1)  (odd exponent breaks ties)
-            bound = FieldElement.from_ratfunc(RatFunc.eps_power(2 * k - 1))
+            bound = FieldElement((), RatFunc.eps_power(2 * k - 1))
             return (y2 - bound).sign() < 0
 
         # geq(k) is true exactly for k <= val(y); find the largest true k
@@ -497,36 +454,32 @@ def sqrt_nonneg(a: FieldElement) -> FieldElement:
     if sg < 0:
         raise Negative(f"negative radicand: {render_element(a)}")
     if sg == 0:
-        return a.zero()
+        return Q(0)
     a = a._normalized()
-    s = _sqrt_in(a._rads, a.rep, a.depth, a._proto)
+    s = _sqrt_in(a._rads, a.rep, a.depth)
     if s is not None:
         root = FieldElement(a.tower, s)._normalized()
         return -root if root.sign() < 0 else root
+    _check_depth(a.depth + 1)
     tower = a.tower + (a,)
-    rep = (_rzero(a.depth, a._proto), _rconst(1, a.depth, a._proto))
+    rep = (_rzero(a.depth), _rconst(1, a.depth))
     return FieldElement(tower, rep)
 
 
+def _check_depth(depth: int) -> None:
+    if depth > MAX_TOWER_DEPTH:
+        raise TowerTooDeep(f"tower depth {depth} exceeds {MAX_TOWER_DEPTH}")
+
+
 def Q(num, den=1) -> FieldElement:
-    """Rational constant in Constructible mode."""
-    return FieldElement.from_rational(Fraction(num, den))
+    """Rational constant."""
+    return FieldElement((), Fraction(num, den))
 
 
-def NA(rf) -> FieldElement:
-    """Constant in NonArchimedean mode."""
-    if isinstance(rf, RatFunc):
-        return FieldElement.from_ratfunc(rf)
-    return FieldElement.from_ratfunc(RatFunc.const(Fraction(rf)))
-
-
-EPS_ELEMENT = None  # initialized lazily to avoid import-order issues
+EPS_ELEMENT = FieldElement((), RatFunc.eps_power(1))
 
 
 def eps() -> FieldElement:
-    global EPS_ELEMENT
-    if EPS_ELEMENT is None:
-        EPS_ELEMENT = FieldElement.from_ratfunc(RatFunc.eps_power(1))
     return EPS_ELEMENT
 
 
@@ -535,13 +488,13 @@ def eps() -> FieldElement:
 
 
 def approx(x: FieldElement, use_shadow: bool = False) -> float:
-    """Float approximation of a Constructible element, or of the eps -> 0
-    shadow of a finitely bounded NonArchimedean element."""
+    """Float approximation of an eps-free element, or (use_shadow) of the
+    eps -> 0 shadow of a finitely bounded element."""
     def leaf(v) -> float:
         if isinstance(v, Fraction):
             return float(v)
         if not use_shadow:
-            raise ValueError("NonArchimedean element has no float value")
+            raise ValueError("an element involving eps has no float value")
         s = v.shadow()
         if s is None:
             raise ValueError("unbounded element has no shadow")

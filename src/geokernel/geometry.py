@@ -15,19 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import NA, FieldElement, Q, render_element, sqrt_nonneg
+from .field import FieldElement, Q, render_element, sqrt_nonneg
 
 # semantics tags
 CONSTRUCTIBLE = "constructible"
 NODE0 = "node0"
 NODE1 = "node1"
 
-# named modes -> (lift of rationals into the field, predicate semantics)
-MODES = {"constructible": (Q, CONSTRUCTIBLE), "nonarchimedean": (NA, NODE0)}
+# named modes -> predicate semantics
+MODES = {"constructible": CONSTRUCTIBLE, "nonarchimedean": NODE0}
 
 
-def resolve_mode(mode: str):
-    """The field lift and predicate semantics of a named mode."""
+def resolve_mode(mode: str) -> str:
+    """The predicate semantics of a named mode."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     return MODES[mode]

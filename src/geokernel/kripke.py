@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import (
-    DomainViolation, FieldElement, NA, eps, render_element, sqrt_nonneg,
+    DomainViolation, FieldElement, Q, eps, render_element, sqrt_nonneg,
 )
 
 M0 = "M0"
@@ -85,7 +85,7 @@ def tmul(a, b):
 
 
 def tconst(q) -> TConst:
-    return TConst(NA(q), str(q))
+    return TConst(Q(q), str(q))
 
 
 def teval(term, env: dict) -> NAElement:
@@ -105,7 +105,7 @@ def teval(term, env: dict) -> NAElement:
     if term.op == "inv":
         if a[0].is_zero():
             raise TermUndefined("1/0")
-        return a[0].one() / a[0]
+        return 1 / a[0]
     if term.op == "sqrt":
         if a[0].sign() < 0:
             raise TermUndefined("sqrt of negative")
@@ -229,26 +229,26 @@ def _sample_element(rng: random.Random) -> tuple[NAElement, str]:
     kind = rng.randrange(6)
     e = eps()
     if kind == 0:
-        v = NA(q())
+        v = Q(q())
     elif kind == 1:
-        v = NA(q()) * e ** rng.randint(1, 3)  # infinitesimal
+        v = Q(q()) * e ** rng.randint(1, 3)  # infinitesimal
     elif kind == 2:
-        v = NA(q()) + NA(q()) * e  # constant plus infinitesimal
+        v = Q(q()) + Q(q()) * e  # constant plus infinitesimal
     elif kind == 3:
-        num = NA(q()) + NA(q()) * e
-        den = NA(Fraction(rng.randint(1, 6))) + NA(q()) * e
+        num = Q(q()) + Q(q()) * e
+        den = Q(Fraction(rng.randint(1, 6))) + Q(q()) * e
         v = num / den
     elif kind == 4:
-        v = NA(0)
+        v = Q(0)
     else:
-        v = NA(q()) * e * e
+        v = Q(q()) * e * e
     return v, render_element(v)
 
 
 def _unbounded_probe(rng: random.Random) -> tuple[NAElement, str]:
     k = rng.randint(1, 2)
     c = Fraction(rng.randint(1, 5))
-    v = NA(c) / eps() ** k
+    v = Q(c) / eps() ** k
     return v, render_element(v)
 
 
@@ -299,7 +299,7 @@ def mp_counterexample() -> dict:
     notnot = forces(M0, FNot(FNot(FP(X))), env)
     p0 = forces(M0, FP(X), env)
     p1 = forces(M1, FP(X), env)
-    sanity_env = {"x": NA(1)}
+    sanity_env = {"x": Q(1)}
     return {
         "witness": "eps",
         "notnot_P_forced_at_M0": notnot,

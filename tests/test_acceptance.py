@@ -16,7 +16,7 @@ from geokernel.constructions import (
     ConstructionError, euclid5, inner_pasch, midpoint_gupta,
     named_angle_tiling,
 )
-from geokernel.field import NA, Q, eps
+from geokernel.field import Q, eps
 from geokernel.geometry import NODE0, NODE1, Point, between, midpoint, pt
 from geokernel.arithmetic import axis, check_homomorphism
 from geokernel.kripke import check_ef_axioms, mp_counterexample
@@ -93,9 +93,9 @@ def test_criterion_4_arithmetic_homomorphism():
 
 
 def test_criterion_5_pasch_guard_vs_markov():
-    a, c = Point(NA(0), NA(0)), Point(NA(2), NA(0))
-    b = Point(NA(1), eps())   # apex (1, eps)
-    p = Point(NA(1), NA(0))
+    a, c = Point(Q(0), Q(0)), Point(Q(2), Q(0))
+    b = Point(Q(1), eps())   # apex (1, eps)
+    p = Point(Q(1), Q(0))
     q = midpoint(b, c)
     with pytest.raises(ConstructionError) as ei:
         inner_pasch(a, p, c, b, q, NODE0)

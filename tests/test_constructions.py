@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from geokernel.field import NA, Q, eps, sqrt_nonneg
+from geokernel.field import Q, eps, sqrt_nonneg
 from geokernel.geometry import (
     NODE0, NODE1, Point, between, collinear, congruent, distinct, midpoint,
     nonstrict_between, on_ray, pos_angle, pt, right_angle,
@@ -216,9 +216,9 @@ class TestTrace:
 class TestNodeGuards:
     def test_inner_pasch_infinitesimal_apex(self):
         # apex at height eps: refused at node 0, true at node 1
-        a, c = Point(NA(0), NA(0)), Point(NA(2), NA(0))
-        b = Point(NA(1), eps())
-        p = Point(NA(1), NA(0))
+        a, c = Point(Q(0), Q(0)), Point(Q(2), Q(0))
+        b = Point(Q(1), eps())
+        p = Point(Q(1), Q(0))
         q = midpoint(b, c)
         with pytest.raises(ConstructionError) as ei:
             inner_pasch(a, p, c, b, q, NODE0)

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from geokernel import field
 from geokernel.cli import main as cli_main
 from geokernel.dsl import (
     AssertStmt, Call, LetStmt, PointDecl, RenderStmt, Script,
@@ -110,6 +111,13 @@ class TestInterpreter:
         with pytest.raises(ValueError, match="nonarch"):
             run_script(parse_script("point a 0 0;"), mode="nonarch")
 
+    def test_tower_depth_cap_recorded(self, monkeypatch):
+        monkeypatch.setattr(field, "MAX_TOWER_DEPTH", 2)
+        env = run_script(parse_script(
+            "point a sqrt(sqrt(sqrt(2))) 0; point b 1 0;"))
+        assert [e["error"] for e in env.errors] == ["TowerTooDeep"]
+        assert "b" in env.bindings  # execution continued
+
 
 class TestSvg:
     def _env(self, name="equilateral"):
@@ -173,3 +181,15 @@ class TestCli:
         out_svg = str(tmp_path / "out.svg")
         assert cli_main(["render", script, "--out", out_svg]) == 0
         assert os.path.getsize(out_svg) > 0
+
+    @pytest.mark.parametrize("command", ["run", "render"])
+    def test_syntax_error_exit_code(self, command, tmp_path, capsys):
+        script = tmp_path / "bad.geo"
+        script.write_text("point a 0 0")  # no ";"
+        out_svg = tmp_path / "out.svg"
+        argv = [command, str(script)]
+        if command == "render":
+            argv += ["--out", str(out_svg)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("syntax error: line 1")
+        assert not out_svg.exists()

@@ -4,13 +4,15 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from geokernel import field
 from geokernel.dsl import MAX_EXPONENT, ScriptSyntaxError, parse_element
 from geokernel.field import (
-    DomainViolation, NA, Negative, NotPositive, Q, approx, compare, eps,
-    inv_positive, render_element, sqrt_nonneg,
+    DomainViolation, FieldElement, Negative, NotPositive, Q, TowerTooDeep,
+    approx, compare, eps, inv_positive, render_element, sqrt_nonneg,
 )
+from geokernel.nafield import RatFunc
 
 
 class TestConstructible:
@@ -83,6 +85,16 @@ class TestConstructible:
         v = approx(sqrt_nonneg(Q(2)))
         assert abs(v - 2 ** 0.5) < 1e-12
 
+    def test_tower_depth_cap(self, monkeypatch):
+        monkeypatch.setattr(field, "MAX_TOWER_DEPTH", 2)
+        with pytest.raises(TowerTooDeep):
+            sqrt_nonneg(sqrt_nonneg(sqrt_nonneg(Q(2))))
+        x = sqrt_nonneg(Q(2)) + sqrt_nonneg(Q(3))
+        assert x.depth == 2
+        with pytest.raises(TowerTooDeep):
+            x + sqrt_nonneg(Q(5))
+        assert sqrt_nonneg(x * x) == x  # a root inside the tower adds no node
+
     small = st.integers(min_value=-50, max_value=50)
 
     @given(a=small, b=small, c=small)
@@ -104,6 +116,65 @@ class TestConstructible:
         assert r.sign() > 0
 
 
+def _ratfunc_leaf(q) -> FieldElement:
+    """A rational as a constant RatFunc leaf, the form it once always had."""
+    return FieldElement((), RatFunc.const(q))
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+_TREES = st.recursive(
+    st.just("eps") | st.fractions(min_value=-4, max_value=4,
+                                  max_denominator=4),
+    lambda kids: (st.tuples(st.sampled_from(sorted(_OPS)), kids, kids)
+                  | st.tuples(st.just("sqrt"), kids)),
+    max_leaves=5)
+
+
+def _sqrt_count(tree) -> int:
+    if not isinstance(tree, tuple):
+        return 0
+    return (tree[0] == "sqrt") + sum(_sqrt_count(t) for t in tree[1:])
+
+
+def _evaluate(tree, rational):
+    if tree == "eps":
+        return eps()
+    if isinstance(tree, Fraction):
+        return rational(tree)
+    if tree[0] == "sqrt":
+        return sqrt_nonneg(_evaluate(tree[1], rational))
+    return _OPS[tree[0]](_evaluate(tree[1], rational),
+                         _evaluate(tree[2], rational))
+
+
+class TestRepresentation:
+    def test_rationals_stay_fractions_until_eps(self):
+        assert type(Q(3).rep) is Fraction
+        assert type(sqrt_nonneg(Q(2)).tower[0].rep) is Fraction
+        assert isinstance((Q(1) + eps()).rep, RatFunc)
+        assert Q(1) + eps() - eps() == Q(1)
+
+    @given(tree=_TREES)
+    @settings(max_examples=60, deadline=None)
+    def test_fraction_leaves_agree_with_ratfunc_leaves(self, tree):
+        assume(_sqrt_count(tree) <= 2)  # tower depth at most 2
+        results = []
+        for rational in (Q, _ratfunc_leaf):
+            try:
+                results.append(_evaluate(tree, rational))
+            except (ZeroDivisionError, Negative) as err:
+                results.append(type(err))
+        new, old = results
+        if isinstance(new, type):
+            assert new is old
+            return
+        assert new == old
+        assert new.sign() == old.sign()
+        assert new.valuation() == old.valuation()
+        assert render_element(new) == render_element(old)
+
+
 class TestRenderParse:
     def test_roundtrip_rational(self):
         for x in (Q(0), Q(-7, 3), Q(22)):
@@ -120,7 +191,7 @@ class TestRenderParse:
         assert parse_element(f"2^{MAX_EXPONENT}") == Q(2 ** MAX_EXPONENT)
 
     def test_roundtrip_nonarch(self):
-        x = eps() + NA(Fraction(1, 3))
+        x = eps() + Q(Fraction(1, 3))
         assert parse_element(render_element(x), mode="nonarchimedean") == x
 
     def test_eps_outside_nonarch_mode(self):
@@ -133,6 +204,8 @@ class TestRenderParse:
 
     @pytest.mark.parametrize("text, column", [
         ("1+", 3), ("1 2", 3), ("2^100000000", 3),
+        pytest.param("1" * 5000, 1, id="5000-digit-literal"),
+        pytest.param("2^" + "1" * 5000, 3, id="5000-digit-exponent"),
     ])
     def test_syntax_errors_carry_position(self, text, column):
         with pytest.raises(ScriptSyntaxError) as err:
@@ -144,36 +217,36 @@ class TestNonArchimedean:
     def test_eps_smaller_than_rationals(self):
         e = eps()
         assert e.sign() > 0
-        assert (NA(Fraction(1, 10 ** 9)) - e).sign() > 0
+        assert (Q(Fraction(1, 10 ** 9)) - e).sign() > 0
 
     def test_valuation_basics(self):
         e = eps()
         assert e.valuation() == 1
         assert (e * e).valuation() == 2
-        assert (NA(1) / e).valuation() == -1
-        assert NA(Fraction(5, 3)).valuation() == 0
+        assert (Q(1) / e).valuation() == -1
+        assert Q(Fraction(5, 3)).valuation() == 0
 
     def test_valuation_of_roots(self):
         e = eps()
         assert sqrt_nonneg(e).valuation() == Fraction(1, 2)
-        assert sqrt_nonneg(NA(1) / e).valuation() == Fraction(-1, 2)
+        assert sqrt_nonneg(Q(1) / e).valuation() == Fraction(-1, 2)
 
     def test_valuation_with_cancellation(self):
         # sqrt(4 + eps) - 2 = eps/4 + O(eps^2): the leading terms cancel
         e = eps()
-        x = sqrt_nonneg(NA(4) + e) - NA(2)
+        x = sqrt_nonneg(Q(4) + e) - Q(2)
         assert x.sign() > 0
         assert x.valuation() == 1
 
     def test_tower_over_eps(self):
         e = eps()
-        r = sqrt_nonneg(NA(2) + e)
-        assert r * r == NA(2) + e
-        assert (r - NA(1)).sign() > 0
+        r = sqrt_nonneg(Q(2) + e)
+        assert r * r == Q(2) + e
+        assert (r - Q(1)).sign() > 0
 
     def test_shadow_approx(self):
         e = eps()
-        v = approx(sqrt_nonneg(NA(2) + e), use_shadow=True)
+        v = approx(sqrt_nonneg(Q(2) + e), use_shadow=True)
         assert abs(v - 2 ** 0.5) < 1e-12
         with pytest.raises(ValueError):
-            approx(NA(1) / e, use_shadow=True)
+            approx(Q(1) / e, use_shadow=True)

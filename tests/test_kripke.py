@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from geokernel.audit import report_to_json
-from geokernel.field import NA, eps
+from geokernel.field import Q, eps
 from geokernel.kripke import (
     EF_AXIOMS, MP, M0, M1, DomainViolation, FEq, FExists, FNot, FP, TOp,
     TVar, check_ef_axioms, forces, mp_counterexample, na_classify, tconst,
@@ -16,7 +16,7 @@ X = TVar("x")
 
 class TestClassify:
     def test_rational(self):
-        c = na_classify(NA(Fraction(3, 2)))
+        c = na_classify(Q(Fraction(3, 2)))
         assert (c.sign, c.infinitesimal, c.finitely_bounded) == (1, False,
                                                                 True)
 
@@ -25,11 +25,11 @@ class TestClassify:
         assert c.sign == 1 and c.infinitesimal and c.finitely_bounded
 
     def test_unbounded(self):
-        c = na_classify(NA(1) / eps())
+        c = na_classify(Q(1) / eps())
         assert not c.finitely_bounded
 
     def test_zero(self):
-        c = na_classify(NA(0))
+        c = na_classify(Q(0))
         assert c.sign == 0 and c.finitely_bounded
 
 
@@ -47,7 +47,7 @@ class TestForcing:
 
     def test_monotonicity_on_samples(self):
         # anything forced at the root stays forced above
-        for v in (NA(2), eps(), NA(0), NA(-3) + eps()):
+        for v in (Q(2), eps(), Q(0), Q(-3) + eps()):
             env = {"x": v, "y": -v}
             for phi in EF_AXIOMS.values():
                 if forces(M0, phi, env):
@@ -55,8 +55,8 @@ class TestForcing:
 
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
-            forces(M0, FP(X), {"x": NA(1) / eps()})
-        assert forces(M1, FP(X), {"x": NA(1) / eps()})
+            forces(M0, FP(X), {"x": Q(1) / eps()})
+        assert forces(M1, FP(X), {"x": Q(1) / eps()})
 
     def test_exists_witness_must_be_bounded(self):
         # 1/x escapes the root domain when x is infinitesimal, so the
@@ -69,15 +69,15 @@ class TestForcing:
 class TestEFAxioms:
     def test_stability_with_infinitesimal_difference(self):
         # x and y differing by eps: not-not-(x=y) fails at M1, so EF0 holds
-        env = {"x": NA(1), "y": NA(1) + eps()}
+        env = {"x": Q(1), "y": Q(1) + eps()}
         assert forces(M0, EF_AXIOMS["EF0"], env)
 
     def test_ef5_square_root_witness(self):
-        env = {"x": NA(4) + eps(), "y": -(NA(4) + eps())}
+        env = {"x": Q(4) + eps(), "y": -(Q(4) + eps())}
         assert forces(M0, EF_AXIOMS["EF5"], env)
 
     def test_ef1_inverse_witness(self):
-        env = {"x": NA(Fraction(2, 3)), "y": NA(0)}
+        env = {"x": Q(Fraction(2, 3)), "y": Q(0)}
         assert forces(M0, EF_AXIOMS["EF1"], env)
 
     def test_sampled_report(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geokernel.field import NA, Q, eps, sqrt_nonneg
+from geokernel.field import Q, eps, sqrt_nonneg
 from geokernel.geometry import (
     CONSTRUCTIBLE, NODE0, NODE1, ArityMismatch, NotPositiveAngle, Point,
     angle_cong, angle_lt_pi, apex_witness, angle_witness, between, collinear,
@@ -133,19 +133,19 @@ class TestDispatch:
 
 class TestNodeSemantics:
     def test_infinitesimal_gap_read_differently(self):
-        a = Point(NA(0), NA(0))
-        b = Point(eps(), NA(0))
+        a = Point(Q(0), Q(0))
+        b = Point(eps(), Q(0))
         assert not distinct(a, b, NODE0)
         assert distinct(a, b, NODE1)
 
     def test_between_with_infinitesimal_gap(self):
-        a = Point(NA(0), NA(0))
-        m = Point(eps(), NA(0))
-        c = Point(NA(1), NA(0))
+        a = Point(Q(0), Q(0))
+        m = Point(eps(), Q(0))
+        c = Point(Q(1), Q(0))
         assert not between(a, m, c, NODE0)
         assert between(a, m, c, NODE1)
 
     def test_unbounded_lengths_still_positive_at_node0(self):
-        a = Point(NA(0), NA(0))
-        b = Point(NA(1) / eps(), NA(0))
+        a = Point(Q(0), Q(0))
+        b = Point(Q(1) / eps(), Q(0))
         assert distinct(a, b, NODE0)
