@@ -4,14 +4,23 @@ A FieldElement lives in a tower F(sqrt(r1))(sqrt(r2))... over F = Q(eps),
 the rational functions in a positive infinitesimal ``eps``.  Rationals are
 `Fraction` leaves: a leaf is a `RatFunc` only once ``eps`` entered its
 computation, and the two kinds mix freely because Q is a subfield of
-Q(eps).  Representation: a depth-k element is a nested pair tree whose
-leaves are base values; the pair (a, b) at level i denotes a + b*sqrt(r_i).
+Q(eps).  Representation: a depth-k element is a nested pair tree (its
+"rep") whose leaves are base values; the pair (a, b) at level i denotes
+a + b*sqrt(r_i).  A tower is the tuple of its radicand reps: tower[i] is
+r_{i+1}, a rep of depth i over tower[:i].
 
 Every operation is exact.  Comparison is decided recursively: the sign of
 a + b*sqrt(r) follows from the signs of a and b and a comparison of a^2
 with b^2*r.  A new sqrt node is created only after the radicand is checked
 positive and not already a square in the tower (attempted by solving
-c^2 = r recursively), so zero-testing is structural.
+c^2 = r recursively), so zero-testing is structural, and the norm
+a^2 - b^2*r of a + b*sqrt(r) is nonzero unless a and b both are.
+
+The eps-adic valuation recurses the same way.  v(b*sqrt(r)) is
+v(b) + v(r)/2; if v(a) and v(b*sqrt(r)) differ, the smaller wins; if they
+are equal and a, b have one sign, it is v(a); otherwise the leading terms
+cancel, and since the conjugate a - b*sqrt(r) has no cancellation,
+v(a + b*sqrt(r)) = v(a^2 - b^2*r) - v(a).
 """
 
 from __future__ import annotations
@@ -78,12 +87,6 @@ def _rzero(depth):
     return (z, z)
 
 
-def _rconst(q, depth):
-    if depth == 0:
-        return Fraction(q)
-    return (_rconst(q, depth - 1), _rzero(depth - 1))
-
-
 def _rlift(rep, fromdepth, todepth):
     for d in range(fromdepth, todepth):
         rep = (rep, _rzero(d))
@@ -126,6 +129,14 @@ def _ris_zero(x, depth) -> bool:
     return _ris_zero(x[0], depth - 1) and _ris_zero(x[1], depth - 1)
 
 
+def _rnorm(x, rads, depth):
+    """a^2 - b^2*r for x = (a, b) = a + b*sqrt(r): x times its conjugate."""
+    a, b = x
+    d = depth - 1
+    return _rsub(_rmul(a, a, rads, d),
+                 _rmul(_rmul(b, b, rads, d), rads[d], rads, d), d)
+
+
 def _rsign(x, rads, depth) -> int:
     if depth == 0:
         return _bsign(x)
@@ -137,34 +148,40 @@ def _rsign(x, rads, depth) -> int:
     if sa == 0 or sa == sb:
         return sb if sa == 0 else sa
     # a and b*sqrt(r) pull in opposite directions: compare a^2 with b^2*r
-    r = rads[depth - 1]
-    aa = _rmul(a, a, rads, depth - 1)
-    bbr = _rmul(_rmul(b, b, rads, depth - 1), r, rads, depth - 1)
-    c = _rsign(_rsub(aa, bbr, depth - 1), rads, depth - 1)
+    c = _rsign(_rnorm(x, rads, depth), rads, depth - 1)
     if c == 0:
         return 0
     return sa if c > 0 else sb
+
+
+def _rval(x, rads, depth) -> Fraction:
+    """eps-adic valuation of a nonzero rep (the rule in the module doc)."""
+    if depth == 0:
+        return Fraction(0 if isinstance(x, Fraction) else x.valuation())
+    a, b = x
+    if _ris_zero(b, depth - 1):
+        return _rval(a, rads, depth - 1)
+    vb = (_rval(b, rads, depth - 1)
+          + _rval(rads[depth - 1], rads, depth - 1) / 2)  # v(sqrt(r))
+    if _ris_zero(a, depth - 1):
+        return vb
+    va = _rval(a, rads, depth - 1)
+    if va != vb or _rsign(a, rads, depth - 1) == _rsign(b, rads, depth - 1):
+        return min(va, vb)
+    return _rval(_rnorm(x, rads, depth), rads, depth - 1) - va
 
 
 def _rinv(x, rads, depth):
     if depth == 0:
         return 1 / x
     a, b = x
-    r = rads[depth - 1]
-    den = _rsub(_rmul(a, a, rads, depth - 1),
-                _rmul(_rmul(b, b, rads, depth - 1), r, rads, depth - 1),
-                depth - 1)
-    dinv = _rinv(den, rads, depth - 1)
+    dinv = _rinv(_rnorm(x, rads, depth), rads, depth - 1)
     return (_rmul(a, dinv, rads, depth - 1),
             _rneg(_rmul(b, dinv, rads, depth - 1), depth - 1))
 
 
 def _rdiv(x, y, rads, depth):
     return _rmul(x, _rinv(y, rads, depth), rads, depth)
-
-
-def _rhalf(x, rads, depth):
-    return _rmul(x, _rconst(Fraction(1, 2), depth), rads, depth)
 
 
 def _sqrt_in(rads, x, depth):
@@ -185,15 +202,12 @@ def _sqrt_in(rads, x, depth):
         return None
     # want (c + d*sqrt(r))^2 = a + b*sqrt(r):
     #   c^2 + d^2 r = a, 2cd = b  =>  c^2 = (a +- sqrt(a^2 - b^2 r)) / 2
-    r = rads[depth - 1]
-    disc = _rsub(_rmul(a, a, rads, depth - 1),
-                 _rmul(_rmul(b, b, rads, depth - 1), r, rads, depth - 1),
-                 depth - 1)
-    s = _sqrt_in(rads, disc, depth - 1)
+    s = _sqrt_in(rads, _rnorm(x, rads, depth), depth - 1)
     if s is None:
         return None
+    half = _rlift(Fraction(1, 2), 0, depth - 1)
     for t in (_radd(a, s, depth - 1), _rsub(a, s, depth - 1)):
-        c2 = _rhalf(t, rads, depth - 1)
+        c2 = _rmul(t, half, rads, depth - 1)
         c = _sqrt_in(rads, c2, depth - 1)
         if c is not None and not _ris_zero(c, depth - 1):
             twoc_inv = _rinv(_radd(c, c, depth - 1), rads, depth - 1)
@@ -211,12 +225,11 @@ def _sqrt_in(rads, x, depth):
 class FieldElement:
     """Immutable exact element of a quadratic-extension tower."""
 
-    __slots__ = ("tower", "rep", "_rads")
+    __slots__ = ("tower", "rep")
 
     def __init__(self, tower, rep):
-        self.tower = tower
+        self.tower = tower  # radicand reps, tower[i] of depth i
         self.rep = rep
-        self._rads = tuple(t.rep for t in tower)
 
     @property
     def depth(self) -> int:
@@ -234,14 +247,6 @@ class FieldElement:
         return FieldElement(tower, rep)
 
     @staticmethod
-    def _same_tower(ta, tb) -> bool:
-        if ta is tb:
-            return True
-        if len(ta) != len(tb):
-            return False
-        return all(x.rep == y.rep for x, y in zip(ta, tb))
-
-    @staticmethod
     def _merge(ta, tb):
         """Embed tower tb into an extension T of ta; return (T, emb) where
         emb[i] is the rep over T of sqrt of tb's i-th radicand."""
@@ -252,20 +257,18 @@ class FieldElement:
             # rep over tb[:depth] -> rep over T, using emb[:depth]
             if depth == 0:
                 return _rlift(rep, 0, len(T))
-            rads = tuple(t.rep for t in T)
             u = convert(rep[0], depth - 1)
             v = convert(rep[1], depth - 1)
-            return _radd(u, _rmul(v, emb[depth - 1], rads, len(T)), len(T))
+            return _radd(u, _rmul(v, emb[depth - 1], T, len(T)), len(T))
 
         for i, rad in enumerate(tb):
-            r_rep = convert(rad.rep, i)
-            rads = tuple(t.rep for t in T)
-            s = _sqrt_in(rads, r_rep, len(T))
+            r_rep = convert(rad, i)
+            s = _sqrt_in(T, r_rep, len(T))
             if s is None:
                 _check_depth(len(T) + 1)
-                T.append(FieldElement(tuple(T), r_rep))
+                T.append(r_rep)
                 emb = [(e, _rzero(len(T) - 1)) for e in emb]
-                s = (_rzero(len(T) - 1), _rconst(1, len(T) - 1))
+                s = (_rzero(len(T) - 1), _rlift(Fraction(1), 0, len(T) - 1))
             emb.append(s)
         return tuple(T), emb, convert
 
@@ -280,7 +283,7 @@ class FieldElement:
     @staticmethod
     def _align(a: "FieldElement", b: "FieldElement"):
         """Bring two elements into one tower; return (tower, xa, xb)."""
-        if FieldElement._same_tower(a.tower, b.tower):
+        if a.tower == b.tower:
             return a.tower, a.rep, b.rep
         if not b.tower:
             return a.tower, a.rep, _rlift(b.rep, 0, a.depth)
@@ -298,18 +301,17 @@ class FieldElement:
         if b is None:
             return NotImplemented
         T, xa, xb = FieldElement._align(self, b)
-        rads = tuple(t.rep for t in T)
         d = len(T)
         if op == "add":
             rep = _radd(xa, xb, d)
         elif op == "sub":
             rep = _rsub(xa, xb, d)
         elif op == "mul":
-            rep = _rmul(xa, xb, rads, d)
+            rep = _rmul(xa, xb, T, d)
         else:  # div
             if _ris_zero(xb, d):
                 raise ZeroDivisionError("field division by zero")
-            rep = _rdiv(xa, xb, rads, d)
+            rep = _rdiv(xa, xb, T, d)
         return FieldElement(T, rep)._normalized()
 
     def __add__(self, other):
@@ -358,13 +360,13 @@ class FieldElement:
         return _ris_zero(self.rep, self.depth)
 
     def sign(self) -> int:
-        return _rsign(self.rep, self._rads, self.depth)
+        return _rsign(self.rep, self.tower, self.depth)
 
     def __eq__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        if FieldElement._same_tower(self.tower, b.tower):
+        if self.tower == b.tower:
             return self.rep == b.rep
         return (self - b).is_zero()
 
@@ -399,39 +401,7 @@ class FieldElement:
         valuation 0."""
         if self.is_zero():
             return None
-        if self.depth == 0:
-            if isinstance(self.rep, Fraction):
-                return Fraction(0)
-            return Fraction(self.rep.valuation())
-        d = self.depth
-        y = self ** (2 ** d)  # valuation of y is an integer
-        y2 = y * y
-
-        def geq(k: int) -> bool:
-            # val(y) >= k  <=>  y^2 < eps^(2k-1)  (odd exponent breaks ties)
-            bound = FieldElement((), RatFunc.eps_power(2 * k - 1))
-            return (y2 - bound).sign() < 0
-
-        # geq(k) is true exactly for k <= val(y); find the largest true k
-        if geq(1):
-            lo = 1
-            while geq(lo * 2):
-                lo *= 2
-            hi = lo * 2
-        elif geq(0):
-            return Fraction(0)
-        else:
-            lo = -1
-            while not geq(lo):
-                lo *= 2
-            hi = 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if geq(mid):
-                lo = mid
-            else:
-                hi = mid
-        return Fraction(lo, 2 ** d)
+        return _rval(self.rep, self.tower, self.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +416,7 @@ def compare(a: FieldElement, b: FieldElement) -> str:
 def inv_positive(a: FieldElement) -> FieldElement:
     if a.sign() <= 0:
         raise NotPositive(f"not strictly positive: {render_element(a)}")
-    return FieldElement(a.tower, _rinv(a.rep, a._rads, a.depth))._normalized()
+    return FieldElement(a.tower, _rinv(a.rep, a.tower, a.depth))._normalized()
 
 
 def sqrt_nonneg(a: FieldElement) -> FieldElement:
@@ -456,14 +426,13 @@ def sqrt_nonneg(a: FieldElement) -> FieldElement:
     if sg == 0:
         return Q(0)
     a = a._normalized()
-    s = _sqrt_in(a._rads, a.rep, a.depth)
+    s = _sqrt_in(a.tower, a.rep, a.depth)
     if s is not None:
         root = FieldElement(a.tower, s)._normalized()
         return -root if root.sign() < 0 else root
     _check_depth(a.depth + 1)
-    tower = a.tower + (a,)
-    rep = (_rzero(a.depth), _rconst(1, a.depth))
-    return FieldElement(tower, rep)
+    rep = (_rzero(a.depth), _rlift(Fraction(1), 0, a.depth))
+    return FieldElement(a.tower + (a.rep,), rep)
 
 
 def _check_depth(depth: int) -> None:
@@ -511,7 +480,7 @@ def approx(x: FieldElement, use_shadow: bool = False) -> float:
     x = x._normalized()
     rad_floats: list[float] = []
     for i, rad in enumerate(x.tower):
-        v = go(rad.rep, i, rad_floats)
+        v = go(rad, i, rad_floats)
         rad_floats.append(max(v, 0.0) ** 0.5)
     return go(x.rep, x.depth, rad_floats)
 
@@ -539,10 +508,13 @@ def _wrap(s: str) -> str:
 def render_element(x: FieldElement) -> str:
     def rend(rep, depth, tower):
         if depth == 0:
-            return str(rep)
+            try:
+                return str(rep)
+            except ValueError:  # past int's str() digit limit
+                return "<too many digits>"
         a, b = rep
         ra = rend(a, depth - 1, tower)
-        rr = rend(tower[depth - 1].rep, depth - 1, tower)
+        rr = rend(tower[depth - 1], depth - 1, tower)
         if _ris_zero(b, depth - 1):
             return ra
         rb = rend(b, depth - 1, tower)

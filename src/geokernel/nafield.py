@@ -179,8 +179,10 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = _UNIT
+        if den is None:  # num/1 is canonical as it stands
+            self.num = num
+            self.den = _UNIT
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero() or den.degree() == 0:

@@ -9,12 +9,15 @@ from geokernel import field
 from geokernel.cli import main as cli_main
 from geokernel.dsl import (
     AssertStmt, Call, LetStmt, PointDecl, RenderStmt, Script,
-    ScriptSyntaxError, parse_script, pretty_print, run_script,
+    ScriptSyntaxError, parse_element, parse_script, pretty_print, run_script,
 )
+from geokernel.field import render_element
 from geokernel.geometry import pt
 from geokernel.svg import UnrenderableMode, render_svg, structural_signature
 
 FIGURES = os.path.join(os.path.dirname(__file__), "..", "figures")
+# N*N has 6000 digits, past the 4300 that int's str() accepts
+N = "9" * 3000
 
 
 class TestParser:
@@ -118,6 +121,14 @@ class TestInterpreter:
         assert [e["error"] for e in env.errors] == ["TowerTooDeep"]
         assert "b" in env.bindings  # execution continued
 
+    def test_oversized_value_recorded(self):
+        env = run_script(parse_script(
+            f"point a {N}*{N} 0; point b sqrt(-{N}*{N}) 0;"))
+        assert [e["error"] for e in env.errors] == ["Negative"]
+        # an oversized leaf renders as a marker that does not parse back
+        with pytest.raises(ScriptSyntaxError):
+            parse_element(render_element(env.bindings["a"].x))
+
 
 class TestSvg:
     def _env(self, name="equilateral"):
@@ -163,6 +174,12 @@ class TestCli:
         assert cli_main(["run", script]) == 0
         out = capsys.readouterr().out
         assert "e = (1, -2)" in out
+
+    def test_run_prints_oversized_binding(self, capsys, tmp_path):
+        script = tmp_path / "big.geo"
+        script.write_text(f"point a {N}*{N} 0;")
+        assert cli_main(["run", str(script)]) == 0
+        assert capsys.readouterr().out.startswith("a = (<")
 
     def test_audit_subcommand(self, capsys, tmp_path):
         out_json = str(tmp_path / "report.json")

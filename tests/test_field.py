@@ -151,7 +151,7 @@ def _evaluate(tree, rational):
 class TestRepresentation:
     def test_rationals_stay_fractions_until_eps(self):
         assert type(Q(3).rep) is Fraction
-        assert type(sqrt_nonneg(Q(2)).tower[0].rep) is Fraction
+        assert type(sqrt_nonneg(Q(2)).tower[0]) is Fraction
         assert isinstance((Q(1) + eps()).rep, RatFunc)
         assert Q(1) + eps() - eps() == Q(1)
 
@@ -237,6 +237,44 @@ class TestNonArchimedean:
         x = sqrt_nonneg(Q(4) + e) - Q(2)
         assert x.sign() > 0
         assert x.valuation() == 1
+        assert (sqrt_nonneg(Q(2) + e) - sqrt_nonneg(Q(2))).valuation() == 1
+        # sqrt(1 + eps) = 1 + eps/2 - eps^2/8 + ...
+        assert (sqrt_nonneg(Q(1) + e) - 1 - e / 2).valuation() == 2
+        # eps^(3/2) * (sqrt(1 + eps) - 1) = eps^(5/2)/2 + ...
+        x = sqrt_nonneg(e ** 3 + e ** 4) - e * sqrt_nonneg(e)
+        assert x.depth == 2
+        assert x.valuation() == Fraction(5, 2)
+        x = sqrt_nonneg(Q(3)) - sqrt_nonneg(Q(2))  # eps-free, depth 2
+        assert x.depth == 2
+        assert x.valuation() == 0
+
+    @given(tree=_TREES, c=st.fractions(min_value=1, max_value=4,
+                                       max_denominator=4))
+    @settings(max_examples=60, deadline=None)
+    def test_valuation_oracle(self, tree, c):
+        # v(x) = K / 2^d  <=>  eps^(2K+1) <= y^2 < eps^(2K-1) for the
+        # element y = x^(2^d), whose valuation K is an integer.  Checked on
+        # the tree and on sqrt(eps^2*(c^2 + tree*eps)) - c*eps, whose leading
+        # terms cancel; one sqrt in the tree keeps y at depth 2 at most
+        assume(_sqrt_count(tree) <= 1)
+        radicand = ("*", ("*", "eps", "eps"), ("+", c * c, ("*", tree, "eps")))
+        cancelling = ("-", ("sqrt", radicand), ("*", c, "eps"))
+        for t in (tree, cancelling):
+            try:
+                x = _evaluate(t, Q)
+            except (ZeroDivisionError, Negative):
+                continue
+            v = x.valuation()
+            if v is None:
+                assert x.is_zero()
+                continue
+            k = v * 2 ** x.depth
+            assert k.denominator == 1
+            y2 = x ** 2 ** (x.depth + 1)
+            below = FieldElement((), RatFunc.eps_power(2 * int(k) - 1))
+            above = FieldElement((), RatFunc.eps_power(2 * int(k) + 1))
+            assert (y2 - below).sign() < 0
+            assert (y2 - above).sign() >= 0
 
     def test_tower_over_eps(self):
         e = eps()

@@ -5,13 +5,23 @@ from fractions import Fraction
 import pytest
 
 from geokernel.audit import report_to_json
-from geokernel.field import Q, eps
+from geokernel.field import Q, eps, sqrt_nonneg
 from geokernel.kripke import (
     EF_AXIOMS, MP, M0, M1, DomainViolation, FEq, FExists, FNot, FP, TOp,
     TVar, check_ef_axioms, forces, mp_counterexample, na_classify, tconst,
 )
 
 X = TVar("x")
+
+
+def _probe_grid():
+    """{0} and +-{eps, eps^2, 1, 1+eps, 1/eps, sqrt(eps), sqrt(1+eps)-1,
+    sqrt(2)}, each paired with whether it is finitely bounded."""
+    e = eps()
+    base = [(e, True), (e * e, True), (Q(1), True), (Q(1) + e, True),
+            (Q(1) / e, False), (sqrt_nonneg(e), True),
+            (sqrt_nonneg(Q(1) + e) - 1, True), (sqrt_nonneg(Q(2)), True)]
+    return [(Q(0), True)] + base + [(-v, bounded) for v, bounded in base]
 
 
 class TestClassify:
@@ -79,6 +89,19 @@ class TestEFAxioms:
     def test_ef1_inverse_witness(self):
         env = {"x": Q(Fraction(2, 3)), "y": Q(0)}
         assert forces(M0, EF_AXIOMS["EF1"], env)
+
+    def test_probe_grid(self):
+        grid = _probe_grid()
+        for x, x_bounded in grid:
+            for y, y_bounded in grid:
+                env = {"x": x, "y": y}
+                for name, ax in EF_AXIOMS.items():
+                    if x_bounded and y_bounded:
+                        assert forces(M0, ax, env), (name, env)
+                        continue
+                    with pytest.raises(DomainViolation):
+                        forces(M0, ax, env)
+                    assert forces(M1, ax, env), (name, env)
 
     def test_sampled_report(self):
         rep = check_ef_axioms(samples=40, seed=3)
