@@ -31,11 +31,8 @@ DIAG = pt(1, 1)  # second point of the mirror line y = x
 def axis(x) -> Point:
     """Axis point for a number (FieldElement or rational)."""
     if isinstance(x, Point):
-        if not x.y.is_zero():
-            raise ValueError("not an axis point")
-        return x
-    p = pt(x, 0)
-    return p
+        return _as_axis(x)
+    return pt(x, 0)
 
 
 def _as_axis(p: Point) -> Point:
@@ -46,12 +43,11 @@ def _as_axis(p: Point) -> Point:
 
 def rotate90(p: Point) -> Point:
     """Quarter turn about the origin: reflect in y = x, then in the y-axis."""
-    r1 = reflect("in-line", p, (ORIGIN, DIAG))
-    return reflect("in-line", r1, (ORIGIN, UNIT_Y))
+    return reflect(_mirror_diag(p), ORIGIN, UNIT_Y)
 
 
 def _mirror_diag(p: Point) -> Point:
-    return reflect("in-line", p, (ORIGIN, DIAG))
+    return reflect(p, ORIGIN, DIAG)
 
 
 def coordinates(p: Point) -> tuple[Point, Point]:
@@ -108,7 +104,8 @@ def geo_mul(a: Point, b: Point) -> Point:
     mid2_perp = Point(mid2.x - d2[1], mid2.y + d2[0])
     center = line_intersect(m, m_up, mid2, mid2_perp)
     circle = CircleSpec(center, center, a)
-    _post(congruent_radius(circle, UNIT_Y), "geo_mul circle through (0,1)")
+    _post(sqdist(center, UNIT_Y) == circle.sq_radius(),
+          "geo_mul circle through (0,1)")
     p1, p2 = line_circle(circle, UNIT_Y, ORIGIN, strict=False)
     z = 2 * center.y - UNIT_Y.y  # Vieta: the two chord heights sum to 2*cy
     zpt = p1 if p1.y == z else p2
@@ -116,10 +113,6 @@ def geo_mul(a: Point, b: Point) -> Point:
     out = _mirror_diag(zpt)
     _post(out.x == a.x * b.x and out.y.is_zero(), "geo_mul")
     return out
-
-
-def congruent_radius(circle: CircleSpec, p: Point) -> bool:
-    return sqdist(circle.center, p) == circle.sq_radius()
 
 
 def geo_inv(a: Point) -> Point:

@@ -21,6 +21,7 @@ import zlib
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .arithmetic import axis, expresses_negative
 from .field import FieldElement, Q, eps, sqrt_nonneg
 from .geometry import (
     Point, angle_cong, between, congruent, distinct, distinct_witness,
@@ -499,7 +500,6 @@ def _angle_bisection_holds(i: dict, sem: str) -> bool:
 
 
 def _two_sides_holds(i: dict, sem: str) -> bool:
-    from .arithmetic import axis, expresses_negative
     return expresses_negative(axis(Q(i["x"]))) == (i["x"] < 0)
 
 

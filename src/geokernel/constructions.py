@@ -10,9 +10,10 @@ re-checked against the axiom's conclusion with predicate_eval semantics —
 exactly, no tolerance.
 
 Derived constructions (lay-off, equilateral apex, the Gupta midpoint, the
-equilateral-tiling angle witnesses, perpendiculars, reflections, angle
-copying and bisection, the crossbar point) follow the corresponding
-textbook proofs step by step.
+30/120/150-degree tiling witnesses, perpendiculars, reflection in a line,
+angle copying and bisection, the crossbar point) follow the corresponding
+textbook proofs step by step.  Where a construction has two candidate
+points, it takes the one left of the directed base segment.
 """
 
 from __future__ import annotations
@@ -240,13 +241,10 @@ def line_circle(circle: CircleSpec, a: Point, b: Point, strict: bool = True,
     return x1, x2
 
 
-def circle_circle(c1: CircleSpec, c2: CircleSpec, side: Point | None = None,
-                  sem: str = CONSTRUCTIBLE):
-    """Intersection(s) of two circles with distinct centers.
-
-    With no side point, returns (left, right) relative to the directed
-    center line c1->c2; with a side point, returns the single intersection
-    on the opposite side of the center line from it."""
+def circle_circle(c1: CircleSpec, c2: CircleSpec,
+                  sem: str = CONSTRUCTIBLE) -> tuple[Point, Point]:
+    """Both intersections of two circles with distinct centers, as
+    (left, right) relative to the directed center line c1->c2."""
     o1, o2 = c1.center, c2.center
     if not distinct(o1, o2, sem):
         raise ConstructionError("NotDistinct", "CC", "distinct centers")
@@ -270,12 +268,7 @@ def circle_circle(c1: CircleSpec, c2: CircleSpec, side: Point | None = None,
               and congruent(o2, x, c2.radius_from, c2.radius_to),
               "circle_circle on both circles")
     _record("circle_circle", [o1, o2], [left, right])
-    if side is None:
-        return left, right
-    s = cross(base, vsub(side, o1)).sign()
-    if s > 0:
-        return right
-    return left
+    return left, right
 
 
 # -- derived constructions ---------------------------------------------------
@@ -295,24 +288,12 @@ def lay_off(a: Point, b: Point, c: Point, d: Point,
     return x
 
 
-def equilateral(a: Point, b: Point, side: Point | None = None,
-                sem: str = CONSTRUCTIBLE) -> Point:
-    """Apex of the equilateral triangle on ab (Euclid I.1 via circle-circle).
-
-    The apex lands opposite the optional side point, or left of directed
-    ab when omitted."""
+def equilateral(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> Point:
+    """Apex of the equilateral triangle on ab (Euclid I.1 via circle-circle),
+    left of directed ab."""
     if not distinct(a, b, sem):
         raise ConstructionError("NotDistinct", None, "a#b")
-    ca = CircleSpec(a, a, b)
-    cb = CircleSpec(b, a, b)
-    if side is None:
-        apex = circle_circle(ca, cb, sem=sem)[0]
-    else:
-        s = cross(vsub(b, a), vsub(side, a)).sign()
-        if s == 0:
-            apex = circle_circle(ca, cb, sem=sem)[0]
-        else:
-            apex = circle_circle(ca, cb, side=side, sem=sem)
+    apex = circle_circle(CircleSpec(a, a, b), CircleSpec(b, a, b), sem)[0]
     _post(congruent(a, apex, a, b) and congruent(b, apex, a, b), "equilateral")
     _record("equilateral", [a, b], [apex])
     return apex
@@ -339,7 +320,7 @@ def midpoint_gupta(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> Point:
 
 def named_angle_tiling(kind: str, a: Point, b: Point,
                        sem: str = CONSTRUCTIBLE) -> dict:
-    """Equilateral-tiling point sets witnessing that 30/60/120/150-degree
+    """Equilateral-tiling point sets witnessing that 30/120/150-degree
     angles built on segment ab are positive and less than pi.
 
     Coordinates are computed symbolically; every defining betweenness and
@@ -347,18 +328,6 @@ def named_angle_tiling(kind: str, a: Point, b: Point,
     returned."""
     if not distinct(a, b, sem):
         raise ConstructionError("NotDistinct", None, "a#b")
-    if kind == "deg60":
-        g = equilateral(a, b, sem=sem)
-        c1, c2, c3 = midpoint(a, b), midpoint(b, g), midpoint(g, a)
-        c4 = Point((a.x + b.x + g.x) / 3, (a.y + b.y + g.y) / 3)
-        _post(congruent(a, b, b, g) and congruent(b, g, g, a), "deg60 sides")
-        _post(between(a, c1, b, sem) and between(b, c2, g, sem)
-              and between(g, c3, a, sem), "deg60 midpoints")
-        _post(between(a, c4, c2, sem) and between(b, c4, c3, sem)
-              and between(g, c4, c1, sem), "deg60 medians")
-        _post(pos_angle(g, a, b, sem) and angle_lt_pi(g, a, b, sem),
-              "deg60 angle")
-        return {"a": a, "b": b, "g": g, "c1": c1, "c2": c2, "c3": c3, "c4": c4}
     if kind == "deg120":
         # triangle fac equilateral on a..c(=b); g = reflection of a in the
         # midpoint x of fc; the parallel-axiom point e closes triangle gce
@@ -405,12 +374,11 @@ def named_angle_tiling(kind: str, a: Point, b: Point,
 
 
 def perpendicular(mode: str, p: Point, line: tuple[Point, Point],
-                  opposite: Point | None = None,
                   sem: str = CONSTRUCTIBLE) -> tuple[Point, Point]:
     """(foot, tip) of a perpendicular to the line uv related to p.
 
     erect: p must lie on the line; tip erected at p over a symmetric
-    sub-segment of width |uv| each way (equilateral apex).
+    sub-segment of width |uv| each way (equilateral apex, left of uv).
     drop: p must be off the line; foot is its projection, tip is p.
     uniform: total — foot is the projection, tip erected at the foot."""
     u, v = line
@@ -427,12 +395,12 @@ def perpendicular(mode: str, p: Point, line: tuple[Point, Point],
         foot = p
         w1 = Point(p.x - (v.x - u.x), p.y - (v.y - u.y))
         w2 = Point(p.x + (v.x - u.x), p.y + (v.y - u.y))
-        tip = equilateral(w1, w2, side=opposite, sem=sem)
+        tip = equilateral(w1, w2, sem)
     elif mode == "uniform":
         foot = _project(p, u, v)
         w1 = Point(foot.x - (v.x - u.x), foot.y - (v.y - u.y))
         w2 = Point(foot.x + (v.x - u.x), foot.y + (v.y - u.y))
-        tip = equilateral(w1, w2, side=opposite, sem=sem)
+        tip = equilateral(w1, w2, sem)
     else:
         raise ValueError(f"unknown perpendicular mode {mode!r}")
     anchor = u if distinct(foot, u, sem) else v
@@ -443,18 +411,11 @@ def perpendicular(mode: str, p: Point, line: tuple[Point, Point],
     return foot, tip
 
 
-def reflect(mode: str, p: Point, datum, sem: str = CONSTRUCTIBLE) -> Point:
-    """Reflection of p in a point or in a line (an exact isometry)."""
-    if mode == "in-point":
-        out = reflect_in_point(p, datum)
-    elif mode == "in-line":
-        u, v = datum
-        if not distinct(u, v, sem):
-            raise ConstructionError("NotDistinct", None, "line u#v")
-        foot = _project(p, u, v)
-        out = reflect_in_point(p, foot)
-    else:
-        raise ValueError(f"unknown reflect mode {mode!r}")
+def reflect(p: Point, u: Point, v: Point, sem: str = CONSTRUCTIBLE) -> Point:
+    """Reflection of p in the line uv (an exact isometry)."""
+    if not distinct(u, v, sem):
+        raise ConstructionError("NotDistinct", None, "line u#v")
+    out = reflect_in_point(p, _project(p, u, v))
     _record("reflect", [p], [out])
     return out
 

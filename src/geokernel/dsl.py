@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dfield
 
+from . import arithmetic
 from .field import (
     DomainViolation, FieldElement, FieldError, Q, eps, sqrt_nonneg,
 )
@@ -356,12 +357,11 @@ _CONSTRUCTION_OPS = {
     "outer_pasch": (5, _wrap1(outer_pasch)),
     "euclid5": (6, _wrap1(euclid5)),
     "lay_off": (4, _wrap1(lay_off)),
-    "equilateral": (2, lambda sem, a, b: equilateral(a, b, sem=sem)),
+    "equilateral": (2, _wrap1(equilateral)),
     "gupta_midpoint": (2, _wrap1(midpoint_gupta)),
     "midpoint": (2, lambda sem, a, b: midpoint(a, b)),
     "reflect_point": (2, lambda sem, p, c: reflect_in_point(p, c)),
-    "reflect_line": (3, lambda sem, p, u, v:
-                     reflect("in-line", p, (u, v), sem)),
+    "reflect_line": (3, _wrap1(reflect)),
     "erect": (3, lambda sem, p, u, v:
               perpendicular("erect", p, (u, v), sem=sem)[1]),
     "drop": (3, lambda sem, p, u, v:
@@ -369,18 +369,12 @@ _CONSTRUCTION_OPS = {
     "meet": (4, lambda sem, a, b, c, d: line_intersect(a, b, c, d)),
     "angle_bisect": (3, _wrap1(angle_bisect)),
     "crossbar": (6, _wrap1(crossbar_point)),
+    "geo_add": (2, lambda sem, a, b: arithmetic.geo_add(a, b)),
+    "geo_mul": (2, lambda sem, a, b: arithmetic.geo_mul(a, b)),
+    "geo_inv": (1, lambda sem, a: arithmetic.geo_inv(a)),
+    "geo_sqrt": (1, lambda sem, a: arithmetic.geo_sqrt(a)),
+    "rotate90": (1, lambda sem, a: arithmetic.rotate90(a)),
 }
-
-
-def _geo_ops():
-    from . import arithmetic as ar
-    return {
-        "geo_add": (2, lambda sem, a, b: ar.geo_add(a, b)),
-        "geo_mul": (2, lambda sem, a, b: ar.geo_mul(a, b)),
-        "geo_inv": (1, lambda sem, a: ar.geo_inv(a)),
-        "geo_sqrt": (1, lambda sem, a: ar.geo_sqrt(a)),
-        "rotate90": (1, lambda sem, a: ar.rotate90(a)),
-    }
 
 
 _PREDICATES = {
@@ -442,10 +436,6 @@ def parse_element(text: str, mode: str = "constructible") -> FieldElement:
     return _eval_expr(node, mode)
 
 
-def operation_registry() -> dict:
-    return {**_CONSTRUCTION_OPS, **_geo_ops()}
-
-
 _RUNTIME_ERRORS = (ConstructionError, PostconditionFailure, FieldError,
                    NotPositiveAngle, ArityMismatch, DomainViolation,
                    ZeroDivisionError)
@@ -454,7 +444,6 @@ _RUNTIME_ERRORS = (ConstructionError, PostconditionFailure, FieldError,
 def run_script(script: Script, mode: str = "constructible") -> Env:
     sem = resolve_mode(mode)
     env = Env(mode=mode)
-    ops = operation_registry()
 
     def resolve(call: Call) -> list[Point]:
         pts = []
@@ -474,9 +463,9 @@ def run_script(script: Script, mode: str = "constructible") -> Env:
                 env.declared.add(stmt.name)
             elif isinstance(stmt, LetStmt):
                 call = stmt.call
-                if call.op not in ops:
+                if call.op not in _CONSTRUCTION_OPS:
                     raise DomainViolation(f"unknown operation {call.op!r}")
-                arity, fn = ops[call.op]
+                arity, fn = _CONSTRUCTION_OPS[call.op]
                 if len(call.args) != arity:
                     raise ArityMismatch(
                         f"{call.op} expects {arity} points, "

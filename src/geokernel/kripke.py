@@ -24,8 +24,6 @@ from .field import (
 M0 = "M0"
 M1 = "M1"
 
-NAElement = FieldElement  # NonArchimedean-mode elements
-
 
 class TermUndefined(Exception):
     pass
@@ -38,7 +36,7 @@ class NAClass:
     finitely_bounded: bool
 
 
-def na_classify(x: NAElement) -> NAClass:
+def na_classify(x: FieldElement) -> NAClass:
     s = x.sign()
     if s == 0:
         return NAClass(0, False, True)
@@ -46,12 +44,12 @@ def na_classify(x: NAElement) -> NAClass:
     return NAClass(s, v > 0, v >= 0)
 
 
-def node0_positive(x: NAElement) -> bool:
+def node0_positive(x: FieldElement) -> bool:
     c = na_classify(x)
     return c.sign > 0 and not c.infinitesimal
 
 
-def in_domain(node: str, x: NAElement) -> bool:
+def in_domain(node: str, x: FieldElement) -> bool:
     if node == M1:
         return True
     return na_classify(x).finitely_bounded
@@ -66,13 +64,12 @@ class TVar:
 
 @dataclass(frozen=True)
 class TConst:
-    value: NAElement
-    label: str = ""
+    value: FieldElement
 
 
 @dataclass(frozen=True)
 class TOp:
-    op: str  # add | sub | mul | neg | inv | sqrt
+    op: str  # add | mul | inv | sqrt
     args: tuple
 
 
@@ -85,10 +82,10 @@ def tmul(a, b):
 
 
 def tconst(q) -> TConst:
-    return TConst(Q(q), str(q))
+    return TConst(Q(q))
 
 
-def teval(term, env: dict) -> NAElement:
+def teval(term, env: dict) -> FieldElement:
     if isinstance(term, TVar):
         return env[term.name]
     if isinstance(term, TConst):
@@ -96,12 +93,8 @@ def teval(term, env: dict) -> NAElement:
     a = [teval(t, env) for t in term.args]
     if term.op == "add":
         return a[0] + a[1]
-    if term.op == "sub":
-        return a[0] - a[1]
     if term.op == "mul":
         return a[0] * a[1]
-    if term.op == "neg":
-        return -a[0]
     if term.op == "inv":
         if a[0].is_zero():
             raise TermUndefined("1/0")
@@ -220,7 +213,7 @@ MP = FImplies(FNot(FNot(FP(X))), FP(X))
 
 # -- sampled verification ----------------------------------------------------
 
-def _sample_element(rng: random.Random) -> tuple[NAElement, str]:
+def _sample_element(rng: random.Random) -> tuple[FieldElement, str]:
     """A finitely bounded probe: rational constants, infinitesimals of
     several orders, and mixed sums/ratios."""
     def q(lo=-8, hi=8):
@@ -245,7 +238,7 @@ def _sample_element(rng: random.Random) -> tuple[NAElement, str]:
     return v, render_element(v)
 
 
-def _unbounded_probe(rng: random.Random) -> tuple[NAElement, str]:
+def _unbounded_probe(rng: random.Random) -> tuple[FieldElement, str]:
     k = rng.randint(1, 2)
     c = Fraction(rng.randint(1, 5))
     v = Q(c) / eps() ** k

@@ -56,11 +56,14 @@ _CIRCLE_PLANS = {
 }
 
 
-def _coords(p: Point, use_shadow: bool) -> tuple[float, float]:
-    return approx(p.x, use_shadow), approx(p.y, use_shadow)
+def _coords(p: Point, use_shadow: bool, name: str) -> tuple[float, float]:
+    try:
+        return approx(p.x, use_shadow), approx(p.y, use_shadow)
+    except (OverflowError, ValueError) as err:  # no float value
+        raise UnrenderableMode(f"point {name}: {err}") from None
 
 
-def render_svg(env, shadow: bool = False, size: int = 480) -> str:
+def render_svg(env, shadow: bool = False) -> str:
     """Read-only rendering of an interpreter environment."""
     use_shadow = env.mode == "nonarchimedean"
     if use_shadow and not shadow:
@@ -69,14 +72,14 @@ def render_svg(env, shadow: bool = False, size: int = 480) -> str:
 
     pts: dict[str, tuple[float, float]] = {}
     for name, p in env.bindings.items():
-        pts[name] = _coords(p, use_shadow)
+        pts[name] = _coords(p, use_shadow, name)
 
     segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
     circles: list[tuple[tuple[float, float], float]] = []
 
     def pick(entry, side, idx):
         seq = entry.inputs if side == "in" else entry.outputs
-        return _coords(seq[idx], use_shadow)
+        return _coords(seq[idx], use_shadow, f"{side}[{idx}] of {entry.op}")
 
     seen = set()
     for entry in env.trace:
@@ -108,7 +111,7 @@ def render_svg(env, shadow: bool = False, size: int = 480) -> str:
     stroke = max(w, h) / 200
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="480" '
         f'viewBox="{_fmt(vb[0])} {_fmt(vb[1])} {_fmt(vb[2])} '
         f'{_fmt(vb[3])}">',
     ]
@@ -145,15 +148,12 @@ def render_svg(env, shadow: bool = False, size: int = 480) -> str:
 _NUM_RE = re.compile(r"-?\d+\.?\d*(?:[eE][-+]?\d+)?")
 
 
-def structural_signature(svg_text: str, digits: int = 6):
+def structural_signature(svg_text: str):
     """Multiset of elements with numbers rounded: the comparison key for
     'matches the stored reference up to decimal formatting'."""
     elems = []
     for m in re.finditer(r"<(\w+)([^>]*)/?>", svg_text):
         tag, attrs = m.group(1), m.group(2)
-
-        def norm(num_m):
-            return f"{float(num_m.group()):.{digits}g}"
-
-        elems.append((tag, _NUM_RE.sub(norm, attrs).strip()))
+        attrs = _NUM_RE.sub(lambda n: f"{float(n.group()):.6g}", attrs)
+        elems.append((tag, attrs.strip()))
     return tuple(sorted(elems))

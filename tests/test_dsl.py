@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from geokernel import field
+from geokernel import arithmetic, field
 from geokernel.cli import main as cli_main
+from geokernel.constructions import equilateral, perpendicular, reflect
 from geokernel.dsl import (
     AssertStmt, Call, LetStmt, PointDecl, RenderStmt, Script,
     ScriptSyntaxError, parse_element, parse_script, pretty_print, run_script,
@@ -121,6 +122,27 @@ class TestInterpreter:
         assert [e["error"] for e in env.errors] == ["TowerTooDeep"]
         assert "b" in env.bindings  # execution continued
 
+    @pytest.mark.parametrize("op, args, direct", [
+        ("equilateral", "a, b", equilateral),
+        ("reflect_line", "p, a, b", reflect),
+        ("erect", "q, a, b",
+         lambda p, u, v: perpendicular("erect", p, (u, v))[1]),
+        ("drop", "p, a, b",
+         lambda p, u, v: perpendicular("drop", p, (u, v))[0]),
+        ("geo_add", "x, y", arithmetic.geo_add),
+        ("geo_mul", "x, y", arithmetic.geo_mul),
+        ("geo_inv", "x", arithmetic.geo_inv),
+        ("geo_sqrt", "x", arithmetic.geo_sqrt),
+        ("rotate90", "p", arithmetic.rotate90),
+    ])
+    def test_let_matches_direct_call(self, op, args, direct):
+        env = run_script(parse_script(
+            "point a 0 0; point b 3 0; point p 1 2; point q 1 0; "
+            f"point x 2 0; point y 5 0; let r = {op}({args});"))
+        assert not env.errors
+        pts = [env.bindings[n] for n in args.split(", ")]
+        assert env.bindings["r"] == direct(*pts)
+
     def test_oversized_value_recorded(self):
         env = run_script(parse_script(
             f"point a {N}*{N} 0; point b sqrt(-{N}*{N}) 0;"))
@@ -198,6 +220,21 @@ class TestCli:
         out_svg = str(tmp_path / "out.svg")
         assert cli_main(["render", script, "--out", out_svg]) == 0
         assert os.path.getsize(out_svg) > 0
+
+    @pytest.mark.parametrize("coordinate, flags, reason", [
+        (f"{N}*{N}", [], "too large for a float"),
+        ("1/eps", ["--field", "nonarch", "--shadow"], "no shadow"),
+    ])
+    def test_render_unrenderable_point(self, coordinate, flags, reason,
+                                       tmp_path, capsys):
+        script = tmp_path / "big.geo"
+        script.write_text(f"point a 0 0; point b {coordinate} 0;")
+        out_svg = tmp_path / "out.svg"
+        argv = ["render", str(script), "--out", str(out_svg)] + flags
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unrenderable: point b: ") and reason in err
+        assert not out_svg.exists()
 
     @pytest.mark.parametrize("command", ["run", "render"])
     def test_syntax_error_exit_code(self, command, tmp_path, capsys):
