@@ -106,7 +106,9 @@ def _rneg(x, depth):
 
 
 def _rsub(x, y, depth):
-    return _radd(x, _rneg(y, depth), depth)
+    if depth == 0:
+        return x - y
+    return (_rsub(x[0], y[0], depth - 1), _rsub(x[1], y[1], depth - 1))
 
 
 def _rmul(x, y, rads, depth):
@@ -218,6 +220,10 @@ def _sqrt_in(rads, x, depth):
     return None
 
 
+_LEAF_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+             "div": operator.truediv}
+
+
 # ---------------------------------------------------------------------------
 # FieldElement
 
@@ -300,6 +306,11 @@ class FieldElement:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
+        if not self.tower and not b.tower:
+            # both in the base field: one leaf op, nothing to align or trim
+            if op == "div" and not b.rep:
+                raise ZeroDivisionError("field division by zero")
+            return FieldElement((), _LEAF_OPS[op](self.rep, b.rep))
         T, xa, xb = FieldElement._align(self, b)
         d = len(T)
         if op == "add":
@@ -323,7 +334,10 @@ class FieldElement:
         return self._binop(other, "sub")
 
     def __rsub__(self, other):
-        return (-self) + other
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        return b._binop(self, "sub")
 
     def __mul__(self, other):
         return self._binop(other, "mul")

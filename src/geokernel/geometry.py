@@ -123,20 +123,23 @@ def collinear(u: Point, v: Point, w: Point) -> bool:
 
 def between(u: Point, v: Point, w: Point, sem: str = CONSTRUCTIBLE) -> bool:
     """Strict betweenness B(u,v,w): both gaps positively long."""
-    if not collinear(u, v, w):
+    d1, d2 = vsub(v, u), vsub(w, v)
+    # cross(d1, d2) = cross(w - u, w - v): the collinearity test
+    if not cross(d1, d2).is_zero():
         return False
-    if not positive(sqdist(u, v), sem) or not positive(sqdist(v, w), sem):
+    if not positive(dot(d1, d1), sem) or not positive(dot(d2, d2), sem):
         return False
-    return dot(vsub(v, u), vsub(w, v)).sign() > 0
+    return dot(d1, d2).sign() > 0
 
 
 def nonstrict_between(u: Point, v: Point, w: Point) -> bool:
     """T(u,v,w) = not(u != v and not B and v != w); a classical relation."""
     if u == v or v == w:
         return True
-    if not collinear(u, v, w):
+    d1, d2 = vsub(v, u), vsub(w, v)
+    if not cross(d1, d2).is_zero():
         return False
-    return dot(vsub(v, u), vsub(w, v)).sign() > 0
+    return dot(d1, d2).sign() > 0
 
 
 def congruent(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -154,14 +157,22 @@ def on_ray(a: Point, b: Point, x: Point) -> bool:
 
 
 def right_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
-    return (distinct(a, b, sem) and distinct(c, b, sem) and distinct(a, c, sem)
-            and dot(vsub(a, b), vsub(c, b)).is_zero())
+    ba = vsub(a, b)
+    if not positive(dot(ba, ba), sem):  # distinct(a, b)
+        return False
+    bc = vsub(c, b)
+    return (positive(dot(bc, bc), sem) and distinct(a, c, sem)
+            and dot(ba, bc).is_zero())
 
 
 def pos_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
-    if not distinct(a, b, sem) or not distinct(c, b, sem):
+    ba = vsub(a, b)
+    if not positive(dot(ba, ba), sem):  # distinct(a, b)
         return False
-    cr = cross(vsub(a, b), vsub(c, b))
+    bc = vsub(c, b)
+    if not positive(dot(bc, bc), sem):  # distinct(c, b)
+        return False
+    cr = cross(ba, bc)
     return positive(cr * cr, sem)
 
 
@@ -174,12 +185,14 @@ def angle_lt_pi(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
 def angle_cong(a: Point, b: Point, c: Point,
                a2: Point, b2: Point, c2: Point) -> bool:
     """Equal angles at b and b2, by the equal-cosine criterion (exact)."""
-    q1, q2 = sqdist(a, b), sqdist(c, b)
-    p1, p2 = sqdist(a2, b2), sqdist(c2, b2)
+    ba, bc = vsub(a, b), vsub(c, b)
+    ba2, bc2 = vsub(a2, b2), vsub(c2, b2)
+    q1, q2 = dot(ba, ba), dot(bc, bc)
+    p1, p2 = dot(ba2, ba2), dot(bc2, bc2)
     if q1.is_zero() or q2.is_zero() or p1.is_zero() or p2.is_zero():
         return False
-    d = dot(vsub(a, b), vsub(c, b))
-    e = dot(vsub(a2, b2), vsub(c2, b2))
+    d = dot(ba, bc)
+    e = dot(ba2, bc2)
     if d.sign() != e.sign():
         return False
     return d * d * p1 * p2 == e * e * q1 * q2

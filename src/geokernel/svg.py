@@ -7,11 +7,13 @@ existence an axiom asserts — as small open circles.  The viewport fits
 the bounding box of all drawn points with a 10% margin.
 
 NonArchimedean environments are only renderable through the ``shadow``
-option, which maps eps -> 0 before converting to decimals.
+option, which maps eps -> 0 before converting to decimals.  A point whose
+float coordinates are not finite or exceed MAX_COORD is unrenderable.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .field import approx
@@ -20,6 +22,11 @@ from .geometry import Point
 
 class UnrenderableMode(Exception):
     pass
+
+
+# Largest coordinate drawn.  Far beyond any figure, and small enough that
+# the extents, margins and radii computed from coordinates stay finite.
+MAX_COORD = 1e300
 
 
 def _fmt(v: float) -> str:
@@ -58,9 +65,14 @@ _CIRCLE_PLANS = {
 
 def _coords(p: Point, use_shadow: bool, name: str) -> tuple[float, float]:
     try:
-        return approx(p.x, use_shadow), approx(p.y, use_shadow)
+        xy = approx(p.x, use_shadow), approx(p.y, use_shadow)
     except (OverflowError, ValueError) as err:  # no float value
         raise UnrenderableMode(f"point {name}: {err}") from None
+    for v in xy:
+        if not abs(v) <= MAX_COORD:  # also catches inf and nan
+            raise UnrenderableMode(
+                f"point {name}: coordinate {v} too large to draw")
+    return xy
 
 
 def render_svg(env, shadow: bool = False) -> str:
@@ -91,7 +103,7 @@ def render_svg(env, shadow: bool = False) -> str:
                 segments.append((a, b))
         for cs, ci, rs, ri in _CIRCLE_PLANS.get(entry.op, []):
             c, rim = pick(entry, cs, ci), pick(entry, rs, ri)
-            r = ((c[0] - rim[0]) ** 2 + (c[1] - rim[1]) ** 2) ** 0.5
+            r = math.hypot(c[0] - rim[0], c[1] - rim[1])
             key = ("circle", c, round(r, 9))
             if r > 0 and key not in seen:
                 seen.add(key)

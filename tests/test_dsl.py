@@ -224,6 +224,8 @@ class TestCli:
     @pytest.mark.parametrize("coordinate, flags, reason", [
         (f"{N}*{N}", [], "too large for a float"),
         ("1/eps", ["--field", "nonarch", "--shadow"], "no shadow"),
+        ("10^250*10^50*sqrt(2*10^100)", [], "coordinate inf too large"),
+        ("17*10^200*10^107", [], "too large to draw"),  # viewBox overflows
     ])
     def test_render_unrenderable_point(self, coordinate, flags, reason,
                                        tmp_path, capsys):

@@ -12,7 +12,7 @@ from geokernel.field import (
     DomainViolation, FieldElement, Negative, NotPositive, Q, TowerTooDeep,
     approx, compare, eps, inv_positive, render_element, sqrt_nonneg,
 )
-from geokernel.nafield import RatFunc
+from geokernel.nafield import Poly, RatFunc
 
 
 class TestConstructible:
@@ -173,6 +173,46 @@ class TestRepresentation:
         assert new.sign() == old.sign()
         assert new.valuation() == old.valuation()
         assert render_element(new) == render_element(old)
+
+
+_SMALL_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+# (a + b*eps + c*eps^2) / (1 + d*eps) with b or c nonzero: eps is in it
+_EPS_LEAVES = st.builds(
+    lambda a, b, c, d: RatFunc(Poly((a, b, c)), Poly((1, d))),
+    _SMALL_FRACTIONS, _SMALL_FRACTIONS, _SMALL_FRACTIONS, _SMALL_FRACTIONS,
+).filter(lambda r: r.num.degree() > 0 or r.den.degree() > 0)
+
+
+class TestDepthZero:
+    @given(x=_SMALL_FRACTIONS | _EPS_LEAVES, y=_SMALL_FRACTIONS | _EPS_LEAVES,
+           n=st.integers(min_value=-9, max_value=9),
+           op=st.sampled_from(list(_OPS.values())))
+    @settings(max_examples=200, deadline=None)
+    def test_binop_is_one_leaf_op(self, x, y, n, op):
+        fx, fy = FieldElement((), x), FieldElement((), y)
+        for a, b, lx, ly in ((fx, fy, x, y), (n, fy, Fraction(n), y),
+                             (fx, n, x, Fraction(n))):
+            if op is operator.truediv and not ly:
+                with pytest.raises(ZeroDivisionError,
+                                   match="field division by zero"):
+                    op(a, b)
+                continue
+            got, want = op(a, b), op(lx, ly)
+            assert got.tower == ()
+            assert got.rep == want
+            assert isinstance(got.rep, Fraction) == (
+                isinstance(lx, Fraction) and isinstance(ly, Fraction))
+
+    @pytest.mark.parametrize("x", [
+        Q(3), eps(), sqrt_nonneg(Q(2)), Q(1) + sqrt_nonneg(eps()),
+    ], ids=["rational", "eps", "depth-1", "depth-1-eps"])
+    def test_division_by_zero(self, x):
+        for zero in (Q(0), 0):
+            with pytest.raises(ZeroDivisionError,
+                               match="field division by zero"):
+                x / zero
+        with pytest.raises(ZeroDivisionError, match="field division by zero"):
+            1 / (x - x)
 
 
 class TestRenderParse:

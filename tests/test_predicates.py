@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geokernel.field import Q, eps, sqrt_nonneg
+from geokernel.field import FieldElement, Q, eps, sqrt_nonneg
 from geokernel.geometry import (
     CONSTRUCTIBLE, NODE0, NODE1, ArityMismatch, NotPositiveAngle, Point,
     angle_cong, angle_lt_pi, apex_witness, angle_witness, between, collinear,
-    congruent, distinct, distinct_witness, midpoint, nonstrict_between,
-    on_ray, pos_angle, predicate_eval, pt, right_angle, verify_witness,
+    congruent, cross, distinct, distinct_witness, dot, midpoint,
+    nonstrict_between, on_ray, pos_angle, positive, predicate_eval, pt,
+    right_angle, sqdist, verify_witness, vsub,
 )
 
 coord = st.fractions(min_value=-20, max_value=20)
@@ -149,3 +150,118 @@ class TestNodeSemantics:
         a = Point(Q(0), Q(0))
         b = Point(Q(1) / eps(), Q(0))
         assert distinct(a, b, NODE0)
+
+
+# -- the predicates against their definitions --------------------------------
+
+SEMANTICS = (CONSTRUCTIBLE, NODE0, NODE1)
+_HALVES = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+# a + b*u with u in {0, sqrt(2), eps}: coordinates in Q, Q(sqrt 2), Q(eps)
+_SCALAR = st.builds(lambda a, b, u: Q(a) + Q(b) * u, _HALVES, _HALVES,
+                    st.sampled_from([Q(0), sqrt_nonneg(Q(2)), eps()]))
+_POINT = st.builds(Point, _SCALAR, _SCALAR)
+
+
+def _along(u: Point, v: Point, t: FieldElement) -> Point:
+    return Point(u.x + (v.x - u.x) * t, u.y + (v.y - u.y) * t)
+
+
+@st.composite
+def _triples(draw):
+    """Three points: free, with a repeat, or collinear in any order (the
+    third at u + t*(v - u), so an eps in t gives an infinitesimal gap)."""
+    u, v, w = draw(_POINT), draw(_POINT), draw(_POINT)
+    kind = draw(st.sampled_from(["free", "repeat", "collinear"]))
+    if kind == "repeat":
+        return tuple(draw(st.permutations([u, u, v])))
+    if kind == "collinear":
+        w = _along(u, v, draw(_SCALAR | st.sampled_from([Q(0), Q(1)])))
+        return tuple(draw(st.permutations([u, v, w])))
+    return u, v, w
+
+
+@st.composite
+def _angle_pairs(draw):
+    """Two angles a b c and a2 b2 c2; often the second is the first with
+    its legs rescaled or swapped, so congruent pairs are common."""
+    a, b, c = draw(_triples())
+    kind = draw(st.sampled_from(["free", "rescaled", "swapped"]))
+    if kind == "rescaled":
+        k1, k2 = draw(_SCALAR), draw(_SCALAR)
+        return (a, b, c), (_along(b, a, k1), b, _along(b, c, k2))
+    if kind == "swapped":
+        return (a, b, c), (c, b, a)
+    return (a, b, c), draw(_triples())
+
+
+def _ordered(u, v, w) -> bool:
+    return dot(vsub(v, u), vsub(w, v)).sign() > 0
+
+
+class TestAgainstDefinitions:
+    @given(pts=_triples())
+    @settings(max_examples=100, deadline=None)
+    def test_betweenness(self, pts):
+        u, v, w = pts
+        for sem in SEMANTICS:
+            assert between(u, v, w, sem) == (
+                collinear(u, v, w) and positive(sqdist(u, v), sem)
+                and positive(sqdist(v, w), sem) and _ordered(u, v, w))
+        assert nonstrict_between(u, v, w) == (
+            u == v or v == w or (collinear(u, v, w) and _ordered(u, v, w)))
+
+    @given(pts=_triples())
+    @settings(max_examples=100, deadline=None)
+    def test_angles(self, pts):
+        a, b, c = pts
+        for sem in SEMANTICS:
+            cr = cross(vsub(a, b), vsub(c, b))
+            assert pos_angle(a, b, c, sem) == (
+                distinct(a, b, sem) and distinct(c, b, sem)
+                and positive(cr * cr, sem))
+            assert right_angle(a, b, c, sem) == (
+                distinct(a, b, sem) and distinct(c, b, sem)
+                and distinct(a, c, sem)
+                and dot(vsub(a, b), vsub(c, b)).is_zero())
+
+    @given(angles=_angle_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_angle_cong(self, angles):
+        (a, b, c), (a2, b2, c2) = angles
+        q1, q2 = sqdist(a, b), sqdist(c, b)
+        p1, p2 = sqdist(a2, b2), sqdist(c2, b2)
+        d = dot(vsub(a, b), vsub(c, b))
+        e = dot(vsub(a2, b2), vsub(c2, b2))
+        assert angle_cong(a, b, c, a2, b2, c2) == (
+            not any(x.is_zero() for x in (q1, q2, p1, p2))
+            and d.sign() == e.sign() and d * d * p1 * p2 == e * e * q1 * q2)
+
+
+class TestOpBudget:
+    """Field ops per predicate call on rational points, counted at
+    FieldElement._binop, so redundant arithmetic cannot creep back."""
+
+    @pytest.mark.parametrize("pred, args, ops", [
+        (between, (pt(0, 0), pt(1, 0), pt(3, 0)), 16),
+        (between, (pt(0, 0), pt(1, 1), pt(3, 0)), 7),
+        (nonstrict_between, (pt(0, 0), pt(1, 0), pt(3, 0)), 10),
+        (nonstrict_between, (pt(0, 0), pt(0, 0), pt(3, 0)), 0),
+        (pos_angle, (pt(1, 0), pt(0, 0), pt(0, 1)), 14),
+        (pos_angle, (pt(0, 0), pt(0, 0), pt(0, 1)), 5),
+        (right_angle, (pt(3, 0), pt(0, 0), pt(0, 5)), 18),
+        (angle_cong, (pt(1, 0), pt(0, 0), pt(1, 1),
+                      pt(7, 0), pt(0, 0), pt(3, 3)), 32),
+    ], ids=["between", "between-not-collinear", "nonstrict-between",
+            "nonstrict-between-repeat", "pos-angle", "pos-angle-degenerate",
+            "right-angle", "angle-cong"])
+    def test_binop_count(self, pred, args, ops, monkeypatch):
+        calls = []
+        binop = FieldElement._binop
+
+        def counted(self, other, op):
+            calls.append(op)
+            return binop(self, other, op)
+
+        monkeypatch.setattr(FieldElement, "_binop", counted)
+        pred(*args)
+        assert len(calls) == ops
