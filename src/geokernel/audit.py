@@ -665,7 +665,7 @@ def check_theorem(name: str, inst: dict,
 
 def _mk_off(p: Point, length) -> Point:
     """A helper point at a rational offset, fixing an extension length."""
-    off = length if isinstance(length, FieldElement) else Q(Fraction(length))
+    off = length if isinstance(length, FieldElement) else Q(length)
     return Point(p.x + off, p.y)
 
 

@@ -2,7 +2,8 @@
 
 A FieldElement lives in a tower F(sqrt(r1))(sqrt(r2))... over F = Q(eps),
 the rational functions in a positive infinitesimal ``eps``.  Rationals are
-`Fraction` leaves: a leaf is a `RatFunc` only once ``eps`` entered its
+`Rat` leaves (nafield's one rational type; an int or a `Fraction` becomes
+one where it enters): a leaf is a `RatFunc` only once ``eps`` entered its
 computation, and the two kinds mix freely because Q is a subfield of
 Q(eps).  Representation: a depth-k element is a nested pair tree (its
 "rep") whose leaves are base values; the pair (a, b) at level i denotes
@@ -26,21 +27,18 @@ v(a + b*sqrt(r)) = v(a^2 - b^2*r) - v(a).
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
-from .nafield import RatFunc, frac_sqrt
+from .nafield import FieldError, Rat, RatFunc, as_rat, frac_sqrt
 
 # Most sqrt nodes a tower may hold.  A sign or a root search costs about
 # five times as much with each level of depth; the audit needs depth 2 and
 # the figures depth 1.
 MAX_TOWER_DEPTH = 6
 
+_ZERO, _ONE = Rat(0), Rat(1)
+
 # ---------------------------------------------------------------------------
 # errors
-
-
-class FieldError(Exception):
-    pass
 
 
 class NotPositive(FieldError):
@@ -61,17 +59,17 @@ class DomainViolation(Exception):
 
 
 # ---------------------------------------------------------------------------
-# base-field helpers (leaves are Fraction or RatFunc)
+# base-field helpers (leaves are Rat or RatFunc)
 
 
 def _bsign(v) -> int:
-    if isinstance(v, Fraction):
-        return 1 if v > 0 else (-1 if v < 0 else 0)
+    if type(v) is Rat:
+        return (v.n > 0) - (v.n < 0)
     return v.sign()
 
 
 def _bsqrt(v):
-    if isinstance(v, Fraction):
+    if type(v) is Rat:
         return frac_sqrt(v)
     return v.sqrt_exact()
 
@@ -82,7 +80,7 @@ def _bsqrt(v):
 
 def _rzero(depth):
     if depth == 0:
-        return Fraction(0)
+        return _ZERO
     z = _rzero(depth - 1)
     return (z, z)
 
@@ -156,10 +154,10 @@ def _rsign(x, rads, depth) -> int:
     return sa if c > 0 else sb
 
 
-def _rval(x, rads, depth) -> Fraction:
+def _rval(x, rads, depth) -> Rat:
     """eps-adic valuation of a nonzero rep (the rule in the module doc)."""
     if depth == 0:
-        return Fraction(0 if isinstance(x, Fraction) else x.valuation())
+        return _ZERO if type(x) is Rat else Rat(x.valuation())
     a, b = x
     if _ris_zero(b, depth - 1):
         return _rval(a, rads, depth - 1)
@@ -207,7 +205,7 @@ def _sqrt_in(rads, x, depth):
     s = _sqrt_in(rads, _rnorm(x, rads, depth), depth - 1)
     if s is None:
         return None
-    half = _rlift(Fraction(1, 2), 0, depth - 1)
+    half = _rlift(Rat(1, 2), 0, depth - 1)
     for t in (_radd(a, s, depth - 1), _rsub(a, s, depth - 1)):
         c2 = _rmul(t, half, rads, depth - 1)
         c = _sqrt_in(rads, c2, depth - 1)
@@ -274,7 +272,7 @@ class FieldElement:
                 _check_depth(len(T) + 1)
                 T.append(r_rep)
                 emb = [(e, _rzero(len(T) - 1)) for e in emb]
-                s = (_rzero(len(T) - 1), _rlift(Fraction(1), 0, len(T) - 1))
+                s = (_rzero(len(T) - 1), _rlift(_ONE, 0, len(T) - 1))
             emb.append(s)
         return tuple(T), emb, convert
 
@@ -282,9 +280,8 @@ class FieldElement:
     def _coerce(other):
         if isinstance(other, FieldElement):
             return other
-        if isinstance(other, (int, Fraction)):
-            return FieldElement((), Fraction(other))
-        return None
+        q = as_rat(other)
+        return None if q is None else FieldElement((), q)
 
     @staticmethod
     def _align(a: "FieldElement", b: "FieldElement"):
@@ -410,7 +407,7 @@ class FieldElement:
 
     # -- valuation -------------------------------------------------------------
 
-    def valuation(self) -> Fraction | None:
+    def valuation(self) -> Rat | None:
         """eps-adic valuation; None for zero.  A nonzero rational has
         valuation 0."""
         if self.is_zero():
@@ -445,7 +442,7 @@ def sqrt_nonneg(a: FieldElement) -> FieldElement:
         root = FieldElement(a.tower, s)._normalized()
         return -root if root.sign() < 0 else root
     _check_depth(a.depth + 1)
-    rep = (_rzero(a.depth), _rlift(Fraction(1), 0, a.depth))
+    rep = (_rzero(a.depth), _rlift(_ONE, 0, a.depth))
     return FieldElement(a.tower + (a.rep,), rep)
 
 
@@ -455,8 +452,8 @@ def _check_depth(depth: int) -> None:
 
 
 def Q(num, den=1) -> FieldElement:
-    """Rational constant."""
-    return FieldElement((), Fraction(num, den))
+    """Rational constant num/den, from ints, Fractions or Rats."""
+    return FieldElement((), Rat(num, den))
 
 
 EPS_ELEMENT = FieldElement((), RatFunc.eps_power(1))
@@ -474,7 +471,7 @@ def approx(x: FieldElement, use_shadow: bool = False) -> float:
     """Float approximation of an eps-free element, or (use_shadow) of the
     eps -> 0 shadow of a finitely bounded element."""
     def leaf(v) -> float:
-        if isinstance(v, Fraction):
+        if type(v) is Rat:
             return float(v)
         if not use_shadow:
             raise ValueError("an element involving eps has no float value")

@@ -13,7 +13,6 @@ right-angle reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .field import FieldElement, Q, render_element, sqrt_nonneg
 
@@ -44,7 +43,7 @@ class NotPositiveAngle(Exception):
 def _lift(v) -> FieldElement:
     if isinstance(v, FieldElement):
         return v
-    return Q(Fraction(v))
+    return Q(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,15 +164,25 @@ def right_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
             and dot(ba, bc).is_zero())
 
 
-def pos_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
+def _angle_vectors(a: Point, b: Point, c: Point, sem: str):
+    """(a - b, c - b, |a - b|^2, |c - b|^2) if the angle abc is positive,
+    else None."""
     ba = vsub(a, b)
-    if not positive(dot(ba, ba), sem):  # distinct(a, b)
-        return False
+    qa = dot(ba, ba)
+    if not positive(qa, sem):  # distinct(a, b)
+        return None
     bc = vsub(c, b)
-    if not positive(dot(bc, bc), sem):  # distinct(c, b)
-        return False
+    qc = dot(bc, bc)
+    if not positive(qc, sem):  # distinct(c, b)
+        return None
     cr = cross(ba, bc)
-    return positive(cr * cr, sem)
+    if not positive(cr * cr, sem):
+        return None
+    return ba, bc, qa, qc
+
+
+def pos_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
+    return _angle_vectors(a, b, c, sem) is not None
 
 
 def angle_lt_pi(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
@@ -217,22 +226,35 @@ def distinct_witness(a: Point, b: Point) -> DistinctWitness:
     return DistinctWitness(e=midpoint(a, b))
 
 
+def _apex(a: Point, b: Point, bc, qa, qc) -> AngleWitness:
+    """u = a, and v laid off on Ray(b,c) at distance |ba| (qa = |ba|^2,
+    qc = |bc|^2)."""
+    t = sqrt_nonneg(qa / qc)
+    return AngleWitness(kind="apex", u=a,
+                        v=Point(b.x + bc[0] * t, b.y + bc[1] * t))
+
+
 def apex_witness(a: Point, b: Point, c: Point,
                  sem: str = CONSTRUCTIBLE) -> AngleWitness:
-    """Equidistant points on the two rays of a positive angle: u = a and v
-    laid off on Ray(b,c) at distance |ba|."""
-    if not pos_angle(a, b, c, sem):
+    """Equidistant points on the two rays of a positive angle."""
+    vecs = _angle_vectors(a, b, c, sem)
+    if vecs is None:
         raise NotPositiveAngle(f"angle {a} {b} {c} is not positive")
-    t = sqrt_nonneg(sqdist(b, a) / sqdist(b, c))
-    v = Point(b.x + (c.x - b.x) * t, b.y + (c.y - b.y) * t)
-    return AngleWitness(kind="apex", u=a, v=v)
+    _, bc, qa, qc = vecs
+    return _apex(a, b, bc, qa, qc)
 
 
 def angle_witness(a: Point, b: Point, c: Point,
-                  sem: str = CONSTRUCTIBLE) -> AngleWitness:
-    if dot(vsub(a, b), vsub(c, b)).is_zero():
+                  sem: str = CONSTRUCTIBLE) -> AngleWitness | None:
+    """A witness that the angle abc is positive, or None if it is not: the
+    reflection of a in b for a right angle, else the apex pair."""
+    vecs = _angle_vectors(a, b, c, sem)
+    if vecs is None:
+        return None
+    ba, bc, qa, qc = vecs
+    if dot(ba, bc).is_zero():
         return AngleWitness(kind="right", d=reflect_in_point(a, b))
-    return apex_witness(a, b, c, sem)
+    return _apex(a, b, bc, qa, qc)
 
 
 def verify_witness(kind: str, args, witness, sem: str = CONSTRUCTIBLE) -> bool:
@@ -295,9 +317,8 @@ def predicate_eval(kind: str, args, sem: str = CONSTRUCTIBLE) -> PredicateResult
     if kind == "RightAngle":
         return PredicateResult(right_angle(*args, sem))
     if kind == "PosAngle":
-        if pos_angle(*args, sem):
-            return PredicateResult(True, angle_witness(*args, sem))
-        return PredicateResult(False)
+        w = angle_witness(*args, sem)
+        return PredicateResult(w is not None, w)
     if kind == "AngleLtPi":
         return PredicateResult(angle_lt_pi(*args, sem))
     return PredicateResult(angle_cong(*args))

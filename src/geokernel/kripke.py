@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .field import (
     DomainViolation, FieldElement, Q, eps, render_element, sqrt_nonneg,
@@ -217,31 +216,30 @@ def _sample_element(rng: random.Random) -> tuple[FieldElement, str]:
     """A finitely bounded probe: rational constants, infinitesimals of
     several orders, and mixed sums/ratios."""
     def q(lo=-8, hi=8):
-        return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+        return Q(rng.randint(lo, hi), rng.randint(1, 6))
 
     kind = rng.randrange(6)
     e = eps()
     if kind == 0:
-        v = Q(q())
+        v = q()
     elif kind == 1:
-        v = Q(q()) * e ** rng.randint(1, 3)  # infinitesimal
+        v = q() * e ** rng.randint(1, 3)  # infinitesimal
     elif kind == 2:
-        v = Q(q()) + Q(q()) * e  # constant plus infinitesimal
+        v = q() + q() * e  # constant plus infinitesimal
     elif kind == 3:
-        num = Q(q()) + Q(q()) * e
-        den = Q(Fraction(rng.randint(1, 6))) + Q(q()) * e
+        num = q() + q() * e
+        den = Q(rng.randint(1, 6)) + q() * e
         v = num / den
     elif kind == 4:
         v = Q(0)
     else:
-        v = Q(q()) * e * e
+        v = q() * e * e
     return v, render_element(v)
 
 
 def _unbounded_probe(rng: random.Random) -> tuple[FieldElement, str]:
     k = rng.randint(1, 2)
-    c = Fraction(rng.randint(1, 5))
-    v = Q(c) / eps() ** k
+    v = Q(rng.randint(1, 5)) / eps() ** k
     return v, render_element(v)
 
 

@@ -1,35 +1,224 @@
-"""Exact rational-function arithmetic in one infinitesimal variable ``eps``.
+"""Exact rational and rational-function arithmetic in one infinitesimal ``eps``.
 
-Elements are fractions p(eps)/q(eps) of polynomials with exact rational
-coefficients, kept in a canonical form (gcd removed, denominator scaled so
-its lowest-order nonzero coefficient is 1).  When q is a constant c or p is
-zero, that form is (p/c, 1) and is built without a gcd; every such value
-shares one unit-denominator `Poly`.  The ordering treats ``eps`` as
-a positive infinitesimal: the sign of an element is the sign of the
-lowest-degree coefficient of its eps-expansion, and the valuation
-(eps-adic order) separates infinitesimal, finite and unbounded elements.
+`Rat` is the rational type of the tower leaves: ints n and d > 0 in lowest
+terms, the form `Fraction` keeps, so it prints, compares and hashes exactly
+as the equal `Fraction` does.  Sums use Henrici's gcd split and products
+cross gcds (Knuth, TAOCP vol. 2, 4.5.1), with a fast path for integers;
+results are built unchecked, since these steps keep lowest terms.  An int
+or a `Fraction` becomes a `Rat` once, where it enters (`Rat(x)`, `as_rat`).
+
+`RatFunc` elements are fractions p(eps)/q(eps) of polynomials with
+`Fraction` coefficients, kept in a canonical form (gcd removed, denominator
+scaled so its lowest-order nonzero coefficient is 1).  When q is a constant
+c or p is zero, that form is (p/c, 1) and is built without a gcd; every
+such value shares one unit-denominator `Poly`.  A rational operand (a `Rat`,
+an int or a `Fraction`) needs no gcd either: adding it or scaling by it
+keeps a canonical form canonical.  The ordering treats ``eps``
+as a positive infinitesimal: the sign of an element is the sign of the
+lowest-degree coefficient of its eps-expansion, and the valuation (eps-adic
+order) separates infinitesimal, finite and unbounded elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from functools import total_ordering
+from math import gcd, isqrt
+from numbers import Rational
+from sys import hash_info
+
+# Highest eps-degree a RatFunc numerator or denominator may have, so that
+# runaway powers fail instead of hanging.  The audit never passes degree 6;
+# the valuation oracle test reaches 148 (signs of x^8 at tower depth 2).
+MAX_DEGREE = 192
+
+_new = object.__new__  # unchecked construction of slotted values
+
+
+class FieldError(Exception):
+    pass
+
+
+class DegreeTooHigh(FieldError):
+    """A RatFunc numerator or denominator would pass MAX_DEGREE."""
+
+
+# ---------------------------------------------------------------------------
+# rationals
+
+
+def as_rat(x) -> "Rat | None":
+    """x as a Rat if it is a Rat, an int or a Fraction; otherwise None."""
+    if type(x) is Rat:
+        return x
+    if not isinstance(x, Rational):  # int and Fraction are Rational
+        return None
+    return _rat(x.numerator, x.denominator)
+
+
+def _rat(n: int, d: int) -> "Rat":
+    """The Rat n/d, unchecked: d > 0 and gcd(n, d) = 1 must hold."""
+    r = _new(Rat)
+    r.n = n
+    r.d = d
+    return r
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> "Rat":
+    """na/da + nb/db, by Henrici's gcd split."""
+    if da == 1 and db == 1:
+        return _rat(na + nb, 1)
+    g = gcd(da, db)
+    if g == 1:
+        return _rat(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _rat(t, s * db)
+    return _rat(t // g2, s * (db // g2))
+
+
+def _prod(na: int, da: int, nb: int, db: int) -> "Rat":
+    """(na/da) * (nb/db), by cross gcds."""
+    if da != 1 or db != 1:
+        g = gcd(na, db)
+        if g > 1:
+            na //= g
+            db //= g
+        g = gcd(nb, da)
+        if g > 1:
+            nb //= g
+            da //= g
+    return _rat(na * nb, da * db)
+
+
+@total_ordering
+class Rat:
+    """Exact rational n/d: ints, d > 0, gcd(n, d) = 1."""
+
+    __slots__ = ("n", "d")
+
+    def __new__(cls, n=0, d=1):
+        """n/d in lowest terms, from ints, Fractions or Rats."""
+        q = as_rat(n)
+        if q is None:
+            raise TypeError(f"not a rational: {n!r}")
+        return q if d == 1 else q / d
+
+    @property
+    def numerator(self) -> int:
+        return self.n
+
+    @property
+    def denominator(self) -> int:
+        return self.d
+
+    def __add__(a, b):
+        if type(b) is not Rat:
+            b = as_rat(b)
+            if b is None:
+                return NotImplemented
+        return _sum(a.n, a.d, b.n, b.d)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        if type(b) is not Rat:
+            b = as_rat(b)
+            if b is None:
+                return NotImplemented
+        return _sum(a.n, a.d, -b.n, b.d)
+
+    def __rsub__(a, b):
+        b = as_rat(b)
+        return NotImplemented if b is None else b - a
+
+    def __mul__(a, b):
+        if type(b) is not Rat:
+            b = as_rat(b)
+            if b is None:
+                return NotImplemented
+        return _prod(a.n, a.d, b.n, b.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if type(b) is not Rat:
+            b = as_rat(b)
+            if b is None:
+                return NotImplemented
+        if not b.n:
+            raise ZeroDivisionError("division by zero")
+        if b.n < 0:
+            return _prod(a.n, a.d, -b.d, -b.n)
+        return _prod(a.n, a.d, b.d, b.n)
+
+    def __rtruediv__(a, b):
+        b = as_rat(b)
+        return NotImplemented if b is None else b / a
+
+    def __neg__(a):
+        return _rat(-a.n, a.d)
+
+    def __bool__(a) -> bool:
+        return a.n != 0
+
+    def __eq__(a, b):
+        if type(b) is not Rat:
+            b = as_rat(b)
+            if b is None:
+                return NotImplemented
+        return a.n == b.n and a.d == b.d
+
+    def __lt__(a, b):
+        if type(b) is not Rat:
+            b = as_rat(b)
+            if b is None:
+                return NotImplemented
+        return a.n * b.d < b.n * a.d
+
+    def __hash__(a) -> int:
+        # the numeric hash that int and Fraction share, so equal values of
+        # all three hash alike
+        if a.d == 1:
+            return hash(a.n)
+        try:
+            h = hash(hash(abs(a.n)) * pow(a.d, -1, hash_info.modulus))
+        except ValueError:  # d is a multiple of the modulus
+            h = hash_info.inf
+        h = h if a.n >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __float__(a) -> float:
+        return a.n / a.d
+
+    def __int__(a) -> int:
+        return a.n // a.d if a.n >= 0 else -(-a.n // a.d)
+
+    def __str__(a) -> str:
+        return str(a.n) if a.d == 1 else f"{a.n}/{a.d}"
+
+    def __repr__(a) -> str:
+        return f"Rat({a.n}, {a.d})"
+
+
+Rational.register(Rat)  # so Fraction(x) and Fraction == x accept a Rat
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RATIONALS = (int, Fraction, Rat)  # what enters Q(eps) as a constant
 
 
-def frac_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None if q is not a square."""
-    if q < 0:
-        return None
-    if q == 0:
-        return ZERO
+def frac_sqrt(q) -> Rat | None:
+    """Exact square root of a Rat or Fraction, or None if q is not a square."""
     n, d = q.numerator, q.denominator
+    if n < 0:
+        return None
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn != n or rd * rd != d:
         return None
-    return Fraction(rn, rd)
+    return _rat(rn, rd)
 
 
 class Poly:
@@ -159,6 +348,7 @@ def poly_sqrt(p: Poly) -> Poly | None:
     s0 = frac_sqrt(cs[0])
     if s0 is None:
         return None
+    s0 = Fraction(s0)
     half = (len(cs) - 1) // 2
     s = [s0]
     for k in range(1, half + 1):
@@ -173,6 +363,14 @@ def poly_sqrt(p: Poly) -> Poly | None:
     return None
 
 
+def _canonical(num: Poly, den: Poly) -> "RatFunc":
+    """A RatFunc from a pair already in canonical form."""
+    r = _new(RatFunc)
+    r.num = num
+    r.den = den
+    return r
+
+
 class RatFunc:
     """Canonical fraction of polynomials in eps; an exact ordered field."""
 
@@ -180,24 +378,24 @@ class RatFunc:
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:  # num/1 is canonical as it stands
-            self.num = num
-            self.den = _UNIT
-            return
-        if den.is_zero():
+            den = _UNIT
+        elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero() or den.degree() == 0:
+        elif num.is_zero() or den.degree() == 0:
             # the gcd is a unit, so the canonical form is (num / den, 1)
             if num.c:
                 num = num.scale(1 / den.c[0])
-            self.num = num
-            self.den = _UNIT
-            return
-        g = poly_gcd(num, den)  # nonzero, since num is
-        num = num.divmod(g)[0]
-        den = den.divmod(g)[0]
-        lc = den.lowcoeff()
-        num = num.scale(1 / lc)
-        den = den.scale(1 / lc)
+            den = _UNIT
+        else:
+            g = poly_gcd(num, den)  # nonzero, since num is
+            num = num.divmod(g)[0]
+            den = den.divmod(g)[0]
+            lc = den.lowcoeff()
+            num = num.scale(1 / lc)
+            den = den.scale(1 / lc)
+        degree = max(len(num.c), len(den.c)) - 1
+        if degree > MAX_DEGREE:
+            raise DegreeTooHigh(f"eps-degree {degree} exceeds {MAX_DEGREE}")
         self.num = num
         self.den = den
 
@@ -227,68 +425,76 @@ class RatFunc:
         """eps-adic order; raises on zero."""
         return self.num.lowdeg() - self.den.lowdeg()
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(other)
-        return None
-
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        if type(other) is not RatFunc:
+            if not isinstance(other, _RATIONALS):
+                return NotImplemented
+            other = RatFunc.const(other)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
+    # With p/d canonical and q a rational, (p + q*d)/d, (q*p)/d and
+    # (p/q)/d are canonical too: the gcd and d's low coefficient stay put.
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is RatFunc:
+            return RatFunc(self.num * other.den + other.num * self.den,
+                           self.den * other.den)
+        if not isinstance(other, _RATIONALS):
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _canonical(self.num + self.den.scale(Fraction(other)), self.den)
 
     __radd__ = __add__
 
     def __neg__(self):
         # negating a canonical form leaves it canonical
-        r = RatFunc.__new__(RatFunc)
-        r.num = -self.num
-        r.den = self.den
-        return r
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is RatFunc:
+            return self + (-other)
+        if not isinstance(other, _RATIONALS):
             return NotImplemented
-        return self + (-o)
+        return _canonical(self.num - self.den.scale(Fraction(other)), self.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is RatFunc:
+            return RatFunc(self.num * other.num, self.den * other.den)
+        if not isinstance(other, _RATIONALS):
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        if not other:
+            return _canonical(Poly(), _UNIT)
+        return _canonical(self.num.scale(Fraction(other)), self.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is RatFunc:
+            if other.is_zero():
+                raise ZeroDivisionError("division by zero rational function")
+            return RatFunc(self.num * other.den, self.den * other.num)
+        if not isinstance(other, _RATIONALS):
             return NotImplemented
-        if o.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return _canonical(self.num.scale(1 / Fraction(other)), self.den)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, _RATIONALS):
             return NotImplemented
-        return o / self
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        if not other:
+            return _canonical(Poly(), _UNIT)
+        # q*d/p, with p's low coefficient scaled to 1
+        lc = 1 / self.num.lowcoeff()
+        return _canonical(self.den.scale(Fraction(other) * lc),
+                          self.num.scale(lc))
 
     def sqrt_exact(self) -> "RatFunc | None":
         """Square root inside the rational-function field, or None."""

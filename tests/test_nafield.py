@@ -1,11 +1,17 @@
 """Rational functions in the infinitesimal eps: exact base-field layer."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geokernel.nafield import EPS, Poly, RatFunc, frac_sqrt, poly_sqrt
+from geokernel import nafield
+from geokernel.dsl import parse_element, parse_script, run_script
+from geokernel.field import FieldError
+from geokernel.nafield import (
+    EPS, DegreeTooHigh, Poly, Rat, RatFunc, frac_sqrt, poly_sqrt,
+)
 
 
 class TestPoly:
@@ -130,3 +136,114 @@ class TestCanonicalFormOracle:
         neg = -r
         assert (neg.num, neg.den) == (-want_num, want_den)
         assert neg == RatFunc(-r.num, r.den)
+
+
+_ARITH = [operator.add, operator.sub, operator.mul, operator.truediv]
+_ORDER = [operator.lt, operator.le, operator.gt, operator.ge, operator.eq,
+          operator.ne]
+_FRACTIONS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                          max_denominator=10 ** 4)
+_INTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+
+
+def _same(got, want):
+    """got is the Rat that the Fraction want is: equal, and alike in every
+    observable form."""
+    assert type(got) is Rat
+    assert (got.n, got.d) == (want.numerator, want.denominator)
+    assert got == want and want == got
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+
+
+class TestRatAgainstFraction:
+    """Rat is differential-tested against fractions.Fraction."""
+
+    @given(x=_FRACTIONS, y=_FRACTIONS | _INTS, op=st.sampled_from(_ARITH))
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic(self, x, y, op):
+        rx, ry = Rat(x), Rat(y)
+        # Rat with Rat, and with a Fraction or an int on either side
+        for a, b, fa, fb in ((rx, ry, x, y), (rx, y, x, y), (y, rx, y, x)):
+            if op is operator.truediv and fb == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(a, b)
+                continue
+            _same(op(a, b), op(Fraction(fa), fb))
+
+    @given(x=_FRACTIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_unary_and_forms(self, x):
+        rx = Rat(x)
+        _same(rx, x)
+        _same(-rx, -x)
+        assert bool(rx) == bool(x)
+        assert repr(rx) == f"Rat({x.numerator}, {x.denominator})"
+        assert float(rx) == float(x)
+        assert int(rx) == int(x)
+        assert Fraction(rx) == x
+
+    @given(x=_FRACTIONS, y=_FRACTIONS | _INTS, op=st.sampled_from(_ORDER))
+    @settings(max_examples=300, deadline=None)
+    def test_order_and_equality(self, x, y, op):
+        rx, want = Rat(x), op(x, y)
+        assert op(rx, Rat(y)) is want
+        assert op(rx, y) is want
+        assert op(y, rx) is op(y, x)
+
+    def test_integers_and_zero(self):
+        _same(Rat(6, -4), Fraction(6, -4))
+        _same(Rat(0, 7), Fraction(0))
+        _same(Rat(3) + 1, Fraction(4))
+        assert Rat(3) == 3 and hash(Rat(-1)) == hash(-1) == hash(Fraction(-1))
+        for zero in (0, Rat(0), Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                Rat(1, 2) / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / Rat(0)
+        with pytest.raises(ZeroDivisionError):
+            Rat(1, 0)
+        with pytest.raises(TypeError):
+            Rat("1/2")
+        with pytest.raises(TypeError):
+            Rat(1) < "x"
+
+    @given(q=st.fractions(min_value=-9, max_value=9, max_denominator=9),
+           num=_polys(2),
+           den=st.one_of(_polys(0), _polys(2)).filter(_nonzero),
+           op=st.sampled_from(_ARITH))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_with_ratfunc(self, q, num, den, op):
+        # a rational operand takes the no-gcd path; the RatFunc operand
+        # the full normalization, which must give the same canonical form
+        rf, cq = RatFunc(num, den), RatFunc.const(q)
+        for a, b, ga, gb, fa, fb in ((rf, Rat(q), rf, cq, rf, q),
+                                     (Rat(q), rf, cq, rf, q, rf)):
+            if op is operator.truediv and not gb:
+                with pytest.raises(ZeroDivisionError):
+                    op(a, b)
+                continue
+            got, want = op(a, b), op(ga, gb)
+            assert type(got) is RatFunc
+            assert (got.num, got.den) == (want.num, want.den)
+            assert got == op(fa, fb)  # a Fraction operand, the same way
+
+
+class TestDegreeCap:
+    FOUND = "(sqrt(eps*eps*(1 + sqrt(sqrt(eps)/(eps+1))*eps)) - eps)^16"
+
+    def test_cap_raises_a_field_error(self, monkeypatch):
+        monkeypatch.setattr(nafield, "MAX_DEGREE", 8)
+        assert RatFunc.eps_power(8).num.degree() == 8
+        with pytest.raises(DegreeTooHigh):
+            RatFunc.eps_power(9)
+        with pytest.raises(DegreeTooHigh):
+            RatFunc.eps_power(4) * RatFunc.eps_power(5)
+        with pytest.raises(FieldError):
+            parse_element(self.FOUND, mode="nonarchimedean")
+
+    def test_script_records_the_cap(self, monkeypatch):
+        monkeypatch.setattr(nafield, "MAX_DEGREE", 8)
+        env = run_script(parse_script(f"point a {self.FOUND} 0;"),
+                         mode="nonarchimedean")
+        assert [e["error"] for e in env.errors] == ["DegreeTooHigh"]

@@ -237,6 +237,10 @@ class TestAgainstDefinitions:
             and d.sign() == e.sign() and d * d * p1 * p2 == e * e * q1 * q2)
 
 
+def _pos_angle_eval(a, b, c):
+    return predicate_eval("PosAngle", (a, b, c))
+
+
 class TestOpBudget:
     """Field ops per predicate call on rational points, counted at
     FieldElement._binop, so redundant arithmetic cannot creep back."""
@@ -251,9 +255,14 @@ class TestOpBudget:
         (right_angle, (pt(3, 0), pt(0, 0), pt(0, 5)), 18),
         (angle_cong, (pt(1, 0), pt(0, 0), pt(1, 1),
                       pt(7, 0), pt(0, 0), pt(3, 3)), 32),
+        # decided once; the witness reuses a - b, c - b and their lengths
+        (_pos_angle_eval, (pt(2, 0), pt(0, 0), pt(3, 3)), 22),
+        (_pos_angle_eval, (pt(2, 0), pt(0, 0), pt(0, 3)), 21),
+        (_pos_angle_eval, (pt(1, 0), pt(0, 0), pt(2, 0)), 14),
     ], ids=["between", "between-not-collinear", "nonstrict-between",
             "nonstrict-between-repeat", "pos-angle", "pos-angle-degenerate",
-            "right-angle", "angle-cong"])
+            "right-angle", "angle-cong", "eval-pos-angle-apex",
+            "eval-pos-angle-right", "eval-pos-angle-flat"])
     def test_binop_count(self, pred, args, ops, monkeypatch):
         calls = []
         binop = FieldElement._binop
