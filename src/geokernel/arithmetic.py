@@ -51,11 +51,12 @@ def _mirror_diag(p: Point) -> Point:
 
 
 def coordinates(p: Point) -> tuple[Point, Point]:
-    """Feet of the axis perpendiculars; the y-foot carried to the x-axis by
-    the diagonal mirror.  The constructed Lambert quadrilateral is checked
-    to be a rectangle."""
-    footx, _ = perpendicular("uniform", p, (ORIGIN, UNIT_X))
-    footy, _ = perpendicular("uniform", p, (ORIGIN, UNIT_Y))
+    """Feet of the perpendiculars from p to the axes; the y-foot carried to
+    the x-axis by the diagonal mirror.  The constructed Lambert
+    quadrilateral is checked to be a rectangle."""
+    footx = _project(p, ORIGIN, UNIT_X)
+    footy = _project(p, ORIGIN, UNIT_Y)
+    _post(footx.y.is_zero() and footy.x.is_zero(), "coordinates feet on axes")
     corners = (footx, p, footy, ORIGIN)
     if all(distinct(corners[i], corners[(i + 1) % 4])
            for i in range(4)):

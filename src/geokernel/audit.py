@@ -18,7 +18,6 @@ import json
 import random
 import time
 import zlib
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .arithmetic import axis, expresses_negative
@@ -38,7 +37,7 @@ from .constructions import (
 CONSTRUCTIBLE_MODE = "constructible"
 NONARCH_MODE = "nonarchimedean"
 
-TINY = Fraction(1, 2 ** 32)  # degenerate-adjacent but exactly positive gap
+TINY = Q(1, 2 ** 32)  # degenerate-adjacent but exactly positive gap
 
 
 def _instance_seed(seed: int, label: str, index: int) -> int:
@@ -49,7 +48,7 @@ def _instance_seed(seed: int, label: str, index: int) -> int:
 
 class _Gen:
     """Random exact-rational geometry; in NonArchimedean mode some axiom
-    gaps are eps."""
+    gaps are eps.  Every number is drawn as a field element."""
 
     def __init__(self, seed: int, mode: str = CONSTRUCTIBLE_MODE):
         self.rng = random.Random(seed)
@@ -61,43 +60,37 @@ class _Gen:
         NonArchimedean mode; otherwise an interior parameter."""
         self.degenerate = self.seed % 8 == 7
         self.na_inf = self.degenerate and self.mode == NONARCH_MODE
-        self.gap = eps() if self.na_inf else self._fe(
-            TINY if self.degenerate else self.t01())
+        self.gap = (eps() if self.na_inf
+                    else TINY if self.degenerate else self.t01())
 
-    def q(self, lo: int = -2 ** 16, hi: int = 2 ** 16) -> Fraction:
-        return Fraction(self.rng.randint(lo, hi),
-                        self.rng.randint(1, 2 ** 10))
+    def q(self, lo: int = -2 ** 16, hi: int = 2 ** 16) -> FieldElement:
+        return Q(self.rng.randint(lo, hi), self.rng.randint(1, 2 ** 10))
 
-    def qnz(self) -> Fraction:
+    def qnz(self) -> FieldElement:
         while True:
             v = self.q()
-            if v != 0:
+            if not v.is_zero():
                 return v
 
-    def qpos(self) -> Fraction:
-        return abs(self.qnz())
+    def qpos(self) -> FieldElement:
+        v = self.qnz()
+        return v if v.sign() > 0 else -v
 
-    def t01(self, degenerate: bool = False) -> Fraction:
+    def t01(self, degenerate: bool = False) -> FieldElement:
         """Interior parameter in (0,1); optionally pinned next to 0 or 1."""
         if degenerate:
             return TINY if self.rng.randrange(2) else 1 - TINY
-        return Fraction(self.rng.randint(1, 2 ** 10 - 1), 2 ** 10)
+        return Q(self.rng.randint(1, 2 ** 10 - 1), 2 ** 10)
 
     def point(self) -> Point:
-        return Point(self._fe(self.q()), self._fe(self.q()))
-
-    def _fe(self, v):
-        if isinstance(v, FieldElement):
-            return v
-        return Q(v)
+        return Point(self.q(), self.q())
 
     def direction(self) -> tuple:
         """A vector with a nonzero x part, hence nonzero."""
-        return self._fe(self.qnz()), self._fe(self.q())
+        return self.qnz(), self.q()
 
     def along(self, a: Point, d, t) -> Point:
         """The point a + t·d."""
-        t = self._fe(t)
         return Point(a.x + d[0] * t, a.y + d[1] * t)
 
     def away(self, a: Point) -> Point:
@@ -106,12 +99,11 @@ class _Gen:
         return Point(a.x + dx, a.y + dy)
 
     def combine(self, a: Point, b: Point, t) -> Point:
-        t = self._fe(t)
         return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
 
     def off_line_point(self, a: Point, b: Point) -> Point:
         """A point exactly off line ab, built from a nonzero height."""
-        s, h = self._fe(self.q(-8, 8)), self._fe(self.qnz())
+        s, h = self.q(-8, 8), self.qnz()
         d = vsub(b, a)
         n = rot90(d)
         return Point(a.x + d[0] * s + n[0] * h, a.y + d[1] * s + n[1] * h)
@@ -128,12 +120,12 @@ class _Gen:
         a = Point(b.x + u[0], b.y + u[1])
         return a, b, self.along(b, rot90(u), self.qnz())
 
-    def unit_dir(self) -> tuple[Fraction, Fraction]:
+    def unit_dir(self) -> tuple[FieldElement, FieldElement]:
         """Exact rational unit vector from a Pythagorean parameterization."""
         m = self.rng.randint(2, 40)
         n = self.rng.randint(1, m - 1)
-        h = Fraction(m * m + n * n)
-        c, s = Fraction(m * m - n * n) / h, Fraction(2 * m * n) / h
+        h = m * m + n * n
+        c, s = Q(m * m - n * n, h), Q(2 * m * n, h)
         if self.rng.randrange(2):
             c = -c
         if self.rng.randrange(2):
@@ -145,7 +137,6 @@ class _Gen:
         c, s = self.unit_dir()
         flip = self.rng.randrange(2)
         tx, ty = self.q(), self.q()
-        c, s, tx, ty = (self._fe(v) for v in (c, s, tx, ty))
 
         def phi(p: Point) -> Point:
             x, y = p.x, p.y
@@ -196,7 +187,7 @@ def _ext_strict_holds(i: dict, sem: str) -> bool:
 def _gen_chain(g: _Gen, names: str) -> dict:
     """a, then `names` at parameters gap, gap + 1, ... along one line."""
     a, d = g.point(), g.direction()
-    t = g.gap if g.degenerate else g._fe(g.t01())
+    t = g.gap if g.degenerate else g.t01()
     return {"a": a, **{n: g.along(a, d, t + k) for k, n in enumerate(names)}}
 
 
@@ -229,7 +220,7 @@ def _a5_hypothesis(i: dict, sem: str) -> bool:
 
 def _gen_pasch(g: _Gen, q_beyond: bool) -> dict:
     a, b, c = g.triangle()
-    tp = g.gap if g.na_inf else g._fe(g.t01(g.degenerate))
+    tp = g.gap if g.na_inf else g.t01(g.degenerate)
     tq = 1 + g.t01() if q_beyond else g.t01()
     return dict(a=a, c=c, b=b, p=g.combine(a, c, tp), q=g.combine(b, c, tq))
 
@@ -248,12 +239,12 @@ def _gen_lc(g: _Gen, strict: bool) -> dict:
     center = g.point()
     ux, uy = g.unit_dir()
     r = g.qpos()
-    u = Point(center.x + g._fe(r * ux), center.y + g._fe(r * uy))
-    v = Point(center.x - g._fe(r * ux), center.y - g._fe(r * uy))
+    u = Point(center.x + r * ux, center.y + r * uy)
+    v = Point(center.x - r * ux, center.y - r * uy)
     # radius segment pq congruent to the radius, placed elsewhere
     wx, wy = g.unit_dir()
     p = g.point()
-    q = Point(p.x + g._fe(r * wx), p.y + g._fe(r * wy))
+    q = Point(p.x + r * wx, p.y + r * wy)
     if not strict and g.seed % 8 == 3:
         t = 1  # a = v, exactly on the circle
     elif g.na_inf:
@@ -298,7 +289,7 @@ def _gen_euclid5(g: _Gen) -> dict:
     q = Point(t.x - v1[0], t.y - v1[1])
     r = Point(t.x + v2[0], t.y + v2[1])
     s = Point(t.x - v2[0], t.y - v2[1])
-    ta = g.gap if g.na_inf else g._fe(g.t01(g.degenerate))
+    ta = g.gap if g.na_inf else g.t01(g.degenerate)
     return dict(t=t, p=p, q=q, s=s, r=r, a=g.combine(q, r, ta))
 
 
@@ -309,21 +300,21 @@ def _euclid5_holds(i: dict, sem: str) -> bool:
 
 def _gen_lower_dim(g: _Gen) -> dict:
     phi = g.isometry()
-    scale = g._fe(g.qpos())
-    root3 = sqrt_nonneg(g._fe(3))
-    half = g._fe(Fraction(1, 2))
+    scale = g.qpos()
+    root3 = sqrt_nonneg(Q(3))
+    half, quarter = Q(1, 2), Q(1, 4)
 
     def fixed(x, y):
         return phi(Point(x * scale, y * scale))
 
     return dict(
-        alpha=fixed(g._fe(0), g._fe(0)),
-        beta=fixed(g._fe(1), g._fe(0)),
+        alpha=fixed(0, 0),
+        beta=fixed(1, 0),
         gamma=fixed(half, root3 * half),
-        c1=fixed(half, g._fe(0)),
-        c2=fixed(g._fe(Fraction(1, 4)), root3 * g._fe(Fraction(1, 4))),
-        c3=fixed(g._fe(Fraction(3, 4)), root3 * g._fe(Fraction(1, 4))),
-        c4=fixed(half, root3 * g._fe(Fraction(1, 6))))
+        c1=fixed(half, 0),
+        c2=fixed(quarter, root3 * quarter),
+        c3=fixed(Q(3, 4), root3 * quarter),
+        c4=fixed(half, root3 * Q(1, 6)))
 
 
 def _lower_dim_holds(i: dict, sem: str) -> bool:
@@ -400,7 +391,7 @@ def _witnessed_distinct(p: Point, q: Point, sem: str) -> bool:
 
 def _gen_outer_transitivity(g: _Gen) -> dict:
     a, d = g.point(), g.direction()
-    t1, t2 = g._fe(g.t01()), g._fe(1 + g.t01())
+    t1, t2 = g.t01(), 1 + g.t01()
     return dict(a=a, b=g.along(a, d, t1), c=g.along(a, d, t2),
                 d=g.along(a, d, t2 + 1))
 
@@ -460,7 +451,7 @@ def _gen_saccheri(g: _Gen) -> dict:
     d = g.direction()
     v = Point(u.x + d[0], u.y + d[1])
     n = rot90(d)
-    h = g._fe(g.qnz())
+    h = g.qnz()
     return dict(u=u, v=v, a=g.along(u, n, h), d=g.along(v, n, h))
 
 
@@ -487,7 +478,7 @@ def _diagonals_bisect(i: dict, sem: str) -> bool:
 def _gen_lambert(g: _Gen) -> dict:
     o = g.point()
     u = g.direction()
-    al, be = g._fe(g.qnz()), g._fe(g.qnz())
+    al, be = g.qnz(), g.qnz()
     fx, fy = g.along(o, u, al), g.along(o, rot90(u), be)
     p = Point(fx.x + fy.x - o.x, fx.y + fy.y - o.y)
     return dict(o=o, fx=fx, fy=fy, p=p)
@@ -500,7 +491,7 @@ def _angle_bisection_holds(i: dict, sem: str) -> bool:
 
 
 def _two_sides_holds(i: dict, sem: str) -> bool:
-    return expresses_negative(axis(Q(i["x"]))) == (i["x"] < 0)
+    return expresses_negative(axis(i["x"])) == (i["x"] < 0)
 
 
 _RIGHT_AT_B = ("right angle at b",
@@ -665,8 +656,7 @@ def check_theorem(name: str, inst: dict,
 
 def _mk_off(p: Point, length) -> Point:
     """A helper point at a rational offset, fixing an extension length."""
-    off = length if isinstance(length, FieldElement) else Q(length)
-    return Point(p.x + off, p.y)
+    return Point(p.x + length, p.y)
 
 
 # -- the harness --------------------------------------------------------------

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 from .field import FieldElement, sqrt_nonneg
 from .geometry import (
-    CONSTRUCTIBLE, Point, angle_cong, angle_lt_pi, apex_witness, between,
-    collinear, congruent, cross, distinct, dot, midpoint, nonstrict_between,
-    on_ray, pos_angle, positive, reflect_in_point, right_angle, rot90, sqdist,
-    vsub,
+    CONSTRUCTIBLE, Point, angle_cong, apex_witness, between, collinear,
+    congruent, cross, distinct, dot, midpoint, nonstrict_between, on_ray,
+    pos_angle, positive, reflect_in_point, right_angle, rot90, sqdist, vsub,
 )
 
 
@@ -143,15 +142,10 @@ def ext_strict(a: Point, b: Point, c: Point, d: Point,
 
 
 def _angle_guard(triples, sem, axiom):
-    """Disjunctive 0 < angle < pi guard over (a, vertex, b) triples."""
-    saw_positive = False
-    for (x, v, y) in triples:
-        if pos_angle(x, v, y, sem):
-            saw_positive = True
-            if angle_lt_pi(x, v, y, sem):
-                return
-    kind = "AngleNotLtPi" if saw_positive else "AngleNotPositive"
-    raise ConstructionError(kind, axiom, "0<angle<pi")
+    """Disjunctive 0 < angle < pi guard over (a, vertex, b) triples; a
+    positive angle is already less than pi (see geometry.angle_lt_pi)."""
+    if not any(pos_angle(x, v, y, sem) for (x, v, y) in triples):
+        raise ConstructionError("AngleNotPositive", axiom, "0<angle<pi")
 
 
 def inner_pasch(a: Point, p: Point, c: Point, b: Point, q: Point,
@@ -342,8 +336,7 @@ def named_angle_tiling(kind: str, a: Point, b: Point,
         _post(between(f, m, e, sem), "deg120 B(f,m,e)")
         _post(congruent(a, c, c, g) and congruent(c, g, c, e)
               and congruent(c, e, g, e), "deg120 congruences")
-        _post(pos_angle(a, c, g, sem) and angle_lt_pi(a, c, g, sem),
-              "deg120 angle acg")
+        _post(pos_angle(a, c, g, sem), "deg120 angle acg")
         return {"a": a, "c": c, "f": f, "x": x, "g": g, "m": m, "e": e}
     if kind == "deg30":
         d = midpoint(a, b)
@@ -351,8 +344,7 @@ def named_angle_tiling(kind: str, a: Point, b: Point,
         _post(between(a, d, b, sem), "deg30 B(a,d,b)")
         _post(congruent(a, d, c, d) and congruent(c, d, d, b), "deg30 radii")
         _post(right_angle(a, c, b, sem), "deg30 right angle at c")
-        _post(pos_angle(a, b, c, sem) and angle_lt_pi(a, b, c, sem),
-              "deg30 angle abc")
+        _post(pos_angle(a, b, c, sem), "deg30 angle abc")
         return {"a": a, "b": b, "d": d, "c": c}
     if kind == "deg150":
         # the 150-degree angle abc is positive because its supplement on
@@ -364,10 +356,8 @@ def named_angle_tiling(kind: str, a: Point, b: Point,
         e = equilateral(d, f, sem=sem)
         _post(between(a, b, d, sem), "deg150 B(a,b,d)")
         _post(between(a, c, e, sem), "deg150 B(a,c,e)")
-        _post(pos_angle(a, b, c, sem) and angle_lt_pi(a, b, c, sem),
-              "deg150 angle abc")
-        _post(pos_angle(c, b, d, sem) and angle_lt_pi(c, b, d, sem),
-              "deg150 supplement cbd")
+        _post(pos_angle(a, b, c, sem), "deg150 angle abc")
+        _post(pos_angle(c, b, d, sem), "deg150 supplement cbd")
         return {"a": a, "b": b, "d": d, "dmid": t30["d"], "c": c,
                 "f": f, "e": e}
     raise ValueError(f"unknown tiling kind {kind!r}")
@@ -379,8 +369,7 @@ def perpendicular(mode: str, p: Point, line: tuple[Point, Point],
 
     erect: p must lie on the line; tip erected at p over a symmetric
     sub-segment of width |uv| each way (equilateral apex, left of uv).
-    drop: p must be off the line; foot is its projection, tip is p.
-    uniform: total — foot is the projection, tip erected at the foot."""
+    drop: p must be off the line; foot is its projection, tip is p."""
     u, v = line
     if not distinct(u, v, sem):
         raise ConstructionError("NotDistinct", None, "line u#v")
@@ -396,16 +385,10 @@ def perpendicular(mode: str, p: Point, line: tuple[Point, Point],
         w1 = Point(p.x - (v.x - u.x), p.y - (v.y - u.y))
         w2 = Point(p.x + (v.x - u.x), p.y + (v.y - u.y))
         tip = equilateral(w1, w2, sem)
-    elif mode == "uniform":
-        foot = _project(p, u, v)
-        w1 = Point(foot.x - (v.x - u.x), foot.y - (v.y - u.y))
-        w2 = Point(foot.x + (v.x - u.x), foot.y + (v.y - u.y))
-        tip = equilateral(w1, w2, sem)
     else:
         raise ValueError(f"unknown perpendicular mode {mode!r}")
-    anchor = u if distinct(foot, u, sem) else v
-    if mode != "drop" or distinct(foot, anchor, sem):
-        _post(right_angle(tip, foot, anchor, sem), "perpendicular right angle")
+    anchor = u if distinct(foot, u, sem) else v  # u # v, so foot # anchor
+    _post(right_angle(tip, foot, anchor, sem), "perpendicular right angle")
     _post(collinear(u, v, foot), "perpendicular foot on line")
     _record("perpendicular", [p, u, v], [foot, tip])
     return foot, tip
@@ -471,8 +454,8 @@ def crossbar_point(a: Point, b: Point, c: Point, e: Point, u: Point, v: Point,
                    sem: str = CONSTRUCTIBLE) -> Point:
     """Where Ray(b,e) meets the crossbar uv, by two outer-Pasch cuts."""
     checks = [
-        (pos_angle(a, b, c, sem) and angle_lt_pi(a, b, c, sem), "0<abc<pi"),
-        (pos_angle(b, u, v, sem) and angle_lt_pi(b, u, v, sem), "0<buv<pi"),
+        (pos_angle(a, b, c, sem), "0<abc<pi"),
+        (pos_angle(b, u, v, sem), "0<buv<pi"),
         (between(a, e, c, sem), "B(a,e,c)"),
         (between(b, a, u, sem), "B(b,a,u)"),
         (between(b, c, v, sem), "B(b,c,v)"),

@@ -340,10 +340,6 @@ def _pp_call(c: Call) -> str:
     return f"{c.op}({', '.join(c.args)})"
 
 
-def pretty_print(script: Script) -> str:
-    return "\n".join(_pp_stmt(s) for s in script.statements) + "\n"
-
-
 # -- interpreter -------------------------------------------------------------
 
 def _wrap1(fn):

@@ -7,7 +7,9 @@ demands P of both gap lengths; the non-strict T is the classical closure
 and never consults P.  Distinctness (#) of two points is P of their
 squared distance, witnessed by a betweenness point; angle positivity is
 the cross-product criterion, witnessed by an apex (isosceles) pair or the
-right-angle reflection.
+right-angle reflection.  By that criterion 0 < abc < pi is just 0 < abc:
+reflecting a in b keeps |a - b|^2 and negates the cross product, so the
+supplement test of `angle_lt_pi` decides exactly what `pos_angle` does.
 """
 
 from __future__ import annotations
@@ -186,7 +188,11 @@ def pos_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
 
 
 def angle_lt_pi(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
-    """abc < pi: the supplement (with d the reflection of a in b) is positive."""
+    """abc < pi: the supplement (with d the reflection of a in b) is positive.
+
+    The definitional form.  d - b = -(a - b), so the supplement has the
+    same arm lengths and the negated cross product: this always equals
+    pos_angle(a, b, c, sem)."""
     d = reflect_in_point(a, b)
     return pos_angle(d, b, c, sem)
 

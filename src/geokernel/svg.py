@@ -14,7 +14,6 @@ float coordinates are not finite or exceed MAX_COORD is unrenderable.
 from __future__ import annotations
 
 import math
-import re
 
 from .field import approx
 from .geometry import Point
@@ -156,16 +155,3 @@ def render_svg(env, shadow: bool = False) -> str:
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
-
-_NUM_RE = re.compile(r"-?\d+\.?\d*(?:[eE][-+]?\d+)?")
-
-
-def structural_signature(svg_text: str):
-    """Multiset of elements with numbers rounded: the comparison key for
-    'matches the stored reference up to decimal formatting'."""
-    elems = []
-    for m in re.finditer(r"<(\w+)([^>]*)/?>", svg_text):
-        tag, attrs = m.group(1), m.group(2)
-        attrs = _NUM_RE.sub(lambda n: f"{float(n.group()):.6g}", attrs)
-        elems.append((tag, attrs.strip()))
-    return tuple(sorted(elems))

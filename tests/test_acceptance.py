@@ -20,8 +20,9 @@ from geokernel.field import Q, eps
 from geokernel.geometry import NODE0, NODE1, Point, between, midpoint, pt
 from geokernel.arithmetic import axis, check_homomorphism
 from geokernel.kripke import check_ef_axioms, mp_counterexample
-from geokernel.dsl import parse_script, pretty_print, run_script
-from geokernel.svg import render_svg, structural_signature
+from geokernel.dsl import parse_script, run_script
+from geokernel.svg import render_svg
+from test_dsl import pretty_print, structural_signature
 
 FIGURES = os.path.join(os.path.dirname(__file__), "..", "figures")
 

@@ -2,6 +2,7 @@
 
 import glob
 import os
+import re
 
 import pytest
 
@@ -10,15 +11,31 @@ from geokernel.cli import main as cli_main
 from geokernel.constructions import equilateral, perpendicular, reflect
 from geokernel.dsl import (
     AssertStmt, Call, LetStmt, PointDecl, RenderStmt, Script,
-    ScriptSyntaxError, parse_element, parse_script, pretty_print, run_script,
+    ScriptSyntaxError, _pp_stmt, parse_element, parse_script, run_script,
 )
 from geokernel.field import render_element
 from geokernel.geometry import pt
-from geokernel.svg import UnrenderableMode, render_svg, structural_signature
+from geokernel.svg import UnrenderableMode, render_svg
 
 FIGURES = os.path.join(os.path.dirname(__file__), "..", "figures")
 # N*N has 6000 digits, past the 4300 that int's str() accepts
 N = "9" * 3000
+_NUM_RE = re.compile(r"-?\d+\.?\d*(?:[eE][-+]?\d+)?")
+
+
+def pretty_print(script: Script) -> str:
+    return "\n".join(_pp_stmt(s) for s in script.statements) + "\n"
+
+
+def structural_signature(svg_text: str):
+    """Multiset of elements with numbers rounded: the comparison key for
+    'matches the stored reference up to decimal formatting'."""
+    elems = []
+    for m in re.finditer(r"<(\w+)([^>]*)/?>", svg_text):
+        tag, attrs = m.group(1), m.group(2)
+        attrs = _NUM_RE.sub(lambda n: f"{float(n.group()):.6g}", attrs)
+        elems.append((tag, attrs.strip()))
+    return tuple(sorted(elems))
 
 
 class TestParser:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geokernel.constructions import inner_pasch, outer_pasch
 from geokernel.field import FieldElement, Q, eps, sqrt_nonneg
 from geokernel.geometry import (
     CONSTRUCTIBLE, NODE0, NODE1, ArityMismatch, NotPositiveAngle, Point,
@@ -224,6 +225,15 @@ class TestAgainstDefinitions:
                 and distinct(a, c, sem)
                 and dot(vsub(a, b), vsub(c, b)).is_zero())
 
+    @given(pts=_triples())
+    @settings(max_examples=100, deadline=None)
+    def test_angle_lt_pi_is_pos_angle(self, pts):
+        # reflecting a in b keeps |a - b|^2 and negates the cross product,
+        # so the Pasch guards may test pos_angle alone
+        a, b, c = pts
+        for sem in SEMANTICS:
+            assert pos_angle(a, b, c, sem) == angle_lt_pi(a, b, c, sem)
+
     @given(angles=_angle_pairs())
     @settings(max_examples=100, deadline=None)
     def test_angle_cong(self, angles):
@@ -242,8 +252,9 @@ def _pos_angle_eval(a, b, c):
 
 
 class TestOpBudget:
-    """Field ops per predicate call on rational points, counted at
-    FieldElement._binop, so redundant arithmetic cannot creep back."""
+    """Field ops per predicate (or Pasch construction) call on rational
+    points, counted at FieldElement._binop, so redundant arithmetic cannot
+    creep back."""
 
     @pytest.mark.parametrize("pred, args, ops", [
         (between, (pt(0, 0), pt(1, 0), pt(3, 0)), 16),
@@ -259,10 +270,15 @@ class TestOpBudget:
         (_pos_angle_eval, (pt(2, 0), pt(0, 0), pt(3, 3)), 22),
         (_pos_angle_eval, (pt(2, 0), pt(0, 0), pt(0, 3)), 21),
         (_pos_angle_eval, (pt(1, 0), pt(0, 0), pt(2, 0)), 14),
+        # one pos_angle per guard angle, with no supplement test beside it
+        (inner_pasch, (pt(0, 0), pt(2, 0), pt(4, 0), pt(0, 4), pt(2, 2)), 95),
+        (outer_pasch, (pt(0, 0), pt(2, 0), pt(4, 0), pt(0, 4), pt(6, -2)),
+         95),
     ], ids=["between", "between-not-collinear", "nonstrict-between",
             "nonstrict-between-repeat", "pos-angle", "pos-angle-degenerate",
             "right-angle", "angle-cong", "eval-pos-angle-apex",
-            "eval-pos-angle-right", "eval-pos-angle-flat"])
+            "eval-pos-angle-right", "eval-pos-angle-flat", "inner-pasch",
+            "outer-pasch"])
     def test_binop_count(self, pred, args, ops, monkeypatch):
         calls = []
         binop = FieldElement._binop
