@@ -23,19 +23,16 @@ from typing import Callable, NamedTuple
 from .arithmetic import axis, expresses_negative
 from .field import FieldElement, Q, eps, sqrt_nonneg
 from .geometry import (
-    Point, angle_cong, between, congruent, distinct, distinct_witness,
-    midpoint, nonstrict_between, on_ray, pos_angle, reflect_in_point,
-    resolve_mode, right_angle, rot90, verify_witness, vsub, cross,
-    apex_witness, NotPositiveAngle,
+    CONSTRUCTIBLE, NONARCHIMEDEAN, Point, angle_cong, between, congruent,
+    distinct, distinct_witness, midpoint, nonstrict_between, on_ray,
+    pos_angle, reflect_in_point, resolve_mode, right_angle, rot90,
+    verify_witness, vsub, cross, apex_witness, NotPositiveAngle,
 )
 from .constructions import (
     CircleSpec, ConstructionError, PostconditionFailure, angle_bisect,
     circle_circle, crossbar_point, ext, ext_strict, euclid5, inner_pasch,
     lay_off, line_circle, line_intersect, outer_pasch,
 )
-
-CONSTRUCTIBLE_MODE = "constructible"
-NONARCH_MODE = "nonarchimedean"
 
 TINY = Q(1, 2 ** 32)  # degenerate-adjacent but exactly positive gap
 
@@ -50,7 +47,7 @@ class _Gen:
     """Random exact-rational geometry; in NonArchimedean mode some axiom
     gaps are eps.  Every number is drawn as a field element."""
 
-    def __init__(self, seed: int, mode: str = CONSTRUCTIBLE_MODE):
+    def __init__(self, seed: int, mode: str = CONSTRUCTIBLE):
         self.rng = random.Random(seed)
         self.seed, self.mode = seed, mode
         self.degenerate = self.na_inf = self.probe = False
@@ -59,7 +56,7 @@ class _Gen:
         """Axiom gaps: 1/2³² on every 8th seed, infinitesimal in
         NonArchimedean mode; otherwise an interior parameter."""
         self.degenerate = self.seed % 8 == 7
-        self.na_inf = self.degenerate and self.mode == NONARCH_MODE
+        self.na_inf = self.degenerate and self.mode == NONARCHIMEDEAN
         self.gap = (eps() if self.na_inf
                     else TINY if self.degenerate else self.t01())
 
@@ -593,7 +590,7 @@ def _instance(spec: Spec, g: _Gen, **label) -> dict:
 
 
 def gen_instance(axiom_id: str, seed: int,
-                 mode: str = CONSTRUCTIBLE_MODE) -> dict:
+                 mode: str = CONSTRUCTIBLE) -> dict:
     """A configuration whose hypotheses hold exactly by construction.
 
     Every 8th seed is degenerate-adjacent (1/2³² gaps; infinitesimal gaps
@@ -607,7 +604,7 @@ def gen_instance(axiom_id: str, seed: int,
 
 
 def gen_theorem_instance(name: str, seed: int,
-                         mode: str = CONSTRUCTIBLE_MODE) -> dict:
+                         mode: str = CONSTRUCTIBLE) -> dict:
     return _instance(_spec(THEOREMS, name, "theorem name"),
                      _Gen(seed, mode), name=name)
 
@@ -644,13 +641,13 @@ def _check(spec: Spec, inst: dict, mode: str, tag: str | None) -> dict:
 
 
 def check_axiom(axiom_id: str, inst: dict,
-                mode: str = CONSTRUCTIBLE_MODE) -> dict:
+                mode: str = CONSTRUCTIBLE) -> dict:
     """Run the axiom's construction and re-check its conclusion, exactly."""
     return _check(_spec(AXIOMS, axiom_id, "axiom id"), inst, mode, axiom_id)
 
 
 def check_theorem(name: str, inst: dict,
-                  mode: str = CONSTRUCTIBLE_MODE) -> dict:
+                  mode: str = CONSTRUCTIBLE) -> dict:
     return _check(_spec(THEOREMS, name, "theorem name"), inst, mode, None)
 
 
@@ -665,7 +662,7 @@ def _mk_off(p: Point, length) -> Point:
 _TALLY = {"pass": "passes", "guard-refused": "guard_refusals"}
 
 
-def audit_run(mode: str = CONSTRUCTIBLE_MODE, per_axiom: int = 100,
+def audit_run(mode: str = CONSTRUCTIBLE, per_axiom: int = 100,
               seed: int = 0, include_theorems: bool = True) -> dict:
     resolve_mode(mode)  # reject an unknown mode before any work
     t0 = time.perf_counter()

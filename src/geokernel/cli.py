@@ -11,12 +11,13 @@ from . import __version__
 from .audit import audit_run, report_to_json
 from .dsl import ScriptSyntaxError, parse_script, run_script
 from .field import render_element
+from .geometry import CONSTRUCTIBLE, NONARCHIMEDEAN
 from .kripke import check_ef_axioms, mp_counterexample
 from .svg import UnrenderableMode, render_svg
 
 
 def _field_mode(flag: str) -> str:
-    return "nonarchimedean" if flag == "nonarch" else "constructible"
+    return NONARCHIMEDEAN if flag == "nonarch" else CONSTRUCTIBLE
 
 
 def _load_script(path: str):

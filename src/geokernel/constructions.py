@@ -91,6 +91,14 @@ def _post(cond: bool, what: str):
         raise PostconditionFailure(what)
 
 
+def _require(axiom: str, checks):
+    """Test (thunk, hypothesis) pairs in order; refuse at the first that
+    fails, before any later one is computed."""
+    for holds, hypothesis in checks:
+        if not holds():
+            raise ConstructionError("PreconditionViolated", axiom, hypothesis)
+
+
 # -- exact line intersection (Cramer) ----------------------------------------
 
 def line_intersect(a: Point, b: Point, c: Point, d: Point) -> Point:
@@ -177,17 +185,14 @@ def outer_pasch(a: Point, p: Point, c: Point, b: Point, q: Point,
 def euclid5(t: Point, p: Point, q: Point, s: Point, r: Point, a: Point,
             sem: str = CONSTRUCTIBLE) -> Point:
     """Parallel-axiom point: congruent witness triangles, transversal ptq/str."""
-    checks = [
-        (congruent(p, t, q, t), "pt=qt"),
-        (between(p, t, q, sem), "B(p,t,q)"),
-        (congruent(s, t, r, t), "st=rt"),
-        (between(s, t, r, sem), "B(s,t,r)"),
-        (congruent(p, r, q, s), "pr=qs"),
-        (between(q, a, r, sem), "B(q,a,r)"),
-    ]
-    for ok, name in checks:
-        if not ok:
-            raise ConstructionError("PreconditionViolated", "Euclid5", name)
+    _require("Euclid5", (
+        (lambda: congruent(p, t, q, t), "pt=qt"),
+        (lambda: between(p, t, q, sem), "B(p,t,q)"),
+        (lambda: congruent(s, t, r, t), "st=rt"),
+        (lambda: between(s, t, r, sem), "B(s,t,r)"),
+        (lambda: congruent(p, r, q, s), "pr=qs"),
+        (lambda: between(q, a, r, sem), "B(q,a,r)"),
+    ))
     e = line_intersect(p, a, s, q)
     _post(between(p, a, e, sem) and between(s, q, e, sem), "euclid5")
     _record("euclid5", [t, p, q, s, r, a], [e])
@@ -453,16 +458,13 @@ def angle_bisect(a: Point, b: Point, c: Point,
 def crossbar_point(a: Point, b: Point, c: Point, e: Point, u: Point, v: Point,
                    sem: str = CONSTRUCTIBLE) -> Point:
     """Where Ray(b,e) meets the crossbar uv, by two outer-Pasch cuts."""
-    checks = [
-        (pos_angle(a, b, c, sem), "0<abc<pi"),
-        (pos_angle(b, u, v, sem), "0<buv<pi"),
-        (between(a, e, c, sem), "B(a,e,c)"),
-        (between(b, a, u, sem), "B(b,a,u)"),
-        (between(b, c, v, sem), "B(b,c,v)"),
-    ]
-    for ok, name in checks:
-        if not ok:
-            raise ConstructionError("PreconditionViolated", "crossbar", name)
+    _require("crossbar", (
+        (lambda: pos_angle(a, b, c, sem), "0<abc<pi"),
+        (lambda: pos_angle(b, u, v, sem), "0<buv<pi"),
+        (lambda: between(a, e, c, sem), "B(a,e,c)"),
+        (lambda: between(b, a, u, sem), "B(b,a,u)"),
+        (lambda: between(b, c, v, sem), "B(b,c,v)"),
+    ))
     f = outer_pasch(a, e, c, b, v, sem)   # B(b,e,f) and B(a,f,v)
     w = outer_pasch(v, f, a, b, u, sem)   # B(b,f,w) and B(v,w,u)
     _post(between(u, w, v, sem) and between(b, e, w, sem), "crossbar_point")

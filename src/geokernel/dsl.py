@@ -34,8 +34,8 @@ from .field import (
     DomainViolation, FieldElement, FieldError, Q, eps, sqrt_nonneg,
 )
 from .geometry import (
-    ArityMismatch, NotPositiveAngle, Point, midpoint, predicate_eval,
-    reflect_in_point, resolve_mode,
+    CONSTRUCTIBLE, NODE0, ArityMismatch, NotPositiveAngle, Point, midpoint,
+    predicate_eval, reflect_in_point, resolve_mode,
 )
 from .constructions import (
     ConstructionError, PostconditionFailure, angle_bisect, crossbar_point,
@@ -148,26 +148,22 @@ class PointDecl:
     name: str
     x: object
     y: object
-    line: int = dfield(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class LetStmt:
     name: str
     call: Call
-    line: int = dfield(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class AssertStmt:
     call: Call
-    line: int = dfield(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class RenderStmt:
     label: str
-    line: int = dfield(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -216,24 +212,24 @@ class _Parser:
             x = self.term()
             y = self.term()
             self.eat("sym", ";")
-            return PointDecl(name, x, y, line=t.line)
+            return PointDecl(name, x, y)
         if t.text == "let":
             self.eat("keyword")
             name = self.eat("name").text
             self.eat("sym", "=")
             call = self.call()
             self.eat("sym", ";")
-            return LetStmt(name, call, line=t.line)
+            return LetStmt(name, call)
         if t.text == "assert":
             self.eat("keyword")
             call = self.call()
             self.eat("sym", ";")
-            return AssertStmt(call, line=t.line)
+            return AssertStmt(call)
         if t.text == "render":
             self.eat("keyword")
             s = self.eat("string").text
             self.eat("sym", ";")
-            return RenderStmt(s[1:-1], line=t.line)
+            return RenderStmt(s[1:-1])
         self.error("'point', 'let', 'assert' or 'render'")
 
     def call(self) -> Call:
@@ -383,7 +379,7 @@ _PREDICATES = {
 
 @dataclass
 class Env:
-    mode: str = "constructible"
+    mode: str = CONSTRUCTIBLE
     bindings: dict = dfield(default_factory=dict)
     declared: set = dfield(default_factory=set)  # literal "point" names
     trace: list = dfield(default_factory=list)
@@ -397,22 +393,24 @@ class Env:
             not a["holds"] for a in self.assertions)
 
 
-def _eval_expr(e, mode: str) -> FieldElement:
+def _eval_expr(e, sem: str) -> FieldElement:
+    """The value of an expression read under `sem`: eps exists only at
+    NODE0, the NonArchimedean reading."""
     if isinstance(e, Num):
         return Q(e.value)
     if isinstance(e, EpsLit):
-        if mode != "nonarchimedean":
+        if sem != NODE0:
             raise DomainViolation("eps outside NonArchimedean mode")
         return eps()
     if isinstance(e, Sqrt):
-        return sqrt_nonneg(_eval_expr(e.arg, mode))
+        return sqrt_nonneg(_eval_expr(e.arg, sem))
     if isinstance(e, Neg):
-        return -_eval_expr(e.arg, mode)
+        return -_eval_expr(e.arg, sem)
     if isinstance(e, BinOp):
-        le = _eval_expr(e.left, mode)
+        le = _eval_expr(e.left, sem)
         if e.op == "^":
             return le ** e.right.value
-        r = _eval_expr(e.right, mode)
+        r = _eval_expr(e.right, sem)
         if e.op == "+":
             return le + r
         if e.op == "-":
@@ -423,13 +421,13 @@ def _eval_expr(e, mode: str) -> FieldElement:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def parse_element(text: str, mode: str = "constructible") -> FieldElement:
+def parse_element(text: str, mode: str = CONSTRUCTIBLE) -> FieldElement:
     """Parse one expression (e.g. a `render_element` output) in `mode`."""
-    resolve_mode(mode)  # reject an unknown mode
+    sem = resolve_mode(mode)  # reject an unknown mode
     p = _Parser(tokenize(text))
     node = p.expr()
     p.eat("eof")
-    return _eval_expr(node, mode)
+    return _eval_expr(node, sem)
 
 
 _RUNTIME_ERRORS = (ConstructionError, PostconditionFailure, FieldError,
@@ -437,7 +435,7 @@ _RUNTIME_ERRORS = (ConstructionError, PostconditionFailure, FieldError,
                    ZeroDivisionError)
 
 
-def run_script(script: Script, mode: str = "constructible") -> Env:
+def run_script(script: Script, mode: str = CONSTRUCTIBLE) -> Env:
     sem = resolve_mode(mode)
     env = Env(mode=mode)
 
@@ -453,8 +451,7 @@ def run_script(script: Script, mode: str = "constructible") -> Env:
         text = _pp_stmt(stmt)
         try:
             if isinstance(stmt, PointDecl):
-                p = Point(_eval_expr(stmt.x, mode),
-                          _eval_expr(stmt.y, mode))
+                p = Point(_eval_expr(stmt.x, sem), _eval_expr(stmt.y, sem))
                 env.bindings[stmt.name] = p
                 env.declared.add(stmt.name)
             elif isinstance(stmt, LetStmt):

@@ -1,15 +1,19 @@
 """Point predicates over the plane F^2, with witness production.
 
-Positivity is semantics-relative: in Constructible mode P(x) means x > 0;
-in NonArchimedean mode node 0 reads P(x) as "positive and not
-infinitesimal" while node 1 reads it classically.  Strict betweenness B
-demands P of both gap lengths; the non-strict T is the classical closure
-and never consults P.  Distinctness (#) of two points is P of their
-squared distance, witnessed by a betweenness point; angle positivity is
-the cross-product criterion, witnessed by an apex (isosceles) pair or the
-right-angle reflection.  By that criterion 0 < abc < pi is just 0 < abc:
-reflecting a in b keeps |a - b|^2 and negates the cross product, so the
-supplement test of `angle_lt_pi` decides exactly what `pos_angle` does.
+Positivity is semantics-relative: in Constructible mode P(x) means x > 0.
+The NonArchimedean readings are the two nodes of the Kripke model in
+`kripke`, and `positive` is the one definition of P at both: the root M0
+(NODE0) reads P(x) as "positive and not infinitesimal", the top node M1
+(NODE1) reads it classically.
+
+Strict betweenness B demands P of both gap lengths; the non-strict T is
+the classical closure and never consults P.  Distinctness (#) of two
+points is P of their squared distance, witnessed by a betweenness point;
+angle positivity is the cross-product criterion, witnessed by an apex
+(isosceles) pair or the right-angle reflection.  By that criterion
+0 < abc < pi is just 0 < abc: reflecting a in b keeps |a - b|^2 and
+negates the cross product, so the supplement test of `angle_lt_pi`
+decides exactly what `pos_angle` does.
 """
 
 from __future__ import annotations
@@ -18,13 +22,14 @@ from dataclasses import dataclass
 
 from .field import FieldElement, Q, render_element, sqrt_nonneg
 
-# semantics tags
+# semantics tags; CONSTRUCTIBLE also names its mode
 CONSTRUCTIBLE = "constructible"
-NODE0 = "node0"
-NODE1 = "node1"
+NODE0 = "M0"  # the root node of the Kripke model
+NODE1 = "M1"  # the top node of the Kripke model
 
-# named modes -> predicate semantics
-MODES = {"constructible": CONSTRUCTIBLE, "nonarchimedean": NODE0}
+# mode names -> predicate semantics
+NONARCHIMEDEAN = "nonarchimedean"
+MODES = {CONSTRUCTIBLE: CONSTRUCTIBLE, NONARCHIMEDEAN: NODE0}
 
 
 def resolve_mode(mode: str) -> str:
@@ -109,6 +114,7 @@ def rot90(u):
 # -- positivity --------------------------------------------------------------
 
 def positive(x: FieldElement, sem: str = CONSTRUCTIBLE) -> bool:
+    """P(x) under `sem`; at NODE0 x must also not be infinitesimal."""
     if x.sign() <= 0:
         return False
     if sem == NODE0:

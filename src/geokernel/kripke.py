@@ -3,10 +3,12 @@
 The full field F is the quadratic-extension tower over the rational
 functions in a positive infinitesimal eps (pure rational functions lack
 square roots, so the tower supplies the EF5 witnesses).  The root node M0
-has domain F0, the finitely bounded part of F, and reads P(x) as
-"positive and not infinitesimal"; the top node M1 is classical F.  With
-forcing defined the standard way — not-phi forced at a node iff phi is
-forced nowhere above it — every EF axiom is forced at the root, while
+has domain F0, the finitely bounded part of F; the top node M1 is
+classical F.  The nodes are the NonArchimedean semantics tags of
+`geometry` (M0 is NODE0, M1 is NODE1), and P is read at a node by
+`geometry.positive`: at M0 it means "positive and not infinitesimal".
+With forcing defined the standard way — not-phi forced at a node iff phi
+is forced nowhere above it — every EF axiom is forced at the root, while
 Markov's principle fails there with witness eps: not-not-P(eps) is forced
 but P(eps) is not.
 """
@@ -19,9 +21,7 @@ from dataclasses import dataclass
 from .field import (
     DomainViolation, FieldElement, Q, eps, render_element, sqrt_nonneg,
 )
-
-M0 = "M0"
-M1 = "M1"
+from .geometry import NODE0 as M0, NODE1 as M1, positive
 
 
 class TermUndefined(Exception):
@@ -44,8 +44,7 @@ def na_classify(x: FieldElement) -> NAClass:
 
 
 def node0_positive(x: FieldElement) -> bool:
-    c = na_classify(x)
-    return c.sign > 0 and not c.infinitesimal
+    return positive(x, M0)
 
 
 def in_domain(node: str, x: FieldElement) -> bool:
@@ -142,33 +141,32 @@ class FExists:
     body: object
 
 
-def forces(node: str, phi, env: dict, _checked: bool = False) -> bool:
-    """Kripke forcing on the two-node frame M0 <= M1."""
-    if not _checked:
-        for v in env.values():
-            if not in_domain(node, v):
-                raise DomainViolation(f"environment value {render_element(v)} "
-                                      f"outside the domain of {node}")
+def forces(node: str, phi, env: dict) -> bool:
+    """Kripke forcing on the two-node frame M0 <= M1; every value of `env`
+    must lie in the domain of `node`."""
+    for v in env.values():
+        if not in_domain(node, v):
+            raise DomainViolation(f"environment value {render_element(v)} "
+                                  f"outside the domain of {node}")
+    return _forces(node, phi, env)
+
+
+def _forces(node: str, phi, env: dict) -> bool:
     if isinstance(phi, FP):
-        x = teval(phi.term, env)
-        return x.sign() > 0 if node == M1 else node0_positive(x)
+        return positive(teval(phi.term, env), node)
     if isinstance(phi, FEq):
         return teval(phi.left, env) == teval(phi.right, env)
     if isinstance(phi, FAnd):
-        return (forces(node, phi.a, env, True)
-                and forces(node, phi.b, env, True))
+        return _forces(node, phi.a, env) and _forces(node, phi.b, env)
     if isinstance(phi, FImplies):
         if node == M1:
-            return (not forces(M1, phi.a, env, True)
-                    or forces(M1, phi.b, env, True))
-        ok0 = (not forces(M0, phi.a, env, True)
-               or forces(M0, phi.b, env, True))
-        return ok0 and forces(M1, phi, env, True)
+            return not _forces(M1, phi.a, env) or _forces(M1, phi.b, env)
+        ok0 = not _forces(M0, phi.a, env) or _forces(M0, phi.b, env)
+        return ok0 and _forces(M1, phi, env)
     if isinstance(phi, FNot):
         if node == M1:
-            return not forces(M1, phi.a, env, True)
-        return (not forces(M0, phi.a, env, True)
-                and not forces(M1, phi.a, env, True))
+            return not _forces(M1, phi.a, env)
+        return not _forces(M0, phi.a, env) and not _forces(M1, phi.a, env)
     if isinstance(phi, FExists):
         try:
             w = teval(phi.witness, env)
@@ -176,7 +174,7 @@ def forces(node: str, phi, env: dict, _checked: bool = False) -> bool:
             return False
         if not in_domain(node, w):
             return False
-        return forces(node, phi.body, {**env, phi.var: w}, True)
+        return _forces(node, phi.body, {**env, phi.var: w})
     raise ValueError(f"unknown formula node {phi!r}")
 
 

@@ -237,8 +237,8 @@ class Poly:
         return cls((Fraction(q),))
 
     @classmethod
-    def x_power(cls, k: int, coeff=ONE) -> "Poly":
-        return cls((ZERO,) * k + (Fraction(coeff),))
+    def x_power(cls, k: int) -> "Poly":
+        return cls((ZERO,) * k + (ONE,))
 
     def is_zero(self) -> bool:
         return not self.c
@@ -295,13 +295,8 @@ class Poly:
         dlead = other.c[-1]
         dd = other.degree()
         quot = [ZERO] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd and any(x != 0 for x in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            f = rem[-1] / dlead
+        for k in range(len(quot) - 1, -1, -1):
+            f = rem[k + dd] / dlead
             quot[k] = f
             for i, y in enumerate(other.c):
                 rem[k + i] -= f * y
@@ -352,10 +347,9 @@ def poly_sqrt(p: Poly) -> Poly | None:
     half = (len(cs) - 1) // 2
     s = [s0]
     for k in range(1, half + 1):
-        acc = cs[k] if k < len(cs) else ZERO
+        acc = cs[k]
         for i in range(1, k):
-            if i < len(s) and k - i < len(s):
-                acc -= s[i] * s[k - i]
+            acc -= s[i] * s[k - i]
         s.append(acc / (2 * s0))
     root = Poly((ZERO,) * (low // 2) + tuple(s))
     if root * root == p:

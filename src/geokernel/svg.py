@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .field import approx
-from .geometry import Point
+from .geometry import NONARCHIMEDEAN, Point
 
 
 class UnrenderableMode(Exception):
@@ -76,7 +76,7 @@ def _coords(p: Point, use_shadow: bool, name: str) -> tuple[float, float]:
 
 def render_svg(env, shadow: bool = False) -> str:
     """Read-only rendering of an interpreter environment."""
-    use_shadow = env.mode == "nonarchimedean"
+    use_shadow = env.mode == NONARCHIMEDEAN
     if use_shadow and not shadow:
         raise UnrenderableMode(
             "NonArchimedean environment needs the shadow option")

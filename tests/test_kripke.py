@@ -6,6 +6,7 @@ import pytest
 
 from geokernel.audit import report_to_json
 from geokernel.field import Q, eps, sqrt_nonneg
+from geokernel.geometry import NODE0, NODE1, positive
 from geokernel.kripke import (
     EF_AXIOMS, MP, M0, M1, DomainViolation, FEq, FExists, FNot, FP, TOp,
     TVar, check_ef_axioms, forces, mp_counterexample, na_classify, tconst,
@@ -62,6 +63,15 @@ class TestForcing:
             for phi in EF_AXIOMS.values():
                 if forces(M0, phi, env):
                     assert forces(M1, phi, env)
+
+    def test_p_is_the_predicate_semantics(self):
+        # the nodes are geometry's NonArchimedean tags, and P is read at
+        # each by geometry.positive
+        assert M0 is NODE0 and M1 is NODE1
+        for v, bounded in _probe_grid():
+            if bounded:
+                for node in (M0, M1):
+                    assert forces(node, FP(X), {"x": v}) == positive(v, node)
 
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):

@@ -138,6 +138,27 @@ class TestCanonicalFormOracle:
         assert neg == RatFunc(-r.num, r.den)
 
 
+class TestDivmodOracle:
+    """Poly.divmod against sympy's division over Q."""
+
+    @given(a=_polys(6), b=_polys(3).filter(_nonzero))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy_div(self, a, b):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("eps")
+
+        def to_sympy(p):
+            return sympy.Poly([sympy.Rational(q.numerator, q.denominator)
+                               for q in reversed(p.c)] or [0], x,
+                              domain=sympy.QQ)
+
+        q, r = a.divmod(b)
+        assert (q * b + r) == a
+        assert r.degree() < b.degree()
+        want_q, want_r = sympy.div(to_sympy(a), to_sympy(b))
+        assert (to_sympy(q), to_sympy(r)) == (want_q, want_r)
+
+
 _ARITH = [operator.add, operator.sub, operator.mul, operator.truediv]
 _ORDER = [operator.lt, operator.le, operator.gt, operator.ge, operator.eq,
           operator.ne]

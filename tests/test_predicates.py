@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geokernel.constructions import inner_pasch, outer_pasch
+from geokernel.constructions import (
+    ConstructionError, crossbar_point, euclid5, inner_pasch, outer_pasch,
+)
 from geokernel.field import FieldElement, Q, eps, sqrt_nonneg
 from geokernel.geometry import (
     CONSTRUCTIBLE, NODE0, NODE1, ArityMismatch, NotPositiveAngle, Point,
@@ -280,13 +282,35 @@ class TestOpBudget:
             "eval-pos-angle-right", "eval-pos-angle-flat", "inner-pasch",
             "outer-pasch"])
     def test_binop_count(self, pred, args, ops, monkeypatch):
-        calls = []
-        binop = FieldElement._binop
-
-        def counted(self, other, op):
-            calls.append(op)
-            return binop(self, other, op)
-
-        monkeypatch.setattr(FieldElement, "_binop", counted)
+        calls = _count_binops(monkeypatch)
         pred(*args)
         assert len(calls) == ops
+
+    # a refusal tests the hypotheses in order and stops at the first that
+    # fails, so it pays only for the checks up to that one
+    @pytest.mark.parametrize("construction, args, hypothesis, ops", [
+        (euclid5, (pt(0, 0), pt(1, 0), pt(-2, 0), pt(0, 1), pt(0, -1),
+                   pt(1, 1)), "pt=qt", 10),
+        (crossbar_point, (pt(1, 0), pt(0, 0), pt(2, 0), pt(1, 1), pt(2, 0),
+                          pt(4, 0)), "0<abc<pi", 14),
+    ], ids=["euclid5-pt-qt", "crossbar-flat-abc"])
+    def test_refusal_binop_count(self, construction, args, hypothesis, ops,
+                                 monkeypatch):
+        calls = _count_binops(monkeypatch)
+        with pytest.raises(ConstructionError) as err:
+            construction(*args)
+        assert err.value.hypothesis == hypothesis
+        assert len(calls) == ops
+
+
+def _count_binops(monkeypatch) -> list:
+    """A list that gains one entry per FieldElement._binop call."""
+    calls = []
+    binop = FieldElement._binop
+
+    def counted(self, other, op):
+        calls.append(op)
+        return binop(self, other, op)
+
+    monkeypatch.setattr(FieldElement, "_binop", counted)
+    return calls
