@@ -1,29 +1,33 @@
 """Exact rational and rational-function arithmetic in one infinitesimal ``eps``.
 
-`Rat` is the rational type of the tower leaves: ints n and d > 0 in lowest
-terms, the form `Fraction` keeps, so it prints, compares and hashes exactly
-as the equal `Fraction` does.  Sums use Henrici's gcd split and products
-cross gcds (Knuth, TAOCP vol. 2, 4.5.1), with a fast path for integers;
-results are built unchecked, since these steps keep lowest terms.  An int
-or a `Fraction` becomes a `Rat` once, where it enters (`Rat(x)`, `as_rat`).
+`Rat` is the one rational type: ints n and d > 0 in lowest terms, the form
+`Fraction` keeps, so it prints, compares and hashes exactly as the equal
+`Fraction` does.  Sums use Henrici's gcd split and products cross gcds
+(Knuth, TAOCP vol. 2, 4.5.1), with a fast path for integers; results are
+built unchecked, since these steps keep lowest terms.  An int or a
+`Fraction` becomes a `Rat` once, where it enters (`Rat(x)`, `as_rat`).
 
-`RatFunc` elements are fractions p(eps)/q(eps) of polynomials with
-`Fraction` coefficients, kept in a canonical form (gcd removed, denominator
-scaled so its lowest-order nonzero coefficient is 1).  When q is a constant
-c or p is zero, that form is (p/c, 1) and is built without a gcd; every
-such value shares one unit-denominator `Poly`.  A rational operand (a `Rat`,
-an int or a `Fraction`) needs no gcd either: adding it or scaling by it
-keeps a canonical form canonical.  The ordering treats ``eps``
-as a positive infinitesimal: the sign of an element is the sign of the
-lowest-degree coefficient of its eps-expansion, and the valuation (eps-adic
-order) separates infinitesimal, finite and unbounded elements.
+`Poly` is a polynomial with `Rat` coefficients.  Products and gcds run
+over Z: denominators are cleared, and `poly_gcd` splits off integer
+contents and runs the primitive remainder sequence (TAOCP 4.6.1).
+
+`RatFunc` elements are quotients p(eps)/q(eps) of polynomials, kept in a
+canonical form: lowest terms, and q scaled so its lowest-order nonzero
+coefficient is 1.  When q is a constant c or p is zero, that form is
+(p/c, 1) and is built without a gcd; every such value shares one
+unit-denominator `Poly`.  A rational operand (a `Rat`, an int or a
+`Fraction`) needs no gcd either.  Two `RatFunc` operands follow Henrici:
+a sum takes a gcd only when neither denominator is 1, a product the two
+cross gcds.  The ordering treats ``eps`` as a positive infinitesimal: the
+sign of an element is the sign of the lowest-degree coefficient of its
+eps-expansion, and the valuation (eps-adic order) separates
+infinitesimal, finite and unbounded elements.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import total_ordering
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from numbers import Rational
 from sys import hash_info
 
@@ -205,9 +209,8 @@ class Rat:
 
 Rational.register(Rat)  # so Fraction(x) and Fraction == x accept a Rat
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-_RATIONALS = (int, Fraction, Rat)  # what enters Q(eps) as a constant
+ZERO = _rat(0, 1)
+ONE = _rat(1, 1)
 
 
 def frac_sqrt(q) -> Rat | None:
@@ -222,19 +225,20 @@ def frac_sqrt(q) -> Rat | None:
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction, low degree first."""
+    """Dense univariate polynomial over Q: `Rat` coefficients, low degree
+    first, no trailing zero."""
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(x) for x in coeffs]
+        cs = [Rat(x) for x in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.c = tuple(cs)
 
     @classmethod
     def const(cls, q) -> "Poly":
-        return cls((Fraction(q),))
+        return cls((q,))
 
     @classmethod
     def x_power(cls, k: int) -> "Poly":
@@ -253,7 +257,7 @@ class Poly:
                 return i
         raise ValueError("zero polynomial has no lowest term")
 
-    def lowcoeff(self) -> Fraction:
+    def lowcoeff(self) -> Rat:
         return self.c[self.lowdeg()]
 
     def __eq__(self, other) -> bool:
@@ -275,17 +279,20 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        # over Z: clear denominators, convolve the ints, divide back once
         if not self.c or not other.c:
             return Poly()
-        out = [ZERO] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.c):
-                out[i + j] += x * y
-        return Poly(out)
+        ma, a = _integral(self)
+        mb, b = _integral(other)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        m = ma * mb
+        return Poly([_ratio(x, m) for x in out])
 
-    def scale(self, q: Fraction) -> "Poly":
+    def scale(self, q: Rat) -> "Poly":
         return Poly(tuple(x * q for x in self.c))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -323,12 +330,67 @@ class Poly:
 _UNIT = Poly((ONE,))  # shared: a Poly is immutable
 
 
+# ---------------------------------------------------------------------------
+# gcd over Z: the primitive polynomial remainder sequence (Knuth, TAOCP
+# vol. 2, 4.6.1).  Integer polynomials are int lists, low degree first.
+
+
+def _integral(p: Poly) -> tuple[int, list[int]]:
+    """(m, r) with p = r/m: m the lcm of p's denominators, r over Z."""
+    m = lcm(*(q.d for q in p.c))
+    return m, [q.n * (m // q.d) for q in p.c]
+
+
+def _primitive(r: list[int]) -> list[int]:
+    """r divided by its content, the gcd of its coefficients."""
+    g = gcd(*r)
+    return r if g == 1 else [x // g for x in r]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b (len(a) >=
+    len(b)), without trailing zeros: each step scales by the leading
+    coefficient of b over its gcd with the term it cancels."""
+    r = list(a)
+    lead, top = b[-1], len(b) - 1
+    for k in range(len(a) - 1, top - 1, -1):
+        f = r.pop()
+        if f:
+            g = gcd(f, lead)
+            f, m = f // g, lead // g
+            if m != 1:
+                r = [m * x for x in r]
+            for i in range(top):
+                r[k - top + i] -= f * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.c[-1])  # monic
+    """The monic gcd of a and b (zero if both are zero): denominators
+    cleared, integer contents split off, then the primitive PRS."""
+    if a.is_zero() or b.is_zero():
+        g = a if b.is_zero() else b
+        return g if g.is_zero() else g.scale(ONE / g.c[-1])
+    a, b = _primitive(_integral(a)[1]), _primitive(_integral(b)[1])
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            lead = b[-1]
+            return Poly([_ratio(x, lead) for x in b])
+        a, b = b, _primitive(r)
+    return _UNIT
+
+
+def _ratio(n: int, d: int) -> Rat:
+    """n/d in lowest terms, for ints with d != 0."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return _rat(n // g, d // g)
 
 
 def poly_sqrt(p: Poly) -> Poly | None:
@@ -343,7 +405,6 @@ def poly_sqrt(p: Poly) -> Poly | None:
     s0 = frac_sqrt(cs[0])
     if s0 is None:
         return None
-    s0 = Fraction(s0)
     half = (len(cs) - 1) // 2
     s = [s0]
     for k in range(1, half + 1):
@@ -365,37 +426,83 @@ def _canonical(num: Poly, den: Poly) -> "RatFunc":
     return r
 
 
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """a and b divided by their gcd; a gcd of 1 skips both divisions."""
+    if len(a.c) == 1 or len(b.c) == 1:  # a nonzero constant is a unit
+        return a, b
+    g = poly_gcd(a, b)
+    if len(g.c) == 1:
+        return a, b
+    return a.divmod(g)[0], b.divmod(g)[0]
+
+
+def _normal(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The canonical pair of num/den for coprime num and den (den nonzero):
+    den's lowest-order coefficient scaled to 1, and the degree checked."""
+    if not num.c:
+        return num, _UNIT
+    lc = den.lowcoeff()
+    if lc != ONE:
+        lc = ONE / lc
+        num = num.scale(lc)
+        den = _UNIT if len(den.c) == 1 else den.scale(lc)
+    degree = max(len(num.c), len(den.c)) - 1
+    if degree > MAX_DEGREE:
+        raise DegreeTooHigh(f"eps-degree {degree} exceeds {MAX_DEGREE}")
+    return num, den
+
+
+def _lowest(num: Poly, den: Poly) -> "RatFunc":
+    """The RatFunc num/den for coprime num and den."""
+    return _canonical(*_normal(num, den))
+
+
+# Henrici's sum and product of canonical a/b and c/d (Knuth, TAOCP vol. 2,
+# 4.5.1): gcds of the parts in place of one gcd of the whole result.
+
+
+def _ratfunc_sum(a: Poly, b: Poly, c: Poly, d: Poly) -> "RatFunc":
+    if not a.c or not c.c:
+        return _canonical(a, b) if a.c else _canonical(c, d)
+    # with b = 1, gcd(a*d + c, d) = gcd(c, d) = 1: no gcd to take
+    if len(b.c) == 1:
+        return _lowest(a * d + c if len(d.c) > 1 else a + c, d)
+    if len(d.c) == 1:
+        return _lowest(a + c * b, b)
+    g = poly_gcd(b, d)
+    if len(g.c) == 1:  # coprime denominators: a*d + c*b is coprime to b*d
+        return _lowest(a * d + c * b, b * d)
+    b, d = b.divmod(g)[0], d.divmod(g)[0]
+    t, g = _cancel(a * d + c * b, g)  # only g can share a factor with t
+    return _lowest(t, b * d * g)
+
+
+def _ratfunc_product(a: Poly, b: Poly, c: Poly, d: Poly) -> "RatFunc":
+    # the cross gcds gcd(a, d) and gcd(c, b) are all the product needs
+    if not a.c or not c.c:
+        return _canonical(Poly(), _UNIT)
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return _lowest(a * c, b * d)
+
+
 class RatFunc:
     """Canonical fraction of polynomials in eps; an exact ordered field."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:  # num/1 is canonical as it stands
+        if den is None:
             den = _UNIT
         elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        elif num.is_zero() or den.degree() == 0:
-            # the gcd is a unit, so the canonical form is (num / den, 1)
-            if num.c:
-                num = num.scale(1 / den.c[0])
-            den = _UNIT
-        else:
-            g = poly_gcd(num, den)  # nonzero, since num is
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-            lc = den.lowcoeff()
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        degree = max(len(num.c), len(den.c)) - 1
-        if degree > MAX_DEGREE:
-            raise DegreeTooHigh(f"eps-degree {degree} exceeds {MAX_DEGREE}")
-        self.num = num
-        self.den = den
+        elif num.c:
+            num, den = _cancel(num, den)
+        self.num, self.den = _normal(num, den)
 
     @classmethod
     def const(cls, q) -> "RatFunc":
-        return cls(Poly.const(Fraction(q)))
+        return cls(Poly.const(q))
 
     @classmethod
     def eps_power(cls, k: int) -> "RatFunc":
@@ -421,9 +528,10 @@ class RatFunc:
 
     def __eq__(self, other) -> bool:
         if type(other) is not RatFunc:
-            if not isinstance(other, _RATIONALS):
+            q = as_rat(other)
+            if q is None:
                 return NotImplemented
-            other = RatFunc.const(other)
+            other = RatFunc.const(q)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
@@ -434,11 +542,11 @@ class RatFunc:
 
     def __add__(self, other):
         if type(other) is RatFunc:
-            return RatFunc(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-        if not isinstance(other, _RATIONALS):
+            return _ratfunc_sum(self.num, self.den, other.num, other.den)
+        q = as_rat(other)
+        if q is None:
             return NotImplemented
-        return _canonical(self.num + self.den.scale(Fraction(other)), self.den)
+        return _canonical(self.num + self.den.scale(q), self.den)
 
     __radd__ = __add__
 
@@ -449,21 +557,23 @@ class RatFunc:
     def __sub__(self, other):
         if type(other) is RatFunc:
             return self + (-other)
-        if not isinstance(other, _RATIONALS):
+        q = as_rat(other)
+        if q is None:
             return NotImplemented
-        return _canonical(self.num - self.den.scale(Fraction(other)), self.den)
+        return _canonical(self.num - self.den.scale(q), self.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if type(other) is RatFunc:
-            return RatFunc(self.num * other.num, self.den * other.den)
-        if not isinstance(other, _RATIONALS):
+            return _ratfunc_product(self.num, self.den, other.num, other.den)
+        q = as_rat(other)
+        if q is None:
             return NotImplemented
-        if not other:
+        if not q:
             return _canonical(Poly(), _UNIT)
-        return _canonical(self.num.scale(Fraction(other)), self.den)
+        return _canonical(self.num.scale(q), self.den)
 
     __rmul__ = __mul__
 
@@ -471,24 +581,25 @@ class RatFunc:
         if type(other) is RatFunc:
             if other.is_zero():
                 raise ZeroDivisionError("division by zero rational function")
-            return RatFunc(self.num * other.den, self.den * other.num)
-        if not isinstance(other, _RATIONALS):
+            return _ratfunc_product(self.num, self.den, other.den, other.num)
+        q = as_rat(other)
+        if q is None:
             return NotImplemented
-        if not other:
+        if not q:
             raise ZeroDivisionError("division by zero rational function")
-        return _canonical(self.num.scale(1 / Fraction(other)), self.den)
+        return _canonical(self.num.scale(ONE / q), self.den)
 
     def __rtruediv__(self, other):
-        if not isinstance(other, _RATIONALS):
+        q = as_rat(other)
+        if q is None:
             return NotImplemented
         if self.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        if not other:
+        if not q:
             return _canonical(Poly(), _UNIT)
         # q*d/p, with p's low coefficient scaled to 1
-        lc = 1 / self.num.lowcoeff()
-        return _canonical(self.den.scale(Fraction(other) * lc),
-                          self.num.scale(lc))
+        lc = ONE / self.num.lowcoeff()
+        return _canonical(self.den.scale(q * lc), self.num.scale(lc))
 
     def sqrt_exact(self) -> "RatFunc | None":
         """Square root inside the rational-function field, or None."""
@@ -505,7 +616,7 @@ class RatFunc:
             root = -root
         return root
 
-    def shadow(self) -> Fraction | None:
+    def shadow(self) -> Rat | None:
         """Standard part at eps -> 0, or None when unbounded."""
         if self.is_zero():
             return ZERO

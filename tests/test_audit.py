@@ -11,8 +11,11 @@ from geokernel.audit import (
     AXIOMS, AXIOM_IDS, THEOREM_NAMES, audit_run, check_axiom, check_theorem,
     gen_instance, gen_theorem_instance, report_to_json,
 )
+from geokernel.constructions import CircleSpec, circle_circle, line_circle
 from geokernel.field import FieldElement, render_element
-from geokernel.geometry import Point, between, distinct, nonstrict_between
+from geokernel.geometry import (
+    NONARCHIMEDEAN, NODE0, Point, between, distinct, nonstrict_between,
+)
 
 
 class TestGenerators:
@@ -52,6 +55,23 @@ class TestGenerators:
                 h.update(f"{k}={_rendered(inst[k])}\n".encode())
         assert h.hexdigest() == ("771097ba4bdf9c7af8e37d6a1405c7a2"
                                  "f588761a301a2a1f22499e756de0e8c8")
+
+    def test_golden_nonarch_constructed_points(self):
+        # the digests above pin inputs and verdicts; this pins the
+        # eps-coordinates that the circle constructions build at node 0
+        h = hashlib.sha256()
+        for seed in range(16):
+            i = gen_instance("LC-nonstrict", seed, NONARCHIMEDEAN)
+            pts = line_circle(CircleSpec(i["center"], i["p"], i["q"]),
+                              i["a"], i["b"], strict=False, sem=NODE0)
+            i = gen_instance("CC", seed, NONARCHIMEDEAN)
+            pts += circle_circle(CircleSpec(i["o1"], i["o1"], i["e"]),
+                                 CircleSpec(i["o2"], i["o2"], i["e"]),
+                                 sem=NODE0)
+            for x in pts:
+                h.update(f"{seed}:{_rendered(x)}\n".encode())
+        assert h.hexdigest() == ("2d56c2400f39afcdccd2d5d9e72ba6e0"
+                                 "96e8cb7ced43eeeb3b31961c1661f6bc")
 
 
 def _rendered(v) -> str:

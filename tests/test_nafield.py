@@ -1,16 +1,23 @@
 """Rational functions in the infinitesimal eps: exact base-field layer."""
 
+import itertools
 import operator
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geokernel import nafield
+from geokernel.audit import gen_instance
+from geokernel.constructions import CircleSpec, line_circle
 from geokernel.dsl import parse_element, parse_script, run_script
 from geokernel.field import FieldError
+from geokernel.geometry import NONARCHIMEDEAN, NODE0
 from geokernel.nafield import (
-    EPS, DegreeTooHigh, Poly, Rat, RatFunc, frac_sqrt, poly_sqrt,
+    EPS, DegreeTooHigh, Poly, Rat, RatFunc, frac_sqrt, poly_gcd, poly_sqrt,
 )
 
 
@@ -32,6 +39,14 @@ class TestPoly:
 
     def test_sqrt_of_nonsquare(self):
         assert poly_sqrt(Poly([Fraction(0), Fraction(1)])) is None
+
+    def test_coefficients_are_rats(self):
+        p = Poly((3, Fraction(1, 2), Rat(-2, 3), 0))
+        assert p.c == (3, Fraction(1, 2), Fraction(-2, 3))
+        assert all(type(q) is Rat for q in p.c)
+        for q in ((p * p).c + p.scale(Rat(5)).c + p.divmod(Poly((1, 1)))[0].c
+                  + poly_sqrt(p * p).c + RatFunc.const(Fraction(7, 2)).num.c):
+            assert type(q) is Rat
 
 
 class TestFracSqrt:
@@ -110,7 +125,7 @@ class TestCanonicalFormOracle:
 
     @given(num=_polys(2),
            den=st.one_of(_polys(0), _polys(2)).filter(_nonzero),
-           shared=st.one_of(st.just(Poly((1,))), _polys(2).filter(_nonzero)))
+           shared=st.one_of(st.just(Poly((1,))), _polys(4).filter(_nonzero)))
     @settings(max_examples=150, deadline=None)
     def test_matches_sympy_cancel(self, num, den, shared):
         sympy = pytest.importorskip("sympy")
@@ -124,7 +139,7 @@ class TestCanonicalFormOracle:
             cs = sympy.Poly(e, x).all_coeffs()[::-1]
             return Poly(Fraction(int(c.p), int(c.q)) for c in cs)
 
-        # degree <= 4 each, with a common factor of degree <= 2 (or none)
+        # degree <= 6 each, with a common factor of degree <= 4 (or none)
         num, den = num * shared, den * shared
         n, d = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
         want_num, want_den = from_sympy(n), from_sympy(d)
@@ -138,6 +153,140 @@ class TestCanonicalFormOracle:
         assert neg == RatFunc(-r.num, r.den)
 
 
+def _to_sympy(p, x):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly([sympy.Rational(q.numerator, q.denominator)
+                       for q in reversed(p.c)] or [0], x, domain=sympy.QQ)
+
+
+# degree up to 10 with a shared factor of degree up to 8, and integer
+# coefficients past 2^220 once denominators are cleared: wider than the
+# gcd inputs of the infinitesimal LC-nonstrict instances (degree 6, 2^204)
+_BIG = st.fractions(min_value=-2 ** 72, max_value=2 ** 72,
+                    max_denominator=2 ** 24)
+
+
+def _big_polys(max_degree):
+    return st.lists(_BIG, min_size=1, max_size=max_degree + 1).map(Poly)
+
+
+class TestGcdOracle:
+    """poly_gcd against sympy's gcd over Q."""
+
+    @given(u=_big_polys(2), v=_big_polys(2),
+           shared=st.one_of(st.just(Poly((1,))), _big_polys(8)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sympy_gcd(self, u, v, shared):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("eps")
+        a, b = u * shared, v * shared
+        g = poly_gcd(a, b)
+        assert all(type(q) is Rat for q in g.c)
+        want = _to_sympy(a, x).gcd(_to_sympy(b, x))  # monic, or zero
+        assert _to_sympy(g, x) == want
+
+    def test_corners(self):
+        x2 = Poly((0, 0, 1))
+        assert poly_gcd(Poly(), Poly()) == Poly()
+        assert poly_gcd(Poly(), Poly((4, 2))) == Poly((2, 1))
+        assert poly_gcd(Poly((Fraction(1, 3),)), x2) == Poly((1,))
+        assert poly_gcd(x2, Poly((0, 5))) == Poly((0, 1))
+
+
+_RATFUNCS = st.builds(
+    RatFunc, _polys(3),
+    st.one_of(st.just(Poly((1,))), _polys(0), _polys(3)).filter(_nonzero))
+
+
+class TestHenriciOracle:
+    """Henrici sums and products against the plain quotient forms, whose
+    one gcd of the whole numerator and denominator gives the same canonical
+    form."""
+
+    @given(x=_RATFUNCS, y=_RATFUNCS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_forms(self, x, y):
+        p, q, r, s = x.num, x.den, y.num, y.den
+        want = {operator.add: RatFunc(p * s + r * q, q * s),
+                operator.sub: RatFunc(p * s - r * q, q * s),
+                operator.mul: RatFunc(p * r, q * s)}
+        if not y.is_zero():
+            want[operator.truediv] = RatFunc(p * s, q * r)
+        for op, w in want.items():
+            got = op(x, y)
+            assert type(got) is RatFunc
+            assert (got.num, got.den) == (w.num, w.den)
+        if y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x / y
+
+    def test_zero_and_unit_operands(self):
+        zero, x = RatFunc(Poly()), RatFunc(Poly((1, 1)), Poly((1, 0, 2)))
+        assert x + zero == x and zero + x == x and zero + zero == 0
+        assert (x - x).num == Poly() and (x - x).den == Poly((1,))
+        assert (x * zero).den == Poly((1,)) and (zero / x).is_zero()
+        assert x * RatFunc(Poly((1, 0, 2))) == RatFunc(Poly((1, 1)))
+
+
+class TestGcdBudget:
+    """poly_gcd calls per RatFunc operation, counted at the module
+    function, so the Henrici split cannot quietly turn back into one gcd
+    per result."""
+
+    X = RatFunc(Poly((1, 2, 3)), Poly((1, -1)))
+    Y = RatFunc(Poly((2, 0, 1)), Poly((1, 1, 5)))
+    POLY = RatFunc(Poly((3, 1, 4)))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        gcd = nafield.poly_gcd
+
+        def counted(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(nafield, "poly_gcd", counted)
+        return calls
+
+    def test_unit_denominator_sum_takes_no_gcd(self, calls):
+        for a, b in ((self.X, self.POLY), (self.POLY, self.Y),
+                     (self.POLY, self.POLY), (self.X, EPS)):
+            a + b
+            a - b
+        assert calls == []
+
+    def test_product_takes_at_most_two(self, calls):
+        for a, b in itertools.product((self.X, self.Y, self.POLY, EPS),
+                                      repeat=2):
+            calls.clear()
+            a * b
+            assert len(calls) <= 2
+            calls.clear()
+            a / b
+            assert len(calls) <= 2
+
+    def test_line_circle_count(self, calls):
+        # seed 7 is an infinitesimal-gap instance: its gcd inputs reach
+        # eps-degree 6
+        i = gen_instance("LC-nonstrict", 7, NONARCHIMEDEAN)
+        line_circle(CircleSpec(i["center"], i["p"], i["q"]), i["a"], i["b"],
+                    strict=False, sem=NODE0)
+        assert len(calls) == 128
+
+
+def test_kernel_imports_without_fractions():
+    # Rat is the one rational type: no kernel module loads fractions
+    src = Path(nafield.__file__).resolve().parent.parent
+    code = ("import importlib, pkgutil, sys, geokernel\n"
+            "for m in pkgutil.iter_modules(geokernel.__path__):\n"
+            "    importlib.import_module('geokernel.' + m.name)\n"
+            "print('fractions' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 class TestDivmodOracle:
     """Poly.divmod against sympy's division over Q."""
 
@@ -146,17 +295,11 @@ class TestDivmodOracle:
     def test_matches_sympy_div(self, a, b):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("eps")
-
-        def to_sympy(p):
-            return sympy.Poly([sympy.Rational(q.numerator, q.denominator)
-                               for q in reversed(p.c)] or [0], x,
-                              domain=sympy.QQ)
-
         q, r = a.divmod(b)
         assert (q * b + r) == a
         assert r.degree() < b.degree()
-        want_q, want_r = sympy.div(to_sympy(a), to_sympy(b))
-        assert (to_sympy(q), to_sympy(r)) == (want_q, want_r)
+        want_q, want_r = sympy.div(_to_sympy(a, x), _to_sympy(b, x))
+        assert (_to_sympy(q, x), _to_sympy(r, x)) == (want_q, want_r)
 
 
 _ARITH = [operator.add, operator.sub, operator.mul, operator.truediv]
