@@ -30,8 +30,6 @@ DIAG = pt(1, 1)  # second point of the mirror line y = x
 
 def axis(x) -> Point:
     """Axis point for a number (FieldElement or rational)."""
-    if isinstance(x, Point):
-        return _as_axis(x)
     return pt(x, 0)
 
 

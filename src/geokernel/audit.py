@@ -26,7 +26,7 @@ from .geometry import (
     CONSTRUCTIBLE, NONARCHIMEDEAN, Point, angle_cong, between, congruent,
     distinct, distinct_witness, midpoint, nonstrict_between, on_ray,
     pos_angle, reflect_in_point, resolve_mode, right_angle, rot90,
-    verify_witness, vsub, cross, apex_witness, NotPositiveAngle,
+    verify_witness, vsub, cross, apex_witness,
 )
 from .constructions import (
     CircleSpec, ConstructionError, PostconditionFailure, angle_bisect,
@@ -584,7 +584,7 @@ def _spec(table: dict, label: str, kind: str) -> Spec:
 
 
 def _instance(spec: Spec, g: _Gen, **label) -> dict:
-    inst = {**label, "seed": g.seed, **spec.generate(g)}
+    inst = {**label, "seed": g.seed, "mode": g.mode, **spec.generate(g)}
     inst["expect_refusal"] = g.probe or (g.na_inf and spec.refuses)
     return inst
 
@@ -618,17 +618,20 @@ def _refused(err: Exception) -> dict:
     return {"verdict": "guard-refused", "detail": str(err)}
 
 
-def _check(spec: Spec, inst: dict, mode: str, tag: str | None) -> dict:
+def _check(spec: Spec, inst: dict, mode: str | None, tag: str | None) -> dict:
     """Re-check the hypothesis, run the check, and hold the verdict to the
-    instance's refusal expectation."""
-    sem = resolve_mode(mode)
+    instance's refusal expectation, all in the instance's own mode."""
+    if mode is not None and mode != inst["mode"]:
+        raise ValueError(f"instance generated in mode {inst['mode']!r}, "
+                         f"checked in mode {mode!r}")
+    sem = resolve_mode(inst["mode"])
     try:
         if spec.hypothesis is not None:
             text, holds = spec.hypothesis
             if not holds(inst, sem):
                 raise ConstructionError("PreconditionViolated", tag, text)
         res = _verdict(spec.check(inst, sem), spec.detail)
-    except (ConstructionError, NotPositiveAngle) as err:
+    except ConstructionError as err:
         res = _refused(err)
     except PostconditionFailure as err:
         res = {"verdict": "fail", "detail": f"postcondition: {err}"}
@@ -640,14 +643,12 @@ def _check(spec: Spec, inst: dict, mode: str, tag: str | None) -> dict:
     return res
 
 
-def check_axiom(axiom_id: str, inst: dict,
-                mode: str = CONSTRUCTIBLE) -> dict:
+def check_axiom(axiom_id: str, inst: dict, mode: str | None = None) -> dict:
     """Run the axiom's construction and re-check its conclusion, exactly."""
     return _check(_spec(AXIOMS, axiom_id, "axiom id"), inst, mode, axiom_id)
 
 
-def check_theorem(name: str, inst: dict,
-                  mode: str = CONSTRUCTIBLE) -> dict:
+def check_theorem(name: str, inst: dict, mode: str | None = None) -> dict:
     return _check(_spec(THEOREMS, name, "theorem name"), inst, mode, None)
 
 
@@ -677,7 +678,7 @@ def audit_run(mode: str = CONSTRUCTIBLE, per_axiom: int = 100,
                       "guard_refusals": 0}
             for idx in range(per_axiom):
                 iseed = _instance_seed(seed, label, idx)
-                res = check(label, generate(label, iseed, mode), mode)
+                res = check(label, generate(label, iseed, mode))
                 v = res["verdict"]
                 counts[_TALLY.get(v, "failures")] += 1
                 if v != "pass":

@@ -4,8 +4,9 @@ Each primitive realizes the point asserted by one existential axiom:
 segment extension, inner/outer Pasch (with positive-angle guards), the
 parallel axiom's intersection point, and line-circle / circle-circle
 intersections.  Guards are checked before constructing; a violated guard
-raises ConstructionError carrying the failing hypothesis, so callers can
-tell "guard refused" apart from "construction wrong".  Every output is
+raises ConstructionError (defined in `geometry`, whose angle witness
+refuses with it too) carrying the failing hypothesis, so callers can tell
+"guard refused" apart from "construction wrong".  Every output is
 re-checked against the axiom's conclusion with predicate_eval semantics —
 exactly, no tolerance.
 
@@ -23,24 +24,11 @@ from dataclasses import dataclass
 
 from .field import FieldElement, sqrt_nonneg
 from .geometry import (
-    CONSTRUCTIBLE, Point, angle_cong, apex_witness, between, collinear,
-    congruent, cross, distinct, dot, midpoint, nonstrict_between, on_ray,
-    pos_angle, positive, reflect_in_point, right_angle, rot90, sqdist, vsub,
+    CONSTRUCTIBLE, ConstructionError, Point, angle_cong, apex_witness,
+    between, collinear, congruent, cross, distinct, dot, midpoint,
+    nonstrict_between, on_ray, pos_angle, positive, reflect_in_point,
+    right_angle, rot90, sqdist, vsub,
 )
-
-
-class ConstructionError(Exception):
-    """A construction guard refused its input."""
-
-    def __init__(self, kind: str, axiom_id: str | None = None,
-                 hypothesis: str | None = None):
-        self.kind = kind
-        self.axiom_id = axiom_id
-        self.hypothesis = hypothesis
-        msg = kind
-        if axiom_id or hypothesis:
-            msg += f" ({axiom_id or '?'}: {hypothesis or '?'})"
-        super().__init__(msg)
 
 
 class PostconditionFailure(AssertionError):
@@ -91,6 +79,13 @@ def _post(cond: bool, what: str):
         raise PostconditionFailure(what)
 
 
+def _apart(a: Point, b: Point, sem: str, axiom: str | None,
+           hypothesis: str) -> None:
+    """Refuse unless a # b."""
+    if not distinct(a, b, sem):
+        raise ConstructionError("NotDistinct", axiom, hypothesis)
+
+
 def _require(axiom: str, checks):
     """Test (thunk, hypothesis) pairs in order; refuse at the first that
     fails, before any later one is computed."""
@@ -124,8 +119,7 @@ def _project(p: Point, u: Point, v: Point) -> Point:
 def ext(a: Point, b: Point, c: Point, d: Point,
         sem: str = CONSTRUCTIBLE) -> Point:
     """Extend ab beyond b by the length of cd (cd may be null)."""
-    if not distinct(a, b, sem):
-        raise ConstructionError("NotDistinct", "A4-i1", "a#b")
+    _apart(a, b, sem, "A4-i1", "a#b")
     q = sqdist(c, d)
     if q.is_zero():
         x = b
@@ -140,10 +134,8 @@ def ext(a: Point, b: Point, c: Point, d: Point,
 def ext_strict(a: Point, b: Point, c: Point, d: Point,
                sem: str = CONSTRUCTIBLE) -> Point:
     """Extension by a positively long cd: strict betweenness out."""
-    if not distinct(a, b, sem):
-        raise ConstructionError("NotDistinct", "A4-i2", "a#b")
-    if not distinct(c, d, sem):
-        raise ConstructionError("NotDistinct", "A4-i2", "c#d")
+    _apart(a, b, sem, "A4-i2", "a#b")
+    _apart(c, d, sem, "A4-i2", "c#d")
     x = ext(a, b, c, d, sem)
     _post(between(a, b, x, sem), "ext_strict")
     return x
@@ -205,10 +197,7 @@ def line_circle(circle: CircleSpec, a: Point, b: Point, strict: bool = True,
 
     a must be (strictly, or non-strictly) inside the circle; b distinct
     from a fixes the line."""
-    if not distinct(a, b, sem):
-        raise ConstructionError("NotDistinct",
-                                "LC-strict" if strict else "LC-nonstrict",
-                                "a#b")
+    _apart(a, b, sem, "LC-strict" if strict else "LC-nonstrict", "a#b")
     r2 = circle.sq_radius()
     inside = r2 - sqdist(a, circle.center)
     if strict:
@@ -245,8 +234,7 @@ def circle_circle(c1: CircleSpec, c2: CircleSpec,
     """Both intersections of two circles with distinct centers, as
     (left, right) relative to the directed center line c1->c2."""
     o1, o2 = c1.center, c2.center
-    if not distinct(o1, o2, sem):
-        raise ConstructionError("NotDistinct", "CC", "distinct centers")
+    _apart(o1, o2, sem, "CC", "distinct centers")
     r1sq, r2sq = c1.sq_radius(), c2.sq_radius()
     d2 = sqdist(o1, o2)
     r1r2 = sqrt_nonneg(r1sq * r2sq)
@@ -275,13 +263,13 @@ def circle_circle(c1: CircleSpec, c2: CircleSpec,
 def lay_off(a: Point, b: Point, c: Point, d: Point,
             sem: str = CONSTRUCTIBLE) -> Point:
     """The point on Ray(a,b) at distance |cd| from a."""
-    if not distinct(a, b, sem):
-        raise ConstructionError("NotDistinct", None, "a#b")
+    _apart(a, b, sem, None, "a#b")
     q = sqdist(c, d)
     if q.is_zero():
-        return a
-    t = sqrt_nonneg(q / sqdist(a, b))
-    x = Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+        x = a
+    else:
+        t = sqrt_nonneg(q / sqdist(a, b))
+        x = Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
     _post(on_ray(a, b, x) and congruent(a, x, c, d), "lay_off")
     _record("lay_off", [a, b, c, d], [x])
     return x
@@ -290,8 +278,7 @@ def lay_off(a: Point, b: Point, c: Point, d: Point,
 def equilateral(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> Point:
     """Apex of the equilateral triangle on ab (Euclid I.1 via circle-circle),
     left of directed ab."""
-    if not distinct(a, b, sem):
-        raise ConstructionError("NotDistinct", None, "a#b")
+    _apart(a, b, sem, None, "a#b")
     apex = circle_circle(CircleSpec(a, a, b), CircleSpec(b, a, b), sem)[0]
     _post(congruent(a, apex, a, b) and congruent(b, apex, a, b), "equilateral")
     _record("equilateral", [a, b], [apex])
@@ -303,8 +290,7 @@ def midpoint_gupta(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> Point:
     two guarded inner-Pasch cuts.  The Pasch angle guards are discharged by
     building the 120- and 150-degree tiling witnesses on the segment and
     re-checking their relations, before the guard is evaluated."""
-    if not distinct(a, b, sem):
-        raise ConstructionError("NotDistinct", None, "a#b")
+    _apart(a, b, sem, None, "a#b")
     named_angle_tiling("deg120", a, b, sem)
     named_angle_tiling("deg150", a, b, sem)
     c = equilateral(a, b, sem=sem)
@@ -325,8 +311,7 @@ def named_angle_tiling(kind: str, a: Point, b: Point,
     Coordinates are computed symbolically; every defining betweenness and
     congruence relation is re-checked exactly before the record is
     returned."""
-    if not distinct(a, b, sem):
-        raise ConstructionError("NotDistinct", None, "a#b")
+    _apart(a, b, sem, None, "a#b")
     if kind == "deg120":
         # triangle fac equilateral on a..c(=b); g = reflection of a in the
         # midpoint x of fc; the parallel-axiom point e closes triangle gce
@@ -376,8 +361,7 @@ def perpendicular(mode: str, p: Point, line: tuple[Point, Point],
     sub-segment of width |uv| each way (equilateral apex, left of uv).
     drop: p must be off the line; foot is its projection, tip is p."""
     u, v = line
-    if not distinct(u, v, sem):
-        raise ConstructionError("NotDistinct", None, "line u#v")
+    _apart(u, v, sem, None, "line u#v")
     if mode == "drop":
         foot = _project(p, u, v)
         if not distinct(p, foot, sem):
@@ -401,8 +385,7 @@ def perpendicular(mode: str, p: Point, line: tuple[Point, Point],
 
 def reflect(p: Point, u: Point, v: Point, sem: str = CONSTRUCTIBLE) -> Point:
     """Reflection of p in the line uv (an exact isometry)."""
-    if not distinct(u, v, sem):
-        raise ConstructionError("NotDistinct", None, "line u#v")
+    _apart(u, v, sem, None, "line u#v")
     out = reflect_in_point(p, _project(p, u, v))
     _record("reflect", [p], [out])
     return out
@@ -414,12 +397,9 @@ def angle_copy(a: Point, b: Point, c: Point, p: Point, s: Point, q: Point,
 
     Reduction: drop a perpendicular from a to line bc and transport the
     (signed foot offset, height) pair into the frame of Ray(p,s)."""
-    if not distinct(p, s, sem):
-        raise ConstructionError("NotDistinct", None, "p#s")
-    if not distinct(a, b, sem):
-        raise ConstructionError("NotDistinct", None, "a#b")
-    if not distinct(c, b, sem):
-        raise ConstructionError("NotDistinct", None, "c#b")
+    _apart(p, s, sem, None, "p#s")
+    _apart(a, b, sem, None, "a#b")
+    _apart(c, b, sem, None, "c#b")
     qfoot = _project(q, p, s)
     if not distinct(q, qfoot, sem):
         raise ConstructionError("NotOffLine", None, "q off line ps")
@@ -447,7 +427,7 @@ def angle_copy(a: Point, b: Point, c: Point, p: Point, s: Point, q: Point,
 def angle_bisect(a: Point, b: Point, c: Point,
                  sem: str = CONSTRUCTIBLE) -> Point:
     """Midpoint of the apex witness's chord: the bisector point."""
-    w = apex_witness(a, b, c, sem)  # raises NotPositiveAngle
+    w = apex_witness(a, b, c, sem)  # refuses a non-positive angle
     m = midpoint(w.u, w.v)
     _post(angle_cong(w.u, b, m, m, b, w.v), "angle_bisect congruent halves")
     _post(distinct(b, m, sem), "angle_bisect b#m")

@@ -4,7 +4,7 @@ pretty-printer and interpreter.
 Grammar::
 
     script := stmt*
-    stmt   := "point" NAME expr expr ";"
+    stmt   := "point" NAME term term ";"
             | "let" NAME "=" NAME "(" NAME ("," NAME)* ")" ";"
             | "assert" NAME "(" NAME ("," NAME)* ")" ";"
             | "render" STRING ";"
@@ -34,7 +34,7 @@ from .field import (
     DomainViolation, FieldElement, FieldError, Q, eps, sqrt_nonneg,
 )
 from .geometry import (
-    CONSTRUCTIBLE, NODE0, ArityMismatch, NotPositiveAngle, Point, midpoint,
+    CONSTRUCTIBLE, NODE0, ArityMismatch, Point, midpoint,
     predicate_eval, reflect_in_point, resolve_mode,
 )
 from .constructions import (
@@ -431,8 +431,7 @@ def parse_element(text: str, mode: str = CONSTRUCTIBLE) -> FieldElement:
 
 
 _RUNTIME_ERRORS = (ConstructionError, PostconditionFailure, FieldError,
-                   NotPositiveAngle, ArityMismatch, DomainViolation,
-                   ZeroDivisionError)
+                   ArityMismatch, DomainViolation, ZeroDivisionError)
 
 
 def run_script(script: Script, mode: str = CONSTRUCTIBLE) -> Env:

@@ -5,10 +5,12 @@ the rational functions in a positive infinitesimal ``eps``.  Rationals are
 `Rat` leaves (nafield's one rational type; an int or a `Fraction` becomes
 one where it enters): a leaf is a `RatFunc` only once ``eps`` entered its
 computation, and the two kinds mix freely because Q is a subfield of
-Q(eps).  Representation: a depth-k element is a nested pair tree (its
-"rep") whose leaves are base values; the pair (a, b) at level i denotes
-a + b*sqrt(r_i).  A tower is the tuple of its radicand reps: tower[i] is
-r_{i+1}, a rep of depth i over tower[:i].
+Q(eps).  Both kinds answer `sign`, `valuation`, `sqrt_exact` and `shadow`
+alike, so no code here asks which kind a leaf is.  Representation: a
+depth-k element is a nested pair tree (its "rep") whose leaves are base
+values; the pair (a, b) at level i denotes a + b*sqrt(r_i).  A tower is
+the tuple of its radicand reps: tower[i] is r_{i+1}, a rep of depth i
+over tower[:i].
 
 Every operation is exact.  Comparison is decided recursively: the sign of
 a + b*sqrt(r) follows from the signs of a and b and a comparison of a^2
@@ -28,14 +30,12 @@ from __future__ import annotations
 
 import operator
 
-from .nafield import FieldError, Rat, RatFunc, as_rat, frac_sqrt
+from .nafield import EPS, ONE, ZERO, FieldError, Rat, as_rat, refuse_float
 
 # Most sqrt nodes a tower may hold.  A sign or a root search costs about
 # five times as much with each level of depth; the audit needs depth 2 and
 # the figures depth 1.
 MAX_TOWER_DEPTH = 6
-
-_ZERO, _ONE = Rat(0), Rat(1)
 
 # ---------------------------------------------------------------------------
 # errors
@@ -59,28 +59,12 @@ class DomainViolation(Exception):
 
 
 # ---------------------------------------------------------------------------
-# base-field helpers (leaves are Rat or RatFunc)
-
-
-def _bsign(v) -> int:
-    if type(v) is Rat:
-        return (v.n > 0) - (v.n < 0)
-    return v.sign()
-
-
-def _bsqrt(v):
-    if type(v) is Rat:
-        return frac_sqrt(v)
-    return v.sqrt_exact()
-
-
-# ---------------------------------------------------------------------------
 # rep-level arithmetic; a rep of depth 0 is a base value, of depth k a pair
 
 
 def _rzero(depth):
     if depth == 0:
-        return _ZERO
+        return ZERO
     z = _rzero(depth - 1)
     return (z, z)
 
@@ -139,7 +123,7 @@ def _rnorm(x, rads, depth):
 
 def _rsign(x, rads, depth) -> int:
     if depth == 0:
-        return _bsign(x)
+        return x.sign()
     a, b = x
     sb = _rsign(b, rads, depth - 1)
     if sb == 0:
@@ -157,7 +141,7 @@ def _rsign(x, rads, depth) -> int:
 def _rval(x, rads, depth) -> Rat:
     """eps-adic valuation of a nonzero rep (the rule in the module doc)."""
     if depth == 0:
-        return _ZERO if type(x) is Rat else Rat(x.valuation())
+        return x.valuation()
     a, b = x
     if _ris_zero(b, depth - 1):
         return _rval(a, rads, depth - 1)
@@ -187,7 +171,7 @@ def _rdiv(x, y, rads, depth):
 def _sqrt_in(rads, x, depth):
     """Square root of rep x inside the tower, or None if none exists there."""
     if depth == 0:
-        return _bsqrt(x)
+        return x.sqrt_exact()
     a, b = x
     if _ris_zero(b, depth - 1):
         s = _sqrt_in(rads, a, depth - 1)
@@ -272,7 +256,7 @@ class FieldElement:
                 _check_depth(len(T) + 1)
                 T.append(r_rep)
                 emb = [(e, _rzero(len(T) - 1)) for e in emb]
-                s = (_rzero(len(T) - 1), _rlift(_ONE, 0, len(T) - 1))
+                s = (_rzero(len(T) - 1), _rlift(ONE, 0, len(T) - 1))
             emb.append(s)
         return tuple(T), emb, convert
 
@@ -376,6 +360,7 @@ class FieldElement:
     def __eq__(self, other):
         b = self._coerce(other)
         if b is None:
+            refuse_float(self, other)
             return NotImplemented
         if self.tower == b.tower:
             return self.rep == b.rep
@@ -442,7 +427,7 @@ def sqrt_nonneg(a: FieldElement) -> FieldElement:
         root = FieldElement(a.tower, s)._normalized()
         return -root if root.sign() < 0 else root
     _check_depth(a.depth + 1)
-    rep = (_rzero(a.depth), _rlift(_ONE, 0, a.depth))
+    rep = (_rzero(a.depth), _rlift(ONE, 0, a.depth))
     return FieldElement(a.tower + (a.rep,), rep)
 
 
@@ -456,7 +441,7 @@ def Q(num, den=1) -> FieldElement:
     return FieldElement((), Rat(num, den))
 
 
-EPS_ELEMENT = FieldElement((), RatFunc.eps_power(1))
+EPS_ELEMENT = FieldElement((), EPS)
 
 
 def eps() -> FieldElement:
@@ -467,22 +452,15 @@ def eps() -> FieldElement:
 # numeric approximation (render-time only; never used in comparisons)
 
 
-def approx(x: FieldElement, use_shadow: bool = False) -> float:
-    """Float approximation of an eps-free element, or (use_shadow) of the
-    eps -> 0 shadow of a finitely bounded element."""
-    def leaf(v) -> float:
-        if type(v) is Rat:
-            return float(v)
-        if not use_shadow:
-            raise ValueError("an element involving eps has no float value")
-        s = v.shadow()
-        if s is None:
-            raise ValueError("unbounded element has no shadow")
-        return float(s)
-
+def approx(x: FieldElement) -> float:
+    """Float approximation of the eps -> 0 shadow of a finitely bounded
+    element; an eps-free element is its own shadow."""
     def go(rep, depth, rad_floats) -> float:
         if depth == 0:
-            return leaf(rep)
+            s = rep.shadow()
+            if s is None:
+                raise ValueError("unbounded element has no shadow")
+            return float(s)
         a, b = rep
         fa = go(a, depth - 1, rad_floats)
         fb = go(b, depth - 1, rad_floats)

@@ -43,8 +43,23 @@ class ArityMismatch(Exception):
     pass
 
 
-class NotPositiveAngle(Exception):
-    pass
+class ConstructionError(Exception):
+    """A guard refused its input: the one refusal type of the kernel.  At
+    NODE0 a refusal marks a case that only Markov's principle decides."""
+
+    def __init__(self, kind: str, axiom_id: str | None = None,
+                 hypothesis: str | None = None):
+        self.kind = kind
+        self.axiom_id = axiom_id
+        self.hypothesis = hypothesis
+        msg = kind
+        if axiom_id or hypothesis:
+            msg += f" ({axiom_id or '?'}: {hypothesis or '?'})"
+        super().__init__(msg)
+
+
+class NotPositiveAngle(ConstructionError):
+    """An angle witness asked of an angle that is not positive."""
 
 
 def _lift(v) -> FieldElement:
@@ -251,7 +266,7 @@ def apex_witness(a: Point, b: Point, c: Point,
     """Equidistant points on the two rays of a positive angle."""
     vecs = _angle_vectors(a, b, c, sem)
     if vecs is None:
-        raise NotPositiveAngle(f"angle {a} {b} {c} is not positive")
+        raise NotPositiveAngle("AngleNotPositive", None, "0<angle<pi")
     _, bc, qa, qc = vecs
     return _apex(a, b, bc, qa, qc)
 

@@ -1,11 +1,12 @@
 """Exact rational and rational-function arithmetic in one infinitesimal ``eps``.
 
 `Rat` is the one rational type: ints n and d > 0 in lowest terms, the form
-`Fraction` keeps, so it prints, compares and hashes exactly as the equal
-`Fraction` does.  Sums use Henrici's gcd split and products cross gcds
-(Knuth, TAOCP vol. 2, 4.5.1), with a fast path for integers; results are
-built unchecked, since these steps keep lowest terms.  An int or a
-`Fraction` becomes a `Rat` once, where it enters (`Rat(x)`, `as_rat`).
+`Fraction` keeps, so it prints and hashes as the equal `Fraction` does; but
+a float is no exact value, and `==` with one raises as `<` does.  Sums use
+Henrici's gcd split and products cross gcds (Knuth, TAOCP vol. 2, 4.5.1),
+with a fast path for integers; results are built unchecked, since these
+steps keep lowest terms.  An int or a `Fraction` becomes a `Rat` once,
+where it enters (`Rat(x)`, `as_rat`).
 
 `Poly` is a polynomial with `Rat` coefficients.  Products and gcds run
 over Z: denominators are cleared, and `poly_gcd` splits off integer
@@ -21,7 +22,8 @@ a sum takes a gcd only when neither denominator is 1, a product the two
 cross gcds.  The ordering treats ``eps`` as a positive infinitesimal: the
 sign of an element is the sign of the lowest-degree coefficient of its
 eps-expansion, and the valuation (eps-adic order) separates
-infinitesimal, finite and unbounded elements.
+infinitesimal, finite and unbounded elements.  A `Rat` answers `sign`,
+`valuation` (a `Rat`), `sqrt_exact` and `shadow` as the equal `RatFunc` does.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ def as_rat(x) -> "Rat | None":
     if not isinstance(x, Rational):  # int and Fraction are Rational
         return None
     return _rat(x.numerator, x.denominator)
+
+
+def refuse_float(a, b) -> None:
+    """Raise the TypeError of `a < b` if b is a float; `==` calls it."""
+    if isinstance(b, float):
+        raise TypeError(f"'==' not supported between instances of "
+                        f"{type(a).__name__!r} and 'float'")
 
 
 def _rat(n: int, d: int) -> "Rat":
@@ -170,9 +179,11 @@ class Rat:
 
     def __eq__(a, b):
         if type(b) is not Rat:
-            b = as_rat(b)
-            if b is None:
+            q = as_rat(b)
+            if q is None:
+                refuse_float(a, b)
                 return NotImplemented
+            b = q
         return a.n == b.n and a.d == b.d
 
     def __lt__(a, b):
@@ -193,6 +204,22 @@ class Rat:
             h = hash_info.inf
         h = h if a.n >= 0 else -h
         return -2 if h == -1 else h
+
+    def sign(a) -> int:
+        return (a.n > 0) - (a.n < 0)
+
+    def valuation(a) -> "Rat":
+        """eps-adic order, 0; raises on zero as RatFunc does."""
+        if not a.n:
+            raise ValueError("zero has no valuation")
+        return ZERO
+
+    def sqrt_exact(a) -> "Rat | None":
+        """Square root inside Q, or None."""
+        return frac_sqrt(a)
+
+    def shadow(a) -> "Rat":
+        return a
 
     def __float__(a) -> float:
         return a.n / a.d
@@ -522,14 +549,15 @@ class RatFunc:
         q = self.num.lowcoeff()  # den's low coefficient is 1 by normalization
         return 1 if q > 0 else -1
 
-    def valuation(self) -> int:
+    def valuation(self) -> Rat:
         """eps-adic order; raises on zero."""
-        return self.num.lowdeg() - self.den.lowdeg()
+        return _rat(self.num.lowdeg() - self.den.lowdeg(), 1)
 
     def __eq__(self, other) -> bool:
         if type(other) is not RatFunc:
             q = as_rat(other)
             if q is None:
+                refuse_float(self, other)
                 return NotImplemented
             other = RatFunc.const(q)
         return self.num == other.num and self.den == other.den
@@ -620,7 +648,7 @@ class RatFunc:
         """Standard part at eps -> 0, or None when unbounded."""
         if self.is_zero():
             return ZERO
-        v = self.valuation()
+        v = self.valuation().sign()
         if v > 0:
             return ZERO
         if v < 0:

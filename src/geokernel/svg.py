@@ -62,9 +62,9 @@ _CIRCLE_PLANS = {
 }
 
 
-def _coords(p: Point, use_shadow: bool, name: str) -> tuple[float, float]:
+def _coords(p: Point, name: str) -> tuple[float, float]:
     try:
-        xy = approx(p.x, use_shadow), approx(p.y, use_shadow)
+        xy = approx(p.x), approx(p.y)
     except (OverflowError, ValueError) as err:  # no float value
         raise UnrenderableMode(f"point {name}: {err}") from None
     for v in xy:
@@ -83,14 +83,14 @@ def render_svg(env, shadow: bool = False) -> str:
 
     pts: dict[str, tuple[float, float]] = {}
     for name, p in env.bindings.items():
-        pts[name] = _coords(p, use_shadow, name)
+        pts[name] = _coords(p, name)
 
     segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
     circles: list[tuple[tuple[float, float], float]] = []
 
     def pick(entry, side, idx):
         seq = entry.inputs if side == "in" else entry.outputs
-        return _coords(seq[idx], use_shadow, f"{side}[{idx}] of {entry.op}")
+        return _coords(seq[idx], f"{side}[{idx}] of {entry.op}")
 
     seen = set()
     for entry in env.trace:

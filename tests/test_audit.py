@@ -37,6 +37,19 @@ class TestGenerators:
         assert i["expect_refusal"]
         assert check_axiom("A4-i2", i)["verdict"] == "guard-refused"
 
+    def test_instance_carries_its_mode(self):
+        # an instance is checked in the mode it was generated in
+        i = gen_instance("LC-strict", 7, NONARCHIMEDEAN)
+        assert i["mode"] == NONARCHIMEDEAN and i["expect_refusal"]
+        assert check_axiom("LC-strict", i)["verdict"] == "guard-refused"
+        assert check_axiom("LC-strict", i, NONARCHIMEDEAN) == \
+            check_axiom("LC-strict", i)
+        with pytest.raises(ValueError, match="mode"):
+            check_axiom("LC-strict", i, "constructible")
+        t = gen_theorem_instance("angle-bisection", 3)
+        with pytest.raises(ValueError, match="mode"):
+            check_theorem("angle-bisection", t, NONARCHIMEDEAN)
+
     def test_euclid5_symmetry_automatic(self):
         from geokernel.geometry import congruent
         i = gen_instance("Euclid5", 4)
@@ -51,7 +64,8 @@ class TestGenerators:
         for mode, (gen, label), seed in itertools.product(
                 ("constructible", "nonarchimedean"), labels, range(8)):
             inst = gen(label, seed, mode)
-            for k in sorted(inst):
+            assert inst["mode"] == mode
+            for k in sorted(inst.keys() - {"mode"}):
                 h.update(f"{k}={_rendered(inst[k])}\n".encode())
         assert h.hexdigest() == ("771097ba4bdf9c7af8e37d6a1405c7a2"
                                  "f588761a301a2a1f22499e756de0e8c8")

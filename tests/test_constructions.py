@@ -12,11 +12,17 @@ from geokernel.geometry import (
     nonstrict_between, on_ray, pos_angle, pt, right_angle,
 )
 from geokernel.constructions import (
-    CircleSpec, ConstructionError, angle_bisect, angle_copy, circle_circle,
-    crossbar_point, equilateral, ext, ext_strict, euclid5, inner_pasch,
-    lay_off, line_circle, line_intersect, midpoint_gupta, named_angle_tiling,
-    outer_pasch, perpendicular, reflect, tracing,
+    CircleSpec, ConstructionError, PostconditionFailure, angle_bisect,
+    angle_copy, circle_circle, crossbar_point, equilateral, ext, ext_strict,
+    euclid5, inner_pasch, lay_off, line_circle, line_intersect,
+    midpoint_gupta, named_angle_tiling, outer_pasch, perpendicular, reflect,
+    tracing,
 )
+from geokernel.arithmetic import axis, geo_add, geo_sqrt
+
+O, X = pt(0, 0), pt(1, 0)
+UNIT = CircleSpec(O, O, X)
+EPS_X = Point(eps(), Q(0))  # eps along the x-axis
 
 
 class TestExtension:
@@ -217,3 +223,110 @@ class TestNodeGuards:
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
         res = doctest.testfile(readme, module_relative=False)
         assert res.attempted > 0 and res.failed == 0
+
+
+# Every guard: a call that violates it, and the refusal it must raise as
+# (kind, axiom_id, hypothesis), or the exception type of a guard that
+# raises no ConstructionError.
+GUARDS = {
+    "inner_pasch B(b,q,c)": (
+        lambda: inner_pasch(O, X, pt(2, 0), pt(0, 2), pt(5, 5)),
+        ("PreconditionViolated", "A7-i1", "B(b,q,c)")),
+    "outer_pasch B(b,c,q)": (
+        lambda: outer_pasch(O, X, pt(2, 0), pt(0, 2), pt(5, 5)),
+        ("PreconditionViolated", "A7-i2", "B(b,c,q)")),
+    "line_circle a#b": (
+        lambda: line_circle(UNIT, O, O),
+        ("NotDistinct", "LC-strict", "a#b")),
+    "line_circle nonstrict inside": (
+        lambda: line_circle(UNIT, pt(2, 0), pt(2, 1), strict=False),
+        ("NotInside", "LC-nonstrict", "a non-strictly inside circle")),
+    "circle_circle centers": (
+        lambda: circle_circle(UNIT, CircleSpec(O, O, pt(2, 0))),
+        ("NotDistinct", "CC", "distinct centers")),
+    "circle_circle nested": (
+        lambda: circle_circle(CircleSpec(O, O, pt(5, 0)),
+                              CircleSpec(X, X, pt(2, 0))),
+        ("CirclesSeparated", "CC", "|r1-r2| <= d")),
+    "lay_off a#b": (lambda: lay_off(X, X, O, X), ("NotDistinct", None, "a#b")),
+    "midpoint_gupta a#b": (lambda: midpoint_gupta(X, X),
+                           ("NotDistinct", None, "a#b")),
+    "named_angle_tiling a#b": (lambda: named_angle_tiling("deg30", X, X),
+                               ("NotDistinct", None, "a#b")),
+    "named_angle_tiling kind": (lambda: named_angle_tiling("deg45", O, X),
+                                ValueError),
+    "perpendicular u#v": (lambda: perpendicular("drop", pt(0, 1), (X, X)),
+                          ("NotDistinct", None, "line u#v")),
+    "perpendicular drop off line": (
+        lambda: perpendicular("drop", pt(2, 0), (O, X)),
+        ("NotOffLine", None, "p off line")),
+    "perpendicular erect on line": (
+        lambda: perpendicular("erect", pt(2, 1), (O, X)),
+        ("NotOnLine", None, "p on line")),
+    "perpendicular mode": (lambda: perpendicular("slant", pt(2, 1), (O, X)),
+                           ValueError),
+    "reflect u#v": (lambda: reflect(pt(0, 1), X, X),
+                    ("NotDistinct", None, "line u#v")),
+    "angle_copy p#s": (
+        lambda: angle_copy(pt(1, 1), O, X, pt(5, 0), pt(5, 0), pt(5, 1)),
+        ("NotDistinct", None, "p#s")),
+    "angle_copy a#b": (
+        lambda: angle_copy(O, O, X, pt(5, 0), pt(6, 0), pt(5, 1)),
+        ("NotDistinct", None, "a#b")),
+    "angle_copy c#b": (
+        lambda: angle_copy(pt(1, 1), O, O, pt(5, 0), pt(6, 0), pt(5, 1)),
+        ("NotDistinct", None, "c#b")),
+    "angle_copy q off line": (
+        lambda: angle_copy(pt(1, 1), O, X, pt(5, 0), pt(6, 0), pt(7, 0)),
+        ("NotOffLine", None, "q off line ps")),
+    "line_intersect parallel": (
+        lambda: line_intersect(O, X, pt(0, 1), pt(1, 1)),
+        PostconditionFailure),
+    "arithmetic off-axis operand": (lambda: geo_add(pt(1, 1), O), ValueError),
+    "arithmetic strict sqrt a#0": (
+        lambda: geo_sqrt(axis(0), strict=True),
+        ("NotDistinct", None, "a#0 (strict sqrt)")),
+}
+
+# Guards on a quantity that is an eps-sized violation: refused at NODE0,
+# where deciding would take Markov's principle, and decided at NODE1.
+NODE_GUARDS = {
+    "ext_strict c#d": (lambda sem: ext_strict(O, X, O, EPS_X, sem),
+                       ("NotDistinct", "A4-i2", "c#d")),
+    "line_circle strict inside": (
+        lambda sem: line_circle(UNIT, Point(1 - eps(), Q(0)), pt(0, 1),
+                                True, sem),
+        ("NotInside", "LC-strict", "a inside circle")),
+    "lay_off a#b": (lambda sem: lay_off(O, EPS_X, O, X, sem),
+                    ("NotDistinct", None, "a#b")),
+    "angle_bisect": (lambda sem: angle_bisect(X, O, Point(Q(1), eps()), sem),
+                     ("AngleNotPositive", None, "0<angle<pi")),
+}
+
+
+def _refusal(call) -> tuple:
+    with pytest.raises(ConstructionError) as ei:
+        call()
+    return ei.value.kind, ei.value.axiom_id, ei.value.hypothesis
+
+
+class TestGuardTable:
+    @pytest.mark.parametrize("call, refusal", GUARDS.values(), ids=GUARDS)
+    def test_guard_refuses(self, call, refusal):
+        if isinstance(refusal, tuple):
+            assert _refusal(call) == refusal
+        else:
+            with pytest.raises(refusal):
+                call()
+
+    @pytest.mark.parametrize("call, refusal", NODE_GUARDS.values(),
+                             ids=NODE_GUARDS)
+    def test_infinitesimal_refused_at_node0_only(self, call, refusal):
+        assert _refusal(lambda: call(NODE0)) == refusal
+        call(NODE1)  # decides; the construction re-checks its conclusion
+
+    def test_lay_off_null_segment_checked_and_traced(self):
+        trace = []
+        with tracing(trace):
+            assert lay_off(O, X, pt(5, 5), pt(5, 5)) == O
+        assert [(e.op, e.outputs) for e in trace] == [("lay_off", [O])]

@@ -3,6 +3,7 @@
 import glob
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,10 @@ class TestParser:
         s = parse_script("point q 0 -1;")
         assert run_script(s).bindings["q"] == pt(0, -1)
 
+    def test_binary_minus_left_associative(self):
+        s = parse_script("point p (3-5) (1-1/2-1/4);")
+        assert run_script(s).bindings["p"] == pt(-2, Fraction(1, 4))
+
     def test_comments_and_strings(self):
         s = parse_script('# a comment\nrender "hi";')
         assert isinstance(s.statements[0], RenderStmt)
@@ -112,6 +117,19 @@ class TestInterpreter:
             "point a 0 0; let x = equilateral(a,a); point b 1 0;"))
         assert env.errors and env.errors[0]["error"] == "ConstructionError"
         assert "b" in env.bindings  # execution continued
+
+    @pytest.mark.parametrize("statement, error, detail", [
+        ("let x = trisect(a, a);", "DomainViolation",
+         "unknown operation 'trisect'"),
+        ("let x = midpoint(a);", "ArityMismatch",
+         "midpoint expects 2 points, got 1"),
+        ("assert parallel(a, a);", "DomainViolation",
+         "unknown predicate 'parallel'"),
+    ])
+    def test_runtime_error_recorded(self, statement, error, detail):
+        env = run_script(parse_script(f"point a 0 0; {statement}"))
+        assert env.errors == [{"statement": statement, "error": error,
+                               "detail": detail}]
 
     def test_unbound_name_recorded(self):
         env = run_script(parse_script("let x = midpoint(a,b);"))
@@ -213,6 +231,18 @@ class TestCli:
         assert cli_main(["run", script]) == 0
         out = capsys.readouterr().out
         assert "e = (1, -2)" in out
+
+    @pytest.mark.parametrize("argv, line, code", [
+        (["run", os.path.join(FIGURES, "inner_pasch_guard.geo"),
+          "--field", "nonarch"],
+         "error [ConstructionError]: let x = inner_pasch(a, p, c, b, q);  "
+         "(AngleNotPositive (A7-i1: 0<angle<pi))", 1),
+        (["audit", "--field", "nonarch", "--samples", "8"],
+         "LC-strict: 7/8 pass, 1 guard-refused", 0),
+    ], ids=["run-nonarch-refusal", "audit-nonarch-refusals"])
+    def test_nonarch_refusals_printed(self, argv, line, code, capsys):
+        assert cli_main(argv) == code
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_run_prints_oversized_binding(self, capsys, tmp_path):
         script = tmp_path / "big.geo"

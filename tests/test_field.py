@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geokernel import field
 from geokernel.dsl import MAX_EXPONENT, ScriptSyntaxError, parse_element
@@ -146,6 +146,89 @@ def _evaluate(tree, rational):
         return sqrt_nonneg(_evaluate(tree[1], rational))
     return _OPS[tree[0]](_evaluate(tree[1], rational),
                          _evaluate(tree[2], rational))
+
+
+_SMALL = st.sampled_from([Fraction(n) for n in (-2, -1, 1, 2, 3)]
+                         + [Fraction(1, 2)])
+_RADICANDS = st.sampled_from([Fraction(n) for n in (2, 3, 4, 5, 8)]
+                             + [Fraction(1, 2)])
+
+
+@st.composite
+def _eps_free_trees(draw):
+    """x, then x op c*r for up to three roots r, each the root of a small
+    rational or of 1 + x^2: eps-free, of tower depth <= 3."""
+    x = draw(_SMALL)
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            r = ("sqrt", draw(_RADICANDS))
+        else:
+            r = ("sqrt", ("+", Fraction(1), ("*", x, x)))
+        x = (draw(st.sampled_from(sorted(_OPS))), x, ("*", draw(_SMALL), r))
+    return x
+
+
+def _root(f):
+    return ("sqrt", Fraction(f))
+
+
+def _sympy_value(tree, sympy):
+    """The exact sympy number a tree denotes."""
+    if isinstance(tree, Fraction):
+        return sympy.Rational(tree.numerator, tree.denominator)
+    if tree[0] == "sqrt":
+        return sympy.sqrt(_sympy_value(tree[1], sympy))
+    return _OPS[tree[0]](_sympy_value(tree[1], sympy),
+                         _sympy_value(tree[2], sympy))
+
+
+# rational functions of eps: trees without sqrt
+_EPS_TREES = st.recursive(
+    st.just("eps") | st.fractions(min_value=-4, max_value=4,
+                                  max_denominator=4),
+    lambda kids: st.tuples(st.sampled_from(sorted(_OPS)), kids, kids),
+    max_leaves=8)
+
+
+class TestTowerOracle:
+    """Tower arithmetic against sympy, an independent exact oracle."""
+
+    # zeros that only a denesting finds
+    @example(tree=("-", _root(8), ("*", Fraction(2), _root(2))))
+    @example(tree=("-", ("sqrt", ("+", Fraction(3), ("*", Fraction(2),
+                                                       _root(2)))),
+                   ("+", Fraction(1), _root(2))))
+    @example(tree=("-", ("*", _root(2), _root(3)), _root(6)))
+    @given(tree=_eps_free_trees())
+    @settings(max_examples=120, deadline=None)
+    def test_eps_free_tower(self, tree):
+        sympy = pytest.importorskip("sympy")
+        x, expr = _evaluate(tree, Q), _sympy_value(tree, sympy)
+        v = sympy.N(expr, 60)
+        if abs(v) > sympy.Rational(1, 10 ** 40):
+            assert x.sign() == sympy.sign(v)
+        else:  # too near 0 to tell by digits: the minimal polynomial is t
+            t = sympy.Symbol("t")
+            assert x.is_zero() == (sympy.minimal_polynomial(expr, t) == t)
+        assert parse_element(render_element(x)) == x
+        y = -x if x.sign() < 0 else x
+        assert sqrt_nonneg(y) ** 2 == y
+
+    @given(tree=_EPS_TREES)
+    @settings(max_examples=120, deadline=None)
+    def test_eps_leaf_leading_term(self, tree):
+        sympy = pytest.importorskip("sympy")
+        try:
+            x = _evaluate(tree, Q)
+        except ZeroDivisionError:
+            return
+        assume(not x.is_zero())
+        e = sympy.Symbol("eps", positive=True)
+        expr = sympy.sympify(render_element(x).replace("^", "**"),
+                             locals={"eps": e})
+        coeff, k = expr.as_leading_term(e).as_coeff_exponent(e)
+        assert x.valuation() == int(k)
+        assert x.sign() == sympy.sign(coeff)
 
 
 class TestRepresentation:
@@ -325,7 +408,7 @@ class TestNonArchimedean:
 
     def test_shadow_approx(self):
         e = eps()
-        v = approx(sqrt_nonneg(Q(2) + e), use_shadow=True)
+        v = approx(sqrt_nonneg(Q(2) + e))
         assert abs(v - 2 ** 0.5) < 1e-12
         with pytest.raises(ValueError):
-            approx(Q(1) / e, use_shadow=True)
+            approx(Q(1) / e)

@@ -14,7 +14,7 @@ from geokernel import nafield
 from geokernel.audit import gen_instance
 from geokernel.constructions import CircleSpec, line_circle
 from geokernel.dsl import parse_element, parse_script, run_script
-from geokernel.field import FieldError
+from geokernel.field import FieldError, Q
 from geokernel.geometry import NONARCHIMEDEAN, NODE0
 from geokernel.nafield import (
     EPS, DegreeTooHigh, Poly, Rat, RatFunc, frac_sqrt, poly_gcd, poly_sqrt,
@@ -391,6 +391,37 @@ class TestRatAgainstFraction:
             assert type(got) is RatFunc
             assert (got.num, got.den) == (want.num, want.den)
             assert got == op(fa, fb)  # a Fraction operand, the same way
+
+
+class TestLeafInterface:
+    """A Rat answers the leaf queries of `field` as the equal RatFunc."""
+
+    @given(x=_FRACTIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_rat_answers_as_ratfunc(self, x):
+        for q in (x, x * x):  # a square has an exact root
+            r, rf = Rat(q), RatFunc.const(q)
+            assert r.sign() == rf.sign()
+            assert r.shadow() == rf.shadow()
+            assert r.sqrt_exact() == rf.sqrt_exact()
+            if not q:
+                for leaf in (r, rf):
+                    with pytest.raises(ValueError):
+                        leaf.valuation()
+                continue
+            assert type(r.valuation()) is type(rf.valuation()) is Rat
+            assert r.valuation() == rf.valuation() == 0
+
+    @pytest.mark.parametrize("op", [operator.eq, operator.ne])
+    @pytest.mark.parametrize("value", [Rat(1, 2), Q(1, 2),
+                                       RatFunc.const(Rat(1, 2))],
+                             ids=["Rat", "FieldElement", "RatFunc"])
+    def test_float_is_refused_as_by_lt(self, value, op):
+        with pytest.raises(TypeError):
+            value < 0.75
+        for a, b in ((value, 0.5), (0.5, value)):
+            with pytest.raises(TypeError, match="float"):
+                op(a, b)
 
 
 class TestDegreeCap:

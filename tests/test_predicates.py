@@ -106,8 +106,11 @@ class TestWitnesses:
         assert verify_witness("PosAngle", (a, b, c), w)
 
     def test_apex_refuses_flat_angle(self):
-        with pytest.raises(NotPositiveAngle):
+        with pytest.raises(NotPositiveAngle) as ei:
             apex_witness(pt(1, 0), pt(0, 0), pt(2, 0))
+        # the one refusal type, refused as the Pasch angle guards refuse
+        assert isinstance(ei.value, ConstructionError)
+        assert ei.value.kind == "AngleNotPositive"
 
 
 class TestDispatch:
