@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 from .arithmetic import axis, expresses_negative
 from .field import FieldElement, Q, eps, sqrt_nonneg
 from .geometry import (
-    CONSTRUCTIBLE, NONARCHIMEDEAN, Point, angle_cong, between, congruent,
+    CONSTRUCTIBLE, NODE0, Point, angle_cong, between, congruent,
     distinct, distinct_witness, midpoint, nonstrict_between, on_ray,
     pos_angle, reflect_in_point, resolve_mode, right_angle, rot90,
     verify_witness, vsub, cross, apex_witness,
@@ -50,13 +50,14 @@ class _Gen:
     def __init__(self, seed: int, mode: str = CONSTRUCTIBLE):
         self.rng = random.Random(seed)
         self.seed, self.mode = seed, mode
+        self.sem = resolve_mode(mode)  # an unknown mode fails here
         self.degenerate = self.na_inf = self.probe = False
 
     def schedule(self) -> None:
         """Axiom gaps: 1/2³² on every 8th seed, infinitesimal in
         NonArchimedean mode; otherwise an interior parameter."""
         self.degenerate = self.seed % 8 == 7
-        self.na_inf = self.degenerate and self.mode == NONARCHIMEDEAN
+        self.na_inf = self.degenerate and self.sem == NODE0
         self.gap = (eps() if self.na_inf
                     else TINY if self.degenerate else self.t01())
 

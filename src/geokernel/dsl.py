@@ -15,6 +15,12 @@ Grammar::
 
 Every INT has at most MAX_DIGITS digits.
 
+The grammar's expressions parse to the terms of `kripke`, the kernel's one
+term language, and `kripke.teval` evaluates them: an INT is a `TConst`,
+"eps" is the variable `TVar("eps")`, bound only in NonArchimedean mode,
+and "sqrt", unary "-" and the binary operators are `TOp`s ("sqrt", "neg",
+"+", "-", "*", "/", "^"; the "^" exponent stays an int).
+
 `parse_element` evaluates a single ``expr`` with the same tokenizer,
 parser and evaluator; it reads back `field.render_element` output.
 Pretty-printing is a left inverse of parsing on the AST.  The interpreter
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field as dfield
 
 from . import arithmetic
 from .field import (
-    DomainViolation, FieldElement, FieldError, Q, eps, sqrt_nonneg,
+    DomainViolation, FieldElement, FieldError, eps, render_element,
 )
 from .geometry import (
     CONSTRUCTIBLE, NODE0, ArityMismatch, Point, midpoint,
@@ -43,6 +49,7 @@ from .constructions import (
     line_intersect, midpoint_gupta, outer_pasch, perpendicular, reflect,
     tracing,
 )
+from .kripke import TConst, TOp, TVar, tconst, teval
 
 
 # Largest accepted "^" exponent.  `render_element` writes eps^k only up to
@@ -109,33 +116,6 @@ def tokenize(text: str) -> list[Token]:
 
 
 # -- AST ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-
-@dataclass(frozen=True)
-class EpsLit:
-    pass
-
-
-@dataclass(frozen=True)
-class Sqrt:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * / ^
-    left: object
-    right: object
-
 
 @dataclass(frozen=True)
 class Call:
@@ -246,14 +226,14 @@ class _Parser:
         node = self.term()
         while self.cur.kind == "sym" and self.cur.text in "+-":
             op = self.eat("sym").text
-            node = BinOp(op, node, self.term())
+            node = TOp(op, (node, self.term()))
         return node
 
     def term(self):
         node = self.factor()
         while self.cur.kind == "sym" and self.cur.text in "*/":
             op = self.eat("sym").text
-            node = BinOp(op, node, self.factor())
+            node = TOp(op, (node, self.factor()))
         return node
 
     def integer(self, limit: int | None = None) -> int:
@@ -268,25 +248,25 @@ class _Parser:
         node = self.atom()
         if self.cur.kind == "sym" and self.cur.text == "^":
             self.eat("sym")
-            node = BinOp("^", node, Num(self.integer(MAX_EXPONENT)))
+            node = TOp("^", (node, self.integer(MAX_EXPONENT)))
         return node
 
     def atom(self):
         t = self.cur
         if t.kind == "int":
-            return Num(self.integer())
+            return tconst(self.integer())
         if t.kind == "keyword" and t.text == "eps":
             self.eat("keyword")
-            return EpsLit()
+            return TVar("eps")
         if t.kind == "keyword" and t.text == "sqrt":
             self.eat("keyword")
             self.eat("sym", "(")
             e = self.expr()
             self.eat("sym", ")")
-            return Sqrt(e)
+            return TOp("sqrt", (e,))
         if t.kind == "sym" and t.text == "-":
             self.eat("sym")
-            return Neg(self.atom())
+            return TOp("neg", (self.atom(),))
         if t.kind == "sym" and t.text == "(":
             self.eat("sym")
             e = self.expr()
@@ -305,19 +285,19 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
 def _pp_expr(e, parent_prec: int = 0) -> str:
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, EpsLit):
-        return "eps"
-    if isinstance(e, Sqrt):
-        return f"sqrt({_pp_expr(e.arg)})"
-    if isinstance(e, Neg):
-        return f"-{_pp_expr(e.arg, 4)}"
-    if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        s = f"{_pp_expr(e.left, p)} {e.op} {_pp_expr(e.right, p + 1)}"
-        return f"({s})" if p < parent_prec else s
-    raise TypeError(f"not an expression node: {e!r}")
+    if isinstance(e, int):  # a "^" exponent
+        return str(e)
+    if isinstance(e, TConst):
+        return render_element(e.value)
+    if isinstance(e, TVar):
+        return e.name
+    if e.op == "sqrt":
+        return f"sqrt({_pp_expr(e.args[0])})"
+    if e.op == "neg":
+        return f"-{_pp_expr(e.args[0], 4)}"
+    p = _PREC[e.op]
+    s = f"{_pp_expr(e.args[0], p)} {e.op} {_pp_expr(e.args[1], p + 1)}"
+    return f"({s})" if p < parent_prec else s
 
 
 def _pp_stmt(s) -> str:
@@ -394,31 +374,12 @@ class Env:
 
 
 def _eval_expr(e, sem: str) -> FieldElement:
-    """The value of an expression read under `sem`: eps exists only at
-    NODE0, the NonArchimedean reading."""
-    if isinstance(e, Num):
-        return Q(e.value)
-    if isinstance(e, EpsLit):
-        if sem != NODE0:
-            raise DomainViolation("eps outside NonArchimedean mode")
-        return eps()
-    if isinstance(e, Sqrt):
-        return sqrt_nonneg(_eval_expr(e.arg, sem))
-    if isinstance(e, Neg):
-        return -_eval_expr(e.arg, sem)
-    if isinstance(e, BinOp):
-        le = _eval_expr(e.left, sem)
-        if e.op == "^":
-            return le ** e.right.value
-        r = _eval_expr(e.right, sem)
-        if e.op == "+":
-            return le + r
-        if e.op == "-":
-            return le - r
-        if e.op == "*":
-            return le * r
-        return le / r
-    raise TypeError(f"not an expression node: {e!r}")
+    """The value of a coordinate term read under `sem`: eps is bound only
+    at NODE0, the NonArchimedean reading."""
+    try:
+        return teval(e, {"eps": eps()} if sem == NODE0 else {})
+    except KeyError:  # eps, the one variable, is unbound
+        raise DomainViolation("eps outside NonArchimedean mode") from None
 
 
 def parse_element(text: str, mode: str = CONSTRUCTIBLE) -> FieldElement:

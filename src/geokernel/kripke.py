@@ -11,21 +11,25 @@ With forcing defined the standard way — not-phi forced at a node iff phi
 is forced nowhere above it — every EF axiom is forced at the root, while
 Markov's principle fails there with witness eps: not-not-P(eps) is forced
 but P(eps) is not.
+
+The terms `TVar`/`TConst`/`TOp` are the kernel's one term language: the
+construction-script parser (`dsl`) builds its coordinates from them, and
+`teval` is the one evaluator of both.  A division by zero or the square
+root of a negative raises the field's own `ZeroDivisionError` or
+`Negative`; an existential whose witness raises either is not forced.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
 from .field import (
-    DomainViolation, FieldElement, Q, eps, render_element, sqrt_nonneg,
+    DomainViolation, FieldElement, Negative, Q, eps, render_element,
+    sqrt_nonneg,
 )
 from .geometry import NODE0 as M0, NODE1 as M1, positive
-
-
-class TermUndefined(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -67,20 +71,24 @@ class TConst:
 
 @dataclass(frozen=True)
 class TOp:
-    op: str  # add | mul | inv | sqrt
+    op: str  # + - * / ^ neg sqrt; the "^" exponent args[1] is an int
     args: tuple
 
 
 def tadd(a, b):
-    return TOp("add", (a, b))
+    return TOp("+", (a, b))
 
 
 def tmul(a, b):
-    return TOp("mul", (a, b))
+    return TOp("*", (a, b))
 
 
 def tconst(q) -> TConst:
     return TConst(Q(q))
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "neg": operator.neg, "sqrt": sqrt_nonneg}
 
 
 def teval(term, env: dict) -> FieldElement:
@@ -88,20 +96,12 @@ def teval(term, env: dict) -> FieldElement:
         return env[term.name]
     if isinstance(term, TConst):
         return term.value
-    a = [teval(t, env) for t in term.args]
-    if term.op == "add":
-        return a[0] + a[1]
-    if term.op == "mul":
-        return a[0] * a[1]
-    if term.op == "inv":
-        if a[0].is_zero():
-            raise TermUndefined("1/0")
-        return 1 / a[0]
-    if term.op == "sqrt":
-        if a[0].sign() < 0:
-            raise TermUndefined("sqrt of negative")
-        return sqrt_nonneg(a[0])
-    raise ValueError(f"unknown term op {term.op!r}")
+    if term.op == "^":
+        return teval(term.args[0], env) ** term.args[1]
+    fn = _OPS.get(term.op)
+    if fn is None:
+        raise ValueError(f"unknown term op {term.op!r}")
+    return fn(*[teval(t, env) for t in term.args])
 
 
 # -- formulas ----------------------------------------------------------------
@@ -170,7 +170,7 @@ def _forces(node: str, phi, env: dict) -> bool:
     if isinstance(phi, FExists):
         try:
             w = teval(phi.witness, env)
-        except TermUndefined:
+        except (ZeroDivisionError, Negative):
             return False
         if not in_domain(node, w):
             return False
@@ -189,7 +189,7 @@ EF_AXIOMS: dict[str, object] = {
                 FNot(FEq(ZERO_T, ONE_T))),
     # positive elements have positive inverses; witness 1/x
     "EF1": FImplies(FP(X),
-                    FExists("y", TOp("inv", (X,)),
+                    FExists("y", TOp("/", (ONE_T, X)),
                             FAnd(FEq(tmul(X, TVar("y")), ONE_T),
                                  FP(TVar("y"))))),
     "EF2": FImplies(FAnd(FP(X), FP(Y)),

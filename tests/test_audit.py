@@ -50,6 +50,15 @@ class TestGenerators:
         with pytest.raises(ValueError, match="mode"):
             check_theorem("angle-bisection", t, NONARCHIMEDEAN)
 
+    @pytest.mark.parametrize("generate, label, mode", [
+        (gen_instance, "LC-strict", "nonarch"),
+        (gen_theorem_instance, "crossbar", "bogus"),
+    ])
+    def test_unknown_mode_rejected_at_generation(self, generate, label,
+                                                 mode):
+        with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+            generate(label, 7, mode)
+
     def test_euclid5_symmetry_automatic(self):
         from geokernel.geometry import congruent
         i = gen_instance("Euclid5", 4)

@@ -125,6 +125,10 @@ class TestInterpreter:
          "midpoint expects 2 points, got 1"),
         ("assert parallel(a, a);", "DomainViolation",
          "unknown predicate 'parallel'"),
+        ("point b eps 0;", "DomainViolation",
+         "eps outside NonArchimedean mode"),
+        ("point b sqrt(0 - 1) 0;", "Negative", "negative radicand: -1"),
+        ("point b 1 / 0 0;", "ZeroDivisionError", "field division by zero"),
     ])
     def test_runtime_error_recorded(self, statement, error, detail):
         env = run_script(parse_script(f"point a 0 0; {statement}"))

@@ -1,11 +1,17 @@
 """The two-node forcing model: EF axioms hold at the root, MP does not."""
 
+import hashlib
+import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from geokernel.audit import report_to_json
-from geokernel.field import Q, eps, sqrt_nonneg
+from geokernel import field
+from geokernel.field import Q, TowerTooDeep, eps, sqrt_nonneg
 from geokernel.geometry import NODE0, NODE1, positive
 from geokernel.kripke import (
     EF_AXIOMS, MP, M0, M1, DomainViolation, FEq, FExists, FNot, FP, TOp,
@@ -13,6 +19,22 @@ from geokernel.kripke import (
 )
 
 X = TVar("x")
+
+
+def test_kripke_does_not_import_dsl():
+    # dsl imports kripke's terms, never the other way: the benchmark sets
+    # up these six layers, and importing dsl with them cost ~21 ms of
+    # set-up (its 14 frozen dataclasses and token regex) when measured
+    layers = ("nafield", "field", "geometry", "constructions", "audit",
+              "kripke")
+    code = ("import importlib, sys\n"
+            f"for m in {layers!r}:\n"
+            "    importlib.import_module('geokernel.' + m)\n"
+            "print('geokernel.dsl' in sys.modules)")
+    src = Path(field.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def _probe_grid():
@@ -81,9 +103,26 @@ class TestForcing:
     def test_exists_witness_must_be_bounded(self):
         # 1/x escapes the root domain when x is infinitesimal, so the
         # inverse axiom is only vacuously forced there (P(eps) fails first)
-        phi = FExists("y", TOp("inv", (X,)), FEq(TVar("y"), TVar("y")))
+        phi = FExists("y", TOp("/", (tconst(1), X)), FEq(TVar("y"), TVar("y")))
         assert not forces(M0, phi, {"x": eps()})
         assert forces(M1, phi, {"x": eps()})
+
+    @pytest.mark.parametrize("witness, x", [
+        (TOp("/", (tconst(1), X)), 0),
+        (TOp("sqrt", (X,)), -1),
+    ])
+    def test_undefined_witness_not_forced(self, witness, x):
+        # 1/0 and sqrt(-1) raise the field's own errors, which FExists
+        # reads as "no witness"
+        phi = FExists("y", witness, FEq(TVar("y"), TVar("y")))
+        for node in (M0, M1):
+            assert not forces(node, phi, {"x": Q(x)})
+
+    def test_exists_lets_other_field_errors_through(self, monkeypatch):
+        monkeypatch.setattr(field, "MAX_TOWER_DEPTH", 0)
+        phi = FExists("z", TOp("sqrt", (X,)), FEq(TVar("z"), TVar("z")))
+        with pytest.raises(TowerTooDeep):
+            forces(M0, phi, {"x": Q(2)})
 
 
 class TestEFAxioms:
@@ -119,6 +158,18 @@ class TestEFAxioms:
         verdicts = {e["verdict"] for e in rep["entries"]}
         assert verdicts == {"forced", "domain-rejected"}
         report_to_json(rep)  # serializable
+
+    def test_golden_digests(self):
+        # pins every verdict and rendered probe of the report and the
+        # Markov counterexample
+        def digest(obj):
+            return hashlib.sha256(
+                json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+        assert digest(check_ef_axioms(200, 0)) == (
+            "4b41bcc23b39ac7d65fa21538aab78853f1dbedf1567519a07c42d330a72be95")
+        assert digest(mp_counterexample()) == (
+            "589e843ea46757d5bea96f87877a9eb13145f84a6a4ce916a035abb31d945ce4")
 
     def test_deterministic(self):
         a = check_ef_axioms(samples=20, seed=5)
