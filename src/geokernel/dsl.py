@@ -49,7 +49,7 @@ from .constructions import (
     line_intersect, midpoint_gupta, outer_pasch, perpendicular, reflect,
     tracing,
 )
-from .kripke import TConst, TOp, TVar, tconst, teval
+from .kripke import TConst, TOp, TVar, in_domain, tconst, teval
 
 
 # Largest accepted "^" exponent.  `render_element` writes eps^k only up to
@@ -412,6 +412,10 @@ def run_script(script: Script, mode: str = CONSTRUCTIBLE) -> Env:
         try:
             if isinstance(stmt, PointDecl):
                 p = Point(_eval_expr(stmt.x, sem), _eval_expr(stmt.y, sem))
+                if sem == NODE0 and not (in_domain(sem, p.x)
+                                         and in_domain(sem, p.y)):
+                    raise DomainViolation(f"point {stmt.name} = {p!r} is "
+                                          "outside F0, the domain of node 0")
                 env.bindings[stmt.name] = p
                 env.declared.add(stmt.name)
             elif isinstance(stmt, LetStmt):

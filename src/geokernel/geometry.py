@@ -14,13 +14,22 @@ angle positivity is the cross-product criterion, witnessed by an apex
 0 < abc < pi is just 0 < abc: reflecting a in b keeps |a - b|^2 and
 negates the cross product, so the supplement test of `angle_lt_pi`
 decides exactly what `pos_angle` does.
+
+Points over Q or one Q(sqrt r), r rational, are decided over Z[sqrt R]
+(`_zpoints`), others in the tower.  Exactly: a positive scale keeps signs
+and zeros; sqrt(R) is irrational (tower nodes are positive non-squares), so
+pair equality is field equality and signs follow `field`'s rule; a nonzero
+element of Q(sqrt r) has valuation 0, so every Kripke node reads it alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import sub
 
 from .field import FieldElement, Q, render_element, sqrt_nonneg
+from .nafield import ONE, ZERO, Rat
 
 # semantics tags; CONSTRUCTIBLE also names its mode
 CONSTRUCTIBLE = "constructible"
@@ -137,14 +146,80 @@ def positive(x: FieldElement, sem: str = CONSTRUCTIBLE) -> bool:
     return True
 
 
+# -- the integer path (see the module doc) -----------------------------------
+
+def _zpoints(*pts):
+    """(R, points (xA, xB, yA, yB)), or None unless each coordinate is a Rat
+    or, over one depth-1 tower, a + b*sqrt(r) with Rats a, b, r; then R =
+    r.n*r.d (0 with no tower), A = a*s*r.d, B = b*s, s the lcm of all d."""
+    tower, parts = (), []  # each coordinate's rational part, then sqrt part
+    for p in pts:
+        for c in (p.x, p.y):
+            t = c.tower
+            if t is not tower and t and t != tower:
+                if tower or len(t) > 1 or type(t[0]) is not Rat:
+                    return None
+                tower = t
+            parts += c.rep if t else (c.rep, ZERO)
+    dens = [q.d for q in parts if type(q) is Rat]
+    if len(dens) < len(parts):
+        return None
+    s, r = lcm(*dens), tower[0] if tower else ONE
+    S, R = s * r.d, r.n * r.d if tower else 0
+    it = iter(parts)
+    return R, [(xa.n * (S // xa.d), xb.n * (s // xb.d),
+                ya.n * (S // ya.d), yb.n * (s // yb.d))
+               for xa, xb, ya, yb in zip(it, it, it, it)]
+
+
+def _zsub(p, q):
+    return tuple(map(sub, p, q))
+
+
+def _zdot(u, v, R):
+    return (u[0] * v[0] + u[2] * v[2] + (u[1] * v[1] + u[3] * v[3]) * R,
+            u[0] * v[1] + u[1] * v[0] + u[2] * v[3] + u[3] * v[2])
+
+
+def _zcross(u, v, R):
+    return (u[0] * v[2] - u[2] * v[0] + (u[1] * v[3] - u[3] * v[1]) * R,
+            u[0] * v[3] + u[1] * v[2] - u[2] * v[1] - u[3] * v[0])
+
+
+def _zmul(z, w, R):
+    return (z[0] * w[0] + z[1] * w[1] * R, z[0] * w[1] + z[1] * w[0])
+
+
+def _zsign(a, b, R) -> int:  # the sign of a + b*sqrt(R), as field._rsign
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > b * b * R else sb
+
+
+def _znonstrict(u, v, w, R) -> bool:
+    if u == v or v == w:
+        return True
+    d1, d2 = _zsub(v, u), _zsub(w, v)
+    return not any(_zcross(d1, d2, R)) and _zsign(*_zdot(d1, d2, R), R) > 0
+
+
 # -- core predicates ---------------------------------------------------------
 
 def collinear(u: Point, v: Point, w: Point) -> bool:
+    if (z := _zpoints(u, v, w)) is not None:
+        R, (u, v, w) = z
+        return not any(_zcross(_zsub(w, u), _zsub(w, v), R))
     return cross(vsub(w, u), vsub(w, v)).is_zero()
 
 
 def between(u: Point, v: Point, w: Point, sem: str = CONSTRUCTIBLE) -> bool:
     """Strict betweenness B(u,v,w): both gaps positively long."""
+    if (z := _zpoints(u, v, w)) is not None:
+        R, (u, v, w) = z
+        d1, d2 = _zsub(v, u), _zsub(w, v)
+        return (not any(_zcross(d1, d2, R)) and any(d1) and any(d2)
+                and _zsign(*_zdot(d1, d2, R), R) > 0)
     d1, d2 = vsub(v, u), vsub(w, v)
     # cross(d1, d2) = cross(w - u, w - v): the collinearity test
     if not cross(d1, d2).is_zero():
@@ -156,6 +231,9 @@ def between(u: Point, v: Point, w: Point, sem: str = CONSTRUCTIBLE) -> bool:
 
 def nonstrict_between(u: Point, v: Point, w: Point) -> bool:
     """T(u,v,w) = not(u != v and not B and v != w); a classical relation."""
+    if (z := _zpoints(u, v, w)) is not None:
+        R, (u, v, w) = z
+        return _znonstrict(u, v, w, R)
     if u == v or v == w:
         return True
     d1, d2 = vsub(v, u), vsub(w, v)
@@ -165,20 +243,33 @@ def nonstrict_between(u: Point, v: Point, w: Point) -> bool:
 
 
 def congruent(a: Point, b: Point, c: Point, d: Point) -> bool:
+    if (z := _zpoints(a, b, c, d)) is not None:
+        R, (a, b, c, d) = z
+        ab, cd = _zsub(a, b), _zsub(c, d)
+        return _zdot(ab, ab, R) == _zdot(cd, cd, R)
     return sqdist(a, b) == sqdist(c, d)
 
 
 def distinct(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> bool:
+    if (z := _zpoints(a, b)) is not None:
+        return z[1][0] != z[1][1]
     return positive(sqdist(a, b), sem)
 
 
 def on_ray(a: Point, b: Point, x: Point) -> bool:
     """x lies on Ray(a,b): T(e,a,x) where e reflects b in a."""
+    if (z := _zpoints(a, b, x)) is not None:
+        R, (a, b, x) = z
+        return _znonstrict(_zsub(a, _zsub(b, a)), a, x, R)
     e = reflect_in_point(b, a)
     return nonstrict_between(e, a, x)
 
 
 def right_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
+    if (z := _zpoints(a, b, c)) is not None:
+        R, (a, b, c) = z
+        ba, bc = _zsub(a, b), _zsub(c, b)
+        return any(ba) and any(bc) and a != c and not any(_zdot(ba, bc, R))
     ba = vsub(a, b)
     if not positive(dot(ba, ba), sem):  # distinct(a, b)
         return False
@@ -205,6 +296,10 @@ def _angle_vectors(a: Point, b: Point, c: Point, sem: str):
 
 
 def pos_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
+    if (z := _zpoints(a, b, c)) is not None:
+        R, (a, b, c) = z
+        ba, bc = _zsub(a, b), _zsub(c, b)
+        return any(ba) and any(bc) and any(_zcross(ba, bc, R))
     return _angle_vectors(a, b, c, sem) is not None
 
 
@@ -221,6 +316,18 @@ def angle_lt_pi(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
 def angle_cong(a: Point, b: Point, c: Point,
                a2: Point, b2: Point, c2: Point) -> bool:
     """Equal angles at b and b2, by the equal-cosine criterion (exact)."""
+    if (z := _zpoints(a, b, c, a2, b2, c2)) is not None:
+        R, (a, b, c, a2, b2, c2) = z
+        ba, bc = _zsub(a, b), _zsub(c, b)
+        ba2, bc2 = _zsub(a2, b2), _zsub(c2, b2)
+        if not (any(ba) and any(bc) and any(ba2) and any(bc2)):
+            return False
+        d, e = _zdot(ba, bc, R), _zdot(ba2, bc2, R)
+        if _zsign(*d, R) != _zsign(*e, R):
+            return False
+        p = _zmul(_zdot(ba2, ba2, R), _zdot(bc2, bc2, R), R)
+        q = _zmul(_zdot(ba, ba, R), _zdot(bc, bc, R), R)
+        return _zmul(_zmul(d, d, R), p, R) == _zmul(_zmul(e, e, R), q, R)
     ba, bc = vsub(a, b), vsub(c, b)
     ba2, bc2 = vsub(a2, b2), vsub(c2, b2)
     q1, q2 = dot(ba, ba), dot(bc, bc)

@@ -150,6 +150,17 @@ class TestInterpreter:
         env = run_script(parse_script("point a eps 0;"))
         assert env.errors and env.errors[0]["error"] == "DomainViolation"
 
+    @pytest.mark.parametrize("coordinates", ["(1/eps) 0", "0 (2/eps^2)",
+                                             "sqrt(1/eps) 1"])
+    def test_unbounded_literal_refused_at_node0(self, coordinates):
+        env = run_script(
+            parse_script(f"point a {coordinates}; point b 1 eps;"),
+            mode="nonarchimedean")
+        assert [e["error"] for e in env.errors] == ["DomainViolation"]
+        assert "point a = " in env.errors[0]["detail"]
+        # the refused point is never bound; the bounded one after it is
+        assert list(env.bindings) == ["b"]
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="nonarch"):
             run_script(parse_script("point a 0 0;"), mode="nonarch")
@@ -274,7 +285,6 @@ class TestCli:
 
     @pytest.mark.parametrize("coordinate, flags, reason", [
         (f"{N}*{N}", [], "too large for a float"),
-        ("1/eps", ["--field", "nonarch", "--shadow"], "no shadow"),
         ("10^250*10^50*sqrt(2*10^100)", [], "coordinate inf too large"),
         ("17*10^200*10^107", [], "too large to draw"),  # viewBox overflows
     ])
@@ -288,6 +298,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("unrenderable: point b: ") and reason in err
         assert not out_svg.exists()
+
+    def test_render_unbounded_point_has_no_shadow(self, tmp_path, capsys):
+        # a literal 1/eps is refused at node 0, but meet still reaches an
+        # unbounded point there: lines of slope 0 and eps meet at (-1/eps, 0)
+        script = tmp_path / "meet.geo"
+        script.write_text("point a 0 0; point p 1 0; point c 0 1; "
+                          "point d 1 (1+eps); let b = meet(a, p, c, d);")
+        out_svg = tmp_path / "out.svg"
+        argv = ["render", str(script), "--out", str(out_svg),
+                "--field", "nonarch", "--shadow"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "unrenderable: point b: unbounded element has no shadow\n")
+        assert not out_svg.exists()
+
+    def test_run_refuses_unbounded_literal(self, tmp_path, capsys):
+        script = tmp_path / "unbounded.geo"
+        script.write_text("point a (1/eps) 0; point b 1 0;")
+        assert cli_main(["run", str(script), "--field", "nonarch"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "error [DomainViolation]: point a 1 / eps 0;  (point a = "
+            "((1)/(eps), 0) is outside F0, the domain of node 0)",
+            "b = (1, 0)"]
 
     @pytest.mark.parametrize("command", ["run", "render"])
     def test_syntax_error_exit_code(self, command, tmp_path, capsys):

@@ -161,11 +161,25 @@ class TestNodeSemantics:
 # -- the predicates against their definitions --------------------------------
 
 SEMANTICS = (CONSTRUCTIBLE, NODE0, NODE1)
-_HALVES = st.fractions(min_value=-2, max_value=2, max_denominator=2)
-# a + b*u with u in {0, sqrt(2), eps}: coordinates in Q, Q(sqrt 2), Q(eps)
-_SCALAR = st.builds(lambda a, b, u: Q(a) + Q(b) * u, _HALVES, _HALVES,
-                    st.sampled_from([Q(0), sqrt_nonneg(Q(2)), eps()]))
-_POINT = st.builds(Point, _SCALAR, _SCALAR)
+# halves make coincidences likely; denominators up to 2^10 are the audit's
+_RATIONALS = (st.fractions(min_value=-2, max_value=2, max_denominator=2)
+              | st.fractions(min_value=-2, max_value=2, max_denominator=2 ** 10))
+# Q, three quadratic fields (sqrt(1/2) over a radicand that is not an
+# integer, and over another radicand than sqrt(2)), depth 2 and Q(eps)
+_UNITS = [Q(0), sqrt_nonneg(Q(2)), sqrt_nonneg(Q(1, 2)), sqrt_nonneg(Q(3)),
+          sqrt_nonneg(1 + sqrt_nonneg(Q(2))), eps()]
+
+
+def _scalars(units):
+    """a + b*u, with u drawn from `units`."""
+    return st.builds(lambda a, b, u: Q(a) + Q(b) * u, _RATIONALS, _RATIONALS,
+                     units)
+
+
+# the scalars of one example: all over one u, so that whole triples lie in
+# one quadratic field, or each over its own u, so that radicands mix
+_FIELDS = (st.sampled_from(_UNITS).map(lambda u: _scalars(st.just(u)))
+           | st.just(_scalars(st.sampled_from(_UNITS))))
 
 
 def _along(u: Point, v: Point, t: FieldElement) -> Point:
@@ -173,35 +187,50 @@ def _along(u: Point, v: Point, t: FieldElement) -> Point:
 
 
 @st.composite
-def _triples(draw):
+def _triples(draw, scalar=None):
     """Three points: free, with a repeat, or collinear in any order (the
     third at u + t*(v - u), so an eps in t gives an infinitesimal gap)."""
-    u, v, w = draw(_POINT), draw(_POINT), draw(_POINT)
+    if scalar is None:
+        scalar = draw(_FIELDS)
+    point = st.builds(Point, scalar, scalar)
+    u, v, w = draw(point), draw(point), draw(point)
     kind = draw(st.sampled_from(["free", "repeat", "collinear"]))
     if kind == "repeat":
         return tuple(draw(st.permutations([u, u, v])))
     if kind == "collinear":
-        w = _along(u, v, draw(_SCALAR | st.sampled_from([Q(0), Q(1)])))
+        w = _along(u, v, draw(scalar | st.sampled_from([Q(0), Q(1)])))
         return tuple(draw(st.permutations([u, v, w])))
     return u, v, w
 
 
 @st.composite
 def _angle_pairs(draw):
-    """Two angles a b c and a2 b2 c2; often the second is the first with
-    its legs rescaled or swapped, so congruent pairs are common."""
-    a, b, c = draw(_triples())
+    """Two angles a b c and a2 b2 c2 over the scalars of one example; often
+    the second is the first with its legs rescaled or swapped, so congruent
+    pairs are common."""
+    scalar = draw(_FIELDS)
+    a, b, c = draw(_triples(scalar))
     kind = draw(st.sampled_from(["free", "rescaled", "swapped"]))
     if kind == "rescaled":
-        k1, k2 = draw(_SCALAR), draw(_SCALAR)
+        k1, k2 = draw(scalar), draw(scalar)
         return (a, b, c), (_along(b, a, k1), b, _along(b, c, k2))
     if kind == "swapped":
         return (a, b, c), (c, b, a)
-    return (a, b, c), draw(_triples())
+    return (a, b, c), draw(_triples(scalar))
 
+
+# the definitions, in field arithmetic alone: none of them calls a predicate
 
 def _ordered(u, v, w) -> bool:
     return dot(vsub(v, u), vsub(w, v)).sign() > 0
+
+
+def _collinear(u, v, w) -> bool:
+    return cross(vsub(w, u), vsub(w, v)).is_zero()
+
+
+def _apart(a, b, sem) -> bool:
+    return positive(sqdist(a, b), sem)
 
 
 class TestAgainstDefinitions:
@@ -211,10 +240,10 @@ class TestAgainstDefinitions:
         u, v, w = pts
         for sem in SEMANTICS:
             assert between(u, v, w, sem) == (
-                collinear(u, v, w) and positive(sqdist(u, v), sem)
-                and positive(sqdist(v, w), sem) and _ordered(u, v, w))
+                _collinear(u, v, w) and _apart(u, v, sem)
+                and _apart(v, w, sem) and _ordered(u, v, w))
         assert nonstrict_between(u, v, w) == (
-            u == v or v == w or (collinear(u, v, w) and _ordered(u, v, w)))
+            u == v or v == w or (_collinear(u, v, w) and _ordered(u, v, w)))
 
     @given(pts=_triples())
     @settings(max_examples=100, deadline=None)
@@ -223,11 +252,10 @@ class TestAgainstDefinitions:
         for sem in SEMANTICS:
             cr = cross(vsub(a, b), vsub(c, b))
             assert pos_angle(a, b, c, sem) == (
-                distinct(a, b, sem) and distinct(c, b, sem)
+                _apart(a, b, sem) and _apart(c, b, sem)
                 and positive(cr * cr, sem))
             assert right_angle(a, b, c, sem) == (
-                distinct(a, b, sem) and distinct(c, b, sem)
-                and distinct(a, c, sem)
+                _apart(a, b, sem) and _apart(c, b, sem) and _apart(a, c, sem)
                 and dot(vsub(a, b), vsub(c, b)).is_zero())
 
     @given(pts=_triples())
@@ -251,15 +279,80 @@ class TestAgainstDefinitions:
             not any(x.is_zero() for x in (q1, q2, p1, p2))
             and d.sign() == e.sign() and d * d * p1 * p2 == e * e * q1 * q2)
 
+    @given(triple=_triples())
+    @settings(max_examples=100, deadline=None)
+    def test_collinear_and_congruent(self, triple):
+        u, v, w = triple
+        assert collinear(u, v, w) == _collinear(u, v, w)
+        assert congruent(u, v, v, w) == (sqdist(u, v) == sqdist(v, w))
+        for sem in SEMANTICS:
+            assert distinct(u, w, sem) == _apart(u, w, sem)
+
+
+def _moved(points, dx, dy=Q(0)) -> tuple:
+    return tuple(Point(p.x + dx, p.y + dy) for p in points)
+
+
+def _answers(a, b, c, a2, b2, c2) -> list:
+    """Every answer of the predicates decided over Z[sqrt R]."""
+    out = [collinear(a, b, c), nonstrict_between(a, b, c),
+           congruent(a, b, b, c), congruent(a, b, c2, b2), on_ray(b, a, c),
+           angle_cong(a, b, c, a2, b2, c2)]
+    for sem in SEMANTICS:
+        out += [between(a, b, c, sem), distinct(a, c, sem),
+                right_angle(a, b, c, sem), pos_angle(a, b, c, sem)]
+    return out
+
+
+class TestIntegerPath:
+    @given(angles=_angle_pairs())
+    @settings(max_examples=50, deadline=None)
+    def test_moving_by_eps_keeps_every_answer(self, angles):
+        # a move keeps every difference of points, and a move by (eps, eps)
+        # gives every coordinate a RatFunc leaf (unless its eps term
+        # cancels), so the moved points are decided on the tower path
+        pts = angles[0] + angles[1]
+        assert _answers(*pts) == _answers(*_moved(pts, eps(), eps()))
+
 
 def _pos_angle_eval(a, b, c):
     return predicate_eval("PosAngle", (a, b, c))
 
 
+# one call per predicate that decides over Z[sqrt R], each true, so that it
+# runs every check
+_DECIDED = [
+    (between, (pt(0, 0), pt(1, 0), pt(3, 0))),
+    (nonstrict_between, (pt(0, 0), pt(1, 0), pt(3, 0))),
+    (collinear, (pt(0, 0), pt(1, 1), pt(3, 3))),
+    (congruent, (pt(0, 0), pt(3, 4), pt(1, 1), pt(6, 1))),
+    (distinct, (pt(0, 0), pt(1, 2))),
+    (right_angle, (pt(3, 0), pt(0, 0), pt(0, 5))),
+    (pos_angle, (pt(1, 0), pt(0, 0), pt(0, 1))),
+    (angle_cong, (pt(1, 0), pt(0, 0), pt(1, 1),
+                  pt(7, 0), pt(0, 0), pt(3, 3))),
+    (on_ray, (pt(0, 0), pt(1, 0), pt(3, 0))),
+]
+
+
 class TestOpBudget:
-    """Field ops per predicate (or Pasch construction) call on rational
-    points, counted at FieldElement._binop, so redundant arithmetic cannot
-    creep back."""
+    """Field ops per predicate (or Pasch construction) call, counted at
+    FieldElement._binop, so redundant arithmetic cannot creep back.  The
+    budgets are for the tower path: the rational points are moved by
+    (eps, 0), which keeps every gap and every early exit, so none of them
+    is decided over Z[sqrt R]."""
+
+    @pytest.mark.parametrize("shift", [Q(0), sqrt_nonneg(Q(2))],
+                             ids=["rational", "sqrt2"])
+    @pytest.mark.parametrize("pred, args", _DECIDED,
+                             ids=[p.__name__ for p, _ in _DECIDED])
+    def test_integer_path_makes_no_field_op(self, pred, args, shift,
+                                            monkeypatch):
+        # points over Q, or over Q(sqrt 2) after a move by (sqrt 2, sqrt 2/2)
+        args = _moved(args, shift, shift / 2)
+        calls = _count_binops(monkeypatch)
+        assert pred(*args)
+        assert calls == []
 
     @pytest.mark.parametrize("pred, args, ops", [
         (between, (pt(0, 0), pt(1, 0), pt(3, 0)), 16),
@@ -285,6 +378,7 @@ class TestOpBudget:
             "eval-pos-angle-right", "eval-pos-angle-flat", "inner-pasch",
             "outer-pasch"])
     def test_binop_count(self, pred, args, ops, monkeypatch):
+        args = _moved(args, eps())
         calls = _count_binops(monkeypatch)
         pred(*args)
         assert len(calls) == ops
@@ -299,6 +393,7 @@ class TestOpBudget:
     ], ids=["euclid5-pt-qt", "crossbar-flat-abc"])
     def test_refusal_binop_count(self, construction, args, hypothesis, ops,
                                  monkeypatch):
+        args = _moved(args, eps())
         calls = _count_binops(monkeypatch)
         with pytest.raises(ConstructionError) as err:
             construction(*args)
