@@ -15,21 +15,31 @@ angle positivity is the cross-product criterion, witnessed by an apex
 negates the cross product, so the supplement test of `angle_lt_pi`
 decides exactly what `pos_angle` does.
 
-Points over Q or one Q(sqrt r), r rational, are decided over Z[sqrt R]
-(`_zpoints`), others in the tower.  Exactly: a positive scale keeps signs
-and zeros; sqrt(R) is irrational (tower nodes are positive non-squares), so
-pair equality is field equality and signs follow `field`'s rule; a nonzero
-element of Q(sqrt r) has valuation 0, so every Kripke node reads it alike.
+Points over Q(eps), or over one Q(eps)(sqrt r), are decided over
+Z[eps][sqrt R] (`_zpoints`; over ints when no eps occurs), others in the
+tower: coordinates become pairs A + B*sqrt(R) over one scale S = m * (the
+distinct canonical denominators, as integer polynomials) * r_d, with r =
+r_n/r_d and R = r_n*r_d.  This is exact:
+- S is positive (so signs and zeros are kept): a canonical denominator's
+  lowest coefficient is 1, and r_d's is positive;
+- pair equality is field equality, and signs follow `field`'s rule: R =
+  r*r_d^2 is no square, as a tower node is made only for a non-square;
+- with v the eps-order of S, P(|d|^2) holds at NODE0 iff d != 0 and a
+  coordinate of d has order <= v (<= 2v for the cross product in
+  P(cross^2)), orders by `field._rval` (half-orders from sqrt(R)); NODE1
+  reads signs alone, and without eps every node reads alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
-from operator import sub
+from operator import mul, sub
 
+from . import nafield
 from .field import FieldElement, Q, render_element, sqrt_nonneg
-from .nafield import ONE, ZERO, Rat
+from .nafield import ONE, ZERO, Rat, _integral
 
 # semantics tags; CONSTRUCTIBLE also names its mode
 CONSTRUCTIBLE = "constructible"
@@ -148,28 +158,147 @@ def positive(x: FieldElement, sem: str = CONSTRUCTIBLE) -> bool:
 
 # -- the integer path (see the module doc) -----------------------------------
 
+class _ZPoly:
+    """An integer polynomial in eps (ints, low degree first, no trailing
+    zero), ordered with eps a positive infinitesimal: its sign is that of
+    its lowest nonzero coefficient.  Compares with 0 or another _ZPoly."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: list):
+        while c and not c[-1]:
+            c.pop()
+        self.c = c
+
+    def __add__(a, b):
+        x, y = a.c, b.c
+        if len(x) < len(y):
+            x, y = y, x
+        return _ZPoly([p + q for p, q in zip(x, y)] + x[len(y):])
+
+    def __sub__(a, b):
+        x, y = a.c, b.c
+        return _ZPoly([p - q for p, q in zip(x, y)] + x[len(y):]
+                      + [-q for q in y[len(x):]])
+
+    def __mul__(a, b):
+        x, y = a.c, b.c
+        if len(x) < len(y):
+            x, y = y, x
+        if len(y) < 2:  # zero or a constant
+            return _ZPoly([p * y[0] for p in x] if y else [])
+        out = [0] * (len(x) + len(y) - 1)
+        for i, p in enumerate(x):
+            if p:
+                for j, q in enumerate(y):
+                    out[i + j] += p * q
+        return _ZPoly(out)
+
+    def __bool__(a) -> bool:
+        return bool(a.c)
+
+    def __eq__(a, b) -> bool:
+        return a.c == b.c
+
+    def sign(a) -> int:
+        return next((1 if p > 0 else -1 for p in a.c if p), 0)
+
+    def __gt__(a, b) -> bool:
+        return (a - b if b else a).sign() > 0
+
+    def __lt__(a, b) -> bool:
+        return (a - b if b else a).sign() < 0
+
+    def order(a) -> int:
+        """The eps-order of a nonzero polynomial: its lowest degree."""
+        return next(i for i, p in enumerate(a.c) if p)
+
+
 def _zpoints(*pts):
-    """(R, points (xA, xB, yA, yB)), or None unless each coordinate is a Rat
-    or, over one depth-1 tower, a + b*sqrt(r) with Rats a, b, r; then R =
-    r.n*r.d (0 with no tower), A = a*s*r.d, B = b*s, s the lcm of all d."""
+    """(R, v, points (xA, xB, yA, yB)), or None unless each coordinate is a
+    leaf or, over one depth-1 tower, a + b*sqrt(r) with leaves a, b, r.
+    With Rat leaves alone, A = a*s*r.d, B = b*s and R = r.n*r.d (0 with no
+    tower) are ints, s the lcm of all d, and v is None; else `_zeps_points`."""
     tower, parts = (), []  # each coordinate's rational part, then sqrt part
     for p in pts:
         for c in (p.x, p.y):
             t = c.tower
             if t is not tower and t and t != tower:
-                if tower or len(t) > 1 or type(t[0]) is not Rat:
+                if tower or len(t) > 1:
                     return None
                 tower = t
             parts += c.rep if t else (c.rep, ZERO)
     dens = [q.d for q in parts if type(q) is Rat]
-    if len(dens) < len(parts):
-        return None
-    s, r = lcm(*dens), tower[0] if tower else ONE
+    r = tower[0] if tower else ONE
+    if len(dens) < len(parts) or type(r) is not Rat:
+        return _zeps_points(parts, r)
+    s = lcm(*dens)
     S, R = s * r.d, r.n * r.d if tower else 0
     it = iter(parts)
-    return R, [(xa.n * (S // xa.d), xb.n * (s // xb.d),
-                ya.n * (S // ya.d), yb.n * (s // yb.d))
-               for xa, xb, ya, yb in zip(it, it, it, it)]
+    return R, None, [(xa.n * (S // xa.d), xb.n * (s // xb.d),
+                      ya.n * (S // ya.d), yb.n * (s // yb.d))
+                     for xa, xb, ya, yb in zip(it, it, it, it)]
+
+
+def _zeps_points(parts, r):
+    """`_zpoints` over Z[eps]: parts and r are Rat or RatFunc leaves.  A leaf
+    is n/(c*D), n an integer polynomial, c > 0 an int and D the integer
+    form of its canonical denominator (1 if none); S = m*P*r_d with m the
+    lcm of the c's and P the product of the distinct D's, and v the order
+    of S.  None once S or a scaled coordinate passes nafield.MAX_DEGREE."""
+    dens, fracs = {}, []  # the distinct D's, keyed by their coefficients
+    for q in parts:
+        rat = type(q) is Rat
+        c, n = (q.d, [q.n]) if rat else _integral(q.num)
+        key = None
+        if not rat and len(q.den.c) > 1:
+            m, d = _integral(q.den)
+            dens[key := tuple(d)] = _ZPoly(d)
+            n = [x * m for x in n]
+        fracs.append((n, c, key))
+    if type(r) is Rat:
+        rn, rd = _ZPoly([r.n]), _ZPoly([r.d])
+    else:  # r = (num/a)/(den/b)
+        (a, num), (b, den) = _integral(r.num), _integral(r.den)
+        rn, rd = _ZPoly([x * b for x in num]), _ZPoly([x * a for x in den])
+    fb = {k: reduce(mul, [d for j, d in dens.items() if j != k], _ZPoly([1]))
+          for k in (None, *dens)}  # the other D's: a sqrt part's factor
+    fa = {k: f * rd for k, f in fb.items()}  # a rational part's; S/m
+    m = lcm(*(c for _, c, _ in fracs))
+    coords = [_ZPoly([k * (m // c) for k in n]) * (fb if i % 2 else fa)[key]
+              for i, (n, c, key) in enumerate(fracs)]
+    if max(len(x.c) for x in (fa[None], *coords)) - 1 > nafield.MAX_DEGREE:
+        return None
+    it = iter(coords)
+    return rn * rd, fa[None].order(), list(zip(it, it, it, it))
+
+
+def _zorder(a, b, R) -> int:
+    """Twice the eps-order of a nonzero a + b*sqrt(R), by field._rval."""
+    if not b:
+        return 2 * a.order()
+    vb = 2 * b.order() + R.order()
+    if not a:
+        return vb
+    va = 2 * a.order()
+    if va != vb or (a > 0) == (b > 0):
+        return min(va, vb)
+    return 2 * (a * a - b * b * R).order() - va  # the leading terms cancel
+
+
+def _zapart(d, R, v, sem) -> bool:
+    """P(|d|^2) for d a vector of pairs over a scale of order v: d != 0, and
+    at NODE0 over an eps (v not None) some pair has order <= v."""
+    if v is None or sem != NODE0:
+        return any(d)
+    it = iter(d)
+    return any((x or y) and _zorder(x, y, R) <= 2 * v for x, y in zip(it, it))
+
+
+def _zpos_angle(ba, bc, R, v, sem) -> bool:
+    """P of |ba|^2, |bc|^2 and cross(ba, bc)^2, as `_angle_vectors` asks."""
+    return (_zapart(ba, R, v, sem) and _zapart(bc, R, v, sem)
+            and _zapart(_zcross(ba, bc, R), R, v and 2 * v, sem))  # over S^2
 
 
 def _zsub(p, q):
@@ -208,7 +337,7 @@ def _znonstrict(u, v, w, R) -> bool:
 
 def collinear(u: Point, v: Point, w: Point) -> bool:
     if (z := _zpoints(u, v, w)) is not None:
-        R, (u, v, w) = z
+        R, _, (u, v, w) = z
         return not any(_zcross(_zsub(w, u), _zsub(w, v), R))
     return cross(vsub(w, u), vsub(w, v)).is_zero()
 
@@ -216,9 +345,10 @@ def collinear(u: Point, v: Point, w: Point) -> bool:
 def between(u: Point, v: Point, w: Point, sem: str = CONSTRUCTIBLE) -> bool:
     """Strict betweenness B(u,v,w): both gaps positively long."""
     if (z := _zpoints(u, v, w)) is not None:
-        R, (u, v, w) = z
+        R, vs, (u, v, w) = z
         d1, d2 = _zsub(v, u), _zsub(w, v)
-        return (not any(_zcross(d1, d2, R)) and any(d1) and any(d2)
+        return (not any(_zcross(d1, d2, R)) and _zapart(d1, R, vs, sem)
+                and _zapart(d2, R, vs, sem)
                 and _zsign(*_zdot(d1, d2, R), R) > 0)
     d1, d2 = vsub(v, u), vsub(w, v)
     # cross(d1, d2) = cross(w - u, w - v): the collinearity test
@@ -232,7 +362,7 @@ def between(u: Point, v: Point, w: Point, sem: str = CONSTRUCTIBLE) -> bool:
 def nonstrict_between(u: Point, v: Point, w: Point) -> bool:
     """T(u,v,w) = not(u != v and not B and v != w); a classical relation."""
     if (z := _zpoints(u, v, w)) is not None:
-        R, (u, v, w) = z
+        R, _, (u, v, w) = z
         return _znonstrict(u, v, w, R)
     if u == v or v == w:
         return True
@@ -244,7 +374,7 @@ def nonstrict_between(u: Point, v: Point, w: Point) -> bool:
 
 def congruent(a: Point, b: Point, c: Point, d: Point) -> bool:
     if (z := _zpoints(a, b, c, d)) is not None:
-        R, (a, b, c, d) = z
+        R, _, (a, b, c, d) = z
         ab, cd = _zsub(a, b), _zsub(c, d)
         return _zdot(ab, ab, R) == _zdot(cd, cd, R)
     return sqdist(a, b) == sqdist(c, d)
@@ -252,14 +382,15 @@ def congruent(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 def distinct(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> bool:
     if (z := _zpoints(a, b)) is not None:
-        return z[1][0] != z[1][1]
+        R, v, (a, b) = z
+        return _zapart(_zsub(a, b), R, v, sem)
     return positive(sqdist(a, b), sem)
 
 
 def on_ray(a: Point, b: Point, x: Point) -> bool:
     """x lies on Ray(a,b): T(e,a,x) where e reflects b in a."""
     if (z := _zpoints(a, b, x)) is not None:
-        R, (a, b, x) = z
+        R, _, (a, b, x) = z
         return _znonstrict(_zsub(a, _zsub(b, a)), a, x, R)
     e = reflect_in_point(b, a)
     return nonstrict_between(e, a, x)
@@ -267,9 +398,11 @@ def on_ray(a: Point, b: Point, x: Point) -> bool:
 
 def right_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
     if (z := _zpoints(a, b, c)) is not None:
-        R, (a, b, c) = z
+        R, v, (a, b, c) = z
         ba, bc = _zsub(a, b), _zsub(c, b)
-        return any(ba) and any(bc) and a != c and not any(_zdot(ba, bc, R))
+        return (_zapart(ba, R, v, sem) and _zapart(bc, R, v, sem)
+                and _zapart(_zsub(a, c), R, v, sem)
+                and not any(_zdot(ba, bc, R)))
     ba = vsub(a, b)
     if not positive(dot(ba, ba), sem):  # distinct(a, b)
         return False
@@ -297,9 +430,8 @@ def _angle_vectors(a: Point, b: Point, c: Point, sem: str):
 
 def pos_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
     if (z := _zpoints(a, b, c)) is not None:
-        R, (a, b, c) = z
-        ba, bc = _zsub(a, b), _zsub(c, b)
-        return any(ba) and any(bc) and any(_zcross(ba, bc, R))
+        R, v, (a, b, c) = z
+        return _zpos_angle(_zsub(a, b), _zsub(c, b), R, v, sem)
     return _angle_vectors(a, b, c, sem) is not None
 
 
@@ -317,7 +449,7 @@ def angle_cong(a: Point, b: Point, c: Point,
                a2: Point, b2: Point, c2: Point) -> bool:
     """Equal angles at b and b2, by the equal-cosine criterion (exact)."""
     if (z := _zpoints(a, b, c, a2, b2, c2)) is not None:
-        R, (a, b, c, a2, b2, c2) = z
+        R, _, (a, b, c, a2, b2, c2) = z
         ba, bc = _zsub(a, b), _zsub(c, b)
         ba2, bc2 = _zsub(a2, b2), _zsub(c2, b2)
         if not (any(ba) and any(bc) and any(ba2) and any(bc2)):
@@ -368,27 +500,43 @@ def _apex(a: Point, b: Point, bc, qa, qc) -> AngleWitness:
                         v=Point(b.x + bc[0] * t, b.y + bc[1] * t))
 
 
+def _witness(a: Point, b: Point, c: Point, sem: str,
+             right: bool) -> AngleWitness | None:
+    """The apex pair of a positive angle abc (the reflection of a in b if
+    it is right and `right` allows), or None if abc is not positive.  The
+    integer path decides, and the tower computes only the witness point."""
+    if (z := _zpoints(a, b, c)) is not None:
+        R, v, (za, zb, zc) = z
+        zba, zbc = _zsub(za, zb), _zsub(zc, zb)
+        if not _zpos_angle(zba, zbc, R, v, sem):
+            return None
+        if right and not any(_zdot(zba, zbc, R)):
+            return AngleWitness(kind="right", d=reflect_in_point(a, b))
+        ba, bc = vsub(a, b), vsub(c, b)
+        return _apex(a, b, bc, dot(ba, ba), dot(bc, bc))
+    vecs = _angle_vectors(a, b, c, sem)
+    if vecs is None:
+        return None
+    ba, bc, qa, qc = vecs
+    if right and dot(ba, bc).is_zero():
+        return AngleWitness(kind="right", d=reflect_in_point(a, b))
+    return _apex(a, b, bc, qa, qc)
+
+
 def apex_witness(a: Point, b: Point, c: Point,
                  sem: str = CONSTRUCTIBLE) -> AngleWitness:
     """Equidistant points on the two rays of a positive angle."""
-    vecs = _angle_vectors(a, b, c, sem)
-    if vecs is None:
+    w = _witness(a, b, c, sem, right=False)
+    if w is None:
         raise NotPositiveAngle("AngleNotPositive", None, "0<angle<pi")
-    _, bc, qa, qc = vecs
-    return _apex(a, b, bc, qa, qc)
+    return w
 
 
 def angle_witness(a: Point, b: Point, c: Point,
                   sem: str = CONSTRUCTIBLE) -> AngleWitness | None:
     """A witness that the angle abc is positive, or None if it is not: the
     reflection of a in b for a right angle, else the apex pair."""
-    vecs = _angle_vectors(a, b, c, sem)
-    if vecs is None:
-        return None
-    ba, bc, qa, qc = vecs
-    if dot(ba, bc).is_zero():
-        return AngleWitness(kind="right", d=reflect_in_point(a, b))
-    return _apex(a, b, bc, qa, qc)
+    return _witness(a, b, c, sem, right=True)
 
 
 def verify_witness(kind: str, args, witness, sem: str = CONSTRUCTIBLE) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from geokernel.constructions import (
     ConstructionError, crossbar_point, euclid5, inner_pasch, outer_pasch,
 )
+from geokernel import geometry, nafield
 from geokernel.field import FieldElement, Q, eps, sqrt_nonneg
 from geokernel.geometry import (
     CONSTRUCTIBLE, NODE0, NODE1, ArityMismatch, NotPositiveAngle, Point,
@@ -16,6 +17,7 @@ from geokernel.geometry import (
     nonstrict_between, on_ray, pos_angle, positive, predicate_eval, pt,
     right_angle, sqdist, verify_witness, vsub,
 )
+from geokernel.nafield import DegreeTooHigh
 
 coord = st.fractions(min_value=-20, max_value=20)
 
@@ -157,6 +159,26 @@ class TestNodeSemantics:
         b = Point(Q(1) / eps(), Q(0))
         assert distinct(a, b, NODE0)
 
+    def test_gap_of_half_order_is_infinitesimal(self):
+        # sqrt(eps) has eps-order 1/2: infinitesimal, though not a RatFunc;
+        # sqrt(eps) - eps/2 keeps that order when the terms pull apart
+        a = pt(0, 0)
+        for gap in (sqrt_nonneg(eps()), sqrt_nonneg(eps()) - eps() / 2):
+            b = Point(gap, Q(0))
+            assert not distinct(a, b, NODE0) and distinct(a, b, NODE1)
+
+    def test_unbounded_points_read_by_their_gaps_at_node0(self):
+        # moved by (1/eps, 1/eps), the points share a scale of eps-order 1;
+        # their finite gaps stay positive at node 0, an infinitesimal one
+        # does not
+        o, x, y = _moved((pt(0, 0), pt(1, 0), pt(0, 1)), 1 / eps(), 1 / eps())
+        near = Point(o.x + eps(), o.y)
+        assert distinct(o, x, NODE0) and not distinct(o, near, NODE0)
+        assert pos_angle(x, o, y, NODE0) and right_angle(x, o, y, NODE0)
+        assert not pos_angle(near, o, y, NODE0)
+        assert between(near, x, Point(x.x + 1, x.y), NODE0)
+        assert not between(o, near, x, NODE0) and between(o, near, x, NODE1)
+
 
 # -- the predicates against their definitions --------------------------------
 
@@ -165,9 +187,12 @@ SEMANTICS = (CONSTRUCTIBLE, NODE0, NODE1)
 _RATIONALS = (st.fractions(min_value=-2, max_value=2, max_denominator=2)
               | st.fractions(min_value=-2, max_value=2, max_denominator=2 ** 10))
 # Q, three quadratic fields (sqrt(1/2) over a radicand that is not an
-# integer, and over another radicand than sqrt(2)), depth 2 and Q(eps)
+# integer, and over another radicand than sqrt(2)), depth 2, Q(eps), two
+# radicands with an eps (sqrt(eps) of half-integer order), an eps leaf over
+# sqrt(2), and an eps denominator that is not a unit
 _UNITS = [Q(0), sqrt_nonneg(Q(2)), sqrt_nonneg(Q(1, 2)), sqrt_nonneg(Q(3)),
-          sqrt_nonneg(1 + sqrt_nonneg(Q(2))), eps()]
+          sqrt_nonneg(1 + sqrt_nonneg(Q(2))), eps(), sqrt_nonneg(1 + eps()),
+          sqrt_nonneg(eps()), eps() * sqrt_nonneg(Q(2)), Q(1) / (1 + eps())]
 
 
 def _scalars(units):
@@ -177,9 +202,12 @@ def _scalars(units):
 
 
 # the scalars of one example: all over one u, so that whole triples lie in
-# one quadratic field, or each over its own u, so that radicands mix
+# one quadratic field, or each over its own u, drawn from the eps-free units
+# or from those with an eps, so that radicands mix (in towers of depth 3 at
+# most: sign and valuation grow fivefold in cost with each level)
 _FIELDS = (st.sampled_from(_UNITS).map(lambda u: _scalars(st.just(u)))
-           | st.just(_scalars(st.sampled_from(_UNITS))))
+           | st.just(_scalars(st.sampled_from(_UNITS[:6])))
+           | st.just(_scalars(st.sampled_from(_UNITS[5:]))))
 
 
 def _along(u: Point, v: Point, t: FieldElement) -> Point:
@@ -204,11 +232,11 @@ def _triples(draw, scalar=None):
 
 
 @st.composite
-def _angle_pairs(draw):
+def _angle_pairs(draw, fields=_FIELDS):
     """Two angles a b c and a2 b2 c2 over the scalars of one example; often
     the second is the first with its legs rescaled or swapped, so congruent
     pairs are common."""
-    scalar = draw(_FIELDS)
+    scalar = draw(fields)
     a, b, c = draw(_triples(scalar))
     kind = draw(st.sampled_from(["free", "rescaled", "swapped"]))
     if kind == "rescaled":
@@ -304,15 +332,64 @@ def _answers(a, b, c, a2, b2, c2) -> list:
     return out
 
 
+# one field Q(eps)(sqrt r) per example, so that every example is decided
+# over Z[eps][sqrt R]: radicands of eps-order 0, 1/2 and -1, with r_d = 1,
+# 2, 1 + eps or eps (the last makes the scale's order positive), a rational
+# radicand with r.d = 2, and leaves with a denominator 1 + eps or eps;
+# scalars a + b*u + c*eps, or 1 + c*eps for an infinitesimal gap when they
+# place a collinear point
+_EPS_UNITS = [sqrt_nonneg(1 + eps()), sqrt_nonneg(eps()),
+              sqrt_nonneg(3 * eps()), sqrt_nonneg(2 + eps() * eps()),
+              sqrt_nonneg(eps() / 2), sqrt_nonneg(1 / (1 + eps())),
+              sqrt_nonneg(1 / eps()), eps() * sqrt_nonneg(Q(1, 2)),
+              Q(1) / (1 + eps()), Q(1) / eps()]
+_EPS_FIELDS = st.sampled_from(_EPS_UNITS).map(lambda u: st.builds(
+    lambda a, b, c: Q(a) + Q(b) * u + Q(c) * eps(),
+    _RATIONALS, _RATIONALS, _RATIONALS)
+    | st.builds(lambda c: 1 + Q(c) * eps(), _RATIONALS))
+
+
+_SQRT2, _SQRT3 = sqrt_nonneg(Q(2)), sqrt_nonneg(Q(3))
+
+
 class TestIntegerPath:
     @given(angles=_angle_pairs())
     @settings(max_examples=50, deadline=None)
-    def test_moving_by_eps_keeps_every_answer(self, angles):
-        # a move keeps every difference of points, and a move by (eps, eps)
-        # gives every coordinate a RatFunc leaf (unless its eps term
+    def test_moving_by_sqrt2_sqrt3_keeps_every_answer(self, angles):
+        # a move keeps every difference of points, and a move by
+        # (sqrt 2, sqrt 3) gives x and y two radicands (unless a sqrt term
         # cancels), so the moved points are decided on the tower path
         pts = angles[0] + angles[1]
-        assert _answers(*pts) == _answers(*_moved(pts, eps(), eps()))
+        assert _answers(*pts) == _answers(*_moved(pts, _SQRT2, _SQRT3))
+
+    @given(angles=_angle_pairs(_EPS_FIELDS))
+    @settings(max_examples=100, deadline=None)
+    def test_tower_gives_every_answer(self, angles):
+        # the same points, decided with the integer path switched off; the
+        # angle witness's kind too
+        pts = angles[0] + angles[1]
+        assert geometry._zpoints(*pts) is not None
+
+        def answers():
+            return _answers(*pts) + [
+                getattr(angle_witness(*pts[:3], sem), "kind", None)
+                for sem in SEMANTICS]
+
+        decided = answers()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_zpoints", lambda *points: None)
+            assert answers() == decided
+
+    def test_declines_past_max_degree(self, monkeypatch):
+        # coordinates of eps-degree 3 pass a MAX_DEGREE of 2: the integer
+        # path declines, and the tower refuses the degree as before
+        a, b = pt(0, 0), Point(eps() ** 3, Q(0))
+        assert congruent(a, b, b, a) and distinct(a, b, NODE1)
+        monkeypatch.setattr(nafield, "MAX_DEGREE", 2)
+        for call in (lambda: congruent(a, b, b, a),
+                     lambda: distinct(a, b, NODE1)):
+            with pytest.raises(DegreeTooHigh):
+                call()
 
 
 def _pos_angle_eval(a, b, c):
@@ -339,16 +416,18 @@ class TestOpBudget:
     """Field ops per predicate (or Pasch construction) call, counted at
     FieldElement._binop, so redundant arithmetic cannot creep back.  The
     budgets are for the tower path: the rational points are moved by
-    (eps, 0), which keeps every gap and every early exit, so none of them
-    is decided over Z[sqrt R]."""
+    (sqrt 2, sqrt 3), which keeps every gap and every early exit, and whose
+    two radicands keep each of them off the integer path."""
 
-    @pytest.mark.parametrize("shift", [Q(0), sqrt_nonneg(Q(2))],
-                             ids=["rational", "sqrt2"])
+    @pytest.mark.parametrize("shift", [
+        Q(0), sqrt_nonneg(Q(2)), eps(), sqrt_nonneg(1 + eps())],
+        ids=["rational", "sqrt2", "eps", "sqrt-1-plus-eps"])
     @pytest.mark.parametrize("pred, args", _DECIDED,
                              ids=[p.__name__ for p, _ in _DECIDED])
     def test_integer_path_makes_no_field_op(self, pred, args, shift,
                                             monkeypatch):
-        # points over Q, or over Q(sqrt 2) after a move by (sqrt 2, sqrt 2/2)
+        # points over Q, or over Q(sqrt 2), Q(eps) or Q(eps)(sqrt(1 + eps))
+        # after a move by (shift, shift/2)
         args = _moved(args, shift, shift / 2)
         calls = _count_binops(monkeypatch)
         assert pred(*args)
@@ -378,9 +457,24 @@ class TestOpBudget:
             "eval-pos-angle-right", "eval-pos-angle-flat", "inner-pasch",
             "outer-pasch"])
     def test_binop_count(self, pred, args, ops, monkeypatch):
-        args = _moved(args, eps())
+        args = _moved(args, _SQRT2, _SQRT3)
         calls = _count_binops(monkeypatch)
         pred(*args)
+        assert len(calls) == ops
+
+    @pytest.mark.parametrize("args, ops", [
+        ((pt(2, 0), pt(0, 0), pt(3, 3)), 15),
+        ((pt(2, 0), pt(0, 0), pt(0, 3)), 4),
+        ((pt(1, 0), pt(0, 0), pt(2, 0)), 0),
+    ], ids=["apex", "right", "flat"])
+    @pytest.mark.parametrize("shift", [Q(0), eps()], ids=["rational", "eps"])
+    def test_integer_path_witness_count(self, args, ops, shift, monkeypatch):
+        # decided over Z[eps][sqrt R]; the tower builds only the witness:
+        # a - b, c - b, their lengths and v for an apex, the reflection of a
+        # for a right angle, and nothing for a flat angle
+        args = _moved(args, shift)
+        calls = _count_binops(monkeypatch)
+        _pos_angle_eval(*args)
         assert len(calls) == ops
 
     # a refusal tests the hypotheses in order and stops at the first that
@@ -393,7 +487,7 @@ class TestOpBudget:
     ], ids=["euclid5-pt-qt", "crossbar-flat-abc"])
     def test_refusal_binop_count(self, construction, args, hypothesis, ops,
                                  monkeypatch):
-        args = _moved(args, eps())
+        args = _moved(args, _SQRT2, _SQRT3)
         calls = _count_binops(monkeypatch)
         with pytest.raises(ConstructionError) as err:
             construction(*args)
