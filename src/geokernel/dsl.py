@@ -40,7 +40,7 @@ from .field import (
     DomainViolation, FieldElement, FieldError, eps, render_element,
 )
 from .geometry import (
-    CONSTRUCTIBLE, NODE0, ArityMismatch, Point, midpoint,
+    CONSTRUCTIBLE, NODE0, ArityMismatch, Point, in_domain, midpoint,
     predicate_eval, reflect_in_point, resolve_mode,
 )
 from .constructions import (
@@ -49,7 +49,7 @@ from .constructions import (
     line_intersect, midpoint_gupta, outer_pasch, perpendicular, reflect,
     tracing,
 )
-from .kripke import TConst, TOp, TVar, in_domain, tconst, teval
+from .kripke import TConst, TOp, TVar, tconst, teval
 
 
 # Largest accepted "^" exponent.  `render_element` writes eps^k only up to
@@ -412,8 +412,7 @@ def run_script(script: Script, mode: str = CONSTRUCTIBLE) -> Env:
         try:
             if isinstance(stmt, PointDecl):
                 p = Point(_eval_expr(stmt.x, sem), _eval_expr(stmt.y, sem))
-                if sem == NODE0 and not (in_domain(sem, p.x)
-                                         and in_domain(sem, p.y)):
+                if not (in_domain(sem, p.x) and in_domain(sem, p.y)):
                     raise DomainViolation(f"point {stmt.name} = {p!r} is "
                                           "outside F0, the domain of node 0")
                 env.bindings[stmt.name] = p

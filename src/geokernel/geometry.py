@@ -23,11 +23,11 @@ r_n/r_d and R = r_n*r_d.  This is exact:
 - S is positive (so signs and zeros are kept): a canonical denominator's
   lowest coefficient is 1, and r_d's is positive;
 - pair equality is field equality, and signs follow `field`'s rule: R =
-  r*r_d^2 is no square, as a tower node is made only for a non-square;
-- with v the eps-order of S, P(|d|^2) holds at NODE0 iff d != 0 and a
-  coordinate of d has order <= v (<= 2v for the cross product in
-  P(cross^2)), orders by `field._rval` (half-orders from sqrt(R)); NODE1
-  reads signs alone, and without eps every node reads alike.
+  r*r_d^2 is no square, as a tower node is made only for a non-square.
+On these pairs P(|d|^2) is d != 0 at every node but NODE0, and at NODE0 too
+when no eps occurs (a nonzero element of Q(sqrt r) has valuation 0).  A
+predicate that reads P hands its semantics to `_zpoints`, which turns points
+with an eps at NODE0 away to the tower, where `positive` reads P.
 """
 
 from __future__ import annotations
@@ -156,6 +156,12 @@ def positive(x: FieldElement, sem: str = CONSTRUCTIBLE) -> bool:
     return True
 
 
+def in_domain(node: str, x: FieldElement) -> bool:
+    """x lies in the domain of `node`: at NODE0 that is F0, the finitely
+    bounded elements (zero, or of valuation >= 0)."""
+    return node != NODE0 or x.is_zero() or x.valuation() >= 0
+
+
 # -- the integer path (see the module doc) -----------------------------------
 
 class _ZPoly:
@@ -209,16 +215,13 @@ class _ZPoly:
     def __lt__(a, b) -> bool:
         return (a - b if b else a).sign() < 0
 
-    def order(a) -> int:
-        """The eps-order of a nonzero polynomial: its lowest degree."""
-        return next(i for i, p in enumerate(a.c) if p)
 
-
-def _zpoints(*pts):
-    """(R, v, points (xA, xB, yA, yB)), or None unless each coordinate is a
-    leaf or, over one depth-1 tower, a + b*sqrt(r) with leaves a, b, r.
-    With Rat leaves alone, A = a*s*r.d, B = b*s and R = r.n*r.d (0 with no
-    tower) are ints, s the lcm of all d, and v is None; else `_zeps_points`."""
+def _zpoints(*pts, sem=None):
+    """(R, points (xA, xB, yA, yB)), or None unless each coordinate is a
+    leaf or, over one depth-1 tower, a + b*sqrt(r) with leaves a, b, r, and
+    None for an eps if `sem` is NODE0.  With Rat leaves alone, A = a*s*r.d,
+    B = b*s and R = r.n*r.d (0 with no tower) are ints, s the lcm of all d;
+    else `_zeps_points`."""
     tower, parts = (), []  # each coordinate's rational part, then sqrt part
     for p in pts:
         for c in (p.x, p.y):
@@ -231,21 +234,21 @@ def _zpoints(*pts):
     dens = [q.d for q in parts if type(q) is Rat]
     r = tower[0] if tower else ONE
     if len(dens) < len(parts) or type(r) is not Rat:
-        return _zeps_points(parts, r)
+        return None if sem == NODE0 else _zeps_points(parts, r)
     s = lcm(*dens)
     S, R = s * r.d, r.n * r.d if tower else 0
     it = iter(parts)
-    return R, None, [(xa.n * (S // xa.d), xb.n * (s // xb.d),
-                      ya.n * (S // ya.d), yb.n * (s // yb.d))
-                     for xa, xb, ya, yb in zip(it, it, it, it)]
+    return R, [(xa.n * (S // xa.d), xb.n * (s // xb.d),
+                ya.n * (S // ya.d), yb.n * (s // yb.d))
+               for xa, xb, ya, yb in zip(it, it, it, it)]
 
 
 def _zeps_points(parts, r):
     """`_zpoints` over Z[eps]: parts and r are Rat or RatFunc leaves.  A leaf
     is n/(c*D), n an integer polynomial, c > 0 an int and D the integer
     form of its canonical denominator (1 if none); S = m*P*r_d with m the
-    lcm of the c's and P the product of the distinct D's, and v the order
-    of S.  None once S or a scaled coordinate passes nafield.MAX_DEGREE."""
+    lcm of the c's and P the product of the distinct D's.  None once S or a
+    scaled coordinate passes nafield.MAX_DEGREE."""
     dens, fracs = {}, []  # the distinct D's, keyed by their coefficients
     for q in parts:
         rat = type(q) is Rat
@@ -270,35 +273,12 @@ def _zeps_points(parts, r):
     if max(len(x.c) for x in (fa[None], *coords)) - 1 > nafield.MAX_DEGREE:
         return None
     it = iter(coords)
-    return rn * rd, fa[None].order(), list(zip(it, it, it, it))
+    return rn * rd, list(zip(it, it, it, it))
 
 
-def _zorder(a, b, R) -> int:
-    """Twice the eps-order of a nonzero a + b*sqrt(R), by field._rval."""
-    if not b:
-        return 2 * a.order()
-    vb = 2 * b.order() + R.order()
-    if not a:
-        return vb
-    va = 2 * a.order()
-    if va != vb or (a > 0) == (b > 0):
-        return min(va, vb)
-    return 2 * (a * a - b * b * R).order() - va  # the leading terms cancel
-
-
-def _zapart(d, R, v, sem) -> bool:
-    """P(|d|^2) for d a vector of pairs over a scale of order v: d != 0, and
-    at NODE0 over an eps (v not None) some pair has order <= v."""
-    if v is None or sem != NODE0:
-        return any(d)
-    it = iter(d)
-    return any((x or y) and _zorder(x, y, R) <= 2 * v for x, y in zip(it, it))
-
-
-def _zpos_angle(ba, bc, R, v, sem) -> bool:
+def _zpos_angle(ba, bc, R) -> bool:
     """P of |ba|^2, |bc|^2 and cross(ba, bc)^2, as `_angle_vectors` asks."""
-    return (_zapart(ba, R, v, sem) and _zapart(bc, R, v, sem)
-            and _zapart(_zcross(ba, bc, R), R, v and 2 * v, sem))  # over S^2
+    return any(ba) and any(bc) and any(_zcross(ba, bc, R))
 
 
 def _zsub(p, q):
@@ -337,18 +317,17 @@ def _znonstrict(u, v, w, R) -> bool:
 
 def collinear(u: Point, v: Point, w: Point) -> bool:
     if (z := _zpoints(u, v, w)) is not None:
-        R, _, (u, v, w) = z
+        R, (u, v, w) = z
         return not any(_zcross(_zsub(w, u), _zsub(w, v), R))
     return cross(vsub(w, u), vsub(w, v)).is_zero()
 
 
 def between(u: Point, v: Point, w: Point, sem: str = CONSTRUCTIBLE) -> bool:
     """Strict betweenness B(u,v,w): both gaps positively long."""
-    if (z := _zpoints(u, v, w)) is not None:
-        R, vs, (u, v, w) = z
+    if (z := _zpoints(u, v, w, sem=sem)) is not None:
+        R, (u, v, w) = z
         d1, d2 = _zsub(v, u), _zsub(w, v)
-        return (not any(_zcross(d1, d2, R)) and _zapart(d1, R, vs, sem)
-                and _zapart(d2, R, vs, sem)
+        return (not any(_zcross(d1, d2, R)) and any(d1) and any(d2)
                 and _zsign(*_zdot(d1, d2, R), R) > 0)
     d1, d2 = vsub(v, u), vsub(w, v)
     # cross(d1, d2) = cross(w - u, w - v): the collinearity test
@@ -362,7 +341,7 @@ def between(u: Point, v: Point, w: Point, sem: str = CONSTRUCTIBLE) -> bool:
 def nonstrict_between(u: Point, v: Point, w: Point) -> bool:
     """T(u,v,w) = not(u != v and not B and v != w); a classical relation."""
     if (z := _zpoints(u, v, w)) is not None:
-        R, _, (u, v, w) = z
+        R, (u, v, w) = z
         return _znonstrict(u, v, w, R)
     if u == v or v == w:
         return True
@@ -374,35 +353,33 @@ def nonstrict_between(u: Point, v: Point, w: Point) -> bool:
 
 def congruent(a: Point, b: Point, c: Point, d: Point) -> bool:
     if (z := _zpoints(a, b, c, d)) is not None:
-        R, _, (a, b, c, d) = z
+        R, (a, b, c, d) = z
         ab, cd = _zsub(a, b), _zsub(c, d)
         return _zdot(ab, ab, R) == _zdot(cd, cd, R)
     return sqdist(a, b) == sqdist(c, d)
 
 
 def distinct(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> bool:
-    if (z := _zpoints(a, b)) is not None:
-        R, v, (a, b) = z
-        return _zapart(_zsub(a, b), R, v, sem)
+    if (z := _zpoints(a, b, sem=sem)) is not None:
+        _, (a, b) = z
+        return a != b
     return positive(sqdist(a, b), sem)
 
 
 def on_ray(a: Point, b: Point, x: Point) -> bool:
     """x lies on Ray(a,b): T(e,a,x) where e reflects b in a."""
     if (z := _zpoints(a, b, x)) is not None:
-        R, _, (a, b, x) = z
+        R, (a, b, x) = z
         return _znonstrict(_zsub(a, _zsub(b, a)), a, x, R)
     e = reflect_in_point(b, a)
     return nonstrict_between(e, a, x)
 
 
 def right_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
-    if (z := _zpoints(a, b, c)) is not None:
-        R, v, (a, b, c) = z
+    if (z := _zpoints(a, b, c, sem=sem)) is not None:
+        R, (a, b, c) = z
         ba, bc = _zsub(a, b), _zsub(c, b)
-        return (_zapart(ba, R, v, sem) and _zapart(bc, R, v, sem)
-                and _zapart(_zsub(a, c), R, v, sem)
-                and not any(_zdot(ba, bc, R)))
+        return any(ba) and any(bc) and a != c and not any(_zdot(ba, bc, R))
     ba = vsub(a, b)
     if not positive(dot(ba, ba), sem):  # distinct(a, b)
         return False
@@ -429,9 +406,9 @@ def _angle_vectors(a: Point, b: Point, c: Point, sem: str):
 
 
 def pos_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
-    if (z := _zpoints(a, b, c)) is not None:
-        R, v, (a, b, c) = z
-        return _zpos_angle(_zsub(a, b), _zsub(c, b), R, v, sem)
+    if (z := _zpoints(a, b, c, sem=sem)) is not None:
+        R, (a, b, c) = z
+        return _zpos_angle(_zsub(a, b), _zsub(c, b), R)
     return _angle_vectors(a, b, c, sem) is not None
 
 
@@ -449,7 +426,7 @@ def angle_cong(a: Point, b: Point, c: Point,
                a2: Point, b2: Point, c2: Point) -> bool:
     """Equal angles at b and b2, by the equal-cosine criterion (exact)."""
     if (z := _zpoints(a, b, c, a2, b2, c2)) is not None:
-        R, _, (a, b, c, a2, b2, c2) = z
+        R, (a, b, c, a2, b2, c2) = z
         ba, bc = _zsub(a, b), _zsub(c, b)
         ba2, bc2 = _zsub(a2, b2), _zsub(c2, b2)
         if not (any(ba) and any(bc) and any(ba2) and any(bc2)):
@@ -505,10 +482,10 @@ def _witness(a: Point, b: Point, c: Point, sem: str,
     """The apex pair of a positive angle abc (the reflection of a in b if
     it is right and `right` allows), or None if abc is not positive.  The
     integer path decides, and the tower computes only the witness point."""
-    if (z := _zpoints(a, b, c)) is not None:
-        R, v, (za, zb, zc) = z
+    if (z := _zpoints(a, b, c, sem=sem)) is not None:
+        R, (za, zb, zc) = z
         zba, zbc = _zsub(za, zb), _zsub(zc, zb)
-        if not _zpos_angle(zba, zbc, R, v, sem):
+        if not _zpos_angle(zba, zbc, R):
             return None
         if right and not any(_zdot(zba, zbc, R)):
             return AngleWitness(kind="right", d=reflect_in_point(a, b))
@@ -569,38 +546,29 @@ class PredicateResult:
     witness: DistinctWitness | AngleWitness | None = None
 
 
-_ARITY = {
-    "E": 4, "L": 3, "B": 3, "T": 3, "Distinct": 2, "Ray": 3,
-    "RightAngle": 3, "PosAngle": 3, "AngleLtPi": 3, "AngleCong": 6,
+def _distinct_witness(a: Point, b: Point, sem: str) -> DistinctWitness | None:
+    return distinct_witness(a, b) if distinct(a, b, sem) else None
+
+
+# kind -> (predicate, arity, reads semantics); a witness kind's predicate
+# returns its witness, or None where the relation fails
+_KINDS = {
+    "E": (congruent, 4, False), "L": (collinear, 3, False),
+    "B": (between, 3, True), "T": (nonstrict_between, 3, False),
+    "Distinct": (_distinct_witness, 2, True), "Ray": (on_ray, 3, False),
+    "RightAngle": (right_angle, 3, True), "PosAngle": (angle_witness, 3, True),
+    "AngleLtPi": (angle_lt_pi, 3, True), "AngleCong": (angle_cong, 6, False),
 }
 
 
 def predicate_eval(kind: str, args, sem: str = CONSTRUCTIBLE) -> PredicateResult:
     args = tuple(args)
-    if kind not in _ARITY:
+    if kind not in _KINDS:
         raise ArityMismatch(f"unknown predicate kind {kind!r}")
-    if len(args) != _ARITY[kind]:
-        raise ArityMismatch(
-            f"{kind} expects {_ARITY[kind]} points, got {len(args)}")
-    if kind == "E":
-        return PredicateResult(congruent(*args))
-    if kind == "L":
-        return PredicateResult(collinear(*args))
-    if kind == "B":
-        return PredicateResult(between(*args, sem))
-    if kind == "T":
-        return PredicateResult(nonstrict_between(*args))
-    if kind == "Distinct":
-        if distinct(*args, sem):
-            return PredicateResult(True, distinct_witness(*args))
-        return PredicateResult(False)
-    if kind == "Ray":
-        return PredicateResult(on_ray(*args))
-    if kind == "RightAngle":
-        return PredicateResult(right_angle(*args, sem))
-    if kind == "PosAngle":
-        w = angle_witness(*args, sem)
-        return PredicateResult(w is not None, w)
-    if kind == "AngleLtPi":
-        return PredicateResult(angle_lt_pi(*args, sem))
-    return PredicateResult(angle_cong(*args))
+    fn, arity, reads_sem = _KINDS[kind]
+    if len(args) != arity:
+        raise ArityMismatch(f"{kind} expects {arity} points, got {len(args)}")
+    out = fn(*args, sem) if reads_sem else fn(*args)
+    if isinstance(out, bool):
+        return PredicateResult(out)
+    return PredicateResult(out is not None, out)

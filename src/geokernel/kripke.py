@@ -5,8 +5,9 @@ functions in a positive infinitesimal eps (pure rational functions lack
 square roots, so the tower supplies the EF5 witnesses).  The root node M0
 has domain F0, the finitely bounded part of F; the top node M1 is
 classical F.  The nodes are the NonArchimedean semantics tags of
-`geometry` (M0 is NODE0, M1 is NODE1), and P is read at a node by
-`geometry.positive`: at M0 it means "positive and not infinitesimal".
+`geometry` (M0 is NODE0, M1 is NODE1).  P is read at a node by
+`geometry.positive`, at M0 as "positive and not infinitesimal", and the
+domain by `geometry.in_domain`, beside it.
 With forcing defined the standard way — not-phi forced at a node iff phi
 is forced nowhere above it — every EF axiom is forced at the root, while
 Markov's principle fails there with witness eps: not-not-P(eps) is forced
@@ -29,7 +30,7 @@ from .field import (
     DomainViolation, FieldElement, Negative, Q, eps, render_element,
     sqrt_nonneg,
 )
-from .geometry import NODE0 as M0, NODE1 as M1, positive
+from .geometry import NODE0 as M0, NODE1 as M1, in_domain, positive
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,6 @@ def na_classify(x: FieldElement) -> NAClass:
 
 def node0_positive(x: FieldElement) -> bool:
     return positive(x, M0)
-
-
-def in_domain(node: str, x: FieldElement) -> bool:
-    if node == M1:
-        return True
-    return na_classify(x).finitely_bounded
 
 
 # -- terms -------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from geokernel.audit import report_to_json
-from geokernel import field
+from geokernel import field, geometry, kripke
 from geokernel.field import Q, TowerTooDeep, eps, sqrt_nonneg
 from geokernel.geometry import NODE0, NODE1, positive
 from geokernel.kripke import (
@@ -87,10 +87,14 @@ class TestForcing:
                     assert forces(M1, phi, env)
 
     def test_p_is_the_predicate_semantics(self):
-        # the nodes are geometry's NonArchimedean tags, and P is read at
-        # each by geometry.positive
+        # the nodes are geometry's NonArchimedean tags, P is read at each by
+        # geometry.positive, and the domain by geometry.in_domain beside it
         assert M0 is NODE0 and M1 is NODE1
+        assert kripke.in_domain is geometry.in_domain
         for v, bounded in _probe_grid():
+            assert geometry.in_domain(M0, v) == bounded
+            assert na_classify(v).finitely_bounded == bounded
+            assert geometry.in_domain(M1, v)
             if bounded:
                 for node in (M0, M1):
                     assert forces(node, FP(X), {"x": v}) == positive(v, node)

@@ -168,9 +168,8 @@ class TestNodeSemantics:
             assert not distinct(a, b, NODE0) and distinct(a, b, NODE1)
 
     def test_unbounded_points_read_by_their_gaps_at_node0(self):
-        # moved by (1/eps, 1/eps), the points share a scale of eps-order 1;
-        # their finite gaps stay positive at node 0, an infinitesimal one
-        # does not
+        # moved by (1/eps, 1/eps), the points lie outside F0; their finite
+        # gaps stay positive at node 0, an infinitesimal one does not
         o, x, y = _moved((pt(0, 0), pt(1, 0), pt(0, 1)), 1 / eps(), 1 / eps())
         near = Point(o.x + eps(), o.y)
         assert distinct(o, x, NODE0) and not distinct(o, near, NODE0)
@@ -377,7 +376,8 @@ class TestIntegerPath:
 
         decided = answers()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geometry, "_zpoints", lambda *points: None)
+            patch.setattr(geometry, "_zpoints",
+                          lambda *points, sem=None: None)
             assert answers() == decided
 
     def test_declines_past_max_degree(self, monkeypatch):
@@ -412,6 +412,10 @@ _DECIDED = [
 ]
 
 
+# the predicates (and the angle witness) that read P
+_READS_P = (between, distinct, right_angle, pos_angle, angle_witness)
+
+
 class TestOpBudget:
     """Field ops per predicate (or Pasch construction) call, counted at
     FieldElement._binop, so redundant arithmetic cannot creep back.  The
@@ -419,19 +423,42 @@ class TestOpBudget:
     (sqrt 2, sqrt 3), which keeps every gap and every early exit, and whose
     two radicands keep each of them off the integer path."""
 
-    @pytest.mark.parametrize("shift", [
-        Q(0), sqrt_nonneg(Q(2)), eps(), sqrt_nonneg(1 + eps())],
-        ids=["rational", "sqrt2", "eps", "sqrt-1-plus-eps"])
+    @pytest.mark.parametrize("shift, sem", [
+        (Q(0), CONSTRUCTIBLE), (sqrt_nonneg(Q(2)), CONSTRUCTIBLE),
+        (eps(), CONSTRUCTIBLE), (sqrt_nonneg(1 + eps()), CONSTRUCTIBLE),
+        (eps(), NODE1), (sqrt_nonneg(1 + eps()), NODE1),
+        (Q(0), NODE0), (sqrt_nonneg(Q(2)), NODE0)],
+        ids=["rational", "sqrt2", "eps", "sqrt-1-plus-eps", "eps-M1",
+             "sqrt-1-plus-eps-M1", "rational-M0", "sqrt2-M0"])
     @pytest.mark.parametrize("pred, args", _DECIDED,
                              ids=[p.__name__ for p, _ in _DECIDED])
-    def test_integer_path_makes_no_field_op(self, pred, args, shift,
+    def test_integer_path_makes_no_field_op(self, pred, args, shift, sem,
                                             monkeypatch):
         # points over Q, or over Q(sqrt 2), Q(eps) or Q(eps)(sqrt(1 + eps))
-        # after a move by (shift, shift/2)
+        # after a move by (shift, shift/2); with an eps at any node but
+        # NODE0, or at NODE0 without one, P is d != 0 and reads no element
         args = _moved(args, shift, shift / 2)
-        calls = _count_binops(monkeypatch)
-        assert pred(*args)
-        assert calls == []
+        calls, read = _count_binops(monkeypatch), _count_positive(monkeypatch)
+        assert pred(*args, sem) if pred in _READS_P else pred(*args)
+        assert calls == [] and read == []
+
+    @pytest.mark.parametrize("shift", [eps(), sqrt_nonneg(1 + eps())],
+                             ids=["eps", "sqrt-1-plus-eps"])
+    @pytest.mark.parametrize("pred, args", _DECIDED + [
+        (angle_witness, (pt(2, 0), pt(0, 0), pt(3, 3)))],
+        ids=[p.__name__ for p, _ in _DECIDED] + ["angle_witness"])
+    def test_node0_reads_p_through_positive(self, pred, args, shift,
+                                            monkeypatch):
+        # the same points at NODE0: a predicate that reads P takes the
+        # tower, where `positive` reads it; the others keep the integer path
+        args = _moved(args, shift, shift / 2)
+        calls, read = _count_binops(monkeypatch), _count_positive(monkeypatch)
+        if pred in _READS_P:
+            assert pred(*args, NODE0)
+            assert read and all(sem == NODE0 for sem in read)
+        else:
+            assert pred(*args)
+            assert calls == [] and read == []
 
     @pytest.mark.parametrize("pred, args, ops", [
         (between, (pt(0, 0), pt(1, 0), pt(3, 0)), 16),
@@ -493,6 +520,19 @@ class TestOpBudget:
             construction(*args)
         assert err.value.hypothesis == hypothesis
         assert len(calls) == ops
+
+
+def _count_positive(monkeypatch) -> list:
+    """A list that gains the semantics of each geometry.positive call."""
+    read = []
+    positive_ = geometry.positive
+
+    def counted(x, sem=CONSTRUCTIBLE):
+        read.append(sem)
+        return positive_(x, sem)
+
+    monkeypatch.setattr(geometry, "positive", counted)
+    return read
 
 
 def _count_binops(monkeypatch) -> list:
