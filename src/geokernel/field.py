@@ -12,6 +12,10 @@ values; the pair (a, b) at level i denotes a + b*sqrt(r_i).  A tower is
 the tuple of its radicand reps: tower[i] is r_{i+1}, a rep of depth i
 over tower[:i].
 
+A base value q never enters a tower as a lifted rep (q, 0, ...): against
+a tower element x, x*q and x/q scale x's leaves and x + q, x - q and q - x
+shift only its constant leaf.  Only q/x brings q into x's tower.
+
 Every operation is exact.  Comparison is decided recursively: the sign of
 a + b*sqrt(r) follows from the signs of a and b and a comparison of a^2
 with b^2*r.  A new sqrt node is created only after the radicand is checked
@@ -28,9 +32,10 @@ v(a + b*sqrt(r)) = v(a^2 - b^2*r) - v(a).
 
 from __future__ import annotations
 
-import operator
+from operator import add, ge, gt, le, lt, mul, sub, truediv
 
-from .nafield import EPS, ONE, ZERO, FieldError, Rat, as_rat, refuse_float
+from .nafield import (EPS, ONE, ZERO, FieldError, Rat, _ratio, as_rat,
+                      refuse_float)
 
 # Most sqrt nodes a tower may hold.  A sign or a root search costs about
 # five times as much with each level of depth; the audit needs depth 2 and
@@ -91,6 +96,20 @@ def _rsub(x, y, depth):
     if depth == 0:
         return x - y
     return (_rsub(x[0], y[0], depth - 1), _rsub(x[1], y[1], depth - 1))
+
+
+def _rshift(x, q, depth):
+    """x + q for a base value q: only the constant leaf moves."""
+    if depth == 0:
+        return x + q
+    return (_rshift(x[0], q, depth - 1), x[1])
+
+
+def _rscale(x, q, depth):
+    """x * q for a base value q: every leaf is scaled."""
+    if depth == 0:
+        return x * q
+    return (_rscale(x[0], q, depth - 1), _rscale(x[1], q, depth - 1))
 
 
 def _rmul(x, y, rads, depth):
@@ -202,8 +221,16 @@ def _sqrt_in(rads, x, depth):
     return None
 
 
-_LEAF_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-             "div": operator.truediv}
+# op -> (op on two reps of depth d over tower T, x op q, q op x) for a rep x
+# of depth d >= 1 and a base value q; with None, q is lifted into x's tower
+_OPS = {
+    add: (lambda x, y, T, d: _radd(x, y, d), _rshift, _rshift),
+    sub: (lambda x, y, T, d: _rsub(x, y, d),
+          lambda x, q, d: _rshift(x, -q, d),
+          lambda x, q, d: _rshift(_rneg(x, d), q, d)),
+    mul: (_rmul, _rscale, _rscale),
+    truediv: (_rdiv, lambda x, q, d: _rscale(x, ONE / q, d), None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +299,6 @@ class FieldElement:
         """Bring two elements into one tower; return (tower, xa, xb)."""
         if a.tower == b.tower:
             return a.tower, a.rep, b.rep
-        if not b.tower:
-            return a.tower, a.rep, _rlift(b.rep, 0, a.depth)
         if not a.tower:
             return b.tower, _rlift(a.rep, 0, b.depth), b.rep
         T, emb, convert = FieldElement._merge(a.tower, b.tower)
@@ -284,55 +309,54 @@ class FieldElement:
     # -- arithmetic ----------------------------------------------------------
 
     def _binop(self, other, op):
-        b = self._coerce(other)
+        b = other if type(other) is FieldElement else self._coerce(other)
         if b is None:
             return NotImplemented
-        if not self.tower and not b.tower:
-            # both in the base field: one leaf op, nothing to align or trim
-            if op == "div" and not b.rep:
+        ta, tb = self.tower, b.tower
+        if not tb:
+            if op is truediv and not b.rep:
                 raise ZeroDivisionError("field division by zero")
-            return FieldElement((), _LEAF_OPS[op](self.rep, b.rep))
-        T, xa, xb = FieldElement._align(self, b)
-        d = len(T)
-        if op == "add":
-            rep = _radd(xa, xb, d)
-        elif op == "sub":
-            rep = _rsub(xa, xb, d)
-        elif op == "mul":
-            rep = _rmul(xa, xb, T, d)
-        else:  # div
-            if _ris_zero(xb, d):
+            if not ta:
+                # both in the base field: one leaf op, nothing to align or trim
+                return FieldElement((), op(self.rep, b.rep))
+            # a base value acts on the leaves in place; it is never lifted
+            T, rep = ta, _OPS[op][1](self.rep, b.rep, len(ta))
+        elif not ta and _OPS[op][2]:
+            T, rep = tb, _OPS[op][2](b.rep, self.rep, len(tb))
+        else:
+            T, xa, xb = FieldElement._align(self, b)
+            if op is truediv and _ris_zero(xb, len(T)):
                 raise ZeroDivisionError("field division by zero")
-            rep = _rdiv(xa, xb, T, d)
+            rep = _OPS[op][0](xa, xb, T, len(T))
         return FieldElement(T, rep)._normalized()
 
     def __add__(self, other):
-        return self._binop(other, "add")
+        return self._binop(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, "sub")
+        return self._binop(other, sub)
 
     def __rsub__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return b._binop(self, "sub")
+        return b._binop(self, sub)
 
     def __mul__(self, other):
-        return self._binop(other, "mul")
+        return self._binop(other, mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, "div")
+        return self._binop(other, truediv)
 
     def __rtruediv__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return b._binop(self, "div")
+        return b._binop(self, truediv)
 
     def __neg__(self):
         return FieldElement(self.tower, _rneg(self.rep, self.depth))
@@ -367,22 +391,24 @@ class FieldElement:
         return (self - b).is_zero()
 
     def _cmp(self, other, op):
-        b = self._coerce(other)
+        b = other if type(other) is FieldElement else self._coerce(other)
         if b is None:
             return NotImplemented
+        if not self.tower and not b.tower:
+            return op((self.rep - b.rep).sign(), 0)
         return op((self - b).sign(), 0)
 
     def __lt__(self, other):
-        return self._cmp(other, operator.lt)
+        return self._cmp(other, lt)
 
     def __le__(self, other):
-        return self._cmp(other, operator.le)
+        return self._cmp(other, le)
 
     def __gt__(self, other):
-        return self._cmp(other, operator.gt)
+        return self._cmp(other, gt)
 
     def __ge__(self, other):
-        return self._cmp(other, operator.ge)
+        return self._cmp(other, ge)
 
     def __hash__(self):
         raise TypeError("FieldElement is not hashable (use explicit keys)")
@@ -438,6 +464,8 @@ def _check_depth(depth: int) -> None:
 
 def Q(num, den=1) -> FieldElement:
     """Rational constant num/den, from ints, Fractions or Rats."""
+    if type(num) is int and type(den) is int and den:
+        return FieldElement((), _ratio(num, den))  # one gcd
     return FieldElement((), Rat(num, den))
 
 

@@ -1,5 +1,6 @@
 """Quadratic-extension tower arithmetic: exact signs, roots, valuations."""
 
+import itertools
 import operator
 from fractions import Fraction
 
@@ -297,6 +298,125 @@ class TestDepthZero:
                 x / zero
         with pytest.raises(ZeroDivisionError, match="field division by zero"):
             1 / (x - x)
+
+
+_R2, _R3, _S = sqrt_nonneg(Q(2)), sqrt_nonneg(Q(3)), sqrt_nonneg(1 + eps())
+# tower elements: Rat leaves over Q, RatFunc leaves over sqrt(1 + eps), and
+# Rat leaves over sqrt(1 + eps)
+_TOWER = {
+    "rat-d1": Q(1, 2) - 3 * _R2,
+    "rat-d2": Q(1, 3) + _R2 * Q(2, 5) - _R3 + _R2 * _R3 * 7,
+    "eps-d1": eps() + (1 - eps()) * _S,
+    "eps-d2": eps() + eps() * _S + (1 + eps()) * _R2 + eps() * _S * _R2,
+    "rat-over-eps-d1": 1 + 2 * _S,
+}
+_BASE = [Q(3, 4), Q(-2), 5, Fraction(-7, 3), eps(), Q(0)]
+_REP_OPS = {
+    operator.add: lambda x, y, T, d: field._radd(x, y, d),
+    operator.sub: lambda x, y, T, d: field._rsub(x, y, d),
+    operator.mul: field._rmul,
+    operator.truediv: field._rdiv,
+}
+
+
+def _leaves(rep, depth) -> list:
+    if depth == 0:
+        return [rep]
+    return _leaves(rep[0], depth - 1) + _leaves(rep[1], depth - 1)
+
+
+class TestScalarPath:
+    """A base value against a tower element scales or shifts the tower
+    element's leaves; it is never lifted into the tower."""
+
+    @pytest.mark.parametrize("op", list(_REP_OPS), ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("x", list(_TOWER.values()), ids=list(_TOWER))
+    def test_rep_matches_lift_path(self, x, op):
+        for q, swap in itertools.product(_BASE, (False, True)):
+            a, b = (q, x) if swap else (x, q)
+            if op is operator.truediv and not swap and q == 0:
+                continue  # test_edge_cases
+            fa, fb = (v if isinstance(v, FieldElement) else Q(v)
+                      for v in (a, b))
+            T, xa, xb = FieldElement._align(fa, fb)
+            want = FieldElement(T, _REP_OPS[op](xa, xb, T, len(T)))
+            want = want._normalized()
+            got = op(a, b)
+            assert got.tower == want.tower
+            assert got.rep == want.rep
+            assert render_element(got) == render_element(want)
+            # the kinds agree, except that lifting a base value over an eps
+            # radicand turns Rat leaves into constant RatFuncs of equal value
+            for g, w in zip(_leaves(got.rep, got.depth),
+                            _leaves(want.rep, want.depth)):
+                assert type(g) is type(w) or (type(g) is Rat
+                                              and type(w) is RatFunc)
+            if op is operator.mul and q == 0:
+                assert got.tower == ()
+
+    @pytest.mark.parametrize("x", list(_TOWER.values()), ids=list(_TOWER))
+    def test_edge_cases(self, x):
+        for zero in (Q(0), 0):
+            with pytest.raises(ZeroDivisionError,
+                               match="field division by zero"):
+                x / zero
+        with pytest.raises(TypeError):
+            x * 0.5
+        with pytest.raises(TypeError):
+            0.5 * x
+
+    @pytest.mark.parametrize("q", [Q(3, 4), 5, eps()], ids=["3/4", "int",
+                                                             "eps"])
+    def test_no_lift(self, q, monkeypatch):
+        # a depth-2 x against a base value: no _align, and no tower product
+        x = _TOWER["eps-d2" if q is eps() else "rat-d2"]
+        aligned, products = [], []
+        align, rmul = FieldElement._align, field._rmul
+
+        def counted_align(a, b):
+            aligned.append((a, b))
+            return align(a, b)
+
+        def counted_rmul(x, y, rads, depth):
+            if depth:
+                products.append(depth)
+            return rmul(x, y, rads, depth)
+
+        monkeypatch.setattr(FieldElement, "_align", staticmethod(counted_align))
+        monkeypatch.setattr(field, "_rmul", counted_rmul)
+        for f in (lambda: x * q, lambda: q * x, lambda: x + q,
+                  lambda: x - q, lambda: q - x, lambda: x / q):
+            assert f().depth == 2
+        assert aligned == [] and products == []
+        q / x  # a base value over a tower element still takes the lift path
+        assert aligned and products
+
+
+class TestQ:
+    @pytest.mark.parametrize("n", [-6, -1, 0, 1, 4, 2**70])
+    @pytest.mark.parametrize("d", [-4, -1, 1, 3, 6, -(2**65)])
+    def test_ints_match_fraction(self, n, d):
+        got, want = Q(n, d), Q(Fraction(n, d))
+        assert got.tower == () and type(got.rep) is Rat
+        assert (got.rep.n, got.rep.d) == (want.rep.n, want.rep.d)
+        assert type(got.rep.n) is int and type(got.rep.d) is int
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            Q(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            Q(0, 0)
+
+    @pytest.mark.parametrize("args, n, d", [
+        ((True,), 1, 1), ((False,), 0, 1), ((True, 2), 1, 2), ((3, True), 3, 1),
+        ((Rat(3, 4),), 3, 4), ((Rat(3, 4), 2), 3, 8), ((Rat(3, 4), -3), -1, 4),
+        ((Fraction(-6, 4),), -3, 2), ((Fraction(3, 4), Fraction(1, 2)), 3, 2),
+    ], ids=["true", "false", "true-over-2", "over-true", "rat", "rat-over-2",
+            "rat-over-minus-3", "fraction", "fraction-over-fraction"])
+    def test_other_types(self, args, n, d):
+        got = Q(*args)
+        assert got.tower == () and type(got.rep) is Rat
+        assert (got.rep.n, got.rep.d) == (n, d)
 
 
 class TestRenderParse:
