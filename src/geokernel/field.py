@@ -394,8 +394,6 @@ class FieldElement:
         b = other if type(other) is FieldElement else self._coerce(other)
         if b is None:
             return NotImplemented
-        if not self.tower and not b.tower:
-            return op((self.rep - b.rep).sign(), 0)
         return op((self - b).sign(), 0)
 
     def __lt__(self, other):
