@@ -679,7 +679,11 @@ def audit_run(mode: str = CONSTRUCTIBLE, per_axiom: int = 100,
                       "guard_refusals": 0}
             for idx in range(per_axiom):
                 iseed = _instance_seed(seed, label, idx)
-                res = check(label, generate(label, iseed, mode))
+                try:
+                    res = check(label, generate(label, iseed, mode))
+                except Exception as err:  # a kernel fault fails one entry
+                    res = {"verdict": "error",
+                           "detail": f"{type(err).__name__}: {err}"}
                 v = res["verdict"]
                 counts[_TALLY.get(v, "failures")] += 1
                 if v != "pass":

@@ -1,16 +1,24 @@
 """Exact arithmetic in towers of quadratic extensions over Q(eps).
 
-A FieldElement lives in a tower F(sqrt(r1))(sqrt(r2))... over F = Q(eps),
-the rational functions in a positive infinitesimal ``eps``.  Rationals are
-`Rat` leaves (nafield's one rational type; an int or a `Fraction` becomes
-one where it enters): a leaf is a `RatFunc` only once ``eps`` entered its
-computation, and the two kinds mix freely because Q is a subfield of
-Q(eps).  Both kinds answer `sign`, `valuation`, `sqrt_exact` and `shadow`
-alike, so no code here asks which kind a leaf is.  Representation: a
+The field is a tower F(sqrt(r1))(sqrt(r2))... over F = Q(eps), the
+rational functions in a positive infinitesimal ``eps``.  A value of F, a
+base value, is a bare leaf: a `Rat` (nafield's one rational type; an int
+or a `Fraction` becomes one where it enters) until ``eps`` enters its
+computation, then a `RatFunc`.  The two kinds mix freely because Q is a
+subfield of Q(eps), and both answer the same leaf interface (`sign`,
+`valuation`, `sqrt_exact`, `shadow`, `is_zero`, `**`, `tower == ()`), so
+no code here asks which kind a leaf is.  `Q`, `eps` and every operation
+whose result lies in F return the leaf itself.
+
+A FieldElement is a value of tower depth k >= 1.  Representation: a
 depth-k element is a nested pair tree (its "rep") whose leaves are base
 values; the pair (a, b) at level i denotes a + b*sqrt(r_i).  A tower is
 the tuple of its radicand reps: tower[i] is r_{i+1}, a rep of depth i
-over tower[:i].
+over tower[:i].  An element is kept normalized, b != 0 at its top level;
+a result whose top levels vanish drops them, and is a leaf once none is
+left.  So zero is always a leaf, and a FieldElement never equals a base
+value.  Base values hash like the equal `Fraction`; a FieldElement
+refuses `hash`.
 
 A base value q never enters a tower as a lifted rep (q, 0, ...): against
 a tower element x, x*q and x/q scale x's leaves and x + q, x - q and q - x
@@ -34,8 +42,8 @@ from __future__ import annotations
 
 from operator import add, ge, gt, le, lt, mul, sub, truediv
 
-from .nafield import (EPS, ONE, ZERO, FieldError, Rat, _ratio, as_rat,
-                      refuse_float)
+from .nafield import (EPS, ONE, ZERO, FieldError, Rat, RatFunc, _power,
+                      _ratio, as_rat, refuse_float)
 
 # Most sqrt nodes a tower may hold.  A sign or a root search costs about
 # five times as much with each level of depth; the audit needs depth 2 and
@@ -187,6 +195,9 @@ def _rdiv(x, y, rads, depth):
     return _rmul(x, _rinv(y, rads, depth), rads, depth)
 
 
+_HALF = Rat(1, 2)
+
+
 def _sqrt_in(rads, x, depth):
     """Square root of rep x inside the tower, or None if none exists there."""
     if depth == 0:
@@ -208,9 +219,8 @@ def _sqrt_in(rads, x, depth):
     s = _sqrt_in(rads, _rnorm(x, rads, depth), depth - 1)
     if s is None:
         return None
-    half = _rlift(Rat(1, 2), 0, depth - 1)
     for t in (_radd(a, s, depth - 1), _rsub(a, s, depth - 1)):
-        c2 = _rmul(t, half, rads, depth - 1)
+        c2 = _rscale(t, _HALF, depth - 1)
         c = _sqrt_in(rads, c2, depth - 1)
         if c is not None and not _ris_zero(c, depth - 1):
             twoc_inv = _rinv(_radd(c, c, depth - 1), rads, depth - 1)
@@ -221,16 +231,21 @@ def _sqrt_in(rads, x, depth):
     return None
 
 
-# op -> (op on two reps of depth d over tower T, x op q, q op x) for a rep x
-# of depth d >= 1 and a base value q; with None, q is lifted into x's tower
+# op -> (op on two reps of depth d over tower T, x op q) for a rep x of
+# depth d >= 1 and a base value q
 _OPS = {
-    add: (lambda x, y, T, d: _radd(x, y, d), _rshift, _rshift),
+    add: (lambda x, y, T, d: _radd(x, y, d), _rshift),
     sub: (lambda x, y, T, d: _rsub(x, y, d),
-          lambda x, q, d: _rshift(x, -q, d),
-          lambda x, q, d: _rshift(_rneg(x, d), q, d)),
-    mul: (_rmul, _rscale, _rscale),
-    truediv: (_rdiv, lambda x, q, d: _rscale(x, ONE / q, d), None),
+          lambda x, q, d: _rshift(x, -q, d)),
+    mul: (_rmul, _rscale),
+    truediv: (_rdiv, lambda x, q, d: _rscale(x, ONE / q, d)),
 }
+
+
+def _base(x):
+    """x as a base value: a leaf, or the Rat of an int or a Fraction; else
+    None."""
+    return x if type(x) is RatFunc else as_rat(x)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +253,8 @@ _OPS = {
 
 
 class FieldElement:
-    """Immutable exact element of a quadratic-extension tower."""
+    """Immutable exact element of a quadratic-extension tower of depth >= 1,
+    normalized (see the module doc)."""
 
     __slots__ = ("tower", "rep")
 
@@ -252,14 +268,15 @@ class FieldElement:
 
     # -- normalization and tower merging ------------------------------------
 
-    def _normalized(self) -> "FieldElement":
+    def _normalized(self):
+        """self without its vanishing top levels: a leaf if none is left."""
         tower, rep = self.tower, self.rep
         while tower and _ris_zero(rep[1], len(tower) - 1):
             rep = rep[0]
             tower = tower[:-1]
         if tower is self.tower:
             return self
-        return FieldElement(tower, rep)
+        return FieldElement(tower, rep) if tower else rep
 
     @staticmethod
     def _merge(ta, tb):
@@ -288,19 +305,10 @@ class FieldElement:
         return tuple(T), emb, convert
 
     @staticmethod
-    def _coerce(other):
-        if isinstance(other, FieldElement):
-            return other
-        q = as_rat(other)
-        return None if q is None else FieldElement((), q)
-
-    @staticmethod
     def _align(a: "FieldElement", b: "FieldElement"):
         """Bring two elements into one tower; return (tower, xa, xb)."""
         if a.tower == b.tower:
             return a.tower, a.rep, b.rep
-        if not a.tower:
-            return b.tower, _rlift(a.rep, 0, b.depth), b.rep
         T, emb, convert = FieldElement._merge(a.tower, b.tower)
         xa = _rlift(a.rep, a.depth, len(T))
         xb = convert(b.rep, b.depth)
@@ -309,25 +317,18 @@ class FieldElement:
     # -- arithmetic ----------------------------------------------------------
 
     def _binop(self, other, op):
-        b = other if type(other) is FieldElement else self._coerce(other)
-        if b is None:
-            return NotImplemented
-        ta, tb = self.tower, b.tower
-        if not tb:
-            if op is truediv and not b.rep:
-                raise ZeroDivisionError("field division by zero")
-            if not ta:
-                # both in the base field: one leaf op, nothing to align or trim
-                return FieldElement((), op(self.rep, b.rep))
-            # a base value acts on the leaves in place; it is never lifted
-            T, rep = ta, _OPS[op][1](self.rep, b.rep, len(ta))
-        elif not ta and _OPS[op][2]:
-            T, rep = tb, _OPS[op][2](b.rep, self.rep, len(tb))
-        else:
-            T, xa, xb = FieldElement._align(self, b)
-            if op is truediv and _ris_zero(xb, len(T)):
-                raise ZeroDivisionError("field division by zero")
+        if type(other) is FieldElement:
+            # a tower element is never zero, so a quotient needs no check
+            T, xa, xb = FieldElement._align(self, other)
             rep = _OPS[op][0](xa, xb, T, len(T))
+        else:
+            # a base value acts on the leaves in place; it is never lifted
+            q = _base(other)
+            if q is None:
+                return NotImplemented
+            if op is truediv and not q:
+                raise ZeroDivisionError("field division by zero")
+            T, rep = self.tower, _OPS[op][1](self.rep, q, len(self.tower))
         return FieldElement(T, rep)._normalized()
 
     def __add__(self, other):
@@ -339,10 +340,7 @@ class FieldElement:
         return self._binop(other, sub)
 
     def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return b._binop(self, sub)
+        return (-self)._binop(other, add)
 
     def __mul__(self, other):
         return self._binop(other, mul)
@@ -353,25 +351,17 @@ class FieldElement:
         return self._binop(other, truediv)
 
     def __rtruediv__(self, other):
-        b = self._coerce(other)
-        if b is None:
+        # q/x, the one op that lifts a base value q into x's tower
+        q = _base(other)
+        if q is None:
             return NotImplemented
-        return b._binop(self, truediv)
+        lifted = FieldElement(self.tower, _rlift(q, 0, self.depth))
+        return lifted._binop(self, truediv)
 
     def __neg__(self):
         return FieldElement(self.tower, _rneg(self.rep, self.depth))
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent; use inv_positive")
-        out = Q(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    __pow__ = _power
 
     # -- predicates ----------------------------------------------------------
 
@@ -382,16 +372,17 @@ class FieldElement:
         return _rsign(self.rep, self.tower, self.depth)
 
     def __eq__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            refuse_float(self, other)
-            return NotImplemented
-        if self.tower == b.tower:
-            return self.rep == b.rep
-        return (self - b).is_zero()
+        if type(other) is not FieldElement:
+            if _base(other) is None:
+                refuse_float(self, other)
+                return NotImplemented
+            return False  # normalized: it lies outside the base field
+        if self.tower == other.tower:
+            return self.rep == other.rep
+        return (self - other).is_zero()
 
     def _cmp(self, other, op):
-        b = other if type(other) is FieldElement else self._coerce(other)
+        b = other if type(other) is FieldElement else _base(other)
         if b is None:
             return NotImplemented
         return op((self - b).sign(), 0)
@@ -416,16 +407,23 @@ class FieldElement:
 
     # -- valuation -------------------------------------------------------------
 
-    def valuation(self) -> Rat | None:
-        """eps-adic valuation; None for zero.  A nonzero rational has
-        valuation 0."""
-        if self.is_zero():
-            return None
+    def valuation(self) -> Rat:
+        """eps-adic valuation (an element is never zero); 0 if eps-free."""
         return _rval(self.rep, self.tower, self.depth)
 
 
 # ---------------------------------------------------------------------------
-# module-level API
+# module-level API; each takes a leaf or a FieldElement
+
+
+def _parts(x):
+    """(tower, rep) of a tower element or a base value."""
+    return (x.tower, x.rep) if type(x) is FieldElement else ((), x)
+
+
+def _value(tower, rep):
+    """The value rep denotes over tower: a leaf at depth 0."""
+    return FieldElement(tower, rep)._normalized() if tower else rep
 
 
 def compare(a: FieldElement, b: FieldElement) -> str:
@@ -433,26 +431,27 @@ def compare(a: FieldElement, b: FieldElement) -> str:
     return "less" if s < 0 else ("greater" if s > 0 else "equal")
 
 
-def inv_positive(a: FieldElement) -> FieldElement:
+def inv_positive(a):
     if a.sign() <= 0:
         raise NotPositive(f"not strictly positive: {render_element(a)}")
-    return FieldElement(a.tower, _rinv(a.rep, a.tower, a.depth))._normalized()
+    tower, rep = _parts(a)
+    return _value(tower, _rinv(rep, tower, len(tower)))
 
 
-def sqrt_nonneg(a: FieldElement) -> FieldElement:
+def sqrt_nonneg(a):
     sg = a.sign()
     if sg < 0:
         raise Negative(f"negative radicand: {render_element(a)}")
     if sg == 0:
-        return Q(0)
-    a = a._normalized()
-    s = _sqrt_in(a.tower, a.rep, a.depth)
+        return ZERO
+    tower, rep = _parts(a)
+    depth = len(tower)
+    s = _sqrt_in(tower, rep, depth)
     if s is not None:
-        root = FieldElement(a.tower, s)._normalized()
+        root = _value(tower, s)
         return -root if root.sign() < 0 else root
-    _check_depth(a.depth + 1)
-    rep = (_rzero(a.depth), _rlift(ONE, 0, a.depth))
-    return FieldElement(a.tower + (a.rep,), rep)
+    _check_depth(depth + 1)
+    return FieldElement(tower + (rep,), (_rzero(depth), _rlift(ONE, 0, depth)))
 
 
 def _check_depth(depth: int) -> None:
@@ -460,25 +459,22 @@ def _check_depth(depth: int) -> None:
         raise TowerTooDeep(f"tower depth {depth} exceeds {MAX_TOWER_DEPTH}")
 
 
-def Q(num, den=1) -> FieldElement:
+def Q(num, den=1) -> Rat:
     """Rational constant num/den, from ints, Fractions or Rats."""
     if type(num) is int and type(den) is int and den:
-        return FieldElement((), _ratio(num, den))  # one gcd
-    return FieldElement((), Rat(num, den))
+        return _ratio(num, den)  # one gcd
+    return Rat(num, den)
 
 
-EPS_ELEMENT = FieldElement((), EPS)
-
-
-def eps() -> FieldElement:
-    return EPS_ELEMENT
+def eps() -> RatFunc:
+    return EPS
 
 
 # ---------------------------------------------------------------------------
 # numeric approximation (render-time only; never used in comparisons)
 
 
-def approx(x: FieldElement) -> float:
+def approx(x) -> float:
     """Float approximation of the eps -> 0 shadow of a finitely bounded
     element; an eps-free element is its own shadow."""
     def go(rep, depth, rad_floats) -> float:
@@ -492,12 +488,12 @@ def approx(x: FieldElement) -> float:
         fb = go(b, depth - 1, rad_floats)
         return fa + fb * rad_floats[depth - 1]
 
-    x = x._normalized()
+    tower, rep = _parts(x)
     rad_floats: list[float] = []
-    for i, rad in enumerate(x.tower):
+    for i, rad in enumerate(tower):
         v = go(rad, i, rad_floats)
         rad_floats.append(max(v, 0.0) ** 0.5)
-    return go(x.rep, x.depth, rad_floats)
+    return go(rep, len(tower), rad_floats)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +516,7 @@ def _wrap(s: str) -> str:
     return s if _atomic(s) else f"({s})"
 
 
-def render_element(x: FieldElement) -> str:
+def render_element(x) -> str:
     def rend(rep, depth, tower):
         if depth == 0:
             try:
@@ -538,5 +534,5 @@ def render_element(x: FieldElement) -> str:
             return term
         return f"{_wrap(ra)}+{term}"
 
-    x = x._normalized()
-    return rend(x.rep, x.depth, x.tower)
+    tower, rep = _parts(x)
+    return rend(rep, len(tower), tower)

@@ -39,7 +39,7 @@ from operator import mul, sub
 
 from . import nafield
 from .field import FieldElement, Q, render_element, sqrt_nonneg
-from .nafield import ONE, ZERO, Rat, _integral
+from .nafield import ONE, ZERO, Rat, RatFunc, _integral
 
 # semantics tags; CONSTRUCTIBLE also names its mode
 CONSTRUCTIBLE = "constructible"
@@ -81,10 +81,9 @@ class NotPositiveAngle(ConstructionError):
     """An angle witness asked of an angle that is not positive."""
 
 
-def _lift(v) -> FieldElement:
-    if isinstance(v, FieldElement):
-        return v
-    return Q(v)
+def _lift(v):
+    """A coordinate: a field value as it is, a rational as its Rat."""
+    return v if isinstance(v, (FieldElement, Rat, RatFunc)) else Q(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +221,13 @@ def _zpoints(*pts, sem=None):
     None for an eps if `sem` is NODE0.  With Rat leaves alone, A = a*s*r.d,
     B = b*s and R = r.n*r.d (0 with no tower) are ints, s the lcm of all d;
     else `_zeps_points`."""
+    for p in pts:
+        if type(p.x) is not Rat or type(p.y) is not Rat:
+            break
+    else:  # Rat leaves alone: R = 0, every B = 0, and one lcm
+        s = lcm(*[p.x.d for p in pts], *[p.y.d for p in pts])
+        return 0, [(p.x.n * (s // p.x.d), 0, p.y.n * (s // p.y.d), 0)
+                   for p in pts]
     tower, parts = (), []  # each coordinate's rational part, then sqrt part
     for p in pts:
         for c in (p.x, p.y):
@@ -230,7 +236,7 @@ def _zpoints(*pts, sem=None):
                 if tower or len(t) > 1:
                     return None
                 tower = t
-            parts += c.rep if t else (c.rep, ZERO)
+            parts += c.rep if t else (c, ZERO)
     dens = [q.d for q in parts if type(q) is Rat]
     r = tower[0] if tower else ONE
     if len(dens) < len(parts) or type(r) is not Rat:

@@ -22,8 +22,16 @@ a sum takes a gcd only when neither denominator is 1, a product the two
 cross gcds.  The ordering treats ``eps`` as a positive infinitesimal: the
 sign of an element is the sign of the lowest-degree coefficient of its
 eps-expansion, and the valuation (eps-adic order) separates
-infinitesimal, finite and unbounded elements.  A `Rat` answers `sign`,
-`valuation` (a `Rat`), `sqrt_exact` and `shadow` as the equal `RatFunc` does.
+infinitesimal, finite and unbounded elements.
+
+`Rat` and `RatFunc` are the base values of `field`, the leaves of its
+towers, and `field` uses them bare: `Q(3, 4)` is a `Rat` and `eps()` a
+`RatFunc`.  Both kinds answer the leaf interface alike: `sign`,
+`valuation` (a `Rat`; zero has none), `sqrt_exact`, `shadow`, `is_zero`,
+the ordering, `**` by one square-and-multiply, and an empty `tower` (a
+base value needs no radicand).  A value equal to a rational hashes like
+the equal `Fraction`, and a division by zero raises
+`ZeroDivisionError("field division by zero")`.
 """
 
 from __future__ import annotations
@@ -47,6 +55,19 @@ class FieldError(Exception):
 
 class DegreeTooHigh(FieldError):
     """A RatFunc numerator or denominator would pass MAX_DEGREE."""
+
+
+def _power(x, n: int):
+    """x**n by square-and-multiply, for a leaf or a tower element."""
+    if n < 0:
+        raise ValueError("negative exponent; use inv_positive")
+    out = ONE
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +132,7 @@ class Rat:
     """Exact rational n/d: ints, d > 0, gcd(n, d) = 1."""
 
     __slots__ = ("n", "d")
+    tower = ()  # a base value needs no radicand
 
     def __new__(cls, n=0, d=1):
         """n/d in lowest terms, from ints, Fractions or Rats."""
@@ -162,7 +184,7 @@ class Rat:
             if b is None:
                 return NotImplemented
         if not b.n:
-            raise ZeroDivisionError("division by zero")
+            raise ZeroDivisionError("field division by zero")
         if b.n < 0:
             return _prod(a.n, a.d, -b.d, -b.n)
         return _prod(a.n, a.d, b.d, b.n)
@@ -174,8 +196,13 @@ class Rat:
     def __neg__(a):
         return _rat(-a.n, a.d)
 
+    __pow__ = _power
+
     def __bool__(a) -> bool:
         return a.n != 0
+
+    def is_zero(a) -> bool:
+        return not a.n
 
     def __eq__(a, b):
         if type(b) is not Rat:
@@ -513,10 +540,12 @@ def _ratfunc_product(a: Poly, b: Poly, c: Poly, d: Poly) -> "RatFunc":
     return _lowest(a * c, b * d)
 
 
+@total_ordering
 class RatFunc:
     """Canonical fraction of polynomials in eps; an exact ordered field."""
 
     __slots__ = ("num", "den")
+    tower = ()  # a base value needs no radicand
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
@@ -563,7 +592,14 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        if len(self.num.c) < 2 and len(self.den.c) == 1:  # a rational
+            return hash(self.num.c[0] if self.num.c else ZERO)
         return hash((self.num, self.den))
+
+    def __lt__(self, other):
+        if type(other) is not RatFunc and as_rat(other) is None:
+            return NotImplemented
+        return (self - other).sign() < 0
 
     # With p/d canonical and q a rational, (p + q*d)/d, (q*p)/d and
     # (p/q)/d are canonical too: the gcd and d's low coefficient stay put.
@@ -591,7 +627,10 @@ class RatFunc:
         return _canonical(self.num - self.den.scale(q), self.den)
 
     def __rsub__(self, other):
-        return (-self) + other
+        q = as_rat(other)
+        return NotImplemented if q is None else (-self) + q
+
+    __pow__ = _power
 
     def __mul__(self, other):
         if type(other) is RatFunc:
@@ -608,13 +647,13 @@ class RatFunc:
     def __truediv__(self, other):
         if type(other) is RatFunc:
             if other.is_zero():
-                raise ZeroDivisionError("division by zero rational function")
+                raise ZeroDivisionError("field division by zero")
             return _ratfunc_product(self.num, self.den, other.den, other.num)
         q = as_rat(other)
         if q is None:
             return NotImplemented
         if not q:
-            raise ZeroDivisionError("division by zero rational function")
+            raise ZeroDivisionError("field division by zero")
         return _canonical(self.num.scale(ONE / q), self.den)
 
     def __rtruediv__(self, other):
@@ -622,7 +661,7 @@ class RatFunc:
         if q is None:
             return NotImplemented
         if self.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
+            raise ZeroDivisionError("field division by zero")
         if not q:
             return _canonical(Poly(), _UNIT)
         # q*d/p, with p's low coefficient scaled to 1

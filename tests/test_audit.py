@@ -11,11 +11,13 @@ from geokernel.audit import (
     AXIOMS, AXIOM_IDS, THEOREM_NAMES, audit_run, check_axiom, check_theorem,
     gen_instance, gen_theorem_instance, report_to_json,
 )
+from geokernel import constructions
 from geokernel.constructions import CircleSpec, circle_circle, line_circle
 from geokernel.field import FieldElement, render_element
 from geokernel.geometry import (
     NONARCHIMEDEAN, NODE0, Point, between, distinct, nonstrict_between,
 )
+from geokernel.nafield import Rat, RatFunc
 
 
 class TestGenerators:
@@ -101,7 +103,7 @@ def _rendered(v) -> str:
     """A generated value as text, numbers rendered exactly."""
     if isinstance(v, Point):
         return f"{render_element(v.x)},{render_element(v.y)}"
-    if isinstance(v, FieldElement):
+    if isinstance(v, (FieldElement, Rat, RatFunc)):
         return render_element(v)
     return repr(v)  # seed, label, expect_refusal
 
@@ -168,6 +170,26 @@ class TestHarness:
         assert rep["failures"] == 0
         refusals = sum(c["guard_refusals"] for c in rep["summary"].values())
         assert refusals > 0
+
+    def test_kernel_error_is_a_failing_entry(self, monkeypatch):
+        # with the A4-i1 a#b guard off, ext divides by zero on the a = b
+        # probe at seed 0: that instance becomes an error entry, and the
+        # run goes on through every other label
+        apart = constructions._apart
+
+        def unguarded(a, b, sem, axiom, hypothesis):
+            if (axiom, hypothesis) != ("A4-i1", "a#b"):
+                apart(a, b, sem, axiom, hypothesis)
+
+        monkeypatch.setattr(constructions, "_apart", unguarded)
+        rep = audit_run("nonarchimedean", per_axiom=1, seed=0,
+                        include_theorems=False)
+        assert [e for e in rep["entries"] if e["verdict"] == "error"] == [
+            {"axiom_id": "A4-i1", "instance_index": 0, "seed": 4161049329,
+             "verdict": "error",
+             "detail": "ZeroDivisionError: field division by zero"}]
+        assert rep["failures"] == rep["summary"]["A4-i1"]["failures"] == 1
+        assert list(rep["summary"]) == list(AXIOM_IDS)
 
     @pytest.mark.parametrize("label, refuses, verdict", [
         ("Euclid5", False, "unexpected-refusal"),

@@ -66,8 +66,14 @@ class TestConstructible:
             sqrt_nonneg(Q(-1))
 
     def test_no_hashing(self):
+        # base values hash like the equal Fraction; tower elements refuse
+        for q in (Fraction(1), Fraction(-3, 4), Fraction(0)):
+            assert hash(Q(q)) == hash(RatFunc.const(q)) == hash(q)
+        assert hash(eps()) == hash(RatFunc.eps_power(1))
         with pytest.raises(TypeError):
-            hash(Q(1))
+            hash(sqrt_nonneg(Q(2)))
+        with pytest.raises(TypeError):
+            hash(sqrt_nonneg(eps()) + 1)
 
     def test_ring_op(self):
         assert Q(2) + Q(3) == Q(5)
@@ -117,9 +123,9 @@ class TestConstructible:
         assert r.sign() > 0
 
 
-def _ratfunc_leaf(q) -> FieldElement:
+def _ratfunc_leaf(q) -> RatFunc:
     """A rational as a constant RatFunc leaf, the form it once always had."""
-    return FieldElement((), RatFunc.const(q))
+    return RatFunc.const(q)
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -234,9 +240,9 @@ class TestTowerOracle:
 
 class TestRepresentation:
     def test_rationals_stay_fractions_until_eps(self):
-        assert type(Q(3).rep) is Rat
+        assert type(Q(3)) is Rat
         assert type(sqrt_nonneg(Q(2)).tower[0]) is Rat
-        assert isinstance((Q(1) + eps()).rep, RatFunc)
+        assert isinstance(Q(1) + eps(), RatFunc)
         assert Q(1) + eps() - eps() == Q(1)
 
     @given(tree=_TREES)
@@ -255,7 +261,12 @@ class TestRepresentation:
             return
         assert new == old
         assert new.sign() == old.sign()
-        assert new.valuation() == old.valuation()
+        if new.is_zero():  # zero is a leaf of either kind, with no valuation
+            for x in (new, old):
+                with pytest.raises(ValueError):
+                    x.valuation()
+        else:
+            assert new.valuation() == old.valuation()
         assert render_element(new) == render_element(old)
 
 
@@ -273,8 +284,7 @@ class TestDepthZero:
            op=st.sampled_from(list(_OPS.values())))
     @settings(max_examples=200, deadline=None)
     def test_binop_is_one_leaf_op(self, x, y, n, op):
-        fx, fy = (FieldElement((), v if isinstance(v, RatFunc) else Rat(v))
-                  for v in (x, y))
+        fx, fy = (v if isinstance(v, RatFunc) else Q(v) for v in (x, y))
         for a, b, lx, ly in ((fx, fy, x, y), (n, fy, Fraction(n), y),
                              (fx, n, x, Fraction(n))):
             if op is operator.truediv and not ly:
@@ -284,9 +294,9 @@ class TestDepthZero:
                 continue
             got, want = op(a, b), op(lx, ly)
             assert got.tower == ()
-            assert got.rep == want
-            assert (type(got.rep) is Rat) == (
-                isinstance(lx, Fraction) and isinstance(ly, Fraction))
+            assert got == want
+            assert type(got) is (Rat if isinstance(lx, Fraction)
+                                 and isinstance(ly, Fraction) else RatFunc)
 
     @pytest.mark.parametrize("x", [
         Q(3), eps(), sqrt_nonneg(Q(2)), Q(1) + sqrt_nonneg(eps()),
@@ -325,6 +335,19 @@ def _leaves(rep, depth) -> list:
     return _leaves(rep[0], depth - 1) + _leaves(rep[1], depth - 1)
 
 
+def _rep(x):
+    """The rep of a tower element; a base value is its own."""
+    return x.rep if isinstance(x, FieldElement) else x
+
+
+def _lifted(v, tower):
+    """v's rep over `tower`: a base value lifted to (v, 0, ...)."""
+    if isinstance(v, FieldElement):
+        return v.rep
+    return field._rlift(v if isinstance(v, RatFunc) else Rat(v), 0,
+                        len(tower))
+
+
 class TestScalarPath:
     """A base value against a tower element scales or shifts the tower
     element's leaves; it is never lifted into the tower."""
@@ -336,19 +359,18 @@ class TestScalarPath:
             a, b = (q, x) if swap else (x, q)
             if op is operator.truediv and not swap and q == 0:
                 continue  # test_edge_cases
-            fa, fb = (v if isinstance(v, FieldElement) else Q(v)
-                      for v in (a, b))
-            T, xa, xb = FieldElement._align(fa, fb)
+            T = x.tower
+            xa, xb = _lifted(a, T), _lifted(b, T)
             want = FieldElement(T, _REP_OPS[op](xa, xb, T, len(T)))
             want = want._normalized()
             got = op(a, b)
             assert got.tower == want.tower
-            assert got.rep == want.rep
+            assert _rep(got) == _rep(want)
             assert render_element(got) == render_element(want)
             # the kinds agree, except that lifting a base value over an eps
             # radicand turns Rat leaves into constant RatFuncs of equal value
-            for g, w in zip(_leaves(got.rep, got.depth),
-                            _leaves(want.rep, want.depth)):
+            for g, w in zip(_leaves(_rep(got), len(got.tower)),
+                            _leaves(_rep(want), len(want.tower))):
                 assert type(g) is type(w) or (type(g) is Rat
                                               and type(w) is RatFunc)
             if op is operator.mul and q == 0:
@@ -392,14 +414,114 @@ class TestScalarPath:
         assert aligned and products
 
 
+def _is_value(v) -> bool:
+    """v is a leaf, or a FieldElement of depth >= 1 whose top node is
+    nonzero (normalized)."""
+    if isinstance(v, FieldElement):
+        return bool(v.tower) and not field._ris_zero(v.rep[1], v.depth - 1)
+    return type(v) in (Rat, RatFunc)
+
+
+class TestLeaves:
+    """A base value is its bare leaf: no result is a FieldElement without a
+    tower, and zero is always a leaf."""
+
+    @given(tree=_TREES, n=st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_every_result_is_a_leaf_or_has_a_tower(self, tree, n):
+        assume(_sqrt_count(tree) <= 1)
+        try:
+            x = _evaluate(tree, Q)
+        except (ZeroDivisionError, Negative):
+            return
+        values = [Q(n, 3), eps(), x, -x, x ** n, x - x]
+        for y in (2, Fraction(-1, 3), Q(5), eps(), _R2, _S, x):
+            for op in _OPS.values():
+                for a, b in ((x, y), (y, x)):
+                    try:
+                        values.append(op(a, b))
+                    except ZeroDivisionError:
+                        assert b == 0
+        for v in (x, -x):
+            if v.sign() >= 0:
+                values.append(sqrt_nonneg(v))
+            if v.sign() > 0:
+                values.append(inv_positive(v))
+        assert all(_is_value(v) for v in values)
+
+    @pytest.mark.parametrize("x", [Q(3), eps()] + list(_TOWER.values()),
+                             ids=["rational", "eps"] + list(_TOWER))
+    def test_zero_is_a_leaf_without_valuation(self, x):
+        for zero in (x - x, x * 0, 0 * x, sqrt_nonneg(x - x)):
+            assert type(zero) in (Rat, RatFunc) and zero.is_zero()
+            with pytest.raises(ValueError):
+                zero.valuation()
+
+    def test_leaves_are_ordered(self):
+        # eps is positive and below every positive rational, as it was
+        # while base values were wrapped
+        e, tiny = eps(), Q(1, 10 ** 9)
+        assert 0 < e < tiny and -e < 0 and e <= e >= e
+        assert e < 1 + e and 1 + e > 1 and e * e < e
+        assert tiny > e and not tiny < e
+        assert e < _R2 and _R2 > e and -_R2 < e
+
+    @pytest.mark.parametrize("leaf", [Q(2), eps()], ids=["rat", "eps"])
+    def test_unsupported_operand_names_the_operator(self, leaf):
+        for op, sym in ((operator.sub, "-"), (operator.truediv, "/")):
+            for a, b in (("x", leaf), (leaf, "x"), (None, leaf)):
+                with pytest.raises(TypeError, match=f"for {sym}:"):
+                    op(a, b)
+
+    def test_sqrt_of_a_leaf_checks_the_depth(self, monkeypatch):
+        monkeypatch.setattr(field, "MAX_TOWER_DEPTH", 0)
+        for q in (Q(2), eps(), 1 + eps()):
+            with pytest.raises(TowerTooDeep):
+                sqrt_nonneg(q)
+        # a root inside the base field makes no node
+        assert sqrt_nonneg(Q(9, 4)) == Q(3, 2)
+        assert sqrt_nonneg(eps() * eps()) == eps()
+
+
+class TestSqrtIn:
+    """`_sqrt_in` halves by scaling leaves, not by a lifted 1/2."""
+
+    @pytest.mark.parametrize("root", [
+        1 + _R2 + Q(2, 3) * _R3 + _R2 * _R3, _TOWER["eps-d2"],
+        _TOWER["rat-d2"]], ids=["rat-d2-found", "eps-d2", "rat-d2"])
+    def test_half_scales_leaves(self, root, monkeypatch):
+        x = root * root
+        products, rmul = [], field._rmul
+
+        def counted_rmul(a, b, rads, depth):
+            if depth:
+                products.append(depth)
+            return rmul(a, b, rads, depth)
+
+        monkeypatch.setattr(field, "_rmul", counted_rmul)
+        got = field._sqrt_in(x.tower, x.rep, x.depth)
+        scaled = len(products)
+        # the former path: a product with 1/2 lifted into the tower
+        monkeypatch.setattr(field, "_rscale", lambda t, q, d: counted_rmul(
+            t, field._rlift(q, 0, d), x.tower, d))
+        products.clear()
+        want = field._sqrt_in(x.tower, x.rep, x.depth)
+        assert scaled < len(products)
+        assert FieldElement(x.tower, got) in (root, -root)
+        for g, w in zip(_leaves(got, x.depth), _leaves(want, x.depth)):
+            assert g == w
+            assert type(g) is type(w) or (type(g) is Rat
+                                          and type(w) is RatFunc)
+
+
 class TestQ:
     @pytest.mark.parametrize("n", [-6, -1, 0, 1, 4, 2**70])
     @pytest.mark.parametrize("d", [-4, -1, 1, 3, 6, -(2**65)])
     def test_ints_match_fraction(self, n, d):
         got, want = Q(n, d), Q(Fraction(n, d))
-        assert got.tower == () and type(got.rep) is Rat
-        assert (got.rep.n, got.rep.d) == (want.rep.n, want.rep.d)
-        assert type(got.rep.n) is int and type(got.rep.d) is int
+        assert got.tower == () and type(got) is Rat
+        assert (got.n, got.d) == (want.n, want.d)
+        assert type(got.n) is int and type(got.d) is int
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
@@ -415,8 +537,8 @@ class TestQ:
             "rat-over-minus-3", "fraction", "fraction-over-fraction"])
     def test_other_types(self, args, n, d):
         got = Q(*args)
-        assert got.tower == () and type(got.rep) is Rat
-        assert (got.rep.n, got.rep.d) == (n, d)
+        assert got.tower == () and type(got) is Rat
+        assert (got.n, got.d) == (n, d)
 
 
 class TestRenderParse:
@@ -508,15 +630,16 @@ class TestNonArchimedean:
                 x = _evaluate(t, Q)
             except (ZeroDivisionError, Negative):
                 continue
-            v = x.valuation()
-            if v is None:
-                assert x.is_zero()
+            if x.is_zero():  # zero is a leaf, and has no valuation
+                with pytest.raises(ValueError):
+                    x.valuation()
                 continue
-            k = v * 2 ** x.depth
+            v, depth = x.valuation(), len(x.tower)
+            k = v * 2 ** depth
             assert k.denominator == 1
-            y2 = x ** 2 ** (x.depth + 1)
-            below = FieldElement((), RatFunc.eps_power(2 * int(k) - 1))
-            above = FieldElement((), RatFunc.eps_power(2 * int(k) + 1))
+            y2 = x ** 2 ** (depth + 1)
+            below = RatFunc.eps_power(2 * int(k) - 1)
+            above = RatFunc.eps_power(2 * int(k) + 1)
             assert (y2 - below).sign() < 0
             assert (y2 - above).sign() >= 0
 

@@ -14,7 +14,7 @@ from geokernel import nafield
 from geokernel.audit import gen_instance
 from geokernel.constructions import CircleSpec, line_circle
 from geokernel.dsl import parse_element, parse_script, run_script
-from geokernel.field import FieldError, Q
+from geokernel.field import FieldError, Q, sqrt_nonneg
 from geokernel.geometry import NONARCHIMEDEAN, NODE0
 from geokernel.nafield import (
     EPS, DegreeTooHigh, Poly, Rat, RatFunc, frac_sqrt, poly_gcd, poly_sqrt,
@@ -417,7 +417,7 @@ class TestLeafInterface:
             assert r.valuation() == rf.valuation() == 0
 
     @pytest.mark.parametrize("op", [operator.eq, operator.ne])
-    @pytest.mark.parametrize("value", [Rat(1, 2), Q(1, 2),
+    @pytest.mark.parametrize("value", [Rat(1, 2), Q(1, 2) + sqrt_nonneg(Q(2)),
                                        RatFunc.const(Rat(1, 2))],
                              ids=["Rat", "FieldElement", "RatFunc"])
     def test_float_is_refused_as_by_lt(self, value, op):

@@ -1,5 +1,7 @@
 """Point predicates and their witnesses, in both semantics."""
 
+import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from geokernel.geometry import (
     nonstrict_between, on_ray, pos_angle, positive, predicate_eval, pt,
     right_angle, sqdist, verify_witness, vsub,
 )
-from geokernel.nafield import DegreeTooHigh
+from geokernel.nafield import DegreeTooHigh, Rat, RatFunc
 
 coord = st.fractions(min_value=-20, max_value=20)
 
@@ -418,7 +420,8 @@ _READS_P = (between, distinct, right_angle, pos_angle, angle_witness)
 
 class TestOpBudget:
     """Field ops per predicate (or Pasch construction) call, counted at
-    FieldElement._binop, so redundant arithmetic cannot creep back.  The
+    FieldElement._binop and at the base values' arithmetic (see
+    `_count_binops`), so redundant arithmetic cannot creep back.  The
     budgets are for the tower path: the rational points are moved by
     (sqrt 2, sqrt 3), which keeps every gap and every early exit, and whose
     two radicands keep each of them off the integer path."""
@@ -535,8 +538,21 @@ def _count_positive(monkeypatch) -> list:
     return read
 
 
+# the arithmetic methods of a base value (a Rat or RatFunc leaf)
+_LEAF_OPS = {"__add__": operator.add, "__radd__": operator.add,
+             "__sub__": operator.sub, "__rsub__": operator.sub,
+             "__mul__": operator.mul, "__rmul__": operator.mul,
+             "__truediv__": operator.truediv,
+             "__rtruediv__": operator.truediv}
+# inside these modules a leaf op is a step of a tower op or of another leaf
+# op, not a field op of its own
+_ARITHMETIC = ("geokernel.field", "geokernel.nafield")
+
+
 def _count_binops(monkeypatch) -> list:
-    """A list that gains one entry per FieldElement._binop call."""
+    """A list that gains one entry per field op: a FieldElement._binop call,
+    or a leaf op called from outside `field` and `nafield` that does not
+    hand over to a FieldElement operand (returns NotImplemented)."""
     calls = []
     binop = FieldElement._binop
 
@@ -544,5 +560,17 @@ def _count_binops(monkeypatch) -> list:
         calls.append(op)
         return binop(self, other, op)
 
+    def leaf_op(fn, op):
+        def counted_leaf(a, b):
+            out = fn(a, b)
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if out is not NotImplemented and caller not in _ARITHMETIC:
+                calls.append(op)
+            return out
+        return counted_leaf
+
     monkeypatch.setattr(FieldElement, "_binop", counted)
+    for cls in (Rat, RatFunc):
+        for name, op in _LEAF_OPS.items():
+            monkeypatch.setattr(cls, name, leaf_op(getattr(cls, name), op))
     return calls
