@@ -6,7 +6,10 @@ a float is no exact value, and `==` with one raises as `<` does.  Sums use
 Henrici's gcd split and products cross gcds (Knuth, TAOCP vol. 2, 4.5.1),
 with a fast path for integers; results are built unchecked, since these
 steps keep lowest terms.  An int or a `Fraction` becomes a `Rat` once,
-where it enters (`Rat(x)`, `as_rat`).
+where it enters (`Rat(x)`, `as_rat`); an int is converted, and compared
+by `==`, without the `numbers` ABC check, and `==` with an int builds no
+`Rat` (lowest terms make it n == b with d == 1).  A zero test on a `Rat`
+is a truth test, never `== 0`.
 
 `Poly` is a polynomial with `Rat` coefficients.  Products and gcds run
 over Z: denominators are cleared, and `poly_gcd` splits off integer
@@ -78,7 +81,9 @@ def as_rat(x) -> "Rat | None":
     """x as a Rat if it is a Rat, an int or a Fraction; otherwise None."""
     if type(x) is Rat:
         return x
-    if not isinstance(x, Rational):  # int and Fraction are Rational
+    if type(x) is int:  # before the ABC check, which costs more
+        return _rat(x, 1)
+    if not isinstance(x, Rational):  # Fraction, bool, an int subclass
         return None
     return _rat(x.numerator, x.denominator)
 
@@ -206,6 +211,8 @@ class Rat:
 
     def __eq__(a, b):
         if type(b) is not Rat:
+            if type(b) is int:  # lowest terms: equal iff d is 1 and n is b
+                return a.d == 1 and a.n == b
             q = as_rat(b)
             if q is None:
                 refuse_float(a, b)
@@ -286,7 +293,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = [Rat(x) for x in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
         self.c = tuple(cs)
 
@@ -305,11 +312,11 @@ class Poly:
         return len(self.c) - 1  # -1 for the zero polynomial
 
     def lowdeg(self) -> int:
-        """Order of the lowest nonzero term (valuation at 0)."""
+        """Order of the lowest nonzero term (valuation at 0); zero has none."""
         for i, q in enumerate(self.c):
-            if q != 0:
+            if q:
                 return i
-        raise ValueError("zero polynomial has no lowest term")
+        raise ValueError("zero has no valuation")
 
     def lowcoeff(self) -> Rat:
         return self.c[self.lowdeg()]
@@ -368,7 +375,7 @@ class Poly:
             return "0"
         parts = []
         for i, q in enumerate(self.c):
-            if q == 0:
+            if not q:
                 continue
             if i == 0:
                 parts.append(str(q))
@@ -579,7 +586,7 @@ class RatFunc:
         return 1 if q > 0 else -1
 
     def valuation(self) -> Rat:
-        """eps-adic order; raises on zero."""
+        """eps-adic order; raises on zero as Rat does."""
         return _rat(self.num.lowdeg() - self.den.lowdeg(), 1)
 
     def __eq__(self, other) -> bool:

@@ -1,5 +1,6 @@
 """Rational functions in the infinitesimal eps: exact base-field layer."""
 
+import enum
 import itertools
 import operator
 import subprocess
@@ -16,6 +17,7 @@ from geokernel.constructions import CircleSpec, line_circle
 from geokernel.dsl import parse_element, parse_script, run_script
 from geokernel.field import FieldError, Q, sqrt_nonneg
 from geokernel.geometry import NONARCHIMEDEAN, NODE0
+from geokernel.kripke import check_ef_axioms
 from geokernel.nafield import (
     EPS, DegreeTooHigh, Poly, Rat, RatFunc, frac_sqrt, poly_gcd, poly_sqrt,
 )
@@ -279,6 +281,39 @@ class TestGcdBudget:
         assert len(calls) == 10
 
 
+class TestRatBudget:
+    """Rats built, counted at nafield._rat: a zero test or an int
+    comparison answers from n and d and builds no Rat to ask its question."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        rat = nafield._rat
+
+        def counted(n, d):
+            built.append((n, d))
+            return rat(n, d)
+
+        monkeypatch.setattr(nafield, "_rat", counted)
+        return built
+
+    def test_zero_tests_build_nothing(self, built):
+        x, y = Rat(3, 4), Rat(5)
+        coeffs = (Rat(1), Rat(0), Rat(0))  # Rats already: Rat(q) is q
+        p = Poly((0, 0, 2))
+        built.clear()
+        assert not x == 0 and x != 0 and y == 5 and not y != 5
+        assert Poly(coeffs).c == coeffs[:1]
+        assert p.lowdeg() == 2
+        assert built == []
+
+    def test_kripke_count(self, built):
+        # 3073 while an int operand of Rat.__eq__ and each zero test of a
+        # Poly coefficient built a Rat from the int
+        check_ef_axioms(20, 111)
+        assert len(built) == 1404
+
+
 def test_kernel_imports_without_fractions():
     # Rat is the one rational type: no kernel module loads fractions
     src = Path(nafield.__file__).resolve().parent.parent
@@ -312,6 +347,13 @@ _ORDER = [operator.lt, operator.le, operator.gt, operator.ge, operator.eq,
 _FRACTIONS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                           max_denominator=10 ** 4)
 _INTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+
+
+class _Level(enum.IntEnum):
+    DOWN = -1
+    NONE = 0
+    ONE = 1
+    TWO = 2
 
 
 def _same(got, want):
@@ -358,6 +400,28 @@ class TestRatAgainstFraction:
         assert op(rx, Rat(y)) is want
         assert op(rx, y) is want
         assert op(y, rx) is op(y, x)
+
+    @given(x=_FRACTIONS | _INTS, n=st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=300, deadline=None)
+    def test_eq_and_hash_against_ints(self, x, n):
+        # a plain int takes the no-Rat path of ==; bool and an int
+        # subclass the general one, and all must agree with Fraction
+        x = Fraction(x)
+        for b in (n, n * 10 ** 20, bool(n % 2), _Level(n % 4 - 1)):
+            for fx in (x, Fraction(b)):
+                r = Rat(fx)
+                assert (r == b) is (fx == b) and (b == r) is (b == fx)
+                assert (r != b) is (fx != b) and (b != r) is (b != fx)
+                assert hash(r) == hash(fx)
+                if r == b:
+                    assert hash(r) == hash(b)
+
+    @given(n=_INTS | st.booleans() | st.sampled_from(list(_Level)))
+    @settings(max_examples=100, deadline=None)
+    def test_as_rat_of_an_int(self, n):
+        q = nafield.as_rat(n)
+        assert type(q) is Rat and type(q.n) is int and q.d == 1
+        assert q == Rat(Fraction(n)) and q.n == n
 
     def test_integers_and_zero(self):
         _same(Rat(6, -4), Fraction(6, -4))
@@ -410,7 +474,8 @@ class TestLeafInterface:
             assert r.sqrt_exact() == rf.sqrt_exact()
             if not q:
                 for leaf in (r, rf):
-                    with pytest.raises(ValueError):
+                    with pytest.raises(ValueError, match="^zero has no "
+                                                         "valuation$"):
                         leaf.valuation()
                 continue
             assert type(r.valuation()) is type(rf.valuation()) is Rat
