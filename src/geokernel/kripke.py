@@ -18,6 +18,14 @@ construction-script parser (`dsl`) builds its coordinates from them, and
 `teval` is the one evaluator of both.  A division by zero or the square
 root of a negative raises the field's own `ZeroDivisionError` or
 `Negative`; an existential whose witness raises either is not forced.
+
+Forcing is a pure function of (node, formula, env), so it is memoized per
+environment: a memo keeps each `TOp` value under the term's id and each
+verdict under (formula id, node), and never keeps an exception.  A memo
+lives for one `forces` call, or for one sample of `check_ef_axioms`, whose
+six axioms build their shared parts (`PX`, `PY`, `SUM`, `SUM0`) once, so
+each is decided once per node and sample.  There is no module-level
+cache.
 """
 
 from __future__ import annotations
@@ -86,17 +94,29 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv, "neg": operator.neg, "sqrt": sqrt_nonneg}
 
 
-def teval(term, env: dict) -> FieldElement:
-    if isinstance(term, TVar):
+def teval(term, env: dict, memo: dict | None = None) -> FieldElement:
+    """The value of `term` in `env`.  A `memo` belongs to this `env` and
+    keeps each `TOp` value under the term's id; an exception is never
+    kept, so a term that raises raises again when asked again."""
+    kind = type(term)
+    if kind is TVar:
         return env[term.name]
-    if isinstance(term, TConst):
+    if kind is TConst:
         return term.value
+    if memo is not None:
+        value = memo.get(id(term))
+        if value is not None:
+            return value
     if term.op == "^":
-        return teval(term.args[0], env) ** term.args[1]
-    fn = _OPS.get(term.op)
-    if fn is None:
-        raise ValueError(f"unknown term op {term.op!r}")
-    return fn(*[teval(t, env) for t in term.args])
+        value = teval(term.args[0], env, memo) ** term.args[1]
+    else:
+        fn = _OPS.get(term.op)
+        if fn is None:
+            raise ValueError(f"unknown term op {term.op!r}")
+        value = fn(*[teval(t, env, memo) for t in term.args])
+    if memo is not None:
+        memo[id(term)] = value
+    return value
 
 
 # -- formulas ----------------------------------------------------------------
@@ -136,66 +156,84 @@ class FExists:
     body: object
 
 
-def forces(node: str, phi, env: dict) -> bool:
+def forces(node: str, phi, env: dict, *, memo: dict | None = None) -> bool:
     """Kripke forcing on the two-node frame M0 <= M1; every value of `env`
-    must lie in the domain of `node`."""
+    must lie in the domain of `node`.  Verdicts and term values are kept
+    for the call, or in `memo`, which a caller forcing several formulas
+    in one `env` may pass to share them: it belongs to that `env` alone."""
     for v in env.values():
         if not in_domain(node, v):
             raise DomainViolation(f"environment value {render_element(v)} "
                                   f"outside the domain of {node}")
-    return _forces(node, phi, env)
+    if memo is None:
+        memo = {}
+    else:
+        # keys are ids: holding phi keeps it, and so every key under it,
+        # from being freed and its id reused while the memo lives
+        memo[id(phi), None] = phi
+    return _forces(node, phi, env, memo)
 
 
-def _forces(node: str, phi, env: dict) -> bool:
-    if isinstance(phi, FP):
-        return positive(teval(phi.term, env), node)
-    if isinstance(phi, FEq):
-        return teval(phi.left, env) == teval(phi.right, env)
-    if isinstance(phi, FAnd):
-        return _forces(node, phi.a, env) and _forces(node, phi.b, env)
-    if isinstance(phi, FImplies):
-        if node == M1:
-            return not _forces(M1, phi.a, env) or _forces(M1, phi.b, env)
-        ok0 = not _forces(M0, phi.a, env) or _forces(M0, phi.b, env)
-        return ok0 and _forces(M1, phi, env)
-    if isinstance(phi, FNot):
-        if node == M1:
-            return not _forces(M1, phi.a, env)
-        return not _forces(M0, phi.a, env) and not _forces(M1, phi.a, env)
-    if isinstance(phi, FExists):
+def _forces(node: str, phi, env: dict, memo: dict) -> bool:
+    key = (id(phi), node)
+    verdict = memo.get(key)
+    if verdict is not None:
+        return verdict
+    kind = type(phi)
+    if kind is FP:
+        verdict = positive(teval(phi.term, env, memo), node)
+    elif kind is FEq:
+        verdict = teval(phi.left, env, memo) == teval(phi.right, env, memo)
+    elif kind is FAnd:
+        verdict = (_forces(node, phi.a, env, memo)
+                   and _forces(node, phi.b, env, memo))
+    elif kind is FImplies:
+        verdict = (not _forces(node, phi.a, env, memo)
+                   or _forces(node, phi.b, env, memo))
+        if node != M1:
+            verdict = verdict and _forces(M1, phi, env, memo)
+    elif kind is FNot:
+        verdict = not _forces(node, phi.a, env, memo)
+        if node != M1:
+            verdict = verdict and not _forces(M1, phi.a, env, memo)
+    elif kind is FExists:
         try:
-            w = teval(phi.witness, env)
+            w = teval(phi.witness, env, memo)
         except (ZeroDivisionError, Negative):
-            return False
-        if not in_domain(node, w):
-            return False
-        return _forces(node, phi.body, {**env, phi.var: w})
-    raise ValueError(f"unknown formula node {phi!r}")
+            verdict = False
+        else:  # the body's env is a new one, so it gets a new memo
+            verdict = in_domain(node, w) and _forces(
+                node, phi.body, {**env, phi.var: w}, {})
+    else:
+        raise ValueError(f"unknown formula node {phi!r}")
+    memo[key] = verdict
+    return verdict
 
 
 # -- the EF axioms (Skolemized) ----------------------------------------------
 
 X, Y = TVar("x"), TVar("y")
 ZERO_T, ONE_T = tconst(0), tconst(1)
+# parts the axioms share are built once, so one sample's memo decides
+# each of them once per node
+PX, PY = FP(X), FP(Y)
+SUM = tadd(X, Y)
+SUM0 = FEq(SUM, ZERO_T)
 
 EF_AXIOMS: dict[str, object] = {
     # stability of equality and 0 != 1
     "EF0": FAnd(FImplies(FNot(FNot(FEq(X, Y))), FEq(X, Y)),
                 FNot(FEq(ZERO_T, ONE_T))),
     # positive elements have positive inverses; witness 1/x
-    "EF1": FImplies(FP(X),
+    "EF1": FImplies(PX,
                     FExists("y", TOp("/", (ONE_T, X)),
                             FAnd(FEq(tmul(X, TVar("y")), ONE_T),
                                  FP(TVar("y"))))),
-    "EF2": FImplies(FAnd(FP(X), FP(Y)),
-                    FAnd(FP(tadd(X, Y)), FP(tmul(X, Y)))),
-    "EF3": FImplies(FEq(tadd(X, Y), ZERO_T),
-                    FNot(FAnd(FP(X), FP(Y)))),
-    "EF4": FImplies(FAnd(FEq(tadd(X, Y), ZERO_T),
-                         FAnd(FNot(FP(X)), FNot(FP(Y)))),
-                    FEq(X, ZERO_T)),
+    "EF2": FImplies(FAnd(PX, PY), FAnd(FP(SUM), FP(tmul(X, Y)))),
+    "EF3": FImplies(SUM0, FNot(FAnd(PX, PY))),
+    "EF4": FImplies(FAnd(SUM0, FAnd(FNot(PX), FNot(PY))), FEq(X, ZERO_T)),
     # non-negative elements have square roots; witness sqrt(x)
-    "EF5": FImplies(FAnd(FEq(tadd(X, Y), ZERO_T), FNot(FP(Y))),
+    "EF5": FImplies(FAnd(SUM0, FNot(PY)),
                     FExists("z", TOp("sqrt", (X,)),
                             FEq(tmul(TVar("z"), TVar("z")), X))),
 }
@@ -257,16 +295,19 @@ def check_ef_axioms(samples: int = 200, seed: int = 0) -> dict:
         else:
             yv, ys = _sample_element(rng)
         env = {"x": xv, "y": yv}
+        memo: dict = {}  # this sample's: shared by its six axioms
         for name, ax in EF_AXIOMS.items():
             if unbounded:
                 try:
-                    forces(M0, ax, env)
+                    forces(M0, ax, env, memo=memo)
                     verdict = "unexpected-domain-acceptance"
                 except DomainViolation:
                     verdict = ("domain-rejected"
-                               if forces(M1, ax, env) else "M1-failure")
+                               if forces(M1, ax, env, memo=memo)
+                               else "M1-failure")
             else:
-                verdict = "forced" if forces(M0, ax, env) else "not-forced"
+                verdict = ("forced" if forces(M0, ax, env, memo=memo)
+                           else "not-forced")
             ok = verdict in ("forced", "domain-rejected")
             if not ok:
                 failures += 1
