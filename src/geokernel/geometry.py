@@ -39,7 +39,7 @@ from operator import mul, sub
 
 from . import nafield
 from .field import FieldElement, Q, render_element, sqrt_nonneg
-from .nafield import ONE, ZERO, Rat, RatFunc, _integral
+from .nafield import ONE, ZERO, Rat, RatFunc
 
 # semantics tags; CONSTRUCTIBLE also names its mode
 CONSTRUCTIBLE = "constructible"
@@ -258,18 +258,19 @@ def _zeps_points(parts, r):
     dens, fracs = {}, []  # the distinct D's, keyed by their coefficients
     for q in parts:
         rat = type(q) is Rat
-        c, n = (q.d, [q.n]) if rat else _integral(q.num)
+        c, n = (q.d, [q.n]) if rat else (q.num.m, q.num.z)
         key = None
-        if not rat and len(q.den.c) > 1:
-            m, d = _integral(q.den)
-            dens[key := tuple(d)] = _ZPoly(d)
+        if not rat and len(q.den.z) > 1:
+            m, key = q.den.m, q.den.z
+            dens[key] = _ZPoly(list(key))
             n = [x * m for x in n]
         fracs.append((n, c, key))
     if type(r) is Rat:
         rn, rd = _ZPoly([r.n]), _ZPoly([r.d])
     else:  # r = (num/a)/(den/b)
-        (a, num), (b, den) = _integral(r.num), _integral(r.den)
-        rn, rd = _ZPoly([x * b for x in num]), _ZPoly([x * a for x in den])
+        a, b = r.num.m, r.den.m
+        rn = _ZPoly([x * b for x in r.num.z])
+        rd = _ZPoly([x * a for x in r.den.z])
     fb = {k: reduce(mul, [d for j, d in dens.items() if j != k], _ZPoly([1]))
           for k in (None, *dens)}  # the other D's: a sqrt part's factor
     fa = {k: f * rd for k, f in fb.items()}  # a rational part's; S/m

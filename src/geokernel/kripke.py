@@ -21,11 +21,13 @@ root of a negative raises the field's own `ZeroDivisionError` or
 
 Forcing is a pure function of (node, formula, env), so it is memoized per
 environment: a memo keeps each `TOp` value under the term's id and each
-verdict under (formula id, node), and never keeps an exception.  A memo
-lives for one `forces` call, or for one sample of `check_ef_axioms`, whose
-six axioms build their shared parts (`PX`, `PY`, `SUM`, `SUM0`) once, so
-each is decided once per node and sample.  There is no module-level
-cache.
+verdict under (formula id, node), and never keeps an exception.  It also
+keeps, under the node, the env's first value outside that node's domain
+(or None), so the domain is checked once per node, and an existential's
+body memo, whose env is the same at both nodes.  A memo lives for one
+`forces` call, or for one sample of `check_ef_axioms`, whose six axioms
+build their shared parts (`PX`, `PY`, `SUM`, `SUM0`) once, so each is
+decided once per node and sample.  There is no module-level cache.
 """
 
 from __future__ import annotations
@@ -160,17 +162,21 @@ def forces(node: str, phi, env: dict, *, memo: dict | None = None) -> bool:
     """Kripke forcing on the two-node frame M0 <= M1; every value of `env`
     must lie in the domain of `node`.  Verdicts and term values are kept
     for the call, or in `memo`, which a caller forcing several formulas
-    in one `env` may pass to share them: it belongs to that `env` alone."""
-    for v in env.values():
-        if not in_domain(node, v):
-            raise DomainViolation(f"environment value {render_element(v)} "
-                                  f"outside the domain of {node}")
+    in one `env` may pass to share them: it belongs to that `env` alone,
+    and keeps under `node` the first value outside its domain, or None."""
     if memo is None:
         memo = {}
     else:
         # keys are ids: holding phi keeps it, and so every key under it,
         # from being freed and its id reused while the memo lives
         memo[id(phi), None] = phi
+    if node not in memo:
+        memo[node] = next(
+            (v for v in env.values() if not in_domain(node, v)), None)
+    bad = memo[node]
+    if bad is not None:
+        raise DomainViolation(f"environment value {render_element(bad)} "
+                              f"outside the domain of {node}")
     return _forces(node, phi, env, memo)
 
 
@@ -201,9 +207,11 @@ def _forces(node: str, phi, env: dict, memo: dict) -> bool:
             w = teval(phi.witness, env, memo)
         except (ZeroDivisionError, Negative):
             verdict = False
-        else:  # the body's env is a new one, so it gets a new memo
+        else:  # the body's env is a new one, so it gets its own memo,
+            # kept in this one: w, and so that env, is the same at each node
             verdict = in_domain(node, w) and _forces(
-                node, phi.body, {**env, phi.var: w}, {})
+                node, phi.body, {**env, phi.var: w},
+                memo.setdefault((id(phi), FExists), {}))
     else:
         raise ValueError(f"unknown formula node {phi!r}")
     memo[key] = verdict

@@ -11,21 +11,29 @@ by `==`, without the `numbers` ABC check, and `==` with an int builds no
 `Rat` (lowest terms make it n == b with d == 1).  A zero test on a `Rat`
 is a truth test, never `== 0`.
 
-`Poly` is a polynomial with `Rat` coefficients.  Products and gcds run
-over Z: denominators are cleared, and `poly_gcd` splits off integer
-contents and runs the primitive remainder sequence (TAOCP 4.6.1).
+`Poly` is a polynomial over Q kept as ints over one denominator, as
+FLINT's `fmpq_poly` keeps it: z/m, with z a tuple of ints (low degree
+first, no trailing zero), m > 0 and gcd(m, *z) = 1.  The form is
+canonical, so `==` and `hash` compare (z, m); `c`, the coefficients as
+`Rat`s, is a view built when read.  `+ - *` and `scale` are int loops with
+one gcd at the end (a sum's content can share only the gcd of the two
+denominators, Henrici's split again), and no `Rat` is built per
+coefficient.  `poly_gcd` splits off integer contents and runs the primitive
+remainder sequence (TAOCP 4.6.1).  `Poly.divmod` is the one division: it
+pseudo-divides the integer forms, and by Gauss's lemma a division by the
+gcd's primitive part is exact over Z and scales nothing.
 
 `RatFunc` elements are quotients p(eps)/q(eps) of polynomials, kept in a
-canonical form: lowest terms, and q scaled so its lowest-order nonzero
-coefficient is 1.  When q is a constant c or p is zero, that form is
-(p/c, 1) and is built without a gcd; every such value shares one
-unit-denominator `Poly`.  A rational operand (a `Rat`, an int or a
-`Fraction`) needs no gcd either.  Two `RatFunc` operands follow Henrici:
-a sum takes a gcd only when neither denominator is 1, a product the two
-cross gcds.  The ordering treats ``eps`` as a positive infinitesimal: the
-sign of an element is the sign of the lowest-degree coefficient of its
-eps-expansion, and the valuation (eps-adic order) separates
-infinitesimal, finite and unbounded elements.
+canonical form: lowest terms, and q's lowest-order nonzero coefficient
+k/m scaled to 1, by scaling p and q by m/k.  When q is a constant c or p
+is zero, that form is (p/c, 1) and is built without a gcd; every such
+value shares one unit-denominator `Poly`.  A rational operand (a `Rat`, an
+int or a `Fraction`) needs no gcd either.  Two `RatFunc` operands follow
+Henrici: a sum takes a gcd only when neither denominator is 1, a product
+the two cross gcds.  The ordering treats ``eps`` as a positive
+infinitesimal: the sign of an element is the sign of the lowest-degree
+coefficient of its eps-expansion, read from an int of p, and the valuation
+(eps-adic order) separates infinitesimal, finite and unbounded elements.
 
 `Rat` and `RatFunc` are the base values of `field`, the leaves of its
 towers, and `field` uses them bare: `Q(3, 4)` is a `Rat` and `eps()` a
@@ -40,6 +48,7 @@ the equal `Fraction`, and a division by zero raises
 from __future__ import annotations
 
 from functools import total_ordering
+from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from numbers import Rational
 from sys import hash_info
@@ -286,16 +295,28 @@ def frac_sqrt(q) -> Rat | None:
 
 
 class Poly:
-    """Dense univariate polynomial over Q: `Rat` coefficients, low degree
-    first, no trailing zero."""
+    """Dense univariate polynomial over Q, kept as z/m: `z` a tuple of ints,
+    low degree first, no trailing zero, and `m` > 0 an int with
+    gcd(m, *z) = 1.  The form is canonical, so `==` and `hash` compare
+    (z, m); `c` is a view of the coefficients as `Rat`s."""
 
-    __slots__ = ("c",)
+    __slots__ = ("z", "m")
 
     def __init__(self, coeffs=()):
         cs = [Rat(x) for x in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.c = tuple(cs)
+        # lowest terms already: a prime's full power in m divides some q.d,
+        # and that q.n * (m // q.d) is prime to it
+        m = lcm(*[q.d for q in cs])
+        self.z = tuple(q.n * (m // q.d) for q in cs)
+        self.m = m
+
+    @property
+    def c(self) -> tuple[Rat, ...]:
+        """The coefficients as Rats, low degree first (built per read)."""
+        m = self.m
+        return tuple(_ratio(x, m) for x in self.z)
 
     @classmethod
     def const(cls, q) -> "Poly":
@@ -303,75 +324,86 @@ class Poly:
 
     @classmethod
     def x_power(cls, k: int) -> "Poly":
-        return cls((ZERO,) * k + (ONE,))
+        return _poly((0,) * k + (1,), 1)
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.z
 
     def degree(self) -> int:
-        return len(self.c) - 1  # -1 for the zero polynomial
+        return len(self.z) - 1  # -1 for the zero polynomial
 
     def lowdeg(self) -> int:
         """Order of the lowest nonzero term (valuation at 0); zero has none."""
-        for i, q in enumerate(self.c):
-            if q:
+        for i, x in enumerate(self.z):
+            if x:
                 return i
         raise ValueError("zero has no valuation")
 
     def lowcoeff(self) -> Rat:
-        return self.c[self.lowdeg()]
+        return _ratio(self.z[self.lowdeg()], self.m)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.c == other.c
+        return (isinstance(other, Poly) and self.z == other.z
+                and self.m == other.m)
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        return hash((self.z, self.m))
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return _combine(self, other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-x for x in self.c))
+        return _poly(tuple(-x for x in self.z), self.m)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        # over Z: clear denominators, convolve the ints, divide back once
-        if not self.c or not other.c:
-            return Poly()
-        ma, a = _integral(self)
-        mb, b = _integral(other)
+        a, b = self.z, other.z
+        if not a or not b:
+            return _NIL
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        m = ma * mb
-        return Poly([_ratio(x, m) for x in out])
+        m = self.m * other.m
+        return _reduced(out, m, m)
 
     def scale(self, q: Rat) -> "Poly":
-        return Poly(tuple(x * q for x in self.c))
+        m = self.m * q.d
+        return _reduced([x * q.n for x in self.z], m, m)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        """(quotient, remainder) over Q, by pseudo-division of the integer
+        forms: s*A = Q*B + R over Z, where each step scales by the factor of
+        B's leading coefficient that its term needs (none when B divides A
+        over Z, as a primitive gcd does: Gauss's lemma)."""
+        b = other.z
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
-        dlead = other.c[-1]
-        dd = other.degree()
-        quot = [ZERO] * max(0, len(rem) - dd)
-        for k in range(len(quot) - 1, -1, -1):
-            f = rem[k + dd] / dlead
-            quot[k] = f
-            for i, y in enumerate(other.c):
-                rem[k + i] -= f * y
-        return Poly(quot), Poly(rem)
+        r = list(self.z)
+        lead, top = b[-1], len(b) - 1
+        q = [0] * max(0, len(r) - top)
+        s = 1
+        for k in range(len(q) - 1, -1, -1):
+            f = r.pop()
+            if f:
+                g = gcd(f, lead)
+                f, t = f // g, lead // g
+                if t != 1:
+                    r = [t * x for x in r]
+                    q = [t * x for x in q]
+                    s *= t
+                q[k] = f
+                for i in range(top):
+                    r[k + i] -= f * b[i]
+        # a = A/am and b = B/bm, so a = (Q*bm/(s*am))*b + R/(s*am)
+        m, bm = s * self.m, other.m
+        return _reduced([x * bm for x in q], m, m), _reduced(r, m, m)
 
     def __str__(self) -> str:
-        if not self.c:
+        if not self.z:
             return "0"
         parts = []
         for i, q in enumerate(self.c):
@@ -388,27 +420,61 @@ class Poly:
     __repr__ = __str__
 
 
-_UNIT = Poly((ONE,))  # shared: a Poly is immutable
+def _poly(z: tuple, m: int) -> Poly:
+    """The Poly z/m, unchecked: the form of `Poly` must hold."""
+    p = _new(Poly)
+    p.z = z
+    p.m = m
+    return p
+
+
+_NIL = _poly((), 1)  # shared, as a Poly is immutable
+_UNIT = _poly((1,), 1)
+
+
+def _reduced(z, m: int, g: int) -> Poly:
+    """The Poly z/m in lowest terms, for a list of ints z (or a tuple with
+    no trailing zero) and an int m != 0, where no factor of m outside g can
+    divide every coefficient of z."""
+    while z and not z[-1]:
+        z.pop()
+    if not z:
+        return _NIL
+    if g != 1:
+        g = gcd(g, *z)
+    if m < 0:
+        g = -g
+    if g != 1:
+        z = [x // g for x in z]
+        m //= g
+    return _poly(tuple(z), m)
+
+
+def _combine(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign*b over the lcm of the denominators.  As in Henrici's sum of
+    rationals, only their gcd can divide every coefficient of the result."""
+    am, bm = a.m, b.m
+    if am == bm:
+        g, sa, sb = am, 1, sign
+    else:
+        g = gcd(am, bm)
+        sa, sb = bm // g, sign * (am // g)
+    z = [x * sa + y * sb for x, y in zip_longest(a.z, b.z, fillvalue=0)]
+    return _reduced(z, am * sa, g)
 
 
 # ---------------------------------------------------------------------------
 # gcd over Z: the primitive polynomial remainder sequence (Knuth, TAOCP
-# vol. 2, 4.6.1).  Integer polynomials are int lists, low degree first.
+# vol. 2, 4.6.1).  Integer polynomials are int sequences, low degree first.
 
 
-def _integral(p: Poly) -> tuple[int, list[int]]:
-    """(m, r) with p = r/m: m the lcm of p's denominators, r over Z."""
-    m = lcm(*(q.d for q in p.c))
-    return m, [q.n * (m // q.d) for q in p.c]
-
-
-def _primitive(r: list[int]) -> list[int]:
+def _primitive(r):
     """r divided by its content, the gcd of its coefficients."""
     g = gcd(*r)
     return r if g == 1 else [x // g for x in r]
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
+def _prem(a, b) -> list[int]:
     """A nonzero integer multiple of the remainder of a by b (len(a) >=
     len(b)), without trailing zeros: each step scales by the leading
     coefficient of b over its gcd with the term it cancels."""
@@ -429,19 +495,18 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """The monic gcd of a and b (zero if both are zero): denominators
-    cleared, integer contents split off, then the primitive PRS."""
-    if a.is_zero() or b.is_zero():
-        g = a if b.is_zero() else b
-        return g if g.is_zero() else g.scale(ONE / g.c[-1])
-    a, b = _primitive(_integral(a)[1]), _primitive(_integral(b)[1])
+    """The monic gcd of a and b (zero if both are zero): integer contents
+    split off, then the primitive PRS."""
+    if not a.z or not b.z:
+        g = b.z if not a.z else a.z
+        return _reduced(g, g[-1], g[-1]) if g else _NIL  # g over its lead
+    a, b = _primitive(a.z), _primitive(b.z)
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
         r = _prem(a, b)
         if not r:
-            lead = b[-1]
-            return Poly([_ratio(x, lead) for x in b])
+            return _reduced(b, b[-1], 1)  # b is primitive
         a, b = b, _primitive(r)
     return _UNIT
 
@@ -457,7 +522,7 @@ def _ratio(n: int, d: int) -> Rat:
 def poly_sqrt(p: Poly) -> Poly | None:
     """Exact polynomial square root, or None."""
     if p.is_zero():
-        return Poly()
+        return _NIL
     low = p.lowdeg()
     if low % 2 or p.degree() % 2:
         return None
@@ -489,25 +554,25 @@ def _canonical(num: Poly, den: Poly) -> "RatFunc":
 
 def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """a and b divided by their gcd; a gcd of 1 skips both divisions."""
-    if len(a.c) == 1 or len(b.c) == 1:  # a nonzero constant is a unit
+    if len(a.z) == 1 or len(b.z) == 1:  # a nonzero constant is a unit
         return a, b
     g = poly_gcd(a, b)
-    if len(g.c) == 1:
+    if len(g.z) == 1:
         return a, b
     return a.divmod(g)[0], b.divmod(g)[0]
 
 
 def _normal(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """The canonical pair of num/den for coprime num and den (den nonzero):
-    den's lowest-order coefficient scaled to 1, and the degree checked."""
-    if not num.c:
+    den's lowest-order coefficient k/m scaled to 1, and the degree checked."""
+    if not num.z:
         return num, _UNIT
-    lc = den.lowcoeff()
-    if lc != ONE:
-        lc = ONE / lc
-        num = num.scale(lc)
-        den = _UNIT if len(den.c) == 1 else den.scale(lc)
-    degree = max(len(num.c), len(den.c)) - 1
+    m, k = den.m, den.z[den.lowdeg()]
+    if k != m:  # both scaled by m/k
+        q = _ratio(m, k)
+        num = num.scale(q)
+        den = _UNIT if len(den.z) == 1 else den.scale(q)
+    degree = max(len(num.z), len(den.z)) - 1
     if degree > MAX_DEGREE:
         raise DegreeTooHigh(f"eps-degree {degree} exceeds {MAX_DEGREE}")
     return num, den
@@ -523,15 +588,15 @@ def _lowest(num: Poly, den: Poly) -> "RatFunc":
 
 
 def _ratfunc_sum(a: Poly, b: Poly, c: Poly, d: Poly) -> "RatFunc":
-    if not a.c or not c.c:
-        return _canonical(a, b) if a.c else _canonical(c, d)
+    if not a.z or not c.z:
+        return _canonical(a, b) if a.z else _canonical(c, d)
     # with b = 1, gcd(a*d + c, d) = gcd(c, d) = 1: no gcd to take
-    if len(b.c) == 1:
-        return _lowest(a * d + c if len(d.c) > 1 else a + c, d)
-    if len(d.c) == 1:
+    if len(b.z) == 1:
+        return _lowest(a * d + c if len(d.z) > 1 else a + c, d)
+    if len(d.z) == 1:
         return _lowest(a + c * b, b)
     g = poly_gcd(b, d)
-    if len(g.c) == 1:  # coprime denominators: a*d + c*b is coprime to b*d
+    if len(g.z) == 1:  # coprime denominators: a*d + c*b is coprime to b*d
         return _lowest(a * d + c * b, b * d)
     b, d = b.divmod(g)[0], d.divmod(g)[0]
     t, g = _cancel(a * d + c * b, g)  # only g can share a factor with t
@@ -540,8 +605,8 @@ def _ratfunc_sum(a: Poly, b: Poly, c: Poly, d: Poly) -> "RatFunc":
 
 def _ratfunc_product(a: Poly, b: Poly, c: Poly, d: Poly) -> "RatFunc":
     # the cross gcds gcd(a, d) and gcd(c, b) are all the product needs
-    if not a.c or not c.c:
-        return _canonical(Poly(), _UNIT)
+    if not a.z or not c.z:
+        return _canonical(_NIL, _UNIT)
     a, d = _cancel(a, d)
     c, b = _cancel(c, b)
     return _lowest(a * c, b * d)
@@ -559,7 +624,7 @@ class RatFunc:
             den = _UNIT
         elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        elif num.c:
+        elif num.z:
             num, den = _cancel(num, den)
         self.num, self.den = _normal(num, den)
 
@@ -580,10 +645,12 @@ class RatFunc:
         return not self.is_zero()
 
     def sign(self) -> int:
-        if self.num.is_zero():
-            return 0
-        q = self.num.lowcoeff()  # den's low coefficient is 1 by normalization
-        return 1 if q > 0 else -1
+        # that of num's lowest int coefficient: num's m and den's lowest
+        # coefficient (1 by normalization) are positive
+        for x in self.num.z:
+            if x:
+                return 1 if x > 0 else -1
+        return 0
 
     def valuation(self) -> Rat:
         """eps-adic order; raises on zero as Rat does."""
@@ -599,8 +666,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        if len(self.num.c) < 2 and len(self.den.c) == 1:  # a rational
-            return hash(self.num.c[0] if self.num.c else ZERO)
+        num = self.num
+        if len(num.z) < 2 and len(self.den.z) == 1:  # a rational
+            return hash(_rat(num.z[0], num.m) if num.z else ZERO)
         return hash((self.num, self.den))
 
     def __lt__(self, other):
@@ -646,7 +714,7 @@ class RatFunc:
         if q is None:
             return NotImplemented
         if not q:
-            return _canonical(Poly(), _UNIT)
+            return _canonical(_NIL, _UNIT)
         return _canonical(self.num.scale(q), self.den)
 
     __rmul__ = __mul__
@@ -670,7 +738,7 @@ class RatFunc:
         if self.is_zero():
             raise ZeroDivisionError("field division by zero")
         if not q:
-            return _canonical(Poly(), _UNIT)
+            return _canonical(_NIL, _UNIT)
         # q*d/p, with p's low coefficient scaled to 1
         lc = ONE / self.num.lowcoeff()
         return _canonical(self.den.scale(q * lc), self.num.scale(lc))

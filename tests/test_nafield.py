@@ -6,6 +6,7 @@ import operator
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -303,17 +304,20 @@ class TestRatBudget:
         p = Poly((0, 0, 2))
         built.clear()
         assert not x == 0 and x != 0 and y == 5 and not y != 5
-        assert Poly(coeffs).c == coeffs[:1]
+        q = Poly(coeffs)
+        assert q.z == (1,) and q.m == 1
         assert p.lowdeg() == 2
         assert built == []
+        assert q.c == coeffs[:1]  # the Rat view builds its Rats
 
     def test_kripke_count(self, built):
         # 3073 while an int operand of Rat.__eq__ and each zero test of a
         # Poly coefficient built a Rat from the int; 1404 while forcing
         # recomputed a term or a subformula it had already decided for the
-        # sample's environment
+        # sample's environment; 959 while a Poly kept Rat coefficients and
+        # forcing re-checked the environment's domain on each call
         check_ef_axioms(20, 111)
-        assert len(built) == 959
+        assert len(built) == 299
 
 
 def test_kernel_imports_without_fractions():
@@ -341,6 +345,84 @@ class TestDivmodOracle:
         assert r.degree() < b.degree()
         want_q, want_r = sympy.div(_to_sympy(a, x), _to_sympy(b, x))
         assert (_to_sympy(q, x), _to_sympy(r, x)) == (want_q, want_r)
+
+
+def _check_form(p):
+    """p keeps Poly's form: ints z over m > 0 in lowest terms, no trailing
+    zero, and its Rat view builds it back, hash and all."""
+    assert type(p) is Poly and type(p.z) is tuple and type(p.m) is int
+    assert all(type(x) is int for x in p.z)
+    assert p.m > 0 and gcd(p.m, *p.z) == 1
+    assert not p.z or p.z[-1]
+    assert Poly(p.c) == p and hash(Poly(p.c)) == hash(p)
+
+
+_POLY_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "neg": lambda a, b: -a,
+    "scale": lambda a, b: a.scale(b.lowcoeff() if b.z else Rat(0)),
+    "quot": lambda a, b: a.divmod(b)[0] if b.z else a,
+    "rem": lambda a, b: a.divmod(b)[1] if b.z else a,
+    "gcd": poly_gcd,
+}
+_RATFUNC_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+_SCALARS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+class TestIntegerForm:
+    """Every Poly that an operation returns keeps the integer form, and a
+    RatFunc equal to a rational hashes like the equal Fraction."""
+
+    @given(p=_polys(3), steps=st.lists(
+        st.tuples(st.sampled_from(sorted(_POLY_OPS)), _polys(3)),
+        max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_poly_ops_keep_the_form(self, p, steps):
+        _check_form(p)
+        for name, other in steps:
+            p = _POLY_OPS[name](p, other)
+            _check_form(p)
+        _check_form(poly_sqrt(p * p))
+
+    @given(x=_RATFUNCS, steps=st.lists(st.tuples(
+        st.sampled_from(_RATFUNC_OPS), _RATFUNCS | _SCALARS), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_ratfunc_ops_keep_the_form(self, x, steps):
+        for op, y in steps:
+            if op is operator.truediv and not y:
+                continue
+            x = op(x, y)
+            _check_form(x.num)
+            _check_form(x.den)
+            if x.num.degree() < 1 and x.den.degree() == 0:  # a rational
+                q = Fraction(x.num.c[0]) if x.num.z else Fraction(0)
+                assert x == q and hash(x) == hash(q)
+
+
+class TestIntegerFormOracle:
+    """Poly's operations on the integer form against sympy over QQ."""
+
+    @given(a=_polys(4) | _big_polys(3), b=_polys(3) | _big_polys(3),
+           q=_SCALARS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy(self, a, b, q):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("eps")
+        sa, sb = _to_sympy(a, x), _to_sympy(b, x)
+        assert _to_sympy(a + b, x) == sa + sb
+        assert _to_sympy(a - b, x) == sa - sb
+        assert _to_sympy(a * b, x) == sa * sb
+        assert _to_sympy(-a, x) == -sa
+        assert _to_sympy(a.scale(Rat(q)), x) == sa * sympy.Rational(
+            q.numerator, q.denominator)
+        if not b.is_zero():
+            got = tuple(_to_sympy(p, x) for p in a.divmod(b))
+            assert got == sympy.div(sa, sb)
+        assert _to_sympy(poly_gcd(a, b), x) == sa.gcd(sb)  # monic, or zero
+        printed = sympy.sympify(str(a).replace("^", "**"), locals={"eps": x})
+        assert sympy.Poly(printed, x, domain=sympy.QQ) == sa
 
 
 _ARITH = [operator.add, operator.sub, operator.mul, operator.truediv]
