@@ -24,10 +24,12 @@ environment: a memo keeps each `TOp` value under the term's id and each
 verdict under (formula id, node), and never keeps an exception.  It also
 keeps, under the node, the env's first value outside that node's domain
 (or None), so the domain is checked once per node, and an existential's
-body memo, whose env is the same at both nodes.  A memo lives for one
-`forces` call, or for one sample of `check_ef_axioms`, whose six axioms
-build their shared parts (`PX`, `PY`, `SUM`, `SUM0`) once, so each is
-decided once per node and sample.  There is no module-level cache.
+body memo, whose env is the same at both nodes.  An `FEq` reads no node,
+so its verdict is kept under both nodes and each equation is compared
+once per env.  A memo lives for one `forces` call, or for one sample of
+`check_ef_axioms`, whose six axioms build their shared parts (`PX`, `PY`,
+`SUM`, `SUM0`) once, so each is decided once per node and sample (an
+equation once per sample).  There is no module-level cache.
 """
 
 from __future__ import annotations
@@ -188,8 +190,9 @@ def _forces(node: str, phi, env: dict, memo: dict) -> bool:
     kind = type(phi)
     if kind is FP:
         verdict = positive(teval(phi.term, env, memo), node)
-    elif kind is FEq:
+    elif kind is FEq:  # the same values at each node: decided for both
         verdict = teval(phi.left, env, memo) == teval(phi.right, env, memo)
+        memo[id(phi), M0] = memo[id(phi), M1] = verdict
     elif kind is FAnd:
         verdict = (_forces(node, phi.a, env, memo)
                    and _forces(node, phi.b, env, memo))

@@ -6,22 +6,25 @@ a float is no exact value, and `==` with one raises as `<` does.  Sums use
 Henrici's gcd split and products cross gcds (Knuth, TAOCP vol. 2, 4.5.1),
 with a fast path for integers; results are built unchecked, since these
 steps keep lowest terms.  An int or a `Fraction` becomes a `Rat` once,
-where it enters (`Rat(x)`, `as_rat`); an int is converted, and compared
-by `==`, without the `numbers` ABC check, and `==` with an int builds no
-`Rat` (lowest terms make it n == b with d == 1).  A zero test on a `Rat`
-is a truth test, never `== 0`.
+where it enters (`Rat(x)`, `as_rat`); an int is converted, and compared,
+without the `numbers` ABC check, and a comparison with an int builds no
+`Rat`: lowest terms make `==` n == b with d == 1, and d > 0 makes `<`
+n < b*d, which the `<=` and `>=` of `total_ordering` call.  `as_rat`
+refuses a `RatFunc` or a tower element without the ABC check too.  A zero
+test on a `Rat` is a truth test, never `== 0`.
 
 `Poly` is a polynomial over Q kept as ints over one denominator, as
 FLINT's `fmpq_poly` keeps it: z/m, with z a tuple of ints (low degree
 first, no trailing zero), m > 0 and gcd(m, *z) = 1.  The form is
 canonical, so `==` and `hash` compare (z, m); `c`, the coefficients as
-`Rat`s, is a view built when read.  `+ - *` and `scale` are int loops with
-one gcd at the end (a sum's content can share only the gcd of the two
-denominators, Henrici's split again), and no `Rat` is built per
-coefficient.  `poly_gcd` splits off integer contents and runs the primitive
-remainder sequence (TAOCP 4.6.1).  `Poly.divmod` is the one division: it
-pseudo-divides the integer forms, and by Gauss's lemma a division by the
-gcd's primitive part is exact over Z and scales nothing.
+`Rat`s, is a view built when read, and a `Poly` prints each coefficient
+x/m from x and m over their gcd, building no `Rat`.  `+ - *` and `scale`
+are int loops with one gcd at the end (a sum's content can share only the
+gcd of the two denominators, Henrici's split again), and no `Rat` is built
+per coefficient.  `poly_gcd` splits off integer contents and runs the
+primitive remainder sequence (TAOCP 4.6.1).  `Poly.divmod` is the one
+division: it pseudo-divides the integer forms, and by Gauss's lemma a
+division by the gcd's primitive part is exact over Z and scales nothing.
 
 `RatFunc` elements are quotients p(eps)/q(eps) of polynomials, kept in a
 canonical form: lowest terms, and q's lowest-order nonzero coefficient
@@ -30,10 +33,13 @@ is zero, that form is (p/c, 1) and is built without a gcd; every such
 value shares one unit-denominator `Poly`.  A rational operand (a `Rat`, an
 int or a `Fraction`) needs no gcd either.  Two `RatFunc` operands follow
 Henrici: a sum takes a gcd only when neither denominator is 1, a product
-the two cross gcds.  The ordering treats ``eps`` as a positive
-infinitesimal: the sign of an element is the sign of the lowest-degree
-coefficient of its eps-expansion, read from an int of p, and the valuation
-(eps-adic order) separates infinitesimal, finite and unbounded elements.
+the two cross gcds.  `RatFunc == q`, for a rational q = n/d, reads the
+canonical form, building no `RatFunc` (and for an int no `Rat`): equal
+iff den is the unit and num is (n,) over d, or both are zero.  The
+ordering treats ``eps`` as a positive infinitesimal: the sign of an
+element is the sign of the lowest-degree coefficient of its
+eps-expansion, read from an int of p, and the valuation (eps-adic order)
+separates infinitesimal, finite and unbounded elements.
 
 `Rat` and `RatFunc` are the base values of `field`, the leaves of its
 towers, and `field` uses them bare: `Q(3, 4)` is a `Rat` and `eps()` a
@@ -88,10 +94,13 @@ def _power(x, n: int):
 
 def as_rat(x) -> "Rat | None":
     """x as a Rat if it is a Rat, an int or a Fraction; otherwise None."""
-    if type(x) is Rat:
+    kind = type(x)
+    if kind is Rat:
         return x
-    if type(x) is int:  # before the ABC check, which costs more
+    if kind is int:  # before the ABC check, which costs more
         return _rat(x, 1)
+    if hasattr(kind, "tower"):  # a RatFunc or a tower element (the kernel
+        return None  # kinds besides Rat): no rational, and no ABC to ask
     if not isinstance(x, Rational):  # Fraction, bool, an int subclass
         return None
     return _rat(x.numerator, x.denominator)
@@ -231,6 +240,8 @@ class Rat:
 
     def __lt__(a, b):
         if type(b) is not Rat:
+            if type(b) is int:  # d > 0, so no Rat is built for b
+                return a.n < b * a.d
             b = as_rat(b)
             if b is None:
                 return NotImplemented
@@ -405,16 +416,18 @@ class Poly:
     def __str__(self) -> str:
         if not self.z:
             return "0"
-        parts = []
-        for i, q in enumerate(self.c):
-            if not q:
+        m, parts = self.m, []
+        for i, x in enumerate(self.z):
+            if not x:
                 continue
+            g = gcd(x, m)  # x/m in lowest terms, printed as a Rat prints
+            q = str(x // g) if g == m else f"{x // g}/{m // g}"
             if i == 0:
-                parts.append(str(q))
+                parts.append(q)
             elif i == 1:
-                parts.append(f"{q}*eps" if q != 1 else "eps")
+                parts.append(f"{q}*eps" if x != m else "eps")
             else:
-                parts.append(f"{q}*eps^{i}" if q != 1 else f"eps^{i}")
+                parts.append(f"{q}*eps^{i}" if x != m else f"eps^{i}")
         return "+".join(parts).replace("+-", "-")
 
     __repr__ = __str__
@@ -657,13 +670,24 @@ class RatFunc:
         return _rat(self.num.lowdeg() - self.den.lowdeg(), 1)
 
     def __eq__(self, other) -> bool:
-        if type(other) is not RatFunc:
+        if type(other) is RatFunc:
+            return self.num == other.num and self.den == other.den
+        if type(other) is int:
+            n, d = other, 1
+        else:
             q = as_rat(other)
             if q is None:
                 refuse_float(self, other)
                 return NotImplemented
-            other = RatFunc.const(q)
-        return self.num == other.num and self.den == other.den
+            n, d = q.n, q.d
+        # the canonical form of n/d is ((n,), d) over the unit den, or
+        # ((), 1) for zero; a canonical den is the unit iff it is constant
+        num = self.num
+        if len(self.den.z) != 1:
+            return False
+        if not n:
+            return not num.z
+        return len(num.z) == 1 and num.z[0] == n and num.m == d
 
     def __hash__(self) -> int:
         num = self.num

@@ -23,6 +23,7 @@ from geokernel.kripke import (
     FNot, FP, TConst, TOp, TVar, check_ef_axioms, forces, mp_counterexample,
     na_classify, tadd, tconst, tmul,
 )
+from geokernel.nafield import RatFunc
 
 X = TVar("x")
 
@@ -402,6 +403,32 @@ class TestForcingBudget:
         monkeypatch.setattr(kripke, "positive", counted)
         check_ef_axioms(20, 111)
         assert len(calls) == 73  # 198 before the per-sample memo
+
+    def test_each_equation_decided_once(self, monkeypatch):
+        # an FEq reads no node, so a verdict at either node serves both:
+        # per memo (one env) each FEq is compared once
+        decided, memos = [], []
+        real = kripke._forces
+
+        def counted(node, phi, env, memo):
+            if type(phi) is FEq and (id(phi), node) not in memo:
+                memos.append(memo)  # kept alive, so its id is not reused
+                decided.append((id(memo), id(phi)))
+            return real(node, phi, env, memo)
+
+        monkeypatch.setattr(kripke, "_forces", counted)
+        check_ef_axioms(20, 111)
+        assert decided and len(set(decided)) == len(decided)
+
+    def test_equality_calls(self, monkeypatch):
+        calls = []
+        for cls in (RatFunc, field.FieldElement):
+            def counted(a, b, _eq=cls.__eq__):
+                calls.append(type(a))
+                return _eq(a, b)
+            monkeypatch.setattr(cls, "__eq__", counted)
+        check_ef_axioms(20, 111)
+        assert len(calls) == 38  # 68 while an FEq was compared per node
 
 
 class TestBenchmarkBoundary:

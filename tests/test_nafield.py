@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from numbers import Rational
 from pathlib import Path
 
 import pytest
@@ -310,14 +311,27 @@ class TestRatBudget:
         assert built == []
         assert q.c == coeffs[:1]  # the Rat view builds its Rats
 
+    def test_compares_and_prints_build_nothing(self, built):
+        p = Poly((Rat(-1, 2), 0, 0, 1, Rat(3, 4)))
+        f, g = RatFunc.const(Rat(3)), RatFunc(Poly((3,)), Poly((1, 1)))
+        q, r, v = Rat(3, 4), Rat(-5, 2), EPS.valuation()
+        built.clear()
+        assert str(p) == "-1/2+eps^3+3/4*eps^4"
+        assert f == 3 and not f == q and f != -3 and not g == 3
+        assert not r >= 0 and r <= 0 and not v <= 0 and v >= 0
+        assert built == []
+
     def test_kripke_count(self, built):
         # 3073 while an int operand of Rat.__eq__ and each zero test of a
         # Poly coefficient built a Rat from the int; 1404 while forcing
         # recomputed a term or a subformula it had already decided for the
         # sample's environment; 959 while a Poly kept Rat coefficients and
-        # forcing re-checked the environment's domain on each call
+        # forcing re-checked the environment's domain on each call; 299
+        # while RatFunc == q built RatFunc.const(q), a Poly printed through
+        # its Rat view, Rat < int built a Rat of the int, and an FEq was
+        # decided at each node
         check_ef_axioms(20, 111)
-        assert len(built) == 299
+        assert len(built) == 150
 
 
 def test_kernel_imports_without_fractions():
@@ -543,6 +557,99 @@ class TestRatAgainstFraction:
             assert type(got) is RatFunc
             assert (got.num, got.den) == (want.num, want.den)
             assert got == op(fa, fb)  # a Fraction operand, the same way
+
+
+def _str_through_rats(p):
+    """Poly.__str__ as it was written over the Rat view `c`: the reference
+    for the form that prints from z and m."""
+    if not p.z:
+        return "0"
+    parts = []
+    for i, q in enumerate(p.c):
+        if not q:
+            continue
+        if i == 0:
+            parts.append(str(q))
+        elif i == 1:
+            parts.append(f"{q}*eps" if q != 1 else "eps")
+        else:
+            parts.append(f"{q}*eps^{i}" if q != 1 else f"eps^{i}")
+    return "+".join(parts).replace("+-", "-")
+
+
+# +-1 coefficients, zero gaps, and a denominator far past a machine word
+_UNITS_AND_GAPS = st.lists(st.sampled_from(
+    [0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(7, 10 ** 30)]),
+    max_size=8).map(Poly)
+_RATIONALS = st.sampled_from([0, 1, -1]) | _SCALARS | _FRACTIONS
+
+
+class TestFastPathOracles:
+    """Comparisons and printing that read the canonical forms, against the
+    paths that build the values they compare or print."""
+
+    @given(x=_RATFUNCS, q=_RATIONALS)
+    @settings(max_examples=300, deadline=None)
+    def test_ratfunc_eq_rational(self, x, q):
+        cq = RatFunc.const(q)
+        forms = [Rat(q), Fraction(q)] + ([int(q)] if q.denominator == 1
+                                          else [])
+        for f in (x, cq, -cq, cq + EPS, cq / (1 + EPS), RatFunc.const(0)):
+            want = f == RatFunc.const(q)
+            for b in forms:
+                assert (f == b) is want and (b == f) is want, (f, b)
+                assert (f != b) is not want and (b != f) is not want
+
+    @given(p=_polys(6) | _big_polys(4) | _UNITS_AND_GAPS)
+    @settings(max_examples=300, deadline=None)
+    def test_poly_str(self, p):
+        assert str(p) == repr(p) == _str_through_rats(p)
+        assert str(RatFunc(p)) == _str_through_rats(p)
+
+    @given(x=_FRACTIONS | _INTS, n=st.integers(min_value=-3, max_value=3)
+           | st.sampled_from([-10 ** 20, 10 ** 20]))
+    @settings(max_examples=300, deadline=None)
+    def test_order_against_ints(self, x, n):
+        x = Fraction(x)
+        for b in (n, -abs(n), 0, bool(n % 2)):
+            for fx in (x, Fraction(b), Fraction(b) + Fraction(1, 3)):
+                r = Rat(fx)
+                for op in (operator.lt, operator.le, operator.gt,
+                           operator.ge):
+                    assert op(r, b) is op(fx, b), (op, fx, b)
+                    assert op(b, r) is op(b, fx), (op, b, fx)
+
+    def test_order_against_a_float_is_refused(self):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            for a, b in ((Rat(1), 1.5), (1.5, Rat(3, 2)), (Rat(0), 0.0)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+
+    def test_kernel_kinds_skip_the_abc(self, monkeypatch):
+        x, q, f = sqrt_nonneg(Q(2)) + 1, Rat(3, 4), RatFunc.const(Rat(2))
+        asked = []
+
+        def counted(obj, cls):
+            if cls is Rational:
+                asked.append(type(obj))
+            return isinstance(obj, cls)
+
+        monkeypatch.setattr(nafield, "isinstance", counted, raising=False)
+        assert nafield.as_rat(EPS) is None and nafield.as_rat(x) is None
+        assert q * x == x * q and q + x == x + q and not q == x
+        assert f * x == x * f and f + x == x + f and not f == x
+        assert asked == []
+        assert nafield.as_rat(Fraction(1, 2)) == Rat(1, 2) and asked
+
+    def test_a_late_registration_is_seen(self):
+        # the ABC is asked afresh each time: nothing caches a verdict per
+        # type that a later register would leave stale
+        class Late:
+            numerator, denominator = 3, 4
+
+        assert nafield.as_rat(Late()) is None
+        Rational.register(Late)
+        assert nafield.as_rat(Late()) == Rat(3, 4)
 
 
 class TestLeafInterface:
