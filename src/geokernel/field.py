@@ -301,6 +301,8 @@ class FieldElement:
                 T.append(r_rep)
                 emb = [(e, _rzero(len(T) - 1)) for e in emb]
                 s = (_rzero(len(T) - 1), _rlift(ONE, 0, len(T) - 1))
+            elif _rsign(s, T, len(T)) < 0:  # a node is the nonnegative root
+                s = _rneg(s, len(T))
             emb.append(s)
         return tuple(T), emb, convert
 

@@ -16,10 +16,10 @@ negates the cross product, so the supplement test of `angle_lt_pi`
 decides exactly what `pos_angle` does.
 
 Points over Q(eps), or over one Q(eps)(sqrt r), are decided over
-Z[eps][sqrt R] (`_zpoints`; over ints when no eps occurs), others in the
-tower: coordinates become pairs A + B*sqrt(R) over one scale S = m * (the
-distinct canonical denominators, as integer polynomials) * r_d, with r =
-r_n/r_d and R = r_n*r_d.  This is exact:
+Q[eps][sqrt R] (`_zpoints`; over ints when no eps occurs), others in the
+tower: coordinates become pairs A + B*sqrt(R) of `Poly`s over one scale
+S = P * r_d, P the product of the distinct canonical denominators (their
+lcm over ints), with r = r_n/r_d and R = r_n*r_d.  This is exact:
 - S is positive (so signs and zeros are kept): a canonical denominator's
   lowest coefficient is 1, and r_d's is positive;
 - pair equality is field equality, and signs follow `field`'s rule: R =
@@ -39,7 +39,7 @@ from operator import mul, sub
 
 from . import nafield
 from .field import FieldElement, Q, render_element, sqrt_nonneg
-from .nafield import ONE, ZERO, Rat, RatFunc
+from .nafield import ONE, ZERO, _UNIT, Poly, Rat, RatFunc
 
 # semantics tags; CONSTRUCTIBLE also names its mode
 CONSTRUCTIBLE = "constructible"
@@ -163,64 +163,12 @@ def in_domain(node: str, x: FieldElement) -> bool:
 
 # -- the integer path (see the module doc) -----------------------------------
 
-class _ZPoly:
-    """An integer polynomial in eps (ints, low degree first, no trailing
-    zero), ordered with eps a positive infinitesimal: its sign is that of
-    its lowest nonzero coefficient.  Compares with 0 or another _ZPoly."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: list):
-        while c and not c[-1]:
-            c.pop()
-        self.c = c
-
-    def __add__(a, b):
-        x, y = a.c, b.c
-        if len(x) < len(y):
-            x, y = y, x
-        return _ZPoly([p + q for p, q in zip(x, y)] + x[len(y):])
-
-    def __sub__(a, b):
-        x, y = a.c, b.c
-        return _ZPoly([p - q for p, q in zip(x, y)] + x[len(y):]
-                      + [-q for q in y[len(x):]])
-
-    def __mul__(a, b):
-        x, y = a.c, b.c
-        if len(x) < len(y):
-            x, y = y, x
-        if len(y) < 2:  # zero or a constant
-            return _ZPoly([p * y[0] for p in x] if y else [])
-        out = [0] * (len(x) + len(y) - 1)
-        for i, p in enumerate(x):
-            if p:
-                for j, q in enumerate(y):
-                    out[i + j] += p * q
-        return _ZPoly(out)
-
-    def __bool__(a) -> bool:
-        return bool(a.c)
-
-    def __eq__(a, b) -> bool:
-        return a.c == b.c
-
-    def sign(a) -> int:
-        return next((1 if p > 0 else -1 for p in a.c if p), 0)
-
-    def __gt__(a, b) -> bool:
-        return (a - b if b else a).sign() > 0
-
-    def __lt__(a, b) -> bool:
-        return (a - b if b else a).sign() < 0
-
-
 def _zpoints(*pts, sem=None):
     """(R, points (xA, xB, yA, yB)), or None unless each coordinate is a
     leaf or, over one depth-1 tower, a + b*sqrt(r) with leaves a, b, r, and
     None for an eps if `sem` is NODE0.  With Rat leaves alone, A = a*s*r.d,
     B = b*s and R = r.n*r.d (0 with no tower) are ints, s the lcm of all d;
-    else `_zeps_points`."""
+    else `Poly`s in eps, from `_zeps_points`."""
     for p in pts:
         if type(p.x) is not Rat or type(p.y) is not Rat:
             break
@@ -250,34 +198,19 @@ def _zpoints(*pts, sem=None):
 
 
 def _zeps_points(parts, r):
-    """`_zpoints` over Z[eps]: parts and r are Rat or RatFunc leaves.  A leaf
-    is n/(c*D), n an integer polynomial, c > 0 an int and D the integer
-    form of its canonical denominator (1 if none); S = m*P*r_d with m the
-    lcm of the c's and P the product of the distinct D's.  None once S or a
-    scaled coordinate passes nafield.MAX_DEGREE."""
-    dens, fracs = {}, []  # the distinct D's, keyed by their coefficients
-    for q in parts:
-        rat = type(q) is Rat
-        c, n = (q.d, [q.n]) if rat else (q.num.m, q.num.z)
-        key = None
-        if not rat and len(q.den.z) > 1:
-            m, key = q.den.m, q.den.z
-            dens[key] = _ZPoly(list(key))
-            n = [x * m for x in n]
-        fracs.append((n, c, key))
-    if type(r) is Rat:
-        rn, rd = _ZPoly([r.n]), _ZPoly([r.d])
-    else:  # r = (num/a)/(den/b)
-        a, b = r.num.m, r.den.m
-        rn = _ZPoly([x * b for x in r.num.z])
-        rd = _ZPoly([x * a for x in r.den.z])
-    fb = {k: reduce(mul, [d for j, d in dens.items() if j != k], _ZPoly([1]))
-          for k in (None, *dens)}  # the other D's: a sqrt part's factor
-    fa = {k: f * rd for k, f in fb.items()}  # a rational part's; S/m
-    m = lcm(*(c for _, c, _ in fracs))
-    coords = [_ZPoly([k * (m // c) for k in n]) * (fb if i % 2 else fa)[key]
-              for i, (n, c, key) in enumerate(fracs)]
-    if max(len(x.c) for x in (fa[None], *coords)) - 1 > nafield.MAX_DEGREE:
+    """`_zpoints` over Q[eps]: a leaf q of parts, or r, is its pair of
+    `Poly`s (num, den), a Rat as (q, 1).  S = P*r_den, A = a*S, B = b*P and
+    R = r_num*r_den, with P the product of the distinct dens other than 1;
+    None once S or a scaled coordinate passes nafield.MAX_DEGREE."""
+    leaves = [(Poly.const(q), _UNIT) if type(q) is Rat else (q.num, q.den)
+              for q in parts]
+    rn, rd = (Poly.const(r), _UNIT) if type(r) is Rat else (r.num, r.den)
+    dens = dict.fromkeys(d for _, d in leaves if d != _UNIT)
+    fb = {k: reduce(mul, [d for d in dens if d != k], _UNIT)
+          for k in (_UNIT, *dens)}  # the other dens: a sqrt part's factor
+    fa = {k: f * rd for k, f in fb.items()}  # a rational part's
+    coords = [n * (fb if i % 2 else fa)[d] for i, (n, d) in enumerate(leaves)]
+    if max(x.degree() for x in (fa[_UNIT], *coords)) > nafield.MAX_DEGREE:
         return None
     it = iter(coords)
     return rn * rd, list(zip(it, it, it, it))

@@ -18,13 +18,16 @@ FLINT's `fmpq_poly` keeps it: z/m, with z a tuple of ints (low degree
 first, no trailing zero), m > 0 and gcd(m, *z) = 1.  The form is
 canonical, so `==` and `hash` compare (z, m); `c`, the coefficients as
 `Rat`s, is a view built when read, and a `Poly` prints each coefficient
-x/m from x and m over their gcd, building no `Rat`.  `+ - *` and `scale`
-are int loops with one gcd at the end (a sum's content can share only the
-gcd of the two denominators, Henrici's split again), and no `Rat` is built
-per coefficient.  `poly_gcd` splits off integer contents and runs the
-primitive remainder sequence (TAOCP 4.6.1).  `Poly.divmod` is the one
-division: it pseudo-divides the integer forms, and by Gauss's lemma a
-division by the gcd's primitive part is exact over Z and scales nothing.
+x/m from x and m over their gcd, building no `Rat`.  A `Poly` is true iff
+nonzero, and ordered with eps a positive infinitesimal: `sign()` is that
+of its lowest nonzero int (m > 0), and `<` and `>` take a `Poly` or 0.
+`+ - *` and `scale` are int loops with one gcd at the end (a sum's content
+can share only the gcd of the two denominators, Henrici's split again),
+and no `Rat` is built per coefficient.  `poly_gcd` splits off integer
+contents and runs the primitive remainder sequence (TAOCP 4.6.1).
+`Poly.divmod` is the one division: it pseudo-divides the integer forms,
+and by Gauss's lemma a division by the gcd's primitive part is exact over
+Z and scales nothing.
 
 `RatFunc` elements are quotients p(eps)/q(eps) of polynomials, kept in a
 canonical form: lowest terms, and q's lowest-order nonzero coefficient
@@ -38,7 +41,7 @@ canonical form, building no `RatFunc` (and for an int no `Rat`): equal
 iff den is the unit and num is (n,) over d, or both are zero.  The
 ordering treats ``eps`` as a positive infinitesimal: the sign of an
 element is the sign of the lowest-degree coefficient of its
-eps-expansion, read from an int of p, and the valuation (eps-adic order)
+eps-expansion, p's `sign()`, and the valuation (eps-adic order)
 separates infinitesimal, finite and unbounded elements.
 
 `Rat` and `RatFunc` are the base values of `field`, the leaves of its
@@ -83,8 +86,8 @@ def _power(x, n: int):
     while n:
         if n & 1:
             out = out * x
-        x = x * x
-        n >>= 1
+        if n := n >> 1:  # square only while bits remain
+            x = x * x
     return out
 
 
@@ -340,6 +343,24 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.z
 
+    def __bool__(self) -> bool:
+        return bool(self.z)
+
+    def sign(self) -> int:
+        """The sign with eps a positive infinitesimal: its lowest int's."""
+        for x in self.z:
+            if x:
+                return 1 if x > 0 else -1
+        return 0
+
+    def __lt__(self, other):
+        d = _gap(self, other)
+        return NotImplemented if d is None else d.sign() < 0
+
+    def __gt__(self, other):
+        d = _gap(self, other)
+        return NotImplemented if d is None else d.sign() > 0
+
     def degree(self) -> int:
         return len(self.z) - 1  # -1 for the zero polynomial
 
@@ -461,6 +482,13 @@ def _reduced(z, m: int, g: int) -> Poly:
         z = [x // g for x in z]
         m //= g
     return _poly(tuple(z), m)
+
+
+def _gap(a: Poly, b) -> Poly | None:
+    """a - b for a Poly b, a for the int 0, and None for anything else."""
+    if type(b) is Poly:
+        return _combine(a, b, -1) if b.z else a
+    return a if type(b) is int and not b else None
 
 
 def _combine(a: Poly, b: Poly, sign: int) -> Poly:
@@ -658,12 +686,8 @@ class RatFunc:
         return not self.is_zero()
 
     def sign(self) -> int:
-        # that of num's lowest int coefficient: num's m and den's lowest
-        # coefficient (1 by normalization) are positive
-        for x in self.num.z:
-            if x:
-                return 1 if x > 0 else -1
-        return 0
+        # num's: den's lowest coefficient is 1 by normalization
+        return self.num.sign()
 
     def valuation(self) -> Rat:
         """eps-adic order; raises on zero as Rat does."""

@@ -322,6 +322,17 @@ class TestCli:
             "((1)/(eps), 0) is outside F0, the domain of node 0)",
             "b = (1, 0)"]
 
+    def test_run_binds_a_power_up_to_the_degree_cap(self, tmp_path, capsys):
+        # (1+eps)^150 has eps-degree 150 <= MAX_DEGREE, and no square past
+        # the exponent's last bit is computed on the way
+        script = tmp_path / "power.geo"
+        script.write_text("point a ((1+eps)^150) 0;")
+        assert cli_main(["run", str(script), "--field", "nonarch"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        assert out[0].startswith("a = (1+150*eps+11175*eps^2")
+        assert out[0].endswith("+eps^150, 0)")
+
     @pytest.mark.parametrize("command", ["run", "render"])
     def test_syntax_error_exit_code(self, command, tmp_path, capsys):
         script = tmp_path / "bad.geo"

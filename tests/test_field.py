@@ -54,6 +54,14 @@ class TestConstructible:
         assert compare(sqrt_nonneg(Q(2)) * sqrt_nonneg(Q(3)),
                        sqrt_nonneg(Q(6))) == "equal"
 
+    def test_merged_radical_keeps_its_sign(self):
+        # sqrt(8 - 8/3*sqrt 5) = 2/3*(sqrt 5 - 1)*sqrt 3 > 0: merged into a
+        # tower with sqrt 3, it is the nonnegative root found there
+        r3, r5 = sqrt_nonneg(Q(3)), sqrt_nonneg(Q(5))
+        y = sqrt_nonneg(8 - Q(8, 3) * r5)
+        assert r3 * y == y * r3 == 2 * r5 - 2
+        assert (r3 * (r5 - 1) * y).sign() > 0
+
     def test_inv_positive_guard(self):
         assert inv_positive(Q(4)) == Q(1, 4)
         with pytest.raises(NotPositive):

@@ -276,7 +276,7 @@ class TestGcdBudget:
         # (12 while the base-field divisor 2*qa of t1 and t2 was lifted
         # into the tower and inverted there); its congruent/nonstrict_between
         # postconditions, on points over Q(eps)(sqrt r), decide over
-        # Z[eps][sqrt R] and take none (they took 116 more in the tower)
+        # Q[eps][sqrt R] and take none (they took 116 more in the tower)
         i = gen_instance("LC-nonstrict", 7, NONARCHIMEDEAN)
         line_circle(CircleSpec(i["center"], i["p"], i["q"]), i["a"], i["b"],
                     strict=False, sem=NODE0)
@@ -641,6 +641,27 @@ class TestFastPathOracles:
         assert asked == []
         assert nafield.as_rat(Fraction(1, 2)) == Rat(1, 2) and asked
 
+    @given(p=_polys(6) | _big_polys(4) | _UNITS_AND_GAPS,
+           q=_polys(6) | _UNITS_AND_GAPS)
+    @settings(max_examples=300, deadline=None)
+    def test_poly_order(self, p, q):
+        # eps a positive infinitesimal: the lowest nonzero coefficient's sign
+        low = next((x for x in p.c if x), 0)
+        assert p.sign() == (low > 0) - (low < 0) == RatFunc(p).sign()
+        assert bool(p) is (not p.is_zero())
+        gap = (p - q).sign()
+        assert (p < q) is (q > p) is (gap < 0)
+        assert (p > q) is (q < p) is (gap > 0)
+        assert (p < 0) is (0 > p) is (p.sign() < 0)
+        assert (p > 0) is (0 < p) is (p.sign() > 0)
+
+    def test_poly_orders_against_0_alone(self):
+        for b in (1, -1, True, 0.0, Fraction(0), Rat(0)):
+            with pytest.raises(TypeError):
+                Poly((1,)) < b
+            with pytest.raises(TypeError):
+                b < Poly((1,))
+
     def test_a_late_registration_is_seen(self):
         # the ABC is asked afresh each time: nothing caches a verdict per
         # type that a later register would leave stale
@@ -682,6 +703,39 @@ class TestLeafInterface:
         for a, b in ((value, 0.5), (0.5, value)):
             with pytest.raises(TypeError, match="float"):
                 op(a, b)
+
+
+class TestPower:
+    """`**` squares only while bits of the exponent remain, so a power up
+    to the degree cap is never refused for a square it does not need."""
+
+    @pytest.mark.parametrize("n", [128, 150, 192])
+    def test_degree_up_to_the_cap(self, n):
+        x = (1 + EPS) ** n
+        assert x.num.degree() == n and x.den == Poly((1,))
+
+    def test_past_the_cap_raises(self):
+        with pytest.raises(DegreeTooHigh):
+            (1 + EPS) ** 193
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 128, 150, 192, 193,
+                                   2 ** 40 + 5])
+    def test_product_budget(self, n):
+        # bit_length(n) - 1 squarings and popcount(n) products into the
+        # result, counted on a value that only counts
+        products = []
+
+        class Counted:
+            tower = ()  # a kernel kind: `ONE * x` falls to its __rmul__
+
+            def __mul__(self, other):
+                products.append(other)
+                return self
+
+            __rmul__ = __mul__
+
+        nafield._power(Counted(), n)
+        assert len(products) == max(n.bit_length() - 1, 0) + bin(n).count("1")
 
 
 class TestDegreeCap:

@@ -334,16 +334,17 @@ def _answers(a, b, c, a2, b2, c2) -> list:
 
 
 # one field Q(eps)(sqrt r) per example, so that every example is decided
-# over Z[eps][sqrt R]: radicands of eps-order 0, 1/2 and -1, with r_d = 1,
+# over Q[eps][sqrt R]: radicands of eps-order 0, 1/2 and -1, with r_d = 1,
 # 2, 1 + eps or eps (the last makes the scale's order positive), a rational
-# radicand with r.d = 2, and leaves with a denominator 1 + eps or eps;
+# radicand with r.d = 2, and leaves with a denominator 1 + eps, eps or
+# 1 + eps/3 (a canonical denominator with a coefficient outside Z);
 # scalars a + b*u + c*eps, or 1 + c*eps for an infinitesimal gap when they
 # place a collinear point
 _EPS_UNITS = [sqrt_nonneg(1 + eps()), sqrt_nonneg(eps()),
               sqrt_nonneg(3 * eps()), sqrt_nonneg(2 + eps() * eps()),
               sqrt_nonneg(eps() / 2), sqrt_nonneg(1 / (1 + eps())),
               sqrt_nonneg(1 / eps()), eps() * sqrt_nonneg(Q(1, 2)),
-              Q(1) / (1 + eps()), Q(1) / eps()]
+              Q(1) / (1 + eps()), Q(1) / eps(), Q(1) / (1 + eps() / 3)]
 _EPS_FIELDS = st.sampled_from(_EPS_UNITS).map(lambda u: st.builds(
     lambda a, b, c: Q(a) + Q(b) * u + Q(c) * eps(),
     _RATIONALS, _RATIONALS, _RATIONALS)
@@ -499,7 +500,7 @@ class TestOpBudget:
     ], ids=["apex", "right", "flat"])
     @pytest.mark.parametrize("shift", [Q(0), eps()], ids=["rational", "eps"])
     def test_integer_path_witness_count(self, args, ops, shift, monkeypatch):
-        # decided over Z[eps][sqrt R]; the tower builds only the witness:
+        # decided over Q[eps][sqrt R]; the tower builds only the witness:
         # a - b, c - b, their lengths and v for an apex, the reflection of a
         # for a right angle, and nothing for a flat angle
         args = _moved(args, shift)
