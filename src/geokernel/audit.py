@@ -21,7 +21,8 @@ import zlib
 from typing import Callable, NamedTuple
 
 from .arithmetic import axis, expresses_negative
-from .field import FieldElement, Q, eps, sqrt_nonneg
+from .field import Q, eps, sqrt_nonneg
+from .nafield import Rat
 from .geometry import (
     CONSTRUCTIBLE, NODE0, Point, angle_cong, between, congruent,
     distinct, distinct_witness, midpoint, nonstrict_between, on_ray,
@@ -45,10 +46,10 @@ def _instance_seed(seed: int, label: str, index: int) -> int:
 
 class _Gen:
     """Random exact-rational geometry; in NonArchimedean mode some axiom
-    gaps are eps.  Every number is drawn as a field element."""
+    gaps are eps.  Every number is drawn as a base value, a `Rat`."""
 
     def __init__(self, seed: int, mode: str = CONSTRUCTIBLE):
-        self.rng = random.Random(seed)
+        self.bits = random.Random(seed).getrandbits
         self.seed, self.mode = seed, mode
         self.sem = resolve_mode(mode)  # an unknown mode fails here
         self.degenerate = self.na_inf = self.probe = False
@@ -61,24 +62,35 @@ class _Gen:
         self.gap = (eps() if self.na_inf
                     else TINY if self.degenerate else self.t01())
 
-    def q(self, lo: int = -2 ** 16, hi: int = 2 ** 16) -> FieldElement:
-        return Q(self.rng.randint(lo, hi), self.rng.randint(1, 2 ** 10))
+    def draw(self, lo: int, hi: int) -> int:
+        """`random.Random.randint(lo, hi)` on the same stream, without its
+        two wrapper frames: with n values in the range, getrandbits of n's
+        bit length until the result is below n."""
+        n = hi - lo + 1
+        k = n.bit_length()
+        r = self.bits(k)
+        while r >= n:
+            r = self.bits(k)
+        return lo + r
 
-    def qnz(self) -> FieldElement:
+    def q(self, lo: int = -2 ** 16, hi: int = 2 ** 16) -> Rat:
+        return Q(self.draw(lo, hi), self.draw(1, 2 ** 10))
+
+    def qnz(self) -> Rat:
         while True:
             v = self.q()
             if not v.is_zero():
                 return v
 
-    def qpos(self) -> FieldElement:
+    def qpos(self) -> Rat:
         v = self.qnz()
         return v if v.sign() > 0 else -v
 
-    def t01(self, degenerate: bool = False) -> FieldElement:
+    def t01(self, degenerate: bool = False) -> Rat:
         """Interior parameter in (0,1); optionally pinned next to 0 or 1."""
         if degenerate:
-            return TINY if self.rng.randrange(2) else 1 - TINY
-        return Q(self.rng.randint(1, 2 ** 10 - 1), 2 ** 10)
+            return TINY if self.draw(0, 1) else 1 - TINY
+        return Q(self.draw(1, 2 ** 10 - 1), 2 ** 10)
 
     def point(self) -> Point:
         return Point(self.q(), self.q())
@@ -118,22 +130,22 @@ class _Gen:
         a = Point(b.x + u[0], b.y + u[1])
         return a, b, self.along(b, rot90(u), self.qnz())
 
-    def unit_dir(self) -> tuple[FieldElement, FieldElement]:
+    def unit_dir(self) -> tuple[Rat, Rat]:
         """Exact rational unit vector from a Pythagorean parameterization."""
-        m = self.rng.randint(2, 40)
-        n = self.rng.randint(1, m - 1)
+        m = self.draw(2, 40)
+        n = self.draw(1, m - 1)
         h = m * m + n * n
         c, s = Q(m * m - n * n, h), Q(2 * m * n, h)
-        if self.rng.randrange(2):
+        if self.draw(0, 1):
             c = -c
-        if self.rng.randrange(2):
+        if self.draw(0, 1):
             s = -s
         return c, s
 
     def isometry(self):
         """Exact rigid motion (rotation + optional flip + translation)."""
         c, s = self.unit_dir()
-        flip = self.rng.randrange(2)
+        flip = self.draw(0, 1)
         tx, ty = self.q(), self.q()
 
         def phi(p: Point) -> Point:

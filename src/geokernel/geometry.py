@@ -15,19 +15,26 @@ angle positivity is the cross-product criterion, witnessed by an apex
 negates the cross product, so the supplement test of `angle_lt_pi`
 decides exactly what `pos_angle` does.
 
-Points over Q(eps), or over one Q(eps)(sqrt r), are decided over
-Q[eps][sqrt R] (`_zpoints`; over ints when no eps occurs), others in the
-tower: coordinates become pairs A + B*sqrt(R) of `Poly`s over one scale
-S = P * r_d, P the product of the distinct canonical denominators (their
-lcm over ints), with r = r_n/r_d and R = r_n*r_d.  This is exact:
-- S is positive (so signs and zeros are kept): a canonical denominator's
-  lowest coefficient is 1, and r_d's is positive;
-- pair equality is field equality, and signs follow `field`'s rule: R =
-  r*r_d^2 is no square, as a tower node is made only for a non-square.
-On these pairs P(|d|^2) is d != 0 at every node but NODE0, and at NODE0 too
-when no eps occurs (a nonzero element of Q(sqrt r) has valuation 0).  A
-predicate that reads P hands its semantics to `_zpoints`, which turns points
-with an eps at NODE0 away to the tower, where `positive` reads P.
+Each point keeps its exact integer form, built on first use (`_zform`):
+(R, ((xA, xB, yA, yB), S)) with x = (xA + xB*sqrt(R))/S, y likewise and
+S > 0 the point's own scale.  A point over Q has R = 0 and S = lcm(x_d,
+y_d).  A point over one Q(sqrt r), r = r_n/r_d, has R = r_n*r_d, so that
+sqrt(r) = sqrt(R)/r_d, and S the lcm of the denominators of its a's and
+of its b*r_d's (A = a*S, B = b*S/r_d).  Points whose forms share R (or
+have R = 0) are decided in homogeneous coordinates (`_zpoints`), with no
+common scale per call: p - q is taken as cp*Sq - cq*Sp, a positive
+multiple of the difference, so signs, zeros and the equal-cosine test
+read it unchanged; `congruent` scales each squared length by the other's
+squared scale, and `on_ray` reads T(e, a, x), e = 2a - b, from its gaps
+b - a and x - a, with no reflection formed.  This is exact: R is no
+square, as a tower node is made only for a non-square, so pairs A +
+B*sqrt(R) compare and take signs as in `field`.  Points over Q(eps), or
+over one Q(eps)(sqrt r), have no integer form and are scaled per call
+(`_zeps_points`) to Q[eps][sqrt R]; others go to the tower.  On these
+pairs P(|d|^2) is d != 0 at every node but NODE0, and at NODE0 too when
+no eps occurs (a nonzero element of Q(sqrt r) has valuation 0).  A
+predicate that reads P hands its semantics to `_zpoints`, which turns
+points with an eps at NODE0 away to the tower, where `positive` reads P.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import lcm
-from operator import mul, sub
+from operator import mul
 
 from . import nafield
 from .field import FieldElement, Q, render_element, sqrt_nonneg
@@ -86,17 +93,37 @@ def _lift(v):
     return v if isinstance(v, (FieldElement, Rat, RatFunc)) else Q(v)
 
 
-@dataclass(frozen=True, eq=False)
 class Point:
-    x: FieldElement
-    y: FieldElement
+    """A point of F^2: coordinates `x`, `y` that are leaves or
+    `FieldElement`s.  Immutable, so its integer form (`_zform`) is built
+    once and kept; unhashable, as its coordinates may be."""
+
+    __slots__ = ("x", "y", "_zf")
+    x: Rat | RatFunc | FieldElement
+    y: Rat | RatFunc | FieldElement
+
+    def __init__(self, x, y):
+        _SET_X(self, x)
+        _SET_Y(self, y)
+        _SET_ZF(self, None)  # not built yet
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Point is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Point is immutable: cannot delete {name!r}")
 
     def __eq__(self, other):
         return (isinstance(other, Point)
                 and self.x == other.x and self.y == other.y)
 
+    __hash__ = None
+
     def __repr__(self):
         return f"({render_element(self.x)}, {render_element(self.y)})"
+
+
+_SET_X, _SET_Y, _SET_ZF = (Point.__dict__[k].__set__ for k in Point.__slots__)
 
 
 def pt(x, y) -> Point:
@@ -163,19 +190,70 @@ def in_domain(node: str, x: FieldElement) -> bool:
 
 # -- the integer path (see the module doc) -----------------------------------
 
+def _zform(p: Point):
+    """p's integer form (R, ((xA, xB, yA, yB), S)), see the module doc,
+    kept on p; () unless each coordinate is a Rat or a + b*sqrt(r) over one
+    depth-1 tower with Rats a, b, r, and the two coordinates' R agree."""
+    x, y = p.x, p.y
+    if type(x) is Rat is type(y):
+        s = lcm(x.d, y.d)
+        f = 0, ((x.n * (s // x.d), 0, y.n * (s // y.d), 0), s)
+    else:
+        f = _zform_tower(x, y)
+    _SET_ZF(p, f)
+    return f
+
+
+def _zform_tower(x, y):
+    """`_zform` of a point with a coordinate that is not a Rat."""
+    R, parts = 0, []  # (leaf, k): a leaf with the factor k of its d
+    for c in (x, y):
+        if type(c) is Rat:
+            parts += (c, 1), (ZERO, 1)
+            continue
+        if type(c) is not FieldElement or len(c.tower) != 1:
+            return ()
+        (a, b), r = c.rep, c.tower[0]
+        if type(a) is not Rat or type(b) is not Rat or type(r) is not Rat:
+            return ()
+        if R and R != r.n * r.d:
+            return ()
+        R = r.n * r.d
+        parts += (a, 1), (b, r.d)  # b*sqrt(r) = (b/r_d)*sqrt(R)
+    S = lcm(*[q.d * k for q, k in parts])
+    return R, (tuple(q.n * (S // (q.d * k)) for q, k in parts), S)
+
+
 def _zpoints(*pts, sem=None):
-    """(R, points (xA, xB, yA, yB)), or None unless each coordinate is a
-    leaf or, over one depth-1 tower, a + b*sqrt(r) with leaves a, b, r, and
-    None for an eps if `sem` is NODE0.  With Rat leaves alone, A = a*s*r.d,
-    B = b*s and R = r.n*r.d (0 with no tower) are ints, s the lcm of all d;
-    else `Poly`s in eps, from `_zeps_points`."""
+    """(R, [(coords, S), ...]): the points in homogeneous coordinates over
+    Z[sqrt R], read from their kept forms, or None if two of them lie over
+    two radicands; what `_zeps_points` gives if a point has no form."""
+    R, out = 0, []
     for p in pts:
-        if type(p.x) is not Rat or type(p.y) is not Rat:
-            break
-    else:  # Rat leaves alone: R = 0, every B = 0, and one lcm
-        s = lcm(*[p.x.d for p in pts], *[p.y.d for p in pts])
-        return 0, [(p.x.n * (s // p.x.d), 0, p.y.n * (s // p.y.d), 0)
-                   for p in pts]
+        f = p._zf
+        if f is None:
+            f = _zform(p)
+        if not f:
+            return _zeps_points(pts, sem)
+        r, q = f
+        if r and r != R:
+            if R:  # two radicands: two towers
+                return None
+            R = r
+        out.append(q)
+    return R, out
+
+
+def _zeps_points(pts, sem):
+    """`_zpoints` over Q[eps][sqrt R], scaled per call; None if `sem` is
+    NODE0 or the coordinates do not lie over one depth-1 tower.  A leaf q
+    of the coordinates, or the radicand r, is its pair of `Poly`s (num,
+    den), a Rat as (q, 1).  A = a*S and B = b*P with S = P*r_den and P the
+    product of the distinct dens other than 1, so every point's scale is
+    the same and is given as 1; R = r_num*r_den.  None once S or a scaled
+    coordinate passes nafield.MAX_DEGREE."""
+    if sem == NODE0:
+        return None
     tower, parts = (), []  # each coordinate's rational part, then sqrt part
     for p in pts:
         for c in (p.x, p.y):
@@ -185,23 +263,7 @@ def _zpoints(*pts, sem=None):
                     return None
                 tower = t
             parts += c.rep if t else (c, ZERO)
-    dens = [q.d for q in parts if type(q) is Rat]
     r = tower[0] if tower else ONE
-    if len(dens) < len(parts) or type(r) is not Rat:
-        return None if sem == NODE0 else _zeps_points(parts, r)
-    s = lcm(*dens)
-    S, R = s * r.d, r.n * r.d if tower else 0
-    it = iter(parts)
-    return R, [(xa.n * (S // xa.d), xb.n * (s // xb.d),
-                ya.n * (S // ya.d), yb.n * (s // yb.d))
-               for xa, xb, ya, yb in zip(it, it, it, it)]
-
-
-def _zeps_points(parts, r):
-    """`_zpoints` over Q[eps]: a leaf q of parts, or r, is its pair of
-    `Poly`s (num, den), a Rat as (q, 1).  S = P*r_den, A = a*S, B = b*P and
-    R = r_num*r_den, with P the product of the distinct dens other than 1;
-    None once S or a scaled coordinate passes nafield.MAX_DEGREE."""
     leaves = [(Poly.const(q), _UNIT) if type(q) is Rat else (q.num, q.den)
               for q in parts]
     rn, rd = (Poly.const(r), _UNIT) if type(r) is Rat else (r.num, r.den)
@@ -213,7 +275,7 @@ def _zeps_points(parts, r):
     if max(x.degree() for x in (fa[_UNIT], *coords)) > nafield.MAX_DEGREE:
         return None
     it = iter(coords)
-    return rn * rd, list(zip(it, it, it, it))
+    return rn * rd, [(c, 1) for c in zip(it, it, it, it)]
 
 
 def _zpos_angle(ba, bc, R) -> bool:
@@ -222,7 +284,19 @@ def _zpos_angle(ba, bc, R) -> bool:
 
 
 def _zsub(p, q):
-    return tuple(map(sub, p, q))
+    """A positive multiple of p - q: cp*Sq - cq*Sp, or cp - cq when the
+    scales are equal (over the scale `_zscale(p, q)`)."""
+    (u, s), (v, t) = p, q
+    if s == t:
+        return u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3]
+    return (u[0] * t - v[0] * s, u[1] * t - v[1] * s,
+            u[2] * t - v[2] * s, u[3] * t - v[3] * s)
+
+
+def _zscale(p, q):
+    """The scale of `_zsub(p, q)`: p - q = _zsub(p, q)/_zscale(p, q)."""
+    s, t = p[1], q[1]
+    return s if s == t else s * t
 
 
 def _zdot(u, v, R):
@@ -246,10 +320,10 @@ def _zsign(a, b, R) -> int:  # the sign of a + b*sqrt(R), as field._rsign
     return sa if a * a > b * b * R else sb
 
 
-def _znonstrict(u, v, w, R) -> bool:
-    if u == v or v == w:
+def _znonstrict(d1, d2, R) -> bool:
+    """T(u, v, w) from its gaps d1 = v - u and d2 = w - v."""
+    if not any(d1) or not any(d2):  # u = v or v = w
         return True
-    d1, d2 = _zsub(v, u), _zsub(w, v)
     return not any(_zcross(d1, d2, R)) and _zsign(*_zdot(d1, d2, R), R) > 0
 
 
@@ -282,7 +356,7 @@ def nonstrict_between(u: Point, v: Point, w: Point) -> bool:
     """T(u,v,w) = not(u != v and not B and v != w); a classical relation."""
     if (z := _zpoints(u, v, w)) is not None:
         R, (u, v, w) = z
-        return _znonstrict(u, v, w, R)
+        return _znonstrict(_zsub(v, u), _zsub(w, v), R)
     if u == v or v == w:
         return True
     d1, d2 = vsub(v, u), vsub(w, v)
@@ -295,14 +369,19 @@ def congruent(a: Point, b: Point, c: Point, d: Point) -> bool:
     if (z := _zpoints(a, b, c, d)) is not None:
         R, (a, b, c, d) = z
         ab, cd = _zsub(a, b), _zsub(c, d)
-        return _zdot(ab, ab, R) == _zdot(cd, cd, R)
+        p, q = _zdot(ab, ab, R), _zdot(cd, cd, R)
+        s, t = _zscale(a, b), _zscale(c, d)
+        if s != t:  # |ab|^2 * s_cd^2 = |cd|^2 * s_ab^2
+            s, t = s * s, t * t
+            p, q = (p[0] * t, p[1] * t), (q[0] * s, q[1] * s)
+        return p == q
     return sqdist(a, b) == sqdist(c, d)
 
 
 def distinct(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> bool:
     if (z := _zpoints(a, b, sem=sem)) is not None:
         _, (a, b) = z
-        return a != b
+        return any(_zsub(a, b))
     return positive(sqdist(a, b), sem)
 
 
@@ -310,7 +389,7 @@ def on_ray(a: Point, b: Point, x: Point) -> bool:
     """x lies on Ray(a,b): T(e,a,x) where e reflects b in a."""
     if (z := _zpoints(a, b, x)) is not None:
         R, (a, b, x) = z
-        return _znonstrict(_zsub(a, _zsub(b, a)), a, x, R)
+        return _znonstrict(_zsub(b, a), _zsub(x, a), R)  # a - e = b - a
     e = reflect_in_point(b, a)
     return nonstrict_between(e, a, x)
 
@@ -319,7 +398,8 @@ def right_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
     if (z := _zpoints(a, b, c, sem=sem)) is not None:
         R, (a, b, c) = z
         ba, bc = _zsub(a, b), _zsub(c, b)
-        return any(ba) and any(bc) and a != c and not any(_zdot(ba, bc, R))
+        return (any(ba) and any(bc) and any(_zsub(a, c))
+                and not any(_zdot(ba, bc, R)))
     ba = vsub(a, b)
     if not positive(dot(ba, ba), sem):  # distinct(a, b)
         return False

@@ -4,12 +4,13 @@ reports are deterministic."""
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
 from geokernel.audit import (
-    AXIOMS, AXIOM_IDS, THEOREM_NAMES, audit_run, check_axiom, check_theorem,
-    gen_instance, gen_theorem_instance, report_to_json,
+    AXIOMS, AXIOM_IDS, THEOREM_NAMES, _Gen, audit_run, check_axiom,
+    check_theorem, gen_instance, gen_theorem_instance, report_to_json,
 )
 from geokernel import constructions
 from geokernel.constructions import CircleSpec, circle_circle, line_circle
@@ -106,6 +107,25 @@ def _rendered(v) -> str:
     if isinstance(v, (FieldElement, Rat, RatFunc)):
         return render_element(v)
     return repr(v)  # seed, label, expect_refusal
+
+
+class TestDraws:
+    def test_draw_is_randint_on_every_range(self):
+        # the ranges _Gen draws from, with 1..m-1 for every m in 2..40, and
+        # 0..1 as randrange(2) too: each draw must equal the standard
+        # library's on the same stream, or every generated value after it
+        # changes
+        ranges = [(-2 ** 16, 2 ** 16), (1, 2 ** 10), (1, 2 ** 10 - 1),
+                  (2, 40), (0, 1)] + [(1, m - 1) for m in range(2, 41)]
+        for seed in range(1000):
+            g, rng = _Gen(seed), random.Random(seed)
+            for lo, hi in ranges:
+                assert g.draw(lo, hi) == rng.randint(lo, hi)
+            m = rng.randint(2, 40)
+            assert g.draw(2, 40) == m
+            assert g.draw(1, m - 1) == rng.randint(1, m - 1)
+            assert g.draw(0, 1) == rng.randrange(2)
+            assert g.bits(32) == rng.getrandbits(32)  # still in step
 
 
 class TestChecks:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geokernel.audit import audit_run
 from geokernel.constructions import (
     ConstructionError, crossbar_point, euclid5, inner_pasch, outer_pasch,
 )
@@ -140,6 +141,48 @@ class TestDispatch:
         assert predicate_eval("AngleLtPi", [b, a, d]).holds
         assert predicate_eval(
             "AngleCong", [b, a, d, b, a, d]).holds
+
+
+class TestPoint:
+    def test_coordinates_cannot_be_set_or_deleted(self):
+        p = pt(1, 2)
+        for name in ("x", "y", "_zf"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, Q(3))
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert p == pt(1, 2)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(pt(1, 2))
+
+    def test_eq_is_a_patchable_class_attribute(self, monkeypatch):
+        # perfbench's tracer wraps Point.__eq__ on the class
+        assert "__eq__" in vars(Point)
+        seen = []
+        eq = Point.__eq__
+
+        def counted(self, other):
+            seen.append(other)
+            return eq(self, other)
+
+        monkeypatch.setattr(Point, "__eq__", counted)
+        assert pt(1, 2) == pt(1, 2) and seen
+
+    def test_each_form_is_built_once(self, monkeypatch):
+        # the points stay referenced, so no two of them share an id
+        built = []
+        zform = geometry._zform
+
+        def counted(p):
+            built.append(p)
+            return zform(p)
+
+        monkeypatch.setattr(geometry, "_zform", counted)
+        audit_run("constructible", 8, 42)
+        ids = [id(p) for p in built]
+        assert ids and len(ids) == len(set(ids))
 
 
 class TestNodeSemantics:
@@ -353,6 +396,30 @@ _EPS_FIELDS = st.sampled_from(_EPS_UNITS).map(lambda u: st.builds(
 
 _SQRT2, _SQRT3 = sqrt_nonneg(Q(2)), sqrt_nonneg(Q(3))
 
+# groups of radicands that share R = r_n*r_d, so that their points are
+# decided together on their integer forms: 2 and 1/2 (R = 2); 6, 3/2 and
+# 2/3 (R = 6); with 0 in each, so that points of depth 0 and 1 meet in one
+# call; each coordinate has its own radicand and denominators
+_SAME_R = [[Q(0)], [Q(0), _SQRT2, sqrt_nonneg(Q(1, 2))],
+           [Q(0), sqrt_nonneg(Q(6)), sqrt_nonneg(Q(3, 2)),
+            sqrt_nonneg(Q(2, 3))]]
+_SAME_R_FIELDS = st.sampled_from(_SAME_R).map(
+    lambda units: _scalars(st.sampled_from(units)))
+
+
+def _with_and_without_integer_path(pts) -> tuple[list, list]:
+    """Every answer, and the angle witness's kind, decided with the integer
+    path and again with it switched off (on the tower)."""
+    def answers():
+        return _answers(*pts) + [
+            getattr(angle_witness(*pts[:3], sem), "kind", None)
+            for sem in SEMANTICS]
+
+    decided = answers()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_zpoints", lambda *points, sem=None: None)
+        return decided, answers()
+
 
 class TestIntegerPath:
     @given(angles=_angle_pairs())
@@ -371,17 +438,41 @@ class TestIntegerPath:
         # angle witness's kind too
         pts = angles[0] + angles[1]
         assert geometry._zpoints(*pts) is not None
+        decided, on_tower = _with_and_without_integer_path(pts)
+        assert decided == on_tower
 
-        def answers():
-            return _answers(*pts) + [
-                getattr(angle_witness(*pts[:3], sem), "kind", None)
-                for sem in SEMANTICS]
+    @given(angles=_angle_pairs(_SAME_R_FIELDS))
+    @settings(max_examples=100, deadline=None)
+    def test_homogeneous_forms_give_every_answer(self, angles):
+        # each point is decided on its own form (R, (coords, S)), which
+        # stands for x = (xA + xB*sqrt(R))/S and y = (yA + yB*sqrt(R))/S
+        pts = angles[0] + angles[1]
+        assert geometry._zpoints(*pts) is not None
+        for p in pts:
+            R, ((xa, xb, ya, yb), s) = p._zf
+            root = sqrt_nonneg(Q(R)) if R else Q(0)
+            assert s > 0
+            assert p.x * s == xa + xb * root and p.y * s == ya + yb * root
+        decided, on_tower = _with_and_without_integer_path(pts)
+        assert decided == on_tower
 
-        decided = answers()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geometry, "_zpoints",
-                          lambda *points, sem=None: None)
-            assert answers() == decided
+    @pytest.mark.parametrize("a, b, c, d, holds", [
+        # the same ints (3, 4) over the scales 1 and 2: lengths 5 and 5/2
+        (pt(0, 0), pt(3, 4), pt(0, 0), pt(Q(3, 2), 2), False),
+        # length 5/2 over the scales 2 and 3*6
+        (pt(0, 0), pt(Q(3, 2), 2), pt(Q(1, 3), 0), pt(Q(11, 6), 2), True),
+        # length^2 25/2 at depth 1 (sqrt(1/2) is sqrt(2)/2) and at depth 0
+        (pt(0, 0), Point(3 * sqrt_nonneg(Q(1, 2)), 4 * sqrt_nonneg(Q(1, 2))),
+         pt(Q(1, 3), Q(1, 3)), pt(Q(17, 6), Q(17, 6)), True),
+        (pt(0, 0), Point(3 * _SQRT2, 4 * _SQRT2), pt(Q(1, 7), 0),
+         Point(Q(1, 7) + 5 * sqrt_nonneg(Q(1, 2)), Q(0)), False),
+    ], ids=["same-ints", "scales-2-18", "depth-1-and-0", "depth-1-unequal"])
+    def test_congruent_reads_each_scale(self, a, b, c, d, holds):
+        # segments whose integer differences need the scales to compare
+        assert geometry._zpoints(a, b, c, d) is not None
+        assert (sqdist(a, b) == sqdist(c, d)) is holds
+        assert congruent(a, b, c, d) is holds
+        assert congruent(c, d, a, b) is holds
 
     def test_declines_past_max_degree(self, monkeypatch):
         # coordinates of eps-degree 3 pass a MAX_DEGREE of 2: the integer
