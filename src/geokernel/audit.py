@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .arithmetic import axis, expresses_negative
 from .field import Q, eps, sqrt_nonneg
-from .nafield import Rat
+from .nafield import ONE, Rat, _ratio
 from .geometry import (
     CONSTRUCTIBLE, NODE0, Point, angle_cong, between, congruent,
     distinct, distinct_witness, midpoint, nonstrict_between, on_ray,
@@ -42,6 +42,42 @@ def _instance_seed(seed: int, label: str, index: int) -> int:
     # counter-based: reproducible independently of execution order,
     # and independent of interpreter hash randomization
     return zlib.crc32(f"{seed}:{label}:{index}".encode())
+
+
+def _lin(x, *uv):
+    """x + u1*v1 + u2*v2 + ... for uv = (u1, v1, u2, v2, ...), where a u
+    may be a pair (p, q) that stands for p - q.  Over Q that is one int
+    numerator over one int denominator, reduced once (`_ratio`); an eps or
+    a tower element among the operands takes field arithmetic instead."""
+    if type(x) is Rat:
+        n, den = x.n, x.d
+        for i in range(0, len(uv), 2):
+            u, v = uv[i], uv[i + 1]
+            if type(u) is tuple:
+                p, q = u
+                if type(p) is not Rat or type(q) is not Rat:
+                    break
+                if p.d == q.d:
+                    un, ud = p.n - q.n, p.d
+                else:
+                    un, ud = p.n * q.d - q.n * p.d, p.d * q.d
+            elif type(u) is Rat:
+                un, ud = u.n, u.d
+            else:
+                break
+            if type(v) is not Rat:
+                break
+            un, ud = un * v.n, ud * v.d
+            if ud == den:
+                n += un
+            else:
+                n, den = n * ud + un * den, den * ud
+        else:
+            return _ratio(n, den)
+    for i in range(0, len(uv), 2):
+        u = uv[i]
+        x = x + (u[0] - u[1] if type(u) is tuple else u) * uv[i + 1]
+    return x
 
 
 class _Gen:
@@ -74,7 +110,7 @@ class _Gen:
         return lo + r
 
     def q(self, lo: int = -2 ** 16, hi: int = 2 ** 16) -> Rat:
-        return Q(self.draw(lo, hi), self.draw(1, 2 ** 10))
+        return _ratio(self.draw(lo, hi), self.draw(1, 2 ** 10))
 
     def qnz(self) -> Rat:
         while True:
@@ -101,22 +137,23 @@ class _Gen:
 
     def along(self, a: Point, d, t) -> Point:
         """The point a + t·d."""
-        return Point(a.x + d[0] * t, a.y + d[1] * t)
+        return Point(_lin(a.x, d[0], t), _lin(a.y, d[1], t))
 
     def away(self, a: Point) -> Point:
         """A point distinct from a."""
         dx, dy = self.direction()
-        return Point(a.x + dx, a.y + dy)
+        return Point(_lin(a.x, dx, ONE), _lin(a.y, dy, ONE))
 
     def combine(self, a: Point, b: Point, t) -> Point:
-        return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+        """The point a + t·(b - a)."""
+        return Point(_lin(a.x, (b.x, a.x), t), _lin(a.y, (b.y, a.y), t))
 
     def off_line_point(self, a: Point, b: Point) -> Point:
-        """A point exactly off line ab, built from a nonzero height."""
+        """A point exactly off line ab, built from a nonzero height: a +
+        s·(b - a) + h·n, with n the quarter turn of b - a."""
         s, h = self.q(-8, 8), self.qnz()
-        d = vsub(b, a)
-        n = rot90(d)
-        return Point(a.x + d[0] * s + n[0] * h, a.y + d[1] * s + n[1] * h)
+        return Point(_lin(a.x, (b.x, a.x), s, (a.y, b.y), h),
+                     _lin(a.y, (b.y, a.y), s, (b.x, a.x), h))
 
     def triangle(self) -> tuple[Point, Point, Point]:
         a = self.point()
@@ -148,11 +185,9 @@ class _Gen:
         flip = self.draw(0, 1)
         tx, ty = self.q(), self.q()
 
-        def phi(p: Point) -> Point:
-            x, y = p.x, p.y
-            if flip:
-                y = -y
-            return Point(c * x - s * y + tx, s * x + c * y + ty)
+        def phi(p: Point) -> Point:  # (c·x - s·y' + tx, s·x + c·y' + ty)
+            sy, cy = (s, -c) if flip else (-s, c)  # y' = -y under a flip
+            return Point(_lin(tx, c, p.x, sy, p.y), _lin(ty, s, p.x, cy, p.y))
 
         return phi
 

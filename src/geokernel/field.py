@@ -24,6 +24,14 @@ A base value q never enters a tower as a lifted rep (q, 0, ...): against
 a tower element x, x*q and x/q scale x's leaves and x + q, x - q and q - x
 shift only its constant leaf.  Only q/x brings q into x's tower.
 
+A depth-1 element whose radicand r = r_n/r_d and leaves are `Rat`s is
+kept as ints (A, B, D) for (A + B*sqrt(r))/D, gcd(A, B, D) = 1, D > 0
+(a `Poly`'s z/m one level up), and its `rep` is a view built on first
+read.  Against an int, a `Rat` or an element over the same tower, `+ - *
+/` are int formulas reduced once by one gcd; `sign` compares A^2*r_d
+with B^2*r_n.  Other elements keep only the rep; `int_form` is the one
+reader of the form outside this module.
+
 Every operation is exact.  Comparison is decided recursively: the sign of
 a + b*sqrt(r) follows from the signs of a and b and a comparison of a^2
 with b^2*r.  A new sqrt node is created only after the radicand is checked
@@ -31,7 +39,9 @@ positive and not already a square in the tower (attempted by solving
 c^2 = r recursively), so zero-testing is structural, and the norm
 a^2 - b^2*r of a + b*sqrt(r) is nonzero unless a and b both are.
 
-The eps-adic valuation recurses the same way.  v(b*sqrt(r)) is
+The eps-adic valuation is 0 at once when no leaf and no radicand is a
+`RatFunc`: a nonzero element over Q has valuation 0.  Otherwise it
+recurses the same way.  v(b*sqrt(r)) is
 v(b) + v(r)/2; if v(a) and v(b*sqrt(r)) differ, the smaller wins; if they
 are equal and a, b have one sign, it is v(a); otherwise the leading terms
 cancel, and since the conjugate a - b*sqrt(r) has no cancellation,
@@ -40,9 +50,10 @@ v(a + b*sqrt(r)) = v(a^2 - b^2*r) - v(a).
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from operator import add, ge, gt, le, lt, mul, sub, truediv
 
-from .nafield import (EPS, ONE, ZERO, FieldError, Rat, RatFunc, _power,
+from .nafield import (EPS, ONE, ZERO, FieldError, Rat, RatFunc, _new, _power,
                       _ratio, as_rat, refuse_float)
 
 # Most sqrt nodes a tower may hold.  A sign or a root search costs about
@@ -248,6 +259,65 @@ def _base(x):
     return x if type(x) is RatFunc else as_rat(x)
 
 
+# -- depth 1 over Q: (A + B*sqrt(r))/D in ints (see the module doc) -----------
+
+def _abd_of(tower, rep):
+    """The form (A, B, D) of rep over a depth-1 tower whose radicand and
+    leaves are Rats; None for any other element."""
+    if len(tower) != 1:
+        return None
+    (a, b), r = rep, tower[0]
+    if not type(a) is type(b) is type(r) is Rat:
+        return None
+    D = lcm(a.d, b.d)  # lowest terms already, as a Poly's z/m
+    return a.n * (D // a.d), b.n * (D // b.d), D
+
+
+def _abd_value(tower, A, B, D):
+    """(A + B*sqrt(r))/D over tower (r,), in lowest terms with D > 0: the
+    Rat A/D when B is 0."""
+    if not B:
+        return _ratio(A, D)
+    if D < 0:
+        A, B, D = -A, -B, -D
+    g = gcd(A, B, D)
+    if g != 1:
+        A, B, D = A // g, B // g, D // g
+    x = _new(FieldElement)
+    x.tower, x._rep, x._abd = tower, None, (A, B, D)
+    return x
+
+
+def _abd_op(x, other, op):
+    """x op other for x kept as (A, B, D), by int formulas and one gcd; None
+    unless other is an int, a Rat or an element kept over x's tower."""
+    (A, B, D), tower = x._abd, x.tower
+    kind = type(other)
+    if kind is Rat or kind is int:  # q = n/d scales or shifts x
+        n, d = (other.n, other.d) if kind is Rat else (other, 1)
+        if op is add or op is sub:
+            return _abd_value(tower, A * d + (n if op is add else -n) * D,
+                              B * d, D * d)
+        if op is mul:
+            return _abd_value(tower, A * n, B * n, D * d)
+        if not n:
+            raise ZeroDivisionError("field division by zero")
+        return _abd_value(tower, A * d, B * d, D * n)
+    if kind is not FieldElement or other._abd is None or other.tower != tower:
+        return None
+    (a, b, d), r = other._abd, tower[0]
+    if op is add or op is sub:
+        if op is sub:
+            a, b = -a, -b
+        return _abd_value(tower, A * d + a * D, B * d + b * D, D * d)
+    if op is truediv:  # x*(a - b*sqrt(r))*d*r_d/(a^2*r_d - b^2*r_n)
+        a, b, d = a * d * r.d, -b * d * r.d, D * (a * a * r.d - b * b * r.n)
+        D = 1
+    # (A + B*s)(a + b*s) = A*a + B*b*r + (A*b + B*a)*s, times r_d
+    return _abd_value(tower, A * a * r.d + B * b * r.n,
+                      (A * b + B * a) * r.d, D * d * r.d)
+
+
 # ---------------------------------------------------------------------------
 # FieldElement
 
@@ -256,11 +326,22 @@ class FieldElement:
     """Immutable exact element of a quadratic-extension tower of depth >= 1,
     normalized (see the module doc)."""
 
-    __slots__ = ("tower", "rep")
+    __slots__ = ("tower", "_rep", "_abd")
 
     def __init__(self, tower, rep):
         self.tower = tower  # radicand reps, tower[i] of depth i
-        self.rep = rep
+        self._rep = rep
+        self._abd = _abd_of(tower, rep)
+
+    @property
+    def rep(self):
+        """The nested-pair rep; of an element kept as (A, B, D), a view of
+        two Rats built on first read."""
+        rep = self._rep
+        if rep is None:
+            A, B, D = self._abd
+            rep = self._rep = (_ratio(A, D), _ratio(B, D))
+        return rep
 
     @property
     def depth(self) -> int:
@@ -319,6 +400,10 @@ class FieldElement:
     # -- arithmetic ----------------------------------------------------------
 
     def _binop(self, other, op):
+        if self._abd is not None:
+            out = _abd_op(self, other, op)
+            if out is not None:
+                return out
         if type(other) is FieldElement:
             # a tower element is never zero, so a quotient needs no check
             T, xa, xb = FieldElement._align(self, other)
@@ -361,6 +446,9 @@ class FieldElement:
         return lifted._binop(self, truediv)
 
     def __neg__(self):
+        if self._abd is not None:
+            A, B, D = self._abd
+            return _abd_value(self.tower, -A, -B, D)
         return FieldElement(self.tower, _rneg(self.rep, self.depth))
 
     __pow__ = _power
@@ -368,10 +456,17 @@ class FieldElement:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return _ris_zero(self.rep, self.depth)
+        return self._abd is None and _ris_zero(self.rep, self.depth)
 
     def sign(self) -> int:
-        return _rsign(self.rep, self.tower, self.depth)
+        if self._abd is None:
+            return _rsign(self.rep, self.tower, self.depth)
+        (A, B, _), r = self._abd, self.tower[0]
+        sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+        if sa == sb or not sa:  # B is never 0
+            return sb
+        # A and B*sqrt(r) pull in opposite directions: A^2*r_d vs B^2*r_n
+        return sa if A * A * r.d > B * B * r.n else sb
 
     def __eq__(self, other):
         if type(other) is not FieldElement:
@@ -380,6 +475,8 @@ class FieldElement:
                 return NotImplemented
             return False  # normalized: it lies outside the base field
         if self.tower == other.tower:
+            if self._abd is not None and other._abd is not None:
+                return self._abd == other._abd
             return self.rep == other.rep
         return (self - other).is_zero()
 
@@ -411,11 +508,30 @@ class FieldElement:
 
     def valuation(self) -> Rat:
         """eps-adic valuation (an element is never zero); 0 if eps-free."""
+        if self._abd is not None:
+            return ZERO
+        reps = self.tower + (self.rep,)  # rep i has depth i
+        if not any(_rhas_eps(r, i) for i, r in enumerate(reps)):
+            return ZERO
         return _rval(self.rep, self.tower, self.depth)
 
 
 # ---------------------------------------------------------------------------
 # module-level API; each takes a leaf or a FieldElement
+
+
+def _rhas_eps(rep, depth) -> bool:
+    """A leaf of rep is a RatFunc."""
+    if depth == 0:
+        return type(rep) is RatFunc
+    return _rhas_eps(rep[0], depth - 1) or _rhas_eps(rep[1], depth - 1)
+
+
+def int_form(x):
+    """(A, B, D, r) if x is a tower element kept as (A + B*sqrt(r))/D,
+    else None: the one reader of the form outside this module."""
+    f = x._abd if type(x) is FieldElement else None
+    return f and (*f, x.tower[0])
 
 
 def _parts(x):

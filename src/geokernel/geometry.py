@@ -19,14 +19,17 @@ Each point keeps its exact integer form, built on first use (`_zform`):
 (R, ((xA, xB, yA, yB), S)) with x = (xA + xB*sqrt(R))/S, y likewise and
 S > 0 the point's own scale.  A point over Q has R = 0 and S = lcm(x_d,
 y_d).  A point over one Q(sqrt r), r = r_n/r_d, has R = r_n*r_d, so that
-sqrt(r) = sqrt(R)/r_d, and S the lcm of the denominators of its a's and
-of its b*r_d's (A = a*S, B = b*S/r_d).  Points whose forms share R (or
+sqrt(r) = sqrt(R)/r_d: a coordinate that `field` keeps as (A + B*sqrt(r))/D
+(`int_form`) is (A*r_d + B*sqrt(R))/(D*r_d) in lowest terms, and S is the
+lcm of the two coordinates' scales.  Points whose forms share R (or
 have R = 0) are decided in homogeneous coordinates (`_zpoints`), with no
 common scale per call: p - q is taken as cp*Sq - cq*Sp, a positive
 multiple of the difference, so signs, zeros and the equal-cosine test
 read it unchanged; `congruent` scales each squared length by the other's
 squared scale, and `on_ray` reads T(e, a, x), e = 2a - b, from its gaps
-b - a and x - a, with no reflection formed.  This is exact: R is no
+b - a and x - a, with no reflection formed.  When every point of a call
+lies over Q (R = 0), a difference is lanes 0 and 2 alone, (X, Y), and
+dot and cross products are plain ints.  This is exact: R is no
 square, as a tower node is made only for a non-square, so pairs A +
 B*sqrt(R) compare and take signs as in `field`.  Points over Q(eps), or
 over one Q(eps)(sqrt r), have no integer form and are scaled per call
@@ -41,11 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import nafield
-from .field import FieldElement, Q, render_element, sqrt_nonneg
+from .field import (FieldElement, Q, int_form, render_element,
+                    sqrt_nonneg)
 from .nafield import ONE, ZERO, _UNIT, Poly, Rat, RatFunc
 
 # semantics tags; CONSTRUCTIBLE also names its mode
@@ -205,23 +209,30 @@ def _zform(p: Point):
 
 
 def _zform_tower(x, y):
-    """`_zform` of a point with a coordinate that is not a Rat."""
-    R, parts = 0, []  # (leaf, k): a leaf with the factor k of its d
+    """`_zform` of a point with a coordinate that is not a Rat: each
+    coordinate (A + B*sqrt(r))/D, read by `int_form`, is (A*r_d +
+    B*sqrt(R))/(D*r_d) in lowest terms, then both go over one S."""
+    R, parts = 0, []  # (A, B, S) of each coordinate
     for c in (x, y):
         if type(c) is Rat:
-            parts += (c, 1), (ZERO, 1)
+            parts.append((c.n, 0, c.d))
             continue
-        if type(c) is not FieldElement or len(c.tower) != 1:
+        f = int_form(c)
+        if f is None:
             return ()
-        (a, b), r = c.rep, c.tower[0]
-        if type(a) is not Rat or type(b) is not Rat or type(r) is not Rat:
-            return ()
+        A, B, D, r = f
         if R and R != r.n * r.d:
             return ()
         R = r.n * r.d
-        parts += (a, 1), (b, r.d)  # b*sqrt(r) = (b/r_d)*sqrt(R)
-    S = lcm(*[q.d * k for q, k in parts])
-    return R, (tuple(q.n * (S // (q.d * k)) for q, k in parts), S)
+        if r.d != 1:
+            A, D = A * r.d, D * r.d
+            g = gcd(A, B, D)
+            A, B, D = A // g, B // g, D // g
+        parts.append((A, B, D))
+    (xa, xb, s), (ya, yb, t) = parts
+    S = lcm(s, t)
+    return R, ((xa * (S // s), xb * (S // s), ya * (S // t), yb * (S // t)),
+               S)
 
 
 def _zpoints(*pts, sem=None):
@@ -278,15 +289,15 @@ def _zeps_points(pts, sem):
     return rn * rd, [(c, 1) for c in zip(it, it, it, it)]
 
 
-def _zpos_angle(ba, bc, R) -> bool:
-    """P of |ba|^2, |bc|^2 and cross(ba, bc)^2, as `_angle_vectors` asks."""
-    return any(ba) and any(bc) and any(_zcross(ba, bc, R))
-
-
-def _zsub(p, q):
+def _zsub(p, q, R):
     """A positive multiple of p - q: cp*Sq - cq*Sp, or cp - cq when the
-    scales are equal (over the scale `_zscale(p, q)`)."""
+    scales are equal (over the scale `_zscale(p, q)`).  Over Q (R = 0) it
+    is lanes 0 and 2 alone, (X, Y); else all four (xA, xB, yA, yB)."""
     (u, s), (v, t) = p, q
+    if not R:
+        if s == t:
+            return u[0] - v[0], u[2] - v[2]
+        return u[0] * t - v[0] * s, u[2] * t - v[2] * s
     if s == t:
         return u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3]
     return (u[0] * t - v[0] * s, u[1] * t - v[1] * s,
@@ -294,12 +305,17 @@ def _zsub(p, q):
 
 
 def _zscale(p, q):
-    """The scale of `_zsub(p, q)`: p - q = _zsub(p, q)/_zscale(p, q)."""
+    """The scale of `_zsub`: p - q = _zsub(p, q, R)/_zscale(p, q)."""
     s, t = p[1], q[1]
     return s if s == t else s * t
 
 
+# dot, cross and product give pairs (a, b) standing for a + b*sqrt(R);
+# over Q, b is 0 and `_zdot` reads the two lanes of each difference
+
 def _zdot(u, v, R):
+    if not R:
+        return u[0] * v[0] + u[1] * v[1], 0
     return (u[0] * v[0] + u[2] * v[2] + (u[1] * v[1] + u[3] * v[3]) * R,
             u[0] * v[1] + u[1] * v[0] + u[2] * v[3] + u[3] * v[2])
 
@@ -320,11 +336,24 @@ def _zsign(a, b, R) -> int:  # the sign of a + b*sqrt(R), as field._rsign
     return sa if a * a > b * b * R else sb
 
 
+def _zcollinear(d1, d2, R) -> bool:
+    """cross(d1, d2) = 0."""
+    if not R:
+        return d1[0] * d2[1] == d1[1] * d2[0]
+    return not any(_zcross(d1, d2, R))
+
+
+def _zacute(d1, d2, R) -> bool:
+    """dot(d1, d2) > 0, so neither is 0."""
+    if not R:
+        return d1[0] * d2[0] + d1[1] * d2[1] > 0
+    return _zsign(*_zdot(d1, d2, R), R) > 0
+
+
 def _znonstrict(d1, d2, R) -> bool:
     """T(u, v, w) from its gaps d1 = v - u and d2 = w - v."""
-    if not any(d1) or not any(d2):  # u = v or v = w
-        return True
-    return not any(_zcross(d1, d2, R)) and _zsign(*_zdot(d1, d2, R), R) > 0
+    return (not any(d1) or not any(d2)  # u = v or v = w
+            or _zcollinear(d1, d2, R) and _zacute(d1, d2, R))
 
 
 # -- core predicates ---------------------------------------------------------
@@ -332,7 +361,7 @@ def _znonstrict(d1, d2, R) -> bool:
 def collinear(u: Point, v: Point, w: Point) -> bool:
     if (z := _zpoints(u, v, w)) is not None:
         R, (u, v, w) = z
-        return not any(_zcross(_zsub(w, u), _zsub(w, v), R))
+        return _zcollinear(_zsub(w, u, R), _zsub(w, v, R), R)
     return cross(vsub(w, u), vsub(w, v)).is_zero()
 
 
@@ -340,9 +369,8 @@ def between(u: Point, v: Point, w: Point, sem: str = CONSTRUCTIBLE) -> bool:
     """Strict betweenness B(u,v,w): both gaps positively long."""
     if (z := _zpoints(u, v, w, sem=sem)) is not None:
         R, (u, v, w) = z
-        d1, d2 = _zsub(v, u), _zsub(w, v)
-        return (not any(_zcross(d1, d2, R)) and any(d1) and any(d2)
-                and _zsign(*_zdot(d1, d2, R), R) > 0)
+        d1, d2 = _zsub(v, u, R), _zsub(w, v, R)
+        return _zcollinear(d1, d2, R) and _zacute(d1, d2, R)
     d1, d2 = vsub(v, u), vsub(w, v)
     # cross(d1, d2) = cross(w - u, w - v): the collinearity test
     if not cross(d1, d2).is_zero():
@@ -356,7 +384,7 @@ def nonstrict_between(u: Point, v: Point, w: Point) -> bool:
     """T(u,v,w) = not(u != v and not B and v != w); a classical relation."""
     if (z := _zpoints(u, v, w)) is not None:
         R, (u, v, w) = z
-        return _znonstrict(_zsub(v, u), _zsub(w, v), R)
+        return _znonstrict(_zsub(v, u, R), _zsub(w, v, R), R)
     if u == v or v == w:
         return True
     d1, d2 = vsub(v, u), vsub(w, v)
@@ -368,7 +396,7 @@ def nonstrict_between(u: Point, v: Point, w: Point) -> bool:
 def congruent(a: Point, b: Point, c: Point, d: Point) -> bool:
     if (z := _zpoints(a, b, c, d)) is not None:
         R, (a, b, c, d) = z
-        ab, cd = _zsub(a, b), _zsub(c, d)
+        ab, cd = _zsub(a, b, R), _zsub(c, d, R)
         p, q = _zdot(ab, ab, R), _zdot(cd, cd, R)
         s, t = _zscale(a, b), _zscale(c, d)
         if s != t:  # |ab|^2 * s_cd^2 = |cd|^2 * s_ab^2
@@ -380,8 +408,8 @@ def congruent(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 def distinct(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> bool:
     if (z := _zpoints(a, b, sem=sem)) is not None:
-        _, (a, b) = z
-        return any(_zsub(a, b))
+        R, (a, b) = z
+        return any(_zsub(a, b, R))
     return positive(sqdist(a, b), sem)
 
 
@@ -389,7 +417,7 @@ def on_ray(a: Point, b: Point, x: Point) -> bool:
     """x lies on Ray(a,b): T(e,a,x) where e reflects b in a."""
     if (z := _zpoints(a, b, x)) is not None:
         R, (a, b, x) = z
-        return _znonstrict(_zsub(b, a), _zsub(x, a), R)  # a - e = b - a
+        return _znonstrict(_zsub(b, a, R), _zsub(x, a, R), R)  # a - e = b - a
     e = reflect_in_point(b, a)
     return nonstrict_between(e, a, x)
 
@@ -397,8 +425,8 @@ def on_ray(a: Point, b: Point, x: Point) -> bool:
 def right_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
     if (z := _zpoints(a, b, c, sem=sem)) is not None:
         R, (a, b, c) = z
-        ba, bc = _zsub(a, b), _zsub(c, b)
-        return (any(ba) and any(bc) and any(_zsub(a, c))
+        ba, bc = _zsub(a, b, R), _zsub(c, b, R)
+        return (any(ba) and any(bc) and any(_zsub(a, c, R))
                 and not any(_zdot(ba, bc, R)))
     ba = vsub(a, b)
     if not positive(dot(ba, ba), sem):  # distinct(a, b)
@@ -428,7 +456,9 @@ def _angle_vectors(a: Point, b: Point, c: Point, sem: str):
 def pos_angle(a: Point, b: Point, c: Point, sem: str = CONSTRUCTIBLE) -> bool:
     if (z := _zpoints(a, b, c, sem=sem)) is not None:
         R, (a, b, c) = z
-        return _zpos_angle(_zsub(a, b), _zsub(c, b), R)
+        # P of |ba|^2, |bc|^2 and cross(ba, bc)^2, as `_angle_vectors`
+        # asks: a nonzero cross product has nonzero arms
+        return not _zcollinear(_zsub(a, b, R), _zsub(c, b, R), R)
     return _angle_vectors(a, b, c, sem) is not None
 
 
@@ -447,8 +477,8 @@ def angle_cong(a: Point, b: Point, c: Point,
     """Equal angles at b and b2, by the equal-cosine criterion (exact)."""
     if (z := _zpoints(a, b, c, a2, b2, c2)) is not None:
         R, (a, b, c, a2, b2, c2) = z
-        ba, bc = _zsub(a, b), _zsub(c, b)
-        ba2, bc2 = _zsub(a2, b2), _zsub(c2, b2)
+        ba, bc = _zsub(a, b, R), _zsub(c, b, R)
+        ba2, bc2 = _zsub(a2, b2, R), _zsub(c2, b2, R)
         if not (any(ba) and any(bc) and any(ba2) and any(bc2)):
             return False
         d, e = _zdot(ba, bc, R), _zdot(ba2, bc2, R)
@@ -504,8 +534,8 @@ def _witness(a: Point, b: Point, c: Point, sem: str,
     integer path decides, and the tower computes only the witness point."""
     if (z := _zpoints(a, b, c, sem=sem)) is not None:
         R, (za, zb, zc) = z
-        zba, zbc = _zsub(za, zb), _zsub(zc, zb)
-        if not _zpos_angle(zba, zbc, R):
+        zba, zbc = _zsub(za, zb, R), _zsub(zc, zb, R)
+        if _zcollinear(zba, zbc, R):  # not pos_angle(a, b, c, sem)
             return None
         if right and not any(_zdot(zba, zbc, R)):
             return AngleWitness(kind="right", d=reflect_in_point(a, b))

@@ -47,9 +47,9 @@ separates infinitesimal, finite and unbounded elements.
 `Rat` and `RatFunc` are the base values of `field`, the leaves of its
 towers, and `field` uses them bare: `Q(3, 4)` is a `Rat` and `eps()` a
 `RatFunc`.  Both kinds answer the leaf interface alike: `sign`,
-`valuation` (a `Rat`; zero has none), `sqrt_exact`, `shadow`, `is_zero`,
-the ordering, `**` by one square-and-multiply, and an empty `tower` (a
-base value needs no radicand).  A value equal to a rational hashes like
+`valuation` (a shared `Rat`; zero has none), `sqrt_exact`, `shadow`,
+`is_zero`, the ordering, `**` by one square-and-multiply, and an empty
+`tower` (a base value needs no radicand).  A value equal to a rational hashes like
 the equal `Fraction`, and a division by zero raises
 `ZeroDivisionError("field division by zero")`.
 """
@@ -295,6 +295,9 @@ Rational.register(Rat)  # so Fraction(x) and Fraction == x accept a Rat
 
 ZERO = _rat(0, 1)
 ONE = _rat(1, 1)
+# the integer orders a RatFunc can have, built once: its valuation is one
+_ORDERS = {k: _rat(k, 1) for k in range(-MAX_DEGREE, MAX_DEGREE + 1)}
+_ORDERS[0] = ZERO
 
 
 def frac_sqrt(q) -> Rat | None:
@@ -690,8 +693,10 @@ class RatFunc:
         return self.num.sign()
 
     def valuation(self) -> Rat:
-        """eps-adic order; raises on zero as Rat does."""
-        return _rat(self.num.lowdeg() - self.den.lowdeg(), 1)
+        """eps-adic order, a shared Rat; raises on zero as Rat does."""
+        k = self.num.lowdeg() - self.den.lowdeg()
+        v = _ORDERS.get(k)
+        return _rat(k, 1) if v is None else v
 
     def __eq__(self, other) -> bool:
         if type(other) is RatFunc:

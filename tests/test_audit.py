@@ -9,14 +9,17 @@ import random
 import pytest
 
 from geokernel.audit import (
-    AXIOMS, AXIOM_IDS, THEOREM_NAMES, _Gen, audit_run, check_axiom,
+    AXIOMS, AXIOM_IDS, THEOREM_NAMES, TINY, _Gen, audit_run, check_axiom,
     check_theorem, gen_instance, gen_theorem_instance, report_to_json,
 )
 from geokernel import constructions
 from geokernel.constructions import CircleSpec, circle_circle, line_circle
-from geokernel.field import FieldElement, render_element
+from geokernel.field import (
+    FieldElement, Q, eps, render_element, sqrt_nonneg,
+)
 from geokernel.geometry import (
     NONARCHIMEDEAN, NODE0, Point, between, distinct, nonstrict_between,
+    rot90, vsub,
 )
 from geokernel.nafield import Rat, RatFunc
 
@@ -126,6 +129,71 @@ class TestDraws:
             assert g.draw(1, m - 1) == rng.randint(1, m - 1)
             assert g.draw(0, 1) == rng.randrange(2)
             assert g.bits(32) == rng.getrandbits(32)  # still in step
+
+
+class TestBuilders:
+    def test_builders_equal_field_arithmetic(self):
+        # along, away, combine, off_line_point and isometry build each
+        # coordinate over Q as one fraction reduced once: every value (and
+        # its kind) equals that of the chain of field operations it
+        # replaces, with an eps or a tower coordinate among the operands
+        # too, and the two generators draw the same random numbers
+        root3 = sqrt_nonneg(Q(3))
+        for seed in range(1000):
+            g, ref = _Gen(seed), _Gen(seed)
+            a, b, d = g.point(), g.point(), g.direction()
+            assert (a, b, d) == (ref.point(), ref.point(), ref.direction())
+            t = (eps(), g.t01(), 1 + ref.t01(), TINY)[seed % 4]
+            if seed % 3 == 0:  # a tower coordinate
+                a = Point(a.x, a.y * root3)
+            got = [g.along(a, d, t), g.away(a), g.combine(a, b, t),
+                   g.combine(b, a, t), g.off_line_point(a, b),
+                   g.off_line_point(b, a)]
+            phi = g.isometry()
+            got += [phi(a), phi(b)]
+            dx, dy = ref.direction()
+            want = [Point(a.x + d[0] * t, a.y + d[1] * t),
+                    Point(a.x + dx, a.y + dy), _combine(a, b, t),
+                    _combine(b, a, t), _off_line(ref, a, b),
+                    _off_line(ref, b, a)]
+            phi = _isometry(ref)
+            want += [phi(a), phi(b)]
+            assert [_kinds(p) for p in got] == [_kinds(p) for p in want]
+            assert g.bits(32) == ref.bits(32)  # still in step
+
+
+def _combine(a, b, t):
+    return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+
+
+def _off_line(g, a, b):
+    s, h = g.q(-8, 8), g.qnz()
+    d = vsub(b, a)
+    n = rot90(d)
+    return Point(a.x + d[0] * s + n[0] * h, a.y + d[1] * s + n[1] * h)
+
+
+def _isometry(g):
+    c, s = g.unit_dir()
+    flip = g.draw(0, 1)
+    tx, ty = g.q(), g.q()
+
+    def phi(p):
+        x, y = p.x, p.y
+        if flip:
+            y = -y
+        return Point(c * x - s * y + tx, s * x + c * y + ty)
+
+    return phi
+
+
+def _kinds(p: Point) -> list:
+    """A point's coordinates, rendered, with the kinds of their leaves."""
+    out = []
+    for c in (p.x, p.y):
+        leaves = c.rep if isinstance(c, FieldElement) else (c,)
+        out += [render_element(c), *(type(v) for v in leaves)]
+    return out
 
 
 class TestChecks:

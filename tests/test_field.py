@@ -1,6 +1,7 @@
 """Quadratic-extension tower arithmetic: exact signs, roots, valuations."""
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -420,6 +421,107 @@ class TestScalarPath:
         assert aligned == [] and products == []
         q / x  # a base value over a tower element still takes the lift path
         assert aligned and products
+
+
+# depth-1 elements over Q, kept as (A, B, D): rational leaves over an
+# integer or a fractional radicand, against ints, Rats and elements over the
+# same radicand
+_FORM_ROOTS = st.sampled_from([
+    sqrt_nonneg(Q(r))
+    for r in (2, 3, Fraction(1, 2), Fraction(5, 6), Fraction(12, 7))])
+_FORM_LEAVES = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def _form_operands(draw):
+    """(x, y): x over Q(sqrt r) with a nonzero sqrt part, y an element over
+    the same sqrt r (its sqrt part perhaps 0, so y may be a Rat), a Rat or
+    an int."""
+    root = draw(_FORM_ROOTS)
+
+    def element(b=_FORM_LEAVES):
+        return Q(draw(_FORM_LEAVES)) + Q(draw(b)) * root
+
+    x = element(_FORM_LEAVES.filter(bool))
+    y = draw(st.sampled_from(["element", "rat", "int"]))
+    if y == "element":
+        return x, element()
+    return x, Q(draw(_FORM_LEAVES)) if y == "rat" else draw(
+        st.integers(-9, 9))
+
+
+def _plain(v):
+    """v rebuilt from its nested pairs: with `_abd_of` switched off, it keeps
+    no integer form."""
+    return FieldElement(v.tower, v.rep) if isinstance(v, FieldElement) else v
+
+
+class TestDepthOneForm:
+    """A depth-1 element over Q is kept as ints (A, B, D) for
+    (A + B*sqrt(r))/D; its results equal those of the nested-pair path."""
+
+    @staticmethod
+    def _check_form(v):
+        if not isinstance(v, FieldElement):
+            assert type(v) is Rat  # B = 0: the Rat A/D
+            return
+        A, B, D = v._abd
+        assert D > 0 and B != 0 and math.gcd(A, B, D) == 1
+        assert field.int_form(v) == (A, B, D, v.tower[0])
+        assert v.rep == (Rat(A, D), Rat(B, D))  # the view, built on read
+
+    @given(xy=_form_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_results_keep_the_canonical_form(self, xy):
+        x, y = xy
+        self._check_form(x)
+        self._check_form(-x)
+        for op, (a, b) in itertools.product(_OPS.values(), (xy, xy[::-1])):
+            if op is operator.truediv and not b:
+                continue
+            self._check_form(op(a, b))
+
+    @given(xy=_form_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_every_op_agrees_with_the_nested_pair_path(self, xy):
+        x, y = xy
+        answers = []
+        for switched_off in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                if switched_off:
+                    patch.setattr(field, "_abd_of", lambda tower, rep: None)
+                    x, y = _plain(x), _plain(y)
+                    assert field.int_form(x) is None
+                out = [render_element(-x), x.sign(), x == y, y == x,
+                       x.valuation()]
+                for op, (a, b) in itertools.product(_OPS.values(),
+                                                    ((x, y), (y, x))):
+                    try:
+                        v = op(a, b)
+                    except ZeroDivisionError as err:
+                        out.append(str(err))
+                        continue
+                    out += [type(v), render_element(v), v.sign(), v == x]
+                answers.append(out)
+        assert answers[0] == answers[1]
+
+    def test_a_leaf_kind_of_rat_value_is_no_form(self):
+        # eps cancelled from a leaf leaves a constant RatFunc: no form, and
+        # such an element still equals the one kept as a form
+        r = sqrt_nonneg(Q(2))
+        x = (eps() + r) - eps()
+        assert type(x.rep[0]) is RatFunc and field.int_form(x) is None
+        assert x == r and r == x and x - r == 0 and (x * r).tower == ()
+
+    @given(tree=_eps_free_trees())
+    @settings(max_examples=80, deadline=None)
+    def test_eps_free_valuation_skips_the_norm_recursion(self, tree):
+        x = _evaluate(tree, Q)
+        assume(isinstance(x, FieldElement))
+        want = field._rval(x.rep, x.tower, x.depth)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(field, "_rval", None)  # a call would raise
+            assert x.valuation() == want == 0
 
 
 def _is_value(v) -> bool:

@@ -456,6 +456,28 @@ class TestIntegerPath:
         decided, on_tower = _with_and_without_integer_path(pts)
         assert decided == on_tower
 
+    @given(angles=_angle_pairs(st.just(_scalars(st.just(Q(0))))))
+    @settings(max_examples=100, deadline=None)
+    def test_q_lanes_give_every_answer(self, angles):
+        # points over Q (R = 0) are decided on lanes 0 and 2 of their forms;
+        # the same forms with a nonsquare R take all four lanes (the sqrt
+        # lanes 0), and the tower decides them without forms
+        pts = angles[0] + angles[1]
+        assert geometry._zpoints(*pts)[0] == 0
+        decided, on_tower = _with_and_without_integer_path(pts)
+        assert decided == on_tower
+        zpoints = geometry._zpoints
+
+        def four_lanes(*points, sem=None):
+            z = zpoints(*points, sem=sem)
+            return z if z is None else (z[0] or 2, z[1])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_zpoints", four_lanes)
+            assert _answers(*pts) + [
+                getattr(angle_witness(*pts[:3], sem), "kind", None)
+                for sem in SEMANTICS] == decided
+
     @pytest.mark.parametrize("a, b, c, d, holds", [
         # the same ints (3, 4) over the scales 1 and 2: lengths 5 and 5/2
         (pt(0, 0), pt(3, 4), pt(0, 0), pt(Q(3, 2), 2), False),
