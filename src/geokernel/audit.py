@@ -142,7 +142,7 @@ class _Gen:
     def away(self, a: Point) -> Point:
         """A point distinct from a."""
         dx, dy = self.direction()
-        return Point(_lin(a.x, dx, ONE), _lin(a.y, dy, ONE))
+        return Point(a.x + dx, a.y + dy)  # one op each: no chain to reduce
 
     def combine(self, a: Point, b: Point, t) -> Point:
         """The point a + t·(b - a)."""
@@ -284,12 +284,11 @@ def _gen_lc(g: _Gen, strict: bool) -> dict:
     center = g.point()
     ux, uy = g.unit_dir()
     r = g.qpos()
-    u = Point(center.x + r * ux, center.y + r * uy)
-    v = Point(center.x - r * ux, center.y - r * uy)
+    u, v = g.along(center, (ux, uy), r), g.along(center, (ux, uy), -r)
     # radius segment pq congruent to the radius, placed elsewhere
     wx, wy = g.unit_dir()
     p = g.point()
-    q = Point(p.x + r * wx, p.y + r * wy)
+    q = g.along(p, (wx, wy), r)
     if not strict and g.seed % 8 == 3:
         t = 1  # a = v, exactly on the circle
     elif g.na_inf:
@@ -510,7 +509,8 @@ def _saccheri_holds(i: dict, sem: str) -> bool:
 
 def _gen_parallelogram(g: _Gen) -> dict:
     a, b, c = g.triangle()
-    return dict(a=a, b=b, c=c, d=Point(a.x + c.x - b.x, a.y + c.y - b.y))
+    return dict(a=a, b=b, c=c, d=Point(_lin(a.x, (c.x, b.x), ONE),
+                                       _lin(a.y, (c.y, b.y), ONE)))
 
 
 def _diagonals_bisect(i: dict, sem: str) -> bool:
@@ -525,7 +525,7 @@ def _gen_lambert(g: _Gen) -> dict:
     u = g.direction()
     al, be = g.qnz(), g.qnz()
     fx, fy = g.along(o, u, al), g.along(o, rot90(u), be)
-    p = Point(fx.x + fy.x - o.x, fx.y + fy.y - o.y)
+    p = Point(_lin(fx.x, (fy.x, o.x), ONE), _lin(fx.y, (fy.y, o.y), ONE))
     return dict(o=o, fx=fx, fy=fy, p=p)
 
 

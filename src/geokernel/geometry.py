@@ -31,13 +31,24 @@ b - a and x - a, with no reflection formed.  When every point of a call
 lies over Q (R = 0), a difference is lanes 0 and 2 alone, (X, Y), and
 dot and cross products are plain ints.  This is exact: R is no
 square, as a tower node is made only for a non-square, so pairs A +
-B*sqrt(R) compare and take signs as in `field`.  Points over Q(eps), or
-over one Q(eps)(sqrt r), have no integer form and are scaled per call
-(`_zeps_points`) to Q[eps][sqrt R]; others go to the tower.  On these
-pairs P(|d|^2) is d != 0 at every node but NODE0, and at NODE0 too when
-no eps occurs (a nonzero element of Q(sqrt r) has valuation 0).  A
-predicate that reads P hands its semantics to `_zpoints`, which turns
-points with an eps at NODE0 away to the tower, where `positive` reads P.
+B*sqrt(R) compare and take signs as in `field`.
+
+A point over an eps-free Q(sqrt r1)(sqrt r2) with Rat leaves, as
+`lay_off` builds from an `ext` point, keeps eight lanes over one S under
+the key R = (R1, R2): with r2 = (P + Q*sqrt(R1))/E in lowest terms, E >
+0, R2 = (P*E, Q*E) in Z[sqrt R1], so sqrt(R2) = E*sqrt(r2) > 0, and x =
+(c0 + c1*sqrt(R1) + (c2 + c3*sqrt(R1))*sqrt(R2))/S in lanes 0-3, y in
+4-7.  Products go over Z[sqrt R1] (`_zsum2`), and u + v*sqrt(R2) takes
+its sign by `field`'s rule one level up, comparing u^2 with v^2*R2 (R2
+is no square in Q(sqrt R1)).  Points over Q, or over Q(sqrt r1) with the
+same R1, meet it with zero upper lanes (`_zjoin`, `_zlanes8`).  Points
+over Q(eps), or over one Q(eps)(sqrt r), are scaled per call
+(`_zeps_points`) to Q[eps][sqrt R]; two chains and deeper towers go to
+the tower.  On these pairs P(|d|^2) is d != 0 at every node but NODE0,
+and at NODE0 too when no eps occurs (a nonzero eps-free element has
+valuation 0).  A predicate that reads P hands its semantics to
+`_zpoints`, which turns points with an eps at NODE0 away to the tower,
+where `positive` reads P.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import floordiv, mul, sub
 
 from . import nafield
 from .field import (FieldElement, Q, int_form, render_element,
@@ -195,9 +206,10 @@ def in_domain(node: str, x: FieldElement) -> bool:
 # -- the integer path (see the module doc) -----------------------------------
 
 def _zform(p: Point):
-    """p's integer form (R, ((xA, xB, yA, yB), S)), see the module doc,
-    kept on p; () unless each coordinate is a Rat or a + b*sqrt(r) over one
-    depth-1 tower with Rats a, b, r, and the two coordinates' R agree."""
+    """p's integer form (R, (coords, S)), see the module doc, kept on p; ()
+    unless each coordinate is a Rat, a + b*sqrt(r) over a depth-1 tower or
+    a + b*sqrt(r2) over an eps-free depth-2 tower with Rat leaves, and the
+    two coordinates' chains meet (`_zjoin`)."""
     x, y = p.x, p.y
     if type(x) is Rat is type(y):
         s = lcm(x.d, y.d)
@@ -210,35 +222,79 @@ def _zform(p: Point):
 
 def _zform_tower(x, y):
     """`_zform` of a point with a coordinate that is not a Rat: each
-    coordinate (A + B*sqrt(r))/D, read by `int_form`, is (A*r_d +
-    B*sqrt(R))/(D*r_d) in lowest terms, then both go over one S."""
-    R, parts = 0, []  # (A, B, S) of each coordinate
+    coordinate's lanes over its own scale, in lowest terms, then both over
+    one S."""
+    R, parts = 0, []  # (lanes, scale) of each coordinate
     for c in (x, y):
         if type(c) is Rat:
-            parts.append((c.n, 0, c.d))
+            parts.append(((c.n, 0), c.d))
             continue
         f = int_form(c)
-        if f is None:
+        if f is not None:  # (A + B*sqrt(r))/D is (A*r_d + B*sqrt(R))/(D*r_d)
+            A, B, D, r = f
+            if r.d != 1:
+                A, D = A * r.d, D * r.d
+                g = gcd(A, B, D)
+                A, B, D = A // g, B // g, D // g
+            r, lanes = r.n * r.d, (A, B)
+        elif (f := _zlanes2(c)) is not None:
+            r, lanes, D = f
+        else:
             return ()
-        A, B, D, r = f
-        if R and R != r.n * r.d:
-            return ()
-        R = r.n * r.d
-        if r.d != 1:
-            A, D = A * r.d, D * r.d
-            g = gcd(A, B, D)
-            A, B, D = A // g, B // g, D // g
-        parts.append((A, B, D))
-    (xa, xb, s), (ya, yb, t) = parts
+        if r != R:
+            if not R:
+                R = r
+            elif (R := _zjoin(R, r)) is None:
+                return ()
+        parts.append((lanes, D))
+    (u, s), (v, t) = parts
     S = lcm(s, t)
-    return R, ((xa * (S // s), xb * (S // s), ya * (S // t), yb * (S // t)),
-               S)
+    a, b = S // s, S // t
+    if type(R) is not tuple:
+        return R, ((u[0] * a, u[1] * a, v[0] * b, v[1] * b), S)
+    u, v = u + (0, 0) if len(u) == 2 else u, v + (0, 0) if len(v) == 2 else v
+    return R, (tuple(map(mul, u + v, (a,) * 4 + (b,) * 4)), S)
+
+
+def _zlanes2(c):
+    """(R, (c0, c1, c2, c3), S) in lowest terms for c over an eps-free
+    depth-2 tower with Rat leaves, R = (R1, R2) as in the module doc; else
+    None."""
+    if type(c) is not FieldElement or c.depth != 2:
+        return None
+    r1, (p, q) = c.tower
+    (a0, a1), (b0, b1) = c.rep
+    if not (type(r1) is type(p) is type(q) is Rat
+            and type(a0) is type(a1) is type(b0) is type(b1) is Rat):
+        return None
+    d1 = r1.d  # sqrt(r1) = sqrt(R1)/d1, r2 = (P + Qn*sqrt(R1))/E
+    E = lcm(p.d, q.d * d1)
+    P, Qn = p.n * (E // p.d), q.n * (E // (q.d * d1))
+    g = gcd(P, Qn, E)
+    P, Qn, E = P // g, Qn // g, E // g
+    # c = a0 + a1/d1*sqrt(R1) + (b0/E + b1/(d1*E)*sqrt(R1))*sqrt(R2)
+    ns, ds = (a0.n, a1.n, b0.n, b1.n), (a0.d, a1.d * d1, b0.d * E,
+                                         b1.d * d1 * E)
+    S = lcm(*ds)
+    lanes = tuple(map(mul, ns, map(floordiv, (S,) * 4, ds)))
+    g = gcd(*lanes, S)
+    return ((r1.n * d1, (P * E, Qn * E)),
+            tuple(map(floordiv, lanes, (g,) * 4)), S // g)
+
+
+def _zjoin(R, r):
+    """The key of a call whose forms have the nonzero keys R != r (see the
+    module doc): the depth-2 one when it extends the other, else None."""
+    if type(r) is tuple:
+        R, r = r, R  # R is the deeper key
+    return R if type(R) is tuple and R[0] == r else None
 
 
 def _zpoints(*pts, sem=None):
     """(R, [(coords, S), ...]): the points in homogeneous coordinates over
-    Z[sqrt R], read from their kept forms, or None if two of them lie over
-    two radicands; what `_zeps_points` gives if a point has no form."""
+    the key R (0, R1 or (R1, R2)), read from their kept forms, or None if
+    their chains do not meet; what `_zeps_points` gives if a point has no
+    form."""
     R, out = 0, []
     for p in pts:
         f = p._zf
@@ -248,9 +304,10 @@ def _zpoints(*pts, sem=None):
             return _zeps_points(pts, sem)
         r, q = f
         if r and r != R:
-            if R:  # two radicands: two towers
+            if not R:
+                R = r
+            elif (R := _zjoin(R, r)) is None:  # two chains: two towers
                 return None
-            R = r
         out.append(q)
     return R, out
 
@@ -292,16 +349,27 @@ def _zeps_points(pts, sem):
 def _zsub(p, q, R):
     """A positive multiple of p - q: cp*Sq - cq*Sp, or cp - cq when the
     scales are equal (over the scale `_zscale(p, q)`).  Over Q (R = 0) it
-    is lanes 0 and 2 alone, (X, Y); else all four (xA, xB, yA, yB)."""
+    is lanes 0 and 2 alone, (X, Y); over (R1, R2) all eight; else all four
+    (xA, xB, yA, yB)."""
     (u, s), (v, t) = p, q
     if not R:
         if s == t:
             return u[0] - v[0], u[2] - v[2]
         return u[0] * t - v[0] * s, u[2] * t - v[2] * s
+    if type(R) is tuple:  # a point of depth 0 or 1 has four lanes
+        u, v = _zlanes8(u), _zlanes8(v)
+        if s != t:
+            u, v = map(mul, u, (t,) * 8), map(mul, v, (s,) * 8)
+        return tuple(map(sub, u, v))
     if s == t:
         return u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3]
     return (u[0] * t - v[0] * s, u[1] * t - v[1] * s,
             u[2] * t - v[2] * s, u[3] * t - v[3] * s)
+
+
+def _zlanes8(c):
+    """c with zero sqrt(R2) lanes if it has four (xA, xB, yA, yB)."""
+    return c if len(c) == 8 else (c[0], c[1], 0, 0, c[2], c[3], 0, 0)
 
 
 def _zscale(p, q):
@@ -310,26 +378,70 @@ def _zscale(p, q):
     return s if s == t else s * t
 
 
-# dot, cross and product give pairs (a, b) standing for a + b*sqrt(R);
-# over Q, b is 0 and `_zdot` reads the two lanes of each difference
+# dot, cross and product give pairs (a, b) standing for a + b*sqrt(R), or
+# over (R1, R2) quadruples (u0, u1, v0, v1) standing for u + v*sqrt(R2)
+# with u = u0 + u1*sqrt(R1), v likewise; over Q, b is 0 and `_zdot` reads
+# the two lanes of each difference
 
 def _zdot(u, v, R):
     if not R:
         return u[0] * v[0] + u[1] * v[1], 0
+    if type(R) is tuple:
+        return _zsum2(u[:4], v[:4], u[4:], v[4:], R, 1)
     return (u[0] * v[0] + u[2] * v[2] + (u[1] * v[1] + u[3] * v[3]) * R,
             u[0] * v[1] + u[1] * v[0] + u[2] * v[3] + u[3] * v[2])
 
 
 def _zcross(u, v, R):
+    if type(R) is tuple:
+        return _zsum2(u[:4], v[4:], u[4:], v[:4], R, -1)
     return (u[0] * v[2] - u[2] * v[0] + (u[1] * v[3] - u[3] * v[1]) * R,
             u[0] * v[3] + u[1] * v[2] - u[2] * v[1] - u[3] * v[0])
 
 
 def _zmul(z, w, R):
+    if type(R) is tuple:
+        return _zsum2(z, w, None, None, R, 0)
     return (z[0] * w[0] + z[1] * w[1] * R, z[0] * w[1] + z[1] * w[0])
 
 
-def _zsign(a, b, R) -> int:  # the sign of a + b*sqrt(R), as field._rsign
+def _zsum2(a, b, c, d, R, sg):
+    """a*b + sg*c*d over (R1, R2), sg in {-1, 0, 1}, c and d unread when sg
+    is 0: with a = u + v*sqrt(R2) and b = s + t*sqrt(R2), a*b is
+    u*s + v*t*R2 + (u*t + v*s)*sqrt(R2), each product taken in Z[sqrt R1]
+    (`_zmul`), unrolled."""
+    R1, (P, Q) = R
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    u0, u1 = a0 * b0 + a1 * b1 * R1, a0 * b1 + a1 * b0
+    v0, v1 = a2 * b2 + a3 * b3 * R1, a2 * b3 + a3 * b2
+    w0 = a0 * b2 + a2 * b0 + (a1 * b3 + a3 * b1) * R1
+    w1 = a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
+    if sg:
+        c0, c1, c2, c3 = c
+        d0, d1, d2, d3 = d
+        u0 += sg * (c0 * d0 + c1 * d1 * R1)
+        u1 += sg * (c0 * d1 + c1 * d0)
+        v0 += sg * (c2 * d2 + c3 * d3 * R1)
+        v1 += sg * (c2 * d3 + c3 * d2)
+        w0 += sg * (c0 * d2 + c2 * d0 + (c1 * d3 + c3 * d1) * R1)
+        w1 += sg * (c0 * d3 + c3 * d0 + c1 * d2 + c2 * d1)
+    return u0 + v0 * P + v1 * Q * R1, u1 + v0 * Q + v1 * P, w0, w1
+
+
+def _zsign(z, R) -> int:
+    """The sign of z by `field._rsign`'s rule: of a + b*sqrt(R), or over
+    (R1, R2) of u + v*sqrt(R2), whose u^2 and v^2*R2 are compared in
+    Z[sqrt R1]."""
+    if type(R) is tuple:
+        R1, R2 = R
+        u, v = z[:2], z[2:]
+        su, sv = _zsign(u, R1), _zsign(v, R1)
+        if su * sv >= 0:
+            return su or sv
+        uu, vv = _zmul(u, u, R1), _zmul(_zmul(v, v, R1), R2, R1)
+        return su if _zsign((uu[0] - vv[0], uu[1] - vv[1]), R1) > 0 else sv
+    a, b = z
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sa * sb >= 0:
         return sa or sb
@@ -347,7 +459,7 @@ def _zacute(d1, d2, R) -> bool:
     """dot(d1, d2) > 0, so neither is 0."""
     if not R:
         return d1[0] * d2[0] + d1[1] * d2[1] > 0
-    return _zsign(*_zdot(d1, d2, R), R) > 0
+    return _zsign(_zdot(d1, d2, R), R) > 0
 
 
 def _znonstrict(d1, d2, R) -> bool:
@@ -401,6 +513,9 @@ def congruent(a: Point, b: Point, c: Point, d: Point) -> bool:
         s, t = _zscale(a, b), _zscale(c, d)
         if s != t:  # |ab|^2 * s_cd^2 = |cd|^2 * s_ab^2
             s, t = s * s, t * t
+            if type(R) is tuple:
+                t4, s4 = (t,) * 4, (s,) * 4
+                return list(map(mul, p, t4)) == list(map(mul, q, s4))
             p, q = (p[0] * t, p[1] * t), (q[0] * s, q[1] * s)
         return p == q
     return sqdist(a, b) == sqdist(c, d)
@@ -482,7 +597,7 @@ def angle_cong(a: Point, b: Point, c: Point,
         if not (any(ba) and any(bc) and any(ba2) and any(bc2)):
             return False
         d, e = _zdot(ba, bc, R), _zdot(ba2, bc2, R)
-        if _zsign(*d, R) != _zsign(*e, R):
+        if _zsign(d, R) != _zsign(e, R):
             return False
         p = _zmul(_zdot(ba2, ba2, R), _zdot(bc2, bc2, R), R)
         q = _zmul(_zdot(ba, ba, R), _zdot(bc, bc, R), R)

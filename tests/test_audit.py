@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from geokernel import audit
 from geokernel.audit import (
     AXIOMS, AXIOM_IDS, THEOREM_NAMES, TINY, _Gen, audit_run, check_axiom,
     check_theorem, gen_instance, gen_theorem_instance, report_to_json,
@@ -160,6 +161,97 @@ class TestBuilders:
             want += [phi(a), phi(b)]
             assert [_kinds(p) for p in got] == [_kinds(p) for p in want]
             assert g.bits(32) == ref.bits(32)  # still in step
+
+    @pytest.mark.parametrize("mode", ["constructible", "nonarchimedean"])
+    @pytest.mark.parametrize("build, chain", [
+        (lambda g: audit._gen_lc(g, strict=True), lambda g: _lc(g, True)),
+        (lambda g: audit._gen_lc(g, strict=False), lambda g: _lc(g, False)),
+        (audit._gen_euclid5, lambda g: _euclid5(g)),
+        (audit._gen_parallelogram, lambda g: _parallelogram(g)),
+        (audit._gen_lambert, lambda g: _lambert(g)),
+        (audit._gen_saccheri, lambda g: _saccheri(g)),
+        (lambda g: dict(zip("abc", g.right_triangle())),
+         lambda g: dict(zip("abc", _right_triangle(g)))),
+    ], ids=["lc-strict", "lc-nonstrict", "euclid5", "parallelogram",
+            "lambert", "saccheri", "right-triangle"])
+    def test_generators_equal_field_arithmetic(self, build, chain, mode):
+        # the generators that build points as offsets of points give, over
+        # one reduction per coordinate, the values and leaf kinds of their
+        # chains of field operations, and draw the same random numbers
+        for seed in range(200):
+            g, ref = _Gen(seed, mode), _Gen(seed, mode)
+            g.schedule()
+            ref.schedule()
+            got, want = build(g), chain(ref)
+            assert list(got) == list(want)
+            assert ([_kinds(p) for p in got.values()]
+                    == [_kinds(p) for p in want.values()])
+            assert g.bits(32) == ref.bits(32)  # still in step
+
+
+# the generators as chains of field operations, each step reduced apart
+
+def _plus(p, u, t=1):
+    return Point(p.x + u[0] * t, p.y + u[1] * t)
+
+
+def _lc(g, strict):
+    center = g.point()
+    ux, uy = g.unit_dir()
+    r = g.qpos()
+    u, v = _plus(center, (ux, uy), r), _plus(center, (ux, uy), -r)
+    wx, wy = g.unit_dir()
+    p = g.point()
+    q = _plus(p, (wx, wy), r)
+    if not strict and g.seed % 8 == 3:
+        t = 1
+    elif g.na_inf:
+        t = g.gap
+    else:
+        t = g.t01(g.degenerate)
+    return dict(center=center, u=u, v=v, p=p, q=q, a=_combine(u, v, t),
+                b=_off_line(g, center, u))
+
+
+def _euclid5(g):
+    t, v1, v2 = g.point(), g.direction(), g.direction()
+    while (v1[0] * v2[1] - v1[1] * v2[0]).is_zero():
+        v2 = g.direction()
+    p, q = _plus(t, v1), _plus(t, v1, -1)
+    r, s = _plus(t, v2), _plus(t, v2, -1)
+    ta = g.gap if g.na_inf else g.t01(g.degenerate)
+    return dict(t=t, p=p, q=q, s=s, r=r, a=_combine(q, r, ta))
+
+
+def _triangle(g):
+    a = g.point()
+    b = _plus(a, g.direction())
+    return a, b, _off_line(g, a, b)
+
+
+def _parallelogram(g):
+    a, b, c = _triangle(g)
+    return dict(a=a, b=b, c=c, d=Point(a.x + c.x - b.x, a.y + c.y - b.y))
+
+
+def _lambert(g):
+    o, u = g.point(), g.direction()
+    al, be = g.qnz(), g.qnz()
+    fx, fy = _plus(o, u, al), _plus(o, rot90(u), be)
+    return dict(o=o, fx=fx, fy=fy,
+                p=Point(fx.x + fy.x - o.x, fx.y + fy.y - o.y))
+
+
+def _saccheri(g):
+    u, d = g.point(), g.direction()
+    v = _plus(u, d)
+    h = g.qnz()
+    return dict(u=u, v=v, a=_plus(u, rot90(d), h), d=_plus(v, rot90(d), h))
+
+
+def _right_triangle(g):
+    b, u = g.point(), g.direction()
+    return _plus(b, u), b, _plus(b, rot90(u), g.qnz())
 
 
 def _combine(a, b, t):

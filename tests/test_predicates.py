@@ -11,7 +11,7 @@ from geokernel.audit import audit_run
 from geokernel.constructions import (
     ConstructionError, crossbar_point, euclid5, inner_pasch, outer_pasch,
 )
-from geokernel import geometry, nafield
+from geokernel import field, geometry, nafield
 from geokernel.field import FieldElement, Q, eps, sqrt_nonneg
 from geokernel.geometry import (
     CONSTRUCTIBLE, NODE0, NODE1, ArityMismatch, NotPositiveAngle, Point,
@@ -407,6 +407,52 @@ _SAME_R_FIELDS = st.sampled_from(_SAME_R).map(
     lambda units: _scalars(st.sampled_from(units)))
 
 
+def _chain(r1s, r2):
+    """Units of depth 0, 1 and 2 over one chain Q(sqrt r1)(sqrt r2): 0, the
+    roots of `r1s` (which share R1), sqrt(r2) for r2 = r2(sqrt r1s[0]),
+    and its products with the first and last root."""
+    roots = [sqrt_nonneg(Q(r)) for r in r1s]
+    s = sqrt_nonneg(r2(roots[0]))
+    assert s.depth == 2
+    return [Q(0), *roots, s, roots[0] * s, roots[-1] * s]
+
+
+# depth-2 chains: r2 = 1 + sqrt 2 (E = 1); r1 = 3/2 (r_d = 2) with r2 =
+# 1/3 + (2/5)sqrt(3/2) (E > 1); r2 = 7/4 - (1/6)sqrt(5/7), whose sqrt r1
+# part is negative; and r2 = 2 over r1 = 3 (a rational r2, met by the merge
+# of sqrt 3 with sqrt 2)
+_DEPTH2 = [
+    _chain((2, Fraction(1, 2)), lambda s: 1 + s),
+    _chain((Fraction(3, 2), 6, Fraction(2, 3)),
+           lambda s: Q(1, 3) + Q(2, 5) * s),
+    _chain((Fraction(5, 7), 35), lambda s: Q(7, 4) - Q(1, 6) * s),
+    [Q(0), _SQRT3, sqrt_nonneg(Q(1, 3)), _SQRT3 + _SQRT2,
+     _SQRT3 * (_SQRT3 + _SQRT2)],
+]
+_DEPTH2_FIELDS = st.sampled_from(_DEPTH2).map(
+    lambda units: _scalars(st.sampled_from(units)))
+
+
+def _has_eps(c) -> bool:
+    """A leaf of c, or of a radicand of its tower, is a RatFunc."""
+    tower, rep = field._parts(c)
+    return any(field._rhas_eps(r, i) for i, r in enumerate(tower + (rep,)))
+
+
+def _lanes_value(R, lanes, s):
+    """The x and y that a point's form (R, (lanes, s)) stands for, computed
+    in the field from the key R alone."""
+    if type(R) is tuple:
+        R1, (P, Q2) = R
+        root1 = sqrt_nonneg(Q(R1))
+        root2 = sqrt_nonneg(P + Q2 * root1)
+        return [(c[0] + c[1] * root1 + (c[2] + c[3] * root1) * root2) / s
+                for c in (lanes[:4], lanes[4:])]
+    root = sqrt_nonneg(Q(R)) if R else Q(0)
+    xa, xb, ya, yb = lanes
+    return (xa + xb * root) / s, (ya + yb * root) / s
+
+
 def _with_and_without_integer_path(pts) -> tuple[list, list]:
     """Every answer, and the angle witness's kind, decided with the integer
     path and again with it switched off (on the tower)."""
@@ -455,6 +501,41 @@ class TestIntegerPath:
             assert p.x * s == xa + xb * root and p.y * s == ya + yb * root
         decided, on_tower = _with_and_without_integer_path(pts)
         assert decided == on_tower
+
+    @given(angles=_angle_pairs(_DEPTH2_FIELDS))
+    @settings(max_examples=100, deadline=None)
+    def test_depth_two_forms_give_every_answer(self, angles):
+        # points over Q, Q(sqrt r1) and Q(sqrt r1)(sqrt r2) of one chain meet
+        # on the key (R1, R2); each point's lanes stand for its coordinates,
+        # and the integer path answers as the tower does
+        pts = angles[0] + angles[1]
+        z = geometry._zpoints(*pts)
+        assert z is not None
+        for p in pts:
+            R, (lanes, s) = p._zf
+            assert s > 0 and len(lanes) == (8 if type(R) is tuple else 4)
+            assert [p.x, p.y] == list(_lanes_value(R, lanes, s))
+        decided, on_tower = _with_and_without_integer_path(pts)
+        assert decided == on_tower
+
+    @pytest.mark.parametrize("mode", ["constructible", "nonarchimedean"])
+    def test_audit_sends_only_eps_points_to_the_tower(self, mode,
+                                                      monkeypatch):
+        # every predicate call of a small audit whose points are eps-free,
+        # the depth-2 points of lay_off among them, is decided on integers
+        zpoints, declined, depths = geometry._zpoints, [], set()
+
+        def recorded(*points, sem=None):
+            z = zpoints(*points, sem=sem)
+            coords = [c for p in points for c in (p.x, p.y)]
+            depths.update(getattr(c, "depth", 0) for c in coords)
+            if z is None and not any(map(_has_eps, coords)):
+                declined.append(points)
+            return z
+
+        monkeypatch.setattr(geometry, "_zpoints", recorded)
+        audit_run(mode, 16, 42)
+        assert declined == [] and depths == {0, 1, 2}
 
     @given(angles=_angle_pairs(st.just(_scalars(st.just(Q(0))))))
     @settings(max_examples=100, deadline=None)
@@ -544,16 +625,20 @@ class TestOpBudget:
         (Q(0), CONSTRUCTIBLE), (sqrt_nonneg(Q(2)), CONSTRUCTIBLE),
         (eps(), CONSTRUCTIBLE), (sqrt_nonneg(1 + eps()), CONSTRUCTIBLE),
         (eps(), NODE1), (sqrt_nonneg(1 + eps()), NODE1),
-        (Q(0), NODE0), (sqrt_nonneg(Q(2)), NODE0)],
+        (Q(0), NODE0), (sqrt_nonneg(Q(2)), NODE0),
+        (_DEPTH2[0][3], CONSTRUCTIBLE), (_DEPTH2[0][3], NODE0),
+        (_DEPTH2[1][6], CONSTRUCTIBLE), (_DEPTH2[1][6], NODE0)],
         ids=["rational", "sqrt2", "eps", "sqrt-1-plus-eps", "eps-M1",
-             "sqrt-1-plus-eps-M1", "rational-M0", "sqrt2-M0"])
+             "sqrt-1-plus-eps-M1", "rational-M0", "sqrt2-M0",
+             "depth-2", "depth-2-M0", "depth-2-scaled", "depth-2-scaled-M0"])
     @pytest.mark.parametrize("pred, args", _DECIDED,
                              ids=[p.__name__ for p, _ in _DECIDED])
     def test_integer_path_makes_no_field_op(self, pred, args, shift, sem,
                                             monkeypatch):
-        # points over Q, or over Q(sqrt 2), Q(eps) or Q(eps)(sqrt(1 + eps))
-        # after a move by (shift, shift/2); with an eps at any node but
-        # NODE0, or at NODE0 without one, P is d != 0 and reads no element
+        # points over Q, or over Q(sqrt 2), Q(eps), Q(eps)(sqrt(1 + eps)),
+        # Q(sqrt 2)(sqrt(1 + sqrt 2)) or Q(sqrt(3/2))(sqrt r2) after a move by
+        # (shift, shift/2); with an eps at any node but NODE0, or at NODE0
+        # without one, P is d != 0 and reads no element
         args = _moved(args, shift, shift / 2)
         calls, read = _count_binops(monkeypatch), _count_positive(monkeypatch)
         assert pred(*args, sem) if pred in _READS_P else pred(*args)
