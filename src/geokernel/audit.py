@@ -714,6 +714,8 @@ _TALLY = {"pass": "passes", "guard-refused": "guard_refusals"}
 def audit_run(mode: str = CONSTRUCTIBLE, per_axiom: int = 100,
               seed: int = 0, include_theorems: bool = True) -> dict:
     resolve_mode(mode)  # reject an unknown mode before any work
+    if per_axiom < 0:
+        raise ValueError(f"per_axiom must be >= 0, got {per_axiom}")
     t0 = time.perf_counter()
     entries = []
     summary: dict[str, dict] = {}

@@ -21,9 +21,15 @@ def _field_mode(flag: str) -> str:
 
 
 def _load_script(path: str):
-    """The parsed script at `path`, or None after reporting a syntax error."""
-    with open(path) as fh:
-        text = fh.read()
+    """The parsed script at `path`, or None after reporting a file that
+    cannot be read or a syntax error."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = err.strerror if isinstance(err, OSError) else err
+        print(f"error: cannot read {path}: {reason}", file=sys.stderr)
+        return None
     try:
         return parse_script(text)
     except ScriptSyntaxError as err:
@@ -133,6 +139,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_render)
 
     args = ap.parse_args(argv)
+    if getattr(args, "samples", 0) < 0:
+        ap.error(f"--samples must be >= 0, got {args.samples}")
     return args.fn(args)
 
 

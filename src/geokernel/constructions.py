@@ -114,18 +114,22 @@ def _project(p: Point, u: Point, v: Point) -> Point:
     return Point(u.x + d[0] * t, u.y + d[1] * t)
 
 
+def _along(p: Point, a: Point, b: Point, c: Point, d: Point) -> Point:
+    """p + (b - a)*|cd|/|ab|, for a # b: p itself when cd is null."""
+    q = sqdist(c, d)
+    if q.is_zero():
+        return p
+    t = sqrt_nonneg(q / sqdist(a, b))
+    return Point(p.x + (b.x - a.x) * t, p.y + (b.y - a.y) * t)
+
+
 # -- primitives --------------------------------------------------------------
 
 def ext(a: Point, b: Point, c: Point, d: Point,
         sem: str = CONSTRUCTIBLE) -> Point:
     """Extend ab beyond b by the length of cd (cd may be null)."""
     _apart(a, b, sem, "A4-i1", "a#b")
-    q = sqdist(c, d)
-    if q.is_zero():
-        x = b
-    else:
-        t = sqrt_nonneg(q / sqdist(a, b))
-        x = Point(b.x + (b.x - a.x) * t, b.y + (b.y - a.y) * t)
+    x = _along(b, a, b, c, d)
     _post(nonstrict_between(a, b, x) and congruent(b, x, c, d), "ext")
     _record("ext", [a, b, c, d], [x])
     return x
@@ -264,12 +268,7 @@ def lay_off(a: Point, b: Point, c: Point, d: Point,
             sem: str = CONSTRUCTIBLE) -> Point:
     """The point on Ray(a,b) at distance |cd| from a."""
     _apart(a, b, sem, None, "a#b")
-    q = sqdist(c, d)
-    if q.is_zero():
-        x = a
-    else:
-        t = sqrt_nonneg(q / sqdist(a, b))
-        x = Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+    x = _along(a, a, b, c, d)
     _post(on_ray(a, b, x) and congruent(a, x, c, d), "lay_off")
     _record("lay_off", [a, b, c, d], [x])
     return x

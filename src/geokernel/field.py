@@ -25,12 +25,13 @@ a tower element x, x*q and x/q scale x's leaves and x + q, x - q and q - x
 shift only its constant leaf.  Only q/x brings q into x's tower.
 
 A depth-1 element whose radicand r = r_n/r_d and leaves are `Rat`s is
-kept as ints (A, B, D) for (A + B*sqrt(r))/D, gcd(A, B, D) = 1, D > 0
-(a `Poly`'s z/m one level up), and its `rep` is a view built on first
-read.  Against an int, a `Rat` or an element over the same tower, `+ - *
-/` are int formulas reduced once by one gcd; `sign` compares A^2*r_d
-with B^2*r_n.  Other elements keep only the rep; `int_form` is the one
-reader of the form outside this module.
+kept as ints (A, B, D) for (A + B*sqrt(R))/D over the integer radicand R
+= r_n*r_d, so that sqrt(r) = sqrt(R)/r_d; gcd(A, B, D) = 1 and D > 0 (a
+`Poly`'s z/m one level up), and its `rep` is a view built on first read.
+Against an int, a `Rat` or an element over the same tower, `+ - * /` are
+int formulas reduced once by one gcd; `sign` compares A^2 with B^2*R.
+Other elements keep only the rep.  `int_form` is the one reader of these
+forms outside this module, and builds the depth-2 form from them.
 
 Every operation is exact.  Comparison is decided recursively: the sign of
 a + b*sqrt(r) follows from the signs of a and b and a comparison of a^2
@@ -259,7 +260,7 @@ def _base(x):
     return x if type(x) is RatFunc else as_rat(x)
 
 
-# -- depth 1 over Q: (A + B*sqrt(r))/D in ints (see the module doc) -----------
+# -- depth 1 over Q: (A + B*sqrt(R))/D in ints (see the module doc) -----------
 
 def _abd_of(tower, rep):
     """The form (A, B, D) of rep over a depth-1 tower whose radicand and
@@ -269,12 +270,15 @@ def _abd_of(tower, rep):
     (a, b), r = rep, tower[0]
     if not type(a) is type(b) is type(r) is Rat:
         return None
-    D = lcm(a.d, b.d)  # lowest terms already, as a Poly's z/m
-    return a.n * (D // a.d), b.n * (D // b.d), D
+    bd = b.d * r.d  # b*sqrt(r) = b/r_d*sqrt(R)
+    D = lcm(a.d, bd)
+    A, B = a.n * (D // a.d), b.n * (D // bd)
+    g = gcd(A, B, D)  # a factor of r_d in b_n cancels
+    return (A, B, D) if g == 1 else (A // g, B // g, D // g)
 
 
 def _abd_value(tower, A, B, D):
-    """(A + B*sqrt(r))/D over tower (r,), in lowest terms with D > 0: the
+    """(A + B*sqrt(R))/D over tower (r,), in lowest terms with D > 0: the
     Rat A/D when B is 0."""
     if not B:
         return _ratio(A, D)
@@ -305,17 +309,18 @@ def _abd_op(x, other, op):
         return _abd_value(tower, A * d, B * d, D * n)
     if kind is not FieldElement or other._abd is None or other.tower != tower:
         return None
-    (a, b, d), r = other._abd, tower[0]
+    a, b, d = other._abd
     if op is add or op is sub:
         if op is sub:
             a, b = -a, -b
         return _abd_value(tower, A * d + a * D, B * d + b * D, D * d)
-    if op is truediv:  # x*(a - b*sqrt(r))*d*r_d/(a^2*r_d - b^2*r_n)
-        a, b, d = a * d * r.d, -b * d * r.d, D * (a * a * r.d - b * b * r.n)
+    r = tower[0]
+    R = r.n * r.d
+    if op is truediv:  # x*(a - b*sqrt(R))*d/(a^2 - b^2*R)
+        a, b, d = a * d, -b * d, D * (a * a - b * b * R)
         D = 1
-    # (A + B*s)(a + b*s) = A*a + B*b*r + (A*b + B*a)*s, times r_d
-    return _abd_value(tower, A * a * r.d + B * b * r.n,
-                      (A * b + B * a) * r.d, D * d * r.d)
+    # (A + B*s)(a + b*s) = A*a + B*b*R + (A*b + B*a)*s
+    return _abd_value(tower, A * a + B * b * R, A * b + B * a, D * d)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +344,8 @@ class FieldElement:
         two Rats built on first read."""
         rep = self._rep
         if rep is None:
-            A, B, D = self._abd
-            rep = self._rep = (_ratio(A, D), _ratio(B, D))
+            (A, B, D), r = self._abd, self.tower[0]
+            rep = self._rep = (_ratio(A, D), _ratio(B * r.d, D))
         return rep
 
     @property
@@ -465,8 +470,8 @@ class FieldElement:
         sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
         if sa == sb or not sa:  # B is never 0
             return sb
-        # A and B*sqrt(r) pull in opposite directions: A^2*r_d vs B^2*r_n
-        return sa if A * A * r.d > B * B * r.n else sb
+        # A and B*sqrt(R) pull in opposite directions: A^2 vs B^2*R
+        return sa if A * A > B * B * r.n * r.d else sb
 
     def __eq__(self, other):
         if type(other) is not FieldElement:
@@ -528,10 +533,32 @@ def _rhas_eps(rep, depth) -> bool:
 
 
 def int_form(x):
-    """(A, B, D, r) if x is a tower element kept as (A + B*sqrt(r))/D,
-    else None: the one reader of the form outside this module."""
-    f = x._abd if type(x) is FieldElement else None
-    return f and (*f, x.tower[0])
+    """(R, lanes, D), D > 0 and gcd(*lanes, D) = 1, for an eps-free tower
+    element of depth 1 or 2 with Rat leaves; else None.  Depth 1: (R, (A,
+    B), D) as kept.  Depth 2: x = (c0 + c1*sqrt(R1) + (c2 +
+    c3*sqrt(R1))*sqrt(R2))/D with R = (R1, (P*E, Q*E)), where r2 = (P +
+    Q*sqrt(R1))/E, so R2 = E^2*r2 in Z[sqrt R1] and sqrt(R2) = E*sqrt(r2)."""
+    if type(x) is not FieldElement:
+        return None
+    f = x._abd
+    if f is not None:
+        r = x.tower[0]
+        return r.n * r.d, f[:2], f[2]
+    if x.depth != 2:
+        return None
+    low = x.tower[:1]  # r2, a and b of x = a + b*sqrt(r2) over Q(sqrt r1)
+    forms = [_abd_of(low, v) for v in (x.tower[1], *x.rep)]
+    if None in forms:
+        return None
+    (P, Q, E), (A0, A1, s), (B0, B1, t) = forms
+    t *= E  # b*sqrt(r2) = b/E*sqrt(R2)
+    D = lcm(s, t)
+    s, t = D // s, D // t
+    lanes = A0 * s, A1 * s, B0 * t, B1 * t
+    g = gcd(*lanes, D)
+    if g != 1:
+        lanes, D = tuple(c // g for c in lanes), D // g
+    return (low[0].n * low[0].d, (P * E, Q * E)), lanes, D
 
 
 def _parts(x):

@@ -15,48 +15,45 @@ angle positivity is the cross-product criterion, witnessed by an apex
 negates the cross product, so the supplement test of `angle_lt_pi`
 decides exactly what `pos_angle` does.
 
-Each point keeps its exact integer form, built on first use (`_zform`):
-(R, ((xA, xB, yA, yB), S)) with x = (xA + xB*sqrt(R))/S, y likewise and
-S > 0 the point's own scale.  A point over Q has R = 0 and S = lcm(x_d,
-y_d).  A point over one Q(sqrt r), r = r_n/r_d, has R = r_n*r_d, so that
-sqrt(r) = sqrt(R)/r_d: a coordinate that `field` keeps as (A + B*sqrt(r))/D
-(`int_form`) is (A*r_d + B*sqrt(R))/(D*r_d) in lowest terms, and S is the
-lcm of the two coordinates' scales.  Points whose forms share R (or
-have R = 0) are decided in homogeneous coordinates (`_zpoints`), with no
-common scale per call: p - q is taken as cp*Sq - cq*Sp, a positive
-multiple of the difference, so signs, zeros and the equal-cosine test
-read it unchanged; `congruent` scales each squared length by the other's
-squared scale, and `on_ray` reads T(e, a, x), e = 2a - b, from its gaps
-b - a and x - a, with no reflection formed.  When every point of a call
-lies over Q (R = 0), a difference is lanes 0 and 2 alone, (X, Y), and
-dot and cross products are plain ints.  This is exact: R is no
-square, as a tower node is made only for a non-square, so pairs A +
-B*sqrt(R) compare and take signs as in `field`.
+Each point keeps its exact integer form, built on first use (`_zform`)
+from its coordinates' forms (`field.int_form`): (R, (lanes, S)) with S > 0
+the point's own scale, the lcm of the coordinates' scales.  A point over Q
+has R = 0 and lanes (xA, 0, yA, 0) for x = xA/S, y = yA/S; a point over
+one Q(sqrt r) has its coordinates' R and lanes (xA, xB, yA, yB) for x =
+(xA + xB*sqrt(R))/S and y likewise.  Points whose forms share R (or have R
+= 0) are decided in homogeneous coordinates (`_zpoints`), with no common
+scale per call: p - q is taken as cp*Sq - cq*Sp, a positive multiple of
+the difference, so signs, zeros and the equal-cosine test read it
+unchanged; `congruent` scales each squared length by the other's squared
+scale, and `on_ray` reads T(e, a, x), e = 2a - b, from its gaps b - a and
+x - a, with no reflection formed.  When every point of a call lies over Q
+(R = 0), a difference is lanes 0 and 2 alone, (X, Y), and dot and cross
+products are plain ints.  This is exact: R is no square, as a tower node
+is made only for a non-square, so pairs A + B*sqrt(R) compare and take
+signs as in `field`.
 
-A point over an eps-free Q(sqrt r1)(sqrt r2) with Rat leaves, as
-`lay_off` builds from an `ext` point, keeps eight lanes over one S under
-the key R = (R1, R2): with r2 = (P + Q*sqrt(R1))/E in lowest terms, E >
-0, R2 = (P*E, Q*E) in Z[sqrt R1], so sqrt(R2) = E*sqrt(r2) > 0, and x =
-(c0 + c1*sqrt(R1) + (c2 + c3*sqrt(R1))*sqrt(R2))/S in lanes 0-3, y in
-4-7.  Products go over Z[sqrt R1] (`_zsum2`), and u + v*sqrt(R2) takes
-its sign by `field`'s rule one level up, comparing u^2 with v^2*R2 (R2
-is no square in Q(sqrt R1)).  Points over Q, or over Q(sqrt r1) with the
-same R1, meet it with zero upper lanes (`_zjoin`, `_zlanes8`).  Points
-over Q(eps), or over one Q(eps)(sqrt r), are scaled per call
-(`_zeps_points`) to Q[eps][sqrt R]; two chains and deeper towers go to
-the tower.  On these pairs P(|d|^2) is d != 0 at every node but NODE0,
-and at NODE0 too when no eps occurs (a nonzero eps-free element has
-valuation 0).  A predicate that reads P hands its semantics to
-`_zpoints`, which turns points with an eps at NODE0 away to the tower,
-where `positive` reads P.
+A point over an eps-free Q(sqrt r1)(sqrt r2) with Rat leaves, as `lay_off`
+builds from an `ext` point, has the key R = (R1, R2) of `int_form` and
+eight lanes: the four of a point over Q(sqrt R1), then the four of its
+sqrt(R2) part.  A point of depth 0 or 1 over the same R1 meets it with
+four zero lanes appended (`_zjoin`, `_zpoints`).  Dot and cross products
+over (R1, R2) are composed from those over R1 (`_zover2`), and u +
+v*sqrt(R2) takes its sign by `field`'s rule one level up, comparing u^2
+with v^2*R2 (R2 is no square in Q(sqrt R1)).  Points over Q(eps), or over
+one Q(eps)(sqrt r), are scaled per call (`_zeps_points`) to Q[eps][sqrt
+R]; two chains and deeper towers go to the tower.  On these pairs P(|d|^2)
+is d != 0 at every node but NODE0, and at NODE0 too when no eps occurs (a
+nonzero eps-free element has valuation 0).  A predicate that reads P hands
+its semantics to `_zpoints`, which turns points with an eps at NODE0 away
+to the tower, where `positive` reads P.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd, lcm
-from operator import floordiv, mul, sub
+from math import lcm
+from operator import mul, sub
 
 from . import nafield
 from .field import (FieldElement, Q, int_form, render_element,
@@ -206,85 +203,40 @@ def in_domain(node: str, x: FieldElement) -> bool:
 # -- the integer path (see the module doc) -----------------------------------
 
 def _zform(p: Point):
-    """p's integer form (R, (coords, S)), see the module doc, kept on p; ()
-    unless each coordinate is a Rat, a + b*sqrt(r) over a depth-1 tower or
-    a + b*sqrt(r2) over an eps-free depth-2 tower with Rat leaves, and the
-    two coordinates' chains meet (`_zjoin`)."""
+    """p's integer form (R, (lanes, S)), see the module doc, which
+    `_zpoints` keeps on p; () unless each coordinate is a Rat or has an
+    `int_form`, and the two coordinates' chains meet (`_zjoin`)."""
     x, y = p.x, p.y
     if type(x) is Rat is type(y):
         s = lcm(x.d, y.d)
-        f = 0, ((x.n * (s // x.d), 0, y.n * (s // y.d), 0), s)
-    else:
-        f = _zform_tower(x, y)
-    _SET_ZF(p, f)
-    return f
-
-
-def _zform_tower(x, y):
-    """`_zform` of a point with a coordinate that is not a Rat: each
-    coordinate's lanes over its own scale, in lowest terms, then both over
-    one S."""
+        return 0, ((x.n * (s // x.d), 0, y.n * (s // y.d), 0), s)
     R, parts = 0, []  # (lanes, scale) of each coordinate
     for c in (x, y):
         if type(c) is Rat:
             parts.append(((c.n, 0), c.d))
             continue
         f = int_form(c)
-        if f is not None:  # (A + B*sqrt(r))/D is (A*r_d + B*sqrt(R))/(D*r_d)
-            A, B, D, r = f
-            if r.d != 1:
-                A, D = A * r.d, D * r.d
-                g = gcd(A, B, D)
-                A, B, D = A // g, B // g, D // g
-            r, lanes = r.n * r.d, (A, B)
-        elif (f := _zlanes2(c)) is not None:
-            r, lanes, D = f
-        else:
+        if f is None:
             return ()
-        if r != R:
-            if not R:
-                R = r
-            elif (R := _zjoin(R, r)) is None:
-                return ()
+        r, lanes, D = f
+        if r != R and (R := _zjoin(R, r)) is None:
+            return ()
         parts.append((lanes, D))
     (u, s), (v, t) = parts
     S = lcm(s, t)
     a, b = S // s, S // t
-    if type(R) is not tuple:
-        return R, ((u[0] * a, u[1] * a, v[0] * b, v[1] * b), S)
-    u, v = u + (0, 0) if len(u) == 2 else u, v + (0, 0) if len(v) == 2 else v
-    return R, (tuple(map(mul, u + v, (a,) * 4 + (b,) * 4)), S)
-
-
-def _zlanes2(c):
-    """(R, (c0, c1, c2, c3), S) in lowest terms for c over an eps-free
-    depth-2 tower with Rat leaves, R = (R1, R2) as in the module doc; else
-    None."""
-    if type(c) is not FieldElement or c.depth != 2:
-        return None
-    r1, (p, q) = c.tower
-    (a0, a1), (b0, b1) = c.rep
-    if not (type(r1) is type(p) is type(q) is Rat
-            and type(a0) is type(a1) is type(b0) is type(b1) is Rat):
-        return None
-    d1 = r1.d  # sqrt(r1) = sqrt(R1)/d1, r2 = (P + Qn*sqrt(R1))/E
-    E = lcm(p.d, q.d * d1)
-    P, Qn = p.n * (E // p.d), q.n * (E // (q.d * d1))
-    g = gcd(P, Qn, E)
-    P, Qn, E = P // g, Qn // g, E // g
-    # c = a0 + a1/d1*sqrt(R1) + (b0/E + b1/(d1*E)*sqrt(R1))*sqrt(R2)
-    ns, ds = (a0.n, a1.n, b0.n, b1.n), (a0.d, a1.d * d1, b0.d * E,
-                                         b1.d * d1 * E)
-    S = lcm(*ds)
-    lanes = tuple(map(mul, ns, map(floordiv, (S,) * 4, ds)))
-    g = gcd(*lanes, S)
-    return ((r1.n * d1, (P * E, Qn * E)),
-            tuple(map(floordiv, lanes, (g,) * 4)), S // g)
+    lanes = u[0] * a, u[1] * a, v[0] * b, v[1] * b
+    if type(R) is tuple:  # a coordinate of depth 0 or 1 has no sqrt(R2) part
+        u, v = u[2:] or (0, 0), v[2:] or (0, 0)
+        lanes += u[0] * a, u[1] * a, v[0] * b, v[1] * b
+    return R, (lanes, S)
 
 
 def _zjoin(R, r):
-    """The key of a call whose forms have the nonzero keys R != r (see the
-    module doc): the depth-2 one when it extends the other, else None."""
+    """The key of a call whose forms have the keys R != r, r nonzero: r if
+    R is 0, the depth-2 one when it extends the other, else None."""
+    if not R:
+        return r
     if type(r) is tuple:
         R, r = r, R  # R is the deeper key
     return R if type(R) is tuple and R[0] == r else None
@@ -300,15 +252,16 @@ def _zpoints(*pts, sem=None):
         f = p._zf
         if f is None:
             f = _zform(p)
+            _SET_ZF(p, f)
         if not f:
             return _zeps_points(pts, sem)
         r, q = f
-        if r and r != R:
-            if not R:
-                R = r
-            elif (R := _zjoin(R, r)) is None:  # two chains: two towers
-                return None
+        if r and r != R and (R := _zjoin(R, r)) is None:  # two chains
+            return None
         out.append(q)
+    if type(R) is tuple:  # a point of depth 0 or 1 joins with zero lanes
+        out = [q if len(q[0]) == 8 else (q[0] + (0, 0, 0, 0), q[1])
+               for q in out]
     return R, out
 
 
@@ -356,8 +309,7 @@ def _zsub(p, q, R):
         if s == t:
             return u[0] - v[0], u[2] - v[2]
         return u[0] * t - v[0] * s, u[2] * t - v[2] * s
-    if type(R) is tuple:  # a point of depth 0 or 1 has four lanes
-        u, v = _zlanes8(u), _zlanes8(v)
+    if type(R) is tuple:
         if s != t:
             u, v = map(mul, u, (t,) * 8), map(mul, v, (s,) * 8)
         return tuple(map(sub, u, v))
@@ -365,11 +317,6 @@ def _zsub(p, q, R):
         return u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3]
     return (u[0] * t - v[0] * s, u[1] * t - v[1] * s,
             u[2] * t - v[2] * s, u[3] * t - v[3] * s)
-
-
-def _zlanes8(c):
-    """c with zero sqrt(R2) lanes if it has four (xA, xB, yA, yB)."""
-    return c if len(c) == 8 else (c[0], c[1], 0, 0, c[2], c[3], 0, 0)
 
 
 def _zscale(p, q):
@@ -387,46 +334,34 @@ def _zdot(u, v, R):
     if not R:
         return u[0] * v[0] + u[1] * v[1], 0
     if type(R) is tuple:
-        return _zsum2(u[:4], v[:4], u[4:], v[4:], R, 1)
+        return _zover2(_zdot, u, v, R)
     return (u[0] * v[0] + u[2] * v[2] + (u[1] * v[1] + u[3] * v[3]) * R,
             u[0] * v[1] + u[1] * v[0] + u[2] * v[3] + u[3] * v[2])
 
 
 def _zcross(u, v, R):
     if type(R) is tuple:
-        return _zsum2(u[:4], v[4:], u[4:], v[:4], R, -1)
+        return _zover2(_zcross, u, v, R)
     return (u[0] * v[2] - u[2] * v[0] + (u[1] * v[3] - u[3] * v[1]) * R,
             u[0] * v[3] + u[1] * v[2] - u[2] * v[1] - u[3] * v[0])
 
 
 def _zmul(z, w, R):
     if type(R) is tuple:
-        return _zsum2(z, w, None, None, R, 0)
+        return _zover2(_zmul, z, w, R)
     return (z[0] * w[0] + z[1] * w[1] * R, z[0] * w[1] + z[1] * w[0])
 
 
-def _zsum2(a, b, c, d, R, sg):
-    """a*b + sg*c*d over (R1, R2), sg in {-1, 0, 1}, c and d unread when sg
-    is 0: with a = u + v*sqrt(R2) and b = s + t*sqrt(R2), a*b is
-    u*s + v*t*R2 + (u*t + v*s)*sqrt(R2), each product taken in Z[sqrt R1]
-    (`_zmul`), unrolled."""
-    R1, (P, Q) = R
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    u0, u1 = a0 * b0 + a1 * b1 * R1, a0 * b1 + a1 * b0
-    v0, v1 = a2 * b2 + a3 * b3 * R1, a2 * b3 + a3 * b2
-    w0 = a0 * b2 + a2 * b0 + (a1 * b3 + a3 * b1) * R1
-    w1 = a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
-    if sg:
-        c0, c1, c2, c3 = c
-        d0, d1, d2, d3 = d
-        u0 += sg * (c0 * d0 + c1 * d1 * R1)
-        u1 += sg * (c0 * d1 + c1 * d0)
-        v0 += sg * (c2 * d2 + c3 * d3 * R1)
-        v1 += sg * (c2 * d3 + c3 * d2)
-        w0 += sg * (c0 * d2 + c2 * d0 + (c1 * d3 + c3 * d1) * R1)
-        w1 += sg * (c0 * d3 + c3 * d0 + c1 * d2 + c2 * d1)
-    return u0 + v0 * P + v1 * Q * R1, u1 + v0 * Q + v1 * P, w0, w1
+def _zover2(f, u, v, R):
+    """The bilinear f over (R1, R2) from f over R1: u = u0 + u1*sqrt(R2)
+    and v likewise, each half of its lanes, give f(u, v) = f(u0, v0) +
+    R2*f(u1, v1) + (f(u0, v1) + f(u1, v0))*sqrt(R2)."""
+    R1, R2 = R
+    n = len(u) // 2
+    u0, u1, v0, v1 = u[:n], u[n:], v[:n], v[n:]
+    a, b = f(u0, v0, R1), _zmul(R2, f(u1, v1, R1), R1)
+    c, d = f(u0, v1, R1), f(u1, v0, R1)
+    return a[0] + b[0], a[1] + b[1], c[0] + d[0], c[1] + d[1]
 
 
 def _zsign(z, R) -> int:

@@ -291,6 +291,8 @@ def check_ef_axioms(samples: int = 200, seed: int = 0) -> dict:
     Environments mix rational, infinitesimal and mixed probes; a slice of
     unbounded probes checks that M0 rejects them (DomainViolation) while
     M1 still satisfies the axiom classically."""
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     rng = random.Random(seed)
     entries = []
     failures = 0

@@ -391,3 +391,7 @@ class TestHarness:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="nonarch"):
             audit_run(mode="nonarch", per_axiom=1)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="per_axiom must be >= 0"):
+            audit_run(per_axiom=-3)

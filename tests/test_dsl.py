@@ -333,6 +333,35 @@ class TestCli:
         assert out[0].startswith("a = (1+150*eps+11175*eps^2")
         assert out[0].endswith("+eps^150, 0)")
 
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file or directory"),
+        (b"\xffpoint a 0 0;", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["missing", "not-utf-8"])
+    @pytest.mark.parametrize("command", ["run", "render"])
+    def test_unreadable_script_exit_code(self, command, content, reason,
+                                         tmp_path, capsys):
+        script = tmp_path / "script.geo"
+        if content is not None:
+            script.write_bytes(content)
+        out_svg = tmp_path / "out.svg"
+        argv = [command, str(script)]
+        if command == "render":
+            argv += ["--out", str(out_svg)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {script}: {reason}")
+        assert not out_svg.exists()
+
+    @pytest.mark.parametrize("argv", [["audit", "--samples", "-3"],
+                                      ["kripke", "--samples", "-5"]])
+    def test_negative_samples_exit_code(self, argv, capsys):
+        # a negative count would check nothing and report success
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(argv)
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--samples must be >= 0" in err
+
     @pytest.mark.parametrize("command", ["run", "render"])
     def test_syntax_error_exit_code(self, command, tmp_path, capsys):
         script = tmp_path / "bad.geo"

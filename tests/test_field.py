@@ -458,7 +458,8 @@ def _plain(v):
 
 class TestDepthOneForm:
     """A depth-1 element over Q is kept as ints (A, B, D) for
-    (A + B*sqrt(r))/D; its results equal those of the nested-pair path."""
+    (A + B*sqrt(R))/D, R = r_n*r_d; its results equal those of the
+    nested-pair path."""
 
     @staticmethod
     def _check_form(v):
@@ -467,8 +468,10 @@ class TestDepthOneForm:
             return
         A, B, D = v._abd
         assert D > 0 and B != 0 and math.gcd(A, B, D) == 1
-        assert field.int_form(v) == (A, B, D, v.tower[0])
-        assert v.rep == (Rat(A, D), Rat(B, D))  # the view, built on read
+        r = v.tower[0]
+        assert field.int_form(v) == (r.n * r.d, (A, B), D)
+        # the view, built on read: sqrt(r) = sqrt(R)/r_d
+        assert v.rep == (Rat(A, D), Rat(B * r.d, D))
 
     @given(xy=_form_operands())
     @settings(max_examples=150, deadline=None)
@@ -522,6 +525,59 @@ class TestDepthOneForm:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(field, "_rval", None)  # a call would raise
             assert x.valuation() == want == 0
+
+
+def _form_value(R, lanes, D):
+    """The value that `int_form`'s (R, lanes, D) stands for, computed in
+    the field from R alone."""
+    if type(R) is tuple:
+        R1, (P, Q2) = R
+        root1 = sqrt_nonneg(Q(R1))
+        root2 = sqrt_nonneg(P + Q2 * root1)
+        c0, c1, c2, c3 = lanes
+        return (c0 + c1 * root1 + (c2 + c3 * root1) * root2) / D
+    A, B = lanes
+    return (A + B * sqrt_nonneg(Q(R))) / D
+
+
+class TestIntForm:
+    """`int_form` gives (R, lanes, D) for eps-free elements of depth 1 and
+    2 with Rat leaves, and None for any other value."""
+
+    @given(tree=_eps_free_trees())
+    @settings(max_examples=150, deadline=None)
+    @example(tree=("+", Fraction(1), ("*", Fraction(2), _root(Fraction(1, 2)))))
+    @example(tree=("-", ("+", Fraction(1), ("*", Fraction(3), _root(2))),
+                   ("*", Fraction(1, 2), ("sqrt", ("+", Fraction(1),
+                                                   _root(2))))))
+    def test_form_evaluates_back(self, tree):
+        x = _evaluate(tree, Q)
+        f = field.int_form(x)
+        if not isinstance(x, FieldElement) or x.depth > 2:
+            assert f is None
+            return
+        R, lanes, D = f
+        assert D > 0 and math.gcd(*lanes, D) == 1
+        assert len(lanes) == 2 * x.depth
+        assert (type(R) is tuple) is (x.depth == 2)
+        assert _form_value(R, lanes, D) == x
+
+    @pytest.mark.parametrize("make, depth", [
+        (lambda: eps(), 0),
+        (lambda: Q(3, 4), 0),
+        (lambda: sqrt_nonneg(1 + eps()), 1),
+        (lambda: sqrt_nonneg(Q(2)) + eps(), 1),
+        (lambda: sqrt_nonneg(1 + eps()) * sqrt_nonneg(Q(2)), 2),
+        (lambda: (eps() + sqrt_nonneg(Q(2))) - eps(), 1),
+        (lambda: (eps() + sqrt_nonneg(1 + sqrt_nonneg(Q(2)))) - eps(), 2),
+        (lambda: sqrt_nonneg(Q(2)) + sqrt_nonneg(Q(3)) + sqrt_nonneg(Q(5)),
+         3),
+    ], ids=["eps", "rat", "eps-radicand", "eps-leaf", "eps-depth-2",
+            "constant-ratfunc", "constant-ratfunc-depth-2", "depth-3"])
+    def test_no_form(self, make, depth):
+        x = make()
+        assert getattr(x, "depth", 0) == depth
+        assert field.int_form(x) is None
 
 
 def _is_value(v) -> bool:

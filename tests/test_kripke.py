@@ -170,6 +170,10 @@ class TestEFAxioms:
         assert verdicts == {"forced", "domain-rejected"}
         report_to_json(rep)  # serializable
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            check_ef_axioms(samples=-5)
+
     def test_golden_digests(self):
         # pins every verdict and rendered probe of the report and the
         # Markov counterexample

@@ -446,8 +446,9 @@ def _lanes_value(R, lanes, s):
         R1, (P, Q2) = R
         root1 = sqrt_nonneg(Q(R1))
         root2 = sqrt_nonneg(P + Q2 * root1)
+        # the four lanes over Q(sqrt R1), then those of the sqrt(R2) part
         return [(c[0] + c[1] * root1 + (c[2] + c[3] * root1) * root2) / s
-                for c in (lanes[:4], lanes[4:])]
+                for c in (lanes[0:2] + lanes[4:6], lanes[2:4] + lanes[6:8])]
     root = sqrt_nonneg(Q(R)) if R else Q(0)
     xa, xb, ya, yb = lanes
     return (xa + xb * root) / s, (ya + yb * root) / s
