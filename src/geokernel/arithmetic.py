@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from .field import FieldElement, Negative, Q, inv_positive, sqrt_nonneg
 from .geometry import (
-    Point, between, distinct, midpoint, pt, reflect_in_point, right_angle,
-    sqdist,
+    CONSTRUCTIBLE, Point, between, distinct, midpoint, pt, reflect_in_point,
+    right_angle, sqdist,
 )
 from .constructions import (
-    CircleSpec, ConstructionError, _post, _project, line_circle,
-    line_intersect, perpendicular, reflect,
+    CircleSpec, _apart, _post, _project, line_circle, line_intersect,
+    perpendicular, reflect,
 )
 
 ORIGIN = pt(0, 0)
@@ -118,8 +118,7 @@ def geo_inv(a: Point) -> Point:
     """Euclid-5 style: the line from 0 through (a,1) meets the vertical
     at 1 in (1, 1/a); project and mirror back to the axis."""
     a = _as_axis(a)
-    if not distinct(a, ORIGIN):
-        raise ConstructionError("NotDistinct", None, "a#0")
+    _apart(a, ORIGIN, CONSTRUCTIBLE, None, "a#0")
     _, tip_a = perpendicular("erect", a, (ORIGIN, UNIT_X))
     w = _project(_mirror_diag(pt(1, 0)), a, tip_a)  # (a, 1) on the vertical
     _post(w.x == a.x and w.y == Q(1), "geo_inv point (a, 1)")
@@ -137,8 +136,8 @@ def geo_sqrt(a: Point, strict: bool = False) -> Point:
     a = _as_axis(a)
     if a.x.sign() < 0:
         raise Negative("geo_sqrt of a negative axis point")
-    if strict and not distinct(a, ORIGIN):
-        raise ConstructionError("NotDistinct", None, "a#0 (strict sqrt)")
+    if strict:
+        _apart(a, ORIGIN, CONSTRUCTIBLE, None, "a#0 (strict sqrt)")
     minus1 = pt(-1, 0)
     center = midpoint(minus1, a)
     circle = CircleSpec(center, center, a)

@@ -30,9 +30,9 @@ from .geometry import (
     verify_witness, vsub, cross, apex_witness,
 )
 from .constructions import (
-    CircleSpec, ConstructionError, PostconditionFailure, angle_bisect,
-    circle_circle, crossbar_point, ext, ext_strict, euclid5, inner_pasch,
-    lay_off, line_circle, line_intersect, outer_pasch,
+    CircleSpec, ConstructionError, PostconditionFailure, _require,
+    angle_bisect, circle_circle, crossbar_point, ext, ext_strict, euclid5,
+    inner_pasch, lay_off, line_circle, line_intersect, outer_pasch,
 )
 
 TINY = Q(1, 2 ** 32)  # degenerate-adjacent but exactly positive gap
@@ -676,8 +676,7 @@ def _check(spec: Spec, inst: dict, mode: str | None, tag: str | None) -> dict:
     try:
         if spec.hypothesis is not None:
             text, holds = spec.hypothesis
-            if not holds(inst, sem):
-                raise ConstructionError("PreconditionViolated", tag, text)
+            _require(tag, [(lambda: holds(inst, sem), text)])
         res = _verdict(spec.check(inst, sem), spec.detail)
     except ConstructionError as err:
         res = _refused(err)

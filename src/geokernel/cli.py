@@ -1,5 +1,6 @@
 """Command-line front end: run scripts, audits, the Kripke demonstration,
-and SVG rendering.  Exit code 0 iff no failures."""
+and SVG rendering.  Exit code 0 iff no failures; 2 when a script cannot be
+read, parsed or rendered, or an output file cannot be written."""
 
 from __future__ import annotations
 
@@ -20,28 +21,39 @@ def _field_mode(flag: str) -> str:
     return NONARCHIMEDEAN if flag == "nonarch" else CONSTRUCTIBLE
 
 
-def _load_script(path: str):
-    """The parsed script at `path`, or None after reporting a file that
-    cannot be read or a syntax error."""
+def _run_file(args):
+    """The environment of the script `args.file` run in `args.field`, or
+    None after reporting a file that cannot be read or a syntax error."""
     try:
-        with open(path) as fh:
+        with open(args.file) as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         reason = err.strerror if isinstance(err, OSError) else err
-        print(f"error: cannot read {path}: {reason}", file=sys.stderr)
+        print(f"error: cannot read {args.file}: {reason}", file=sys.stderr)
         return None
     try:
-        return parse_script(text)
+        script = parse_script(text)
     except ScriptSyntaxError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return None
+    return run_script(script, _field_mode(args.field))
+
+
+def _write(path: str, text: str) -> bool:
+    """Write text to path; False after reporting why it cannot be done."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        print(f"error: cannot write {path}: {err.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_run(args) -> int:
-    script = _load_script(args.file)
-    if script is None:
+    env = _run_file(args)
+    if env is None:
         return 2
-    env = run_script(script, _field_mode(args.field))
     for a in env.assertions:
         mark = "ok" if a["holds"] else "FAILED"
         print(f"assert {mark}: {a['statement']}")
@@ -53,11 +65,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.json and not _write(args.json, ""):  # fail before the run
+        return 2
     report = audit_run(mode=_field_mode(args.field),
                        per_axiom=args.samples, seed=args.seed)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report_to_json(report))
+    if args.json and not _write(args.json, report_to_json(report)):
+        return 2
     refusals = sum(c["guard_refusals"] for c in report["summary"].values())
     for label, c in report["summary"].items():
         line = f"{label}: {c['passes']}/{c['count']} pass"
@@ -87,17 +100,16 @@ def cmd_kripke(args) -> int:
 
 
 def cmd_render(args) -> int:
-    script = _load_script(args.file)
-    if script is None:
+    env = _run_file(args)
+    if env is None:
         return 2
-    env = run_script(script, _field_mode(args.field))
     try:
         doc = render_svg(env, shadow=args.shadow)
     except UnrenderableMode as err:
         print(f"unrenderable: {err}", file=sys.stderr)
         return 2
-    with open(args.out, "w") as fh:
-        fh.write(doc)
+    if not _write(args.out, doc):
+        return 2
     print(f"wrote {args.out}")
     return 1 if env.failed else 0
 

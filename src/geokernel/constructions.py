@@ -86,7 +86,7 @@ def _apart(a: Point, b: Point, sem: str, axiom: str | None,
         raise ConstructionError("NotDistinct", axiom, hypothesis)
 
 
-def _require(axiom: str, checks):
+def _require(axiom: str | None, checks):
     """Test (thunk, hypothesis) pairs in order; refuse at the first that
     fails, before any later one is computed."""
     for holds, hypothesis in checks:
@@ -154,10 +154,8 @@ def _angle_guard(triples, sem, axiom):
 
 def inner_pasch(a: Point, p: Point, c: Point, b: Point, q: Point,
                 sem: str = CONSTRUCTIBLE) -> Point:
-    if not between(a, p, c, sem):
-        raise ConstructionError("PreconditionViolated", "A7-i1", "B(a,p,c)")
-    if not between(b, q, c, sem):
-        raise ConstructionError("PreconditionViolated", "A7-i1", "B(b,q,c)")
+    _require("A7-i1", ((lambda: between(a, p, c, sem), "B(a,p,c)"),
+                       (lambda: between(b, q, c, sem), "B(b,q,c)")))
     _angle_guard([(a, c, b), (q, p, a)], sem, "A7-i1")
     x = line_intersect(p, b, a, q)
     _post(between(p, x, b, sem) and between(a, x, q, sem), "inner_pasch")
@@ -167,10 +165,8 @@ def inner_pasch(a: Point, p: Point, c: Point, b: Point, q: Point,
 
 def outer_pasch(a: Point, p: Point, c: Point, b: Point, q: Point,
                 sem: str = CONSTRUCTIBLE) -> Point:
-    if not between(a, p, c, sem):
-        raise ConstructionError("PreconditionViolated", "A7-i2", "B(a,p,c)")
-    if not between(b, c, q, sem):
-        raise ConstructionError("PreconditionViolated", "A7-i2", "B(b,c,q)")
+    _require("A7-i2", ((lambda: between(a, p, c, sem), "B(a,p,c)"),
+                       (lambda: between(b, c, q, sem), "B(b,c,q)")))
     _angle_guard([(b, a, q), (a, b, q)], sem, "A7-i2")
     x = line_intersect(b, p, a, q)
     _post(between(b, p, x, sem) and between(a, x, q, sem), "outer_pasch")

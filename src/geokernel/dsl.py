@@ -27,7 +27,8 @@ Pretty-printing is a left inverse of parsing on the AST.  The interpreter
 executes statements in order against a chosen field mode; failed
 assertions and refused constructions are recorded in the environment (with
 the offending statement) rather than raised, so a partial environment is
-always returned.
+always returned.  At NODE0 every point bound, by "point" or by "let", must
+lie in F0; one outside is refused as a `DomainViolation` and binds nothing.
 """
 
 from __future__ import annotations
@@ -318,34 +319,31 @@ def _pp_call(c: Call) -> str:
 
 # -- interpreter -------------------------------------------------------------
 
-def _wrap1(fn):
-    return lambda sem, *pts: fn(*pts, sem)
-
-
+# op -> (fn, arity, reads_sem), the row shape of `geometry._KINDS`
 _CONSTRUCTION_OPS = {
-    "ext": (4, _wrap1(ext)),
-    "ext_strict": (4, _wrap1(ext_strict)),
-    "inner_pasch": (5, _wrap1(inner_pasch)),
-    "outer_pasch": (5, _wrap1(outer_pasch)),
-    "euclid5": (6, _wrap1(euclid5)),
-    "lay_off": (4, _wrap1(lay_off)),
-    "equilateral": (2, _wrap1(equilateral)),
-    "gupta_midpoint": (2, _wrap1(midpoint_gupta)),
-    "midpoint": (2, lambda sem, a, b: midpoint(a, b)),
-    "reflect_point": (2, lambda sem, p, c: reflect_in_point(p, c)),
-    "reflect_line": (3, _wrap1(reflect)),
-    "erect": (3, lambda sem, p, u, v:
-              perpendicular("erect", p, (u, v), sem=sem)[1]),
-    "drop": (3, lambda sem, p, u, v:
-             perpendicular("drop", p, (u, v), sem=sem)[0]),
-    "meet": (4, lambda sem, a, b, c, d: line_intersect(a, b, c, d)),
-    "angle_bisect": (3, _wrap1(angle_bisect)),
-    "crossbar": (6, _wrap1(crossbar_point)),
-    "geo_add": (2, lambda sem, a, b: arithmetic.geo_add(a, b)),
-    "geo_mul": (2, lambda sem, a, b: arithmetic.geo_mul(a, b)),
-    "geo_inv": (1, lambda sem, a: arithmetic.geo_inv(a)),
-    "geo_sqrt": (1, lambda sem, a: arithmetic.geo_sqrt(a)),
-    "rotate90": (1, lambda sem, a: arithmetic.rotate90(a)),
+    "ext": (ext, 4, True),
+    "ext_strict": (ext_strict, 4, True),
+    "inner_pasch": (inner_pasch, 5, True),
+    "outer_pasch": (outer_pasch, 5, True),
+    "euclid5": (euclid5, 6, True),
+    "lay_off": (lay_off, 4, True),
+    "equilateral": (equilateral, 2, True),
+    "gupta_midpoint": (midpoint_gupta, 2, True),
+    "midpoint": (midpoint, 2, False),
+    "reflect_point": (reflect_in_point, 2, False),
+    "reflect_line": (reflect, 3, True),
+    "erect": (lambda p, u, v, sem:
+              perpendicular("erect", p, (u, v), sem=sem)[1], 3, True),
+    "drop": (lambda p, u, v, sem:
+             perpendicular("drop", p, (u, v), sem=sem)[0], 3, True),
+    "meet": (line_intersect, 4, False),
+    "angle_bisect": (angle_bisect, 3, True),
+    "crossbar": (crossbar_point, 6, True),
+    "geo_add": (arithmetic.geo_add, 2, False),
+    "geo_mul": (arithmetic.geo_mul, 2, False),
+    "geo_inv": (arithmetic.geo_inv, 1, False),
+    "geo_sqrt": (arithmetic.geo_sqrt, 1, False),
+    "rotate90": (arithmetic.rotate90, 1, False),
 }
 
 
@@ -407,27 +405,34 @@ def run_script(script: Script, mode: str = CONSTRUCTIBLE) -> Env:
             pts.append(env.bindings[n])
         return pts
 
+    def bind(what: str, name: str, p: Point, mark: int) -> None:
+        """Bind p, or refuse it outside F0 and drop the trace from mark."""
+        if not (in_domain(sem, p.x) and in_domain(sem, p.y)):
+            del env.trace[mark:]
+            raise DomainViolation(f"{what} {name} = {p!r} is outside F0, "
+                                  "the domain of node 0")
+        env.bindings[name] = p
+
     for stmt in script.statements:
         text = _pp_stmt(stmt)
         try:
             if isinstance(stmt, PointDecl):
                 p = Point(_eval_expr(stmt.x, sem), _eval_expr(stmt.y, sem))
-                if not (in_domain(sem, p.x) and in_domain(sem, p.y)):
-                    raise DomainViolation(f"point {stmt.name} = {p!r} is "
-                                          "outside F0, the domain of node 0")
-                env.bindings[stmt.name] = p
+                bind("point", stmt.name, p, len(env.trace))
                 env.declared.add(stmt.name)
             elif isinstance(stmt, LetStmt):
                 call = stmt.call
                 if call.op not in _CONSTRUCTION_OPS:
                     raise DomainViolation(f"unknown operation {call.op!r}")
-                arity, fn = _CONSTRUCTION_OPS[call.op]
+                fn, arity, reads_sem = _CONSTRUCTION_OPS[call.op]
                 if len(call.args) != arity:
                     raise ArityMismatch(
                         f"{call.op} expects {arity} points, "
                         f"got {len(call.args)}")
+                pts, mark = resolve(call), len(env.trace)
                 with tracing(env.trace):
-                    env.bindings[stmt.name] = fn(sem, *resolve(call))
+                    p = fn(*pts, sem) if reads_sem else fn(*pts)
+                bind("let", stmt.name, p, mark)
             elif isinstance(stmt, AssertStmt):
                 call = stmt.call
                 if call.op not in _PREDICATES:

@@ -23,11 +23,11 @@ nonzero, and ordered with eps a positive infinitesimal: `sign()` is that
 of its lowest nonzero int (m > 0), and `<` and `>` take a `Poly` or 0.
 `+ - *` and `scale` are int loops with one gcd at the end (a sum's content
 can share only the gcd of the two denominators, Henrici's split again),
-and no `Rat` is built per coefficient.  `poly_gcd` splits off integer
-contents and runs the primitive remainder sequence (TAOCP 4.6.1).
-`Poly.divmod` is the one division: it pseudo-divides the integer forms,
-and by Gauss's lemma a division by the gcd's primitive part is exact over
-Z and scales nothing.
+and no `Rat` is built per coefficient.  One pseudo-division of the
+integer forms (TAOCP 4.6.1) serves `Poly.divmod`, the exact quotients by
+a gcd and the remainder sequence: `poly_gcd` splits off integer contents
+and runs the primitive remainder sequence on it, and by Gauss's lemma a
+division by the gcd's primitive part is exact over Z and scales nothing.
 
 `RatFunc` elements are quotients p(eps)/q(eps) of polynomials, kept in a
 canonical form: lowest terms, and q's lowest-order nonzero coefficient
@@ -410,29 +410,10 @@ class Poly:
         return _reduced([x * q.n for x in self.z], m, m)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """(quotient, remainder) over Q, by pseudo-division of the integer
-        forms: s*A = Q*B + R over Z, where each step scales by the factor of
-        B's leading coefficient that its term needs (none when B divides A
-        over Z, as a primitive gcd does: Gauss's lemma)."""
-        b = other.z
-        if not b:
+        """(quotient, remainder) over Q, from `_pdiv` of the integer forms."""
+        if not other.z:
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.z)
-        lead, top = b[-1], len(b) - 1
-        q = [0] * max(0, len(r) - top)
-        s = 1
-        for k in range(len(q) - 1, -1, -1):
-            f = r.pop()
-            if f:
-                g = gcd(f, lead)
-                f, t = f // g, lead // g
-                if t != 1:
-                    r = [t * x for x in r]
-                    q = [t * x for x in q]
-                    s *= t
-                q[k] = f
-                for i in range(top):
-                    r[k + i] -= f * b[i]
+        q, r, s = _pdiv(self.z, other.z)
         # a = A/am and b = B/bm, so a = (Q*bm/(s*am))*b + R/(s*am)
         m, bm = s * self.m, other.m
         return _reduced([x * bm for x in q], m, m), _reduced(r, m, m)
@@ -518,24 +499,30 @@ def _primitive(r):
     return r if g == 1 else [x // g for x in r]
 
 
-def _prem(a, b) -> list[int]:
-    """A nonzero integer multiple of the remainder of a by b (len(a) >=
-    len(b)), without trailing zeros: each step scales by the leading
-    coefficient of b over its gcd with the term it cancels."""
+def _pdiv(a, b) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of the integer polynomials a and b != 0: (q, r, s)
+    with s*a = q*b + r over Z, r without trailing zeros.  Each step scales
+    by the factor of b's leading coefficient that its term needs, so s = 1
+    when b divides a over Z, as a primitive gcd does (Gauss's lemma)."""
     r = list(a)
     lead, top = b[-1], len(b) - 1
-    for k in range(len(a) - 1, top - 1, -1):
+    q = [0] * (len(r) - top)  # [] when a is the shorter
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
         f = r.pop()
         if f:
             g = gcd(f, lead)
-            f, m = f // g, lead // g
-            if m != 1:
-                r = [m * x for x in r]
+            f, t = f // g, lead // g
+            if t != 1:
+                r = [t * x for x in r]
+                q = [t * x for x in q]
+                s *= t
+            q[k] = f
             for i in range(top):
-                r[k - top + i] -= f * b[i]
+                r[k + i] -= f * b[i]
     while r and not r[-1]:
         r.pop()
-    return r
+    return q, r, s
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -548,7 +535,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        r = _prem(a, b)
+        r = _pdiv(a, b)[1]
         if not r:
             return _reduced(b, b[-1], 1)  # b is primitive
         a, b = b, _primitive(r)

@@ -18,7 +18,7 @@ from geokernel.constructions import (
     midpoint_gupta, named_angle_tiling, outer_pasch, perpendicular, reflect,
     tracing,
 )
-from geokernel.arithmetic import axis, geo_add, geo_sqrt
+from geokernel.arithmetic import axis, geo_add, geo_inv, geo_sqrt
 
 O, X = pt(0, 0), pt(1, 0)
 UNIT = CircleSpec(O, O, X)
@@ -229,9 +229,15 @@ class TestNodeGuards:
 # (kind, axiom_id, hypothesis), or the exception type of a guard that
 # raises no ConstructionError.
 GUARDS = {
+    "inner_pasch B(a,p,c)": (
+        lambda: inner_pasch(O, pt(5, 5), pt(2, 0), pt(0, 2), pt(1, 1)),
+        ("PreconditionViolated", "A7-i1", "B(a,p,c)")),
     "inner_pasch B(b,q,c)": (
         lambda: inner_pasch(O, X, pt(2, 0), pt(0, 2), pt(5, 5)),
         ("PreconditionViolated", "A7-i1", "B(b,q,c)")),
+    "outer_pasch B(a,p,c)": (
+        lambda: outer_pasch(O, pt(5, 5), pt(2, 0), pt(0, 2), pt(0, -2)),
+        ("PreconditionViolated", "A7-i2", "B(a,p,c)")),
     "outer_pasch B(b,c,q)": (
         lambda: outer_pasch(O, X, pt(2, 0), pt(0, 2), pt(5, 5)),
         ("PreconditionViolated", "A7-i2", "B(b,c,q)")),
@@ -283,6 +289,7 @@ GUARDS = {
         lambda: line_intersect(O, X, pt(0, 1), pt(1, 1)),
         PostconditionFailure),
     "arithmetic off-axis operand": (lambda: geo_add(pt(1, 1), O), ValueError),
+    "geo_inv a#0": (lambda: geo_inv(axis(0)), ("NotDistinct", None, "a#0")),
     "arithmetic strict sqrt a#0": (
         lambda: geo_sqrt(axis(0), strict=True),
         ("NotDistinct", None, "a#0 (strict sqrt)")),

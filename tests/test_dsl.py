@@ -11,11 +11,11 @@ from geokernel import arithmetic, field
 from geokernel.cli import main as cli_main
 from geokernel.constructions import equilateral, perpendicular, reflect
 from geokernel.dsl import (
-    AssertStmt, Call, LetStmt, PointDecl, RenderStmt, Script,
+    AssertStmt, Call, Env, LetStmt, PointDecl, RenderStmt, Script,
     ScriptSyntaxError, _pp_stmt, parse_element, parse_script, run_script,
 )
 from geokernel.field import render_element
-from geokernel.geometry import pt
+from geokernel.geometry import NONARCHIMEDEAN, Point, pt
 from geokernel.svg import UnrenderableMode, render_svg
 
 FIGURES = os.path.join(os.path.dirname(__file__), "..", "figures")
@@ -300,18 +300,44 @@ class TestCli:
         assert not out_svg.exists()
 
     def test_render_unbounded_point_has_no_shadow(self, tmp_path, capsys):
-        # a literal 1/eps is refused at node 0, but meet still reaches an
-        # unbounded point there: lines of slope 0 and eps meet at (-1/eps, 0)
+        # meet reaches an unbounded point at node 0 (lines of slope 0 and
+        # eps meet at (-1/eps, 0)); the binding is refused, so the render
+        # draws the four declared points and reports the failure
         script = tmp_path / "meet.geo"
         script.write_text("point a 0 0; point p 1 0; point c 0 1; "
                           "point d 1 (1+eps); let b = meet(a, p, c, d);")
         out_svg = tmp_path / "out.svg"
         argv = ["render", str(script), "--out", str(out_svg),
                 "--field", "nonarch", "--shadow"]
-        assert cli_main(argv) == 2
-        assert capsys.readouterr().err == (
-            "unrenderable: point b: unbounded element has no shadow\n")
-        assert not out_svg.exists()
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == ""
+        assert out_svg.read_text().count("<text ") == 5  # a p c d, shadow
+        # an environment that holds an unbounded point has no shadow
+        env = Env(mode=NONARCHIMEDEAN,
+                  bindings={"b": Point(-1 / field.eps(), field.Q(0))})
+        with pytest.raises(UnrenderableMode,
+                           match="^point b: unbounded element has no shadow$"):
+            render_svg(env, shadow=True)
+
+    @pytest.mark.parametrize("script, name, value", [
+        ("point a 0 0; point b 1 0; point c 0 1; point d 1 (1+eps); "
+         "let x = meet(a, b, c, d);", "x", "((-1)/(eps), 0)"),
+        ("point e eps 0; let i = geo_inv(e);", "i", "((1)/(eps), 0)"),
+    ], ids=["meet", "geo_inv"])
+    def test_run_refuses_unbounded_binding(self, script, name, value,
+                                           tmp_path, capsys):
+        # inputs in F0, an output outside it: refused at node 0, with the
+        # statement's trace entries dropped
+        path = tmp_path / "unbounded.geo"
+        path.write_text(script)
+        assert cli_main(["run", str(path), "--field", "nonarch"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("error")] == [
+            f"error [DomainViolation]: {script.split('; ')[-1]}  (let "
+            f"{name} = {value} is outside F0, the domain of node 0)"]
+        assert not any(line.startswith(f"{name} = ") for line in out)
+        env = run_script(parse_script(script), NONARCHIMEDEAN)
+        assert name not in env.bindings and env.trace == []
 
     def test_run_refuses_unbounded_literal(self, tmp_path, capsys):
         script = tmp_path / "unbounded.geo"
@@ -351,6 +377,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: cannot read {script}: {reason}")
         assert not out_svg.exists()
+
+    @pytest.mark.parametrize("command", ["render", "audit"])
+    def test_unwritable_output_exit_code(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        if command == "render":
+            argv = ["render", os.path.join(FIGURES, "equilateral.geo"),
+                    "--out", str(out)]
+        else:  # the path is checked before the audit runs
+            argv = ["audit", "--samples", "1", "--json", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out}: No such file or directory\n")
 
     @pytest.mark.parametrize("argv", [["audit", "--samples", "-3"],
                                       ["kripke", "--samples", "-5"]])
