@@ -86,13 +86,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_kripke(args) -> int:
-    if args.demo == "mp":
-        demo = mp_counterexample()
-        print(json.dumps(demo, indent=2))
-        ok = (demo["notnot_P_forced_at_M0"] and not demo["P_forced_at_M0"]
-              and not demo["MP_forced_at_M0"])
-        if not ok:
-            return 1
+    demo = mp_counterexample()  # --demo mp, the one demonstration
+    print(json.dumps(demo, indent=2))
+    if not (demo["notnot_P_forced_at_M0"] and not demo["P_forced_at_M0"]
+            and not demo["MP_forced_at_M0"]):
+        return 1
     report = check_ef_axioms(samples=args.samples, seed=args.seed)
     print(f"EF axioms at the root: {report['samples']} environments, "
           f"{report['failures']} failures")
@@ -120,18 +118,19 @@ def main(argv=None) -> int:
         description="exact constructive-geometry kernel")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", choices=["constructible", "nonarch"],
+                       default="constructible")
 
-    p = sub.add_parser("run", help="run a .geo construction script")
+    p = sub.add_parser("run", parents=[field],
+                       help="run a .geo construction script")
     p.add_argument("file")
-    p.add_argument("--field", choices=["constructible", "nonarch"],
-                   default="constructible")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("audit", help="run the axiom and theorem audit")
+    p = sub.add_parser("audit", parents=[field],
+                       help="run the axiom and theorem audit")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", choices=["constructible", "nonarch"],
-                   default="constructible")
     p.add_argument("--json", help="write the JSON report here")
     p.set_defaults(fn=cmd_audit)
 
@@ -141,11 +140,10 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_kripke)
 
-    p = sub.add_parser("render", help="render a script's trace to SVG")
+    p = sub.add_parser("render", parents=[field],
+                       help="render a script's trace to SVG")
     p.add_argument("file")
     p.add_argument("--out", required=True)
-    p.add_argument("--field", choices=["constructible", "nonarch"],
-                   default="constructible")
     p.add_argument("--shadow", action="store_true",
                    help="render the eps -> 0 shadow of a NonArchimedean run")
     p.set_defaults(fn=cmd_render)

@@ -13,7 +13,9 @@ Grammar::
     factor := atom ["^" INT]        (INT at most MAX_EXPONENT)
     atom   := INT | "eps" | "sqrt" "(" expr ")" | "-" atom | "(" expr ")"
 
-Every INT has at most MAX_DIGITS digits.
+Every INT has at most MAX_DIGITS digits.  At most MAX_NESTING "(", "sqrt("
+and unary "-" open around a subterm, and a term is at most MAX_TERM_DEPTH
+levels deep; past either limit a script is a syntax error, before it runs.
 
 The grammar's expressions parse to the terms of `kripke`, the kernel's one
 term language, and `kripke.teval` evaluates them: an INT is a `TConst`,
@@ -61,6 +63,13 @@ MAX_EXPONENT = 256
 # Longest accepted integer literal: CPython's default limit on int() of a
 # decimal string, so a longer literal is a syntax error, not a ValueError.
 MAX_DIGITS = 4300
+
+# Bounds on a term's shape, inside Python's default 1000 frames: the parser
+# spends up to 4 frames on each "(", "sqrt(" or unary "-" open around a
+# subterm, `kripke.teval` 2 on each tree level (Python 3.10 and 3.11).
+# A rendered value such as (1+eps)^192/(2+3*eps)^100 is 196 levels deep.
+MAX_NESTING = 100
+MAX_TERM_DEPTH = 256
 
 
 class ScriptSyntaxError(SyntaxError):
@@ -158,6 +167,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
+        self.nesting = 0  # subterms open around the current token
 
     @property
     def cur(self) -> Token:
@@ -182,36 +192,40 @@ class _Parser:
 
     def stmt(self):
         t = self.cur
-        if t.kind != "keyword":
+        if t.kind != "keyword" or t.text not in ("point", "let", "assert",
+                                                  "render"):
             self.error("'point', 'let', 'assert' or 'render'")
+        self.i += 1
         if t.text == "point":
-            self.eat("keyword")
             name = self.eat("name").text
             # coordinates parse at term level so that two juxtaposed
             # expressions stay unambiguous ("0 -1" is two coordinates);
             # a top-level sum needs parentheses
-            x = self.term()
-            y = self.term()
-            self.eat("sym", ";")
-            return PointDecl(name, x, y)
-        if t.text == "let":
-            self.eat("keyword")
+            s = PointDecl(name, self.bounded(self.term),
+                          self.bounded(self.term))
+        elif t.text == "let":
             name = self.eat("name").text
             self.eat("sym", "=")
-            call = self.call()
-            self.eat("sym", ";")
-            return LetStmt(name, call)
-        if t.text == "assert":
-            self.eat("keyword")
-            call = self.call()
-            self.eat("sym", ";")
-            return AssertStmt(call)
-        if t.text == "render":
-            self.eat("keyword")
-            s = self.eat("string").text
-            self.eat("sym", ";")
-            return RenderStmt(s[1:-1])
-        self.error("'point', 'let', 'assert' or 'render'")
+            s = LetStmt(name, self.call())
+        elif t.text == "assert":
+            s = AssertStmt(self.call())
+        else:
+            s = RenderStmt(self.eat("string").text[1:-1])
+        self.eat("sym", ";")
+        return s
+
+    def bounded(self, parse):
+        """parse(), refused when its tree is more than MAX_TERM_DEPTH deep."""
+        t = self.cur
+        node = parse()
+        height, level = 0, [node]
+        while level:  # level by level: the walk itself must not recurse
+            height += 1
+            level = [a for e in level if type(e) is TOp for a in e.args]
+        if height > MAX_TERM_DEPTH:
+            raise ScriptSyntaxError(t.line, t.column, "a term at most "
+                                    f"{MAX_TERM_DEPTH} levels deep")
+        return node
 
     def call(self) -> Call:
         op = self.eat("name").text
@@ -259,21 +273,24 @@ class _Parser:
         if t.kind == "keyword" and t.text == "eps":
             self.eat("keyword")
             return TVar("eps")
-        if t.kind == "keyword" and t.text == "sqrt":
-            self.eat("keyword")
-            self.eat("sym", "(")
+        if not (t.kind == "keyword" and t.text == "sqrt"
+                or t.kind == "sym" and t.text in "-("):
+            self.error("an expression")
+        if self.nesting == MAX_NESTING:  # each of the three opens a subterm
+            self.error(f"at most {MAX_NESTING} nested brackets and signs")
+        self.nesting += 1
+        self.i += 1
+        if t.text == "-":
+            e = TOp("neg", (self.atom(),))
+        else:
+            if t.text == "sqrt":
+                self.eat("sym", "(")
             e = self.expr()
             self.eat("sym", ")")
-            return TOp("sqrt", (e,))
-        if t.kind == "sym" and t.text == "-":
-            self.eat("sym")
-            return TOp("neg", (self.atom(),))
-        if t.kind == "sym" and t.text == "(":
-            self.eat("sym")
-            e = self.expr()
-            self.eat("sym", ")")
-            return e
-        self.error("an expression")
+            if t.text == "sqrt":
+                e = TOp("sqrt", (e,))
+        self.nesting -= 1
+        return e
 
 
 def parse_script(text: str) -> Script:
@@ -384,7 +401,7 @@ def parse_element(text: str, mode: str = CONSTRUCTIBLE) -> FieldElement:
     """Parse one expression (e.g. a `render_element` output) in `mode`."""
     sem = resolve_mode(mode)  # reject an unknown mode
     p = _Parser(tokenize(text))
-    node = p.expr()
+    node = p.bounded(p.expr)
     p.eat("eof")
     return _eval_expr(node, sem)
 

@@ -21,8 +21,8 @@ value.  Base values hash like the equal `Fraction`; a FieldElement
 refuses `hash`.
 
 A base value q never enters a tower as a lifted rep (q, 0, ...): against
-a tower element x, x*q and x/q scale x's leaves and x + q, x - q and q - x
-shift only its constant leaf.  Only q/x brings q into x's tower.
+a tower element x, x*q, x/q and q/x scale the leaves of x or of 1/x, and
+x + q, x - q and q - x shift only the constant leaf.
 
 A depth-1 element whose radicand r = r_n/r_d and leaves are `Rat`s is
 kept as ints (A, B, D) for (A + B*sqrt(R))/D over the integer radicand R
@@ -33,7 +33,8 @@ int formulas reduced once by one gcd; `sign` compares A^2 with B^2*R.
 Other elements keep only the rep.  `int_form` is the one reader of these
 forms outside this module, and builds the depth-2 form from them.
 
-Every operation is exact.  Comparison is decided recursively: the sign of
+Every operation is exact.  `<` is the sign of the difference, and
+`total_ordering` derives `<=`, `>` and `>=` from it and `==`.  The sign of
 a + b*sqrt(r) follows from the signs of a and b and a comparison of a^2
 with b^2*r.  A new sqrt node is created only after the radicand is checked
 positive and not already a square in the tower (attempted by solving
@@ -51,8 +52,9 @@ v(a + b*sqrt(r)) = v(a^2 - b^2*r) - v(a).
 
 from __future__ import annotations
 
+from functools import total_ordering
 from math import gcd, lcm
-from operator import add, ge, gt, le, lt, mul, sub, truediv
+from operator import add, mul, sub, truediv
 
 from .nafield import (EPS, ONE, ZERO, FieldError, Rat, RatFunc, _new, _power,
                       _ratio, as_rat, refuse_float)
@@ -327,6 +329,7 @@ def _abd_op(x, other, op):
 # FieldElement
 
 
+@total_ordering
 class FieldElement:
     """Immutable exact element of a quadratic-extension tower of depth >= 1,
     normalized (see the module doc)."""
@@ -443,12 +446,11 @@ class FieldElement:
         return self._binop(other, truediv)
 
     def __rtruediv__(self, other):
-        # q/x, the one op that lifts a base value q into x's tower
         q = _base(other)
         if q is None:
             return NotImplemented
-        lifted = FieldElement(self.tower, _rlift(q, 0, self.depth))
-        return lifted._binop(self, truediv)
+        inv = _rinv(self.rep, self.tower, self.depth)
+        return _value(self.tower, _rscale(inv, q, self.depth))
 
     def __neg__(self):
         if self._abd is not None:
@@ -485,23 +487,11 @@ class FieldElement:
             return self.rep == other.rep
         return (self - other).is_zero()
 
-    def _cmp(self, other, op):
+    def __lt__(self, other):
         b = other if type(other) is FieldElement else _base(other)
         if b is None:
             return NotImplemented
-        return op((self - b).sign(), 0)
-
-    def __lt__(self, other):
-        return self._cmp(other, lt)
-
-    def __le__(self, other):
-        return self._cmp(other, le)
-
-    def __gt__(self, other):
-        return self._cmp(other, gt)
-
-    def __ge__(self, other):
-        return self._cmp(other, ge)
+        return (self - b).sign() < 0
 
     def __hash__(self):
         raise TypeError("FieldElement is not hashable (use explicit keys)")
@@ -579,8 +569,7 @@ def compare(a: FieldElement, b: FieldElement) -> str:
 def inv_positive(a):
     if a.sign() <= 0:
         raise NotPositive(f"not strictly positive: {render_element(a)}")
-    tower, rep = _parts(a)
-    return _value(tower, _rinv(rep, tower, len(tower)))
+    return 1 / a
 
 
 def sqrt_nonneg(a):

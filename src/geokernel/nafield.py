@@ -716,8 +716,9 @@ class RatFunc:
             return NotImplemented
         return (self - other).sign() < 0
 
-    # With p/d canonical and q a rational, (p + q*d)/d, (q*p)/d and
-    # (p/q)/d are canonical too: the gcd and d's low coefficient stay put.
+    # With p/d canonical and q a rational, (p + q*d)/d and (q*p)/d are
+    # canonical too: the gcd and d's low coefficient stay put.  A rational
+    # is subtracted as its negation and divided by as its inverse.
 
     def __add__(self, other):
         if type(other) is RatFunc:
@@ -734,12 +735,8 @@ class RatFunc:
         return _canonical(-self.num, self.den)
 
     def __sub__(self, other):
-        if type(other) is RatFunc:
-            return self + (-other)
-        q = as_rat(other)
-        if q is None:
-            return NotImplemented
-        return _canonical(self.num - self.den.scale(q), self.den)
+        b = other if type(other) is RatFunc else as_rat(other)
+        return NotImplemented if b is None else self + (-b)
 
     def __rsub__(self, other):
         q = as_rat(other)
@@ -765,11 +762,7 @@ class RatFunc:
                 raise ZeroDivisionError("field division by zero")
             return _ratfunc_product(self.num, self.den, other.den, other.num)
         q = as_rat(other)
-        if q is None:
-            return NotImplemented
-        if not q:
-            raise ZeroDivisionError("field division by zero")
-        return _canonical(self.num.scale(ONE / q), self.den)
+        return NotImplemented if q is None else self * (ONE / q)
 
     def __rtruediv__(self, other):
         q = as_rat(other)

@@ -14,6 +14,7 @@ float coordinates are not finite or exceed MAX_COORD is unrenderable.
 from __future__ import annotations
 
 import math
+from xml.sax.saxutils import escape
 
 from .field import approx
 from .geometry import NONARCHIMEDEAN, Point
@@ -127,7 +128,7 @@ def render_svg(env, shadow: bool = False) -> str:
         f'{_fmt(vb[3])}">',
     ]
     for label in env.renders:
-        out.append(f"  <title>{label}</title>")
+        out.append(f"  <title>{escape(label)}</title>")
     for (ax, ay), (bx, by) in segments:
         out.append(
             f'  <line x1="{_fmt(ax)}" y1="{_fmt(-ay)}" x2="{_fmt(bx)}" '

@@ -3,6 +3,7 @@
 import glob
 import os
 import re
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from geokernel import arithmetic, field
 from geokernel.cli import main as cli_main
 from geokernel.constructions import equilateral, perpendicular, reflect
 from geokernel.dsl import (
-    AssertStmt, Call, Env, LetStmt, PointDecl, RenderStmt, Script,
-    ScriptSyntaxError, _pp_stmt, parse_element, parse_script, run_script,
+    MAX_NESTING, MAX_TERM_DEPTH, AssertStmt, Call, Env, LetStmt, PointDecl,
+    RenderStmt, Script, ScriptSyntaxError, _pp_stmt, parse_element,
+    parse_script, run_script,
 )
 from geokernel.field import render_element
 from geokernel.geometry import NONARCHIMEDEAN, Point, pt
@@ -22,6 +24,16 @@ FIGURES = os.path.join(os.path.dirname(__file__), "..", "figures")
 # N*N has 6000 digits, past the 4300 that int's str() accepts
 N = "9" * 3000
 _NUM_RE = re.compile(r"-?\d+\.?\d*(?:[eE][-+]?\d+)?")
+# hostile term shapes of size n, each with the limit that refuses it past n
+# = limit and the words of its syntax error; at the limit each evaluates
+# to 1 or to the number of its terms
+DEEP = {
+    "sum": (lambda n: "(" + "+".join(["1"] * n) + ")", MAX_TERM_DEPTH,
+            "levels deep"),
+    "minus": (lambda n: "-" * n + "1", MAX_NESTING, "nested"),
+    "parens": (lambda n: "(" * n + "1" + ")" * n, MAX_NESTING, "nested"),
+    "sqrt": (lambda n: "sqrt(" * n + "1" + ")" * n, MAX_NESTING, "nested"),
+}
 
 
 def pretty_print(script: Script) -> str:
@@ -81,6 +93,21 @@ class TestParser:
         assert isinstance(s.statements[0], RenderStmt)
         assert s.statements[0].label == "hi"
 
+    @pytest.mark.parametrize("shape", list(DEEP))
+    def test_over_deep_element(self, shape):
+        make, limit, reason = DEEP[shape]
+        assert parse_element(make(limit)) in (1, limit)
+        with pytest.raises(ScriptSyntaxError, match=reason):
+            parse_element(make(limit + 1))
+
+    def test_statement_errors_keep_their_positions(self):
+        for text, where in (("sqrt 1;", (1, 1)), ("point a 0 0", (1, 12)),
+                            ('render "x"\nlet', (2, 1)),
+                            ("let c = f(a) ", (1, 14))):
+            with pytest.raises(ScriptSyntaxError) as ei:
+                parse_script(text)
+            assert (ei.value.line, ei.value.column) == where
+
 
 class TestRoundTrip:
     def test_pretty_print_identity(self):
@@ -88,6 +115,13 @@ class TestRoundTrip:
                'assert congruent(a, c, a, b); render "x";')
         s = parse_script(src)
         assert parse_script(pretty_print(s)) == s
+
+    def test_deepest_rendered_value_parses_back(self):
+        # 196 levels deep: a sum of 193 powers of eps over another sum
+        x = parse_element("(1+eps)^192/(2+3*eps)^100", NONARCHIMEDEAN)
+        text = render_element(x)
+        assert text.count("eps^") == 191 + 99
+        assert parse_element(text, NONARCHIMEDEAN) == x
 
     def test_corpus(self):
         files = sorted(glob.glob(os.path.join(FIGURES, "*.geo")))
@@ -230,6 +264,12 @@ class TestSvg:
             render_svg(env)
         doc = render_svg(env, shadow=True)
         assert "shadow" in doc
+
+    def test_label_is_escaped(self):
+        env = run_script(parse_script('render "a<b & c>d";'))
+        root = ET.fromstring(render_svg(env))
+        title = root.find("{http://www.w3.org/2000/svg}title")
+        assert title.text == "a<b & c>d"
 
     def test_matches_stored_references(self):
         for f in sorted(glob.glob(os.path.join(FIGURES, "refs", "*.svg"))):
@@ -399,6 +439,24 @@ class TestCli:
         assert exit_.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "--samples must be >= 0" in err
+
+    @pytest.mark.parametrize("command", ["run", "render"])
+    @pytest.mark.parametrize("shape", list(DEEP))
+    def test_over_deep_script_exit_code(self, shape, command, tmp_path,
+                                        capsys):
+        make, limit, reason = DEEP[shape]
+        script, out_svg = tmp_path / "deep.geo", tmp_path / "out.svg"
+        argv = [command, str(script)]
+        if command == "render":
+            argv += ["--out", str(out_svg)]
+        script.write_text(f"point a {make(limit)} 0;\n")
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        script.write_text(f"point a {make(limit + 1)} 0;\n")
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert re.match(f"syntax error: line 1, column [0-9]+: expected "
+                        f".*{limit} .*{reason}", err) and "wrote" not in out
 
     @pytest.mark.parametrize("command", ["run", "render"])
     def test_syntax_error_exit_code(self, command, tmp_path, capsys):

@@ -419,8 +419,40 @@ class TestScalarPath:
                   lambda: x - q, lambda: q - x, lambda: x / q):
             assert f().depth == 2
         assert aligned == [] and products == []
-        q / x  # a base value over a tower element still takes the lift path
-        assert aligned and products
+        # q/x scales the leaves of 1/x: no _align either
+        assert q / x == q * (1 / x) and aligned == []
+
+
+_ORDERED = {  # operands of a tower element's ordering, by kind
+    "other tower": _R3 - Q(3, 2), "Rat": Q(-1, 3), "int": 2,
+    "RatFunc": 1 - eps(),
+}
+# each operator and its mirror: x op y iff y mirror x
+_MIRROR = {operator.lt: operator.gt, operator.le: operator.ge,
+           operator.gt: operator.lt, operator.ge: operator.le}
+
+
+class TestOrdering:
+    """<, <=, > and >= of a tower element, and their reflections, agree
+    with the sign of the difference."""
+
+    @pytest.mark.parametrize("y", list(_ORDERED.values()), ids=list(_ORDERED))
+    @pytest.mark.parametrize("x", list(_TOWER.values()), ids=list(_TOWER))
+    def test_operators_follow_the_sign(self, x, y):
+        s = (x - y).sign()
+        for op, holds in ((operator.lt, s < 0), (operator.le, s <= 0),
+                          (operator.gt, s > 0), (operator.ge, s >= 0)):
+            assert op(x, y) is holds
+            assert _MIRROR[op](y, x) is holds  # y's side, reflected to x
+        assert (x < x, x <= x, x > x, x >= x) == (False, True, False, True)
+
+    @pytest.mark.parametrize("x", list(_TOWER.values()), ids=list(_TOWER))
+    def test_float_refused(self, x):
+        for op in _MIRROR:
+            with pytest.raises(TypeError):
+                op(x, 0.5)
+            with pytest.raises(TypeError):
+                op(0.5, x)
 
 
 # depth-1 elements over Q, kept as (A, B, D): rational leaves over an
