@@ -9,7 +9,10 @@ must refuse an infinitesimal gap.  Every 8th axiom instance has a gap of
 must refuse rather than decide (deciding is Markov's principle); the a = b
 probes of the extension axioms refuse in both modes.  A verdict that
 disagrees with `expect_refusal` is an `unexpected-refusal` or a
-`missed-refusal`, and counts as a failure.
+`missed-refusal`, and counts as a failure.  Only the axiom labels call
+`_Gen.schedule`, which draws the gap: the theorem labels draw none, so in
+NonArchimedean mode they run eps-free instances, and their summaries equal
+the constructible ones.
 """
 
 from __future__ import annotations

@@ -15,6 +15,18 @@ Derived constructions (lay-off, equilateral apex, the Gupta midpoint, the
 angle copying and bisection, the crossbar point) follow the corresponding
 textbook proofs step by step.  Where a construction has two candidate
 points, it takes the one left of the directed base segment.
+
+The arithmetic is `geometry`'s segment helpers: `meet` (Cramer's rule),
+`reach` (a length laid off along a segment), `chord` (a line and a
+circle), `offset`, `seg_dot`, `seg_cross`, `seg_sq` and `sqdist`.  On
+points over Q they work on the kept integer forms and build each output
+from ints, over Q or over the Q(sqrt r) of its one square root, with its
+form kept for the postconditions; on points over one Q(sqrt r), or I.20's
+depth-2 chain, where the keys and towers meet, a point is built from ints
+too.  Points over Q(eps), over two radicand chains or deeper towers, and
+a rational step along a segment, take the tower, each segment's
+difference computed once.  The guards and postconditions are the same on
+both paths.
 """
 
 from __future__ import annotations
@@ -24,10 +36,10 @@ from dataclasses import dataclass
 
 from .field import FieldElement, sqrt_nonneg
 from .geometry import (
-    CONSTRUCTIBLE, ConstructionError, Point, angle_cong, apex_witness,
-    between, collinear, congruent, cross, distinct, dot, midpoint,
-    nonstrict_between, on_ray, pos_angle, positive, reflect_in_point,
-    right_angle, rot90, sqdist, vsub,
+    CONSTRUCTIBLE, ConstructionError, Point, Seg, angle_cong, apex_witness,
+    between, chord, collinear, congruent, cross, distinct, dot, meet,
+    midpoint, nonstrict_between, offset, on_ray, pos_angle, positive, reach,
+    reflect_in_point, right_angle, seg_dot, seg_sq, sqdist, vsub,
 )
 
 
@@ -98,29 +110,16 @@ def _require(axiom: str | None, checks):
 
 def line_intersect(a: Point, b: Point, c: Point, d: Point) -> Point:
     """Intersection of lines ab and cd; lines must not be parallel."""
-    d1 = vsub(b, a)
-    d2 = vsub(d, c)
-    den = cross(d1, d2)
-    if den.is_zero():
+    x = meet(a, b, c, d)
+    if x is None:
         raise PostconditionFailure("parallel lines in line_intersect")
-    t = cross(vsub(c, a), d2) / den
-    return Point(a.x + d1[0] * t, a.y + d1[1] * t)
+    return x
 
 
 def _project(p: Point, u: Point, v: Point) -> Point:
     """Foot of the perpendicular from p onto line uv."""
-    d = vsub(v, u)
-    t = dot(vsub(p, u), d) / sqdist(u, v)
-    return Point(u.x + d[0] * t, u.y + d[1] * t)
-
-
-def _along(p: Point, a: Point, b: Point, c: Point, d: Point) -> Point:
-    """p + (b - a)*|cd|/|ab|, for a # b: p itself when cd is null."""
-    q = sqdist(c, d)
-    if q.is_zero():
-        return p
-    t = sqrt_nonneg(q / sqdist(a, b))
-    return Point(p.x + (b.x - a.x) * t, p.y + (b.y - a.y) * t)
+    uv = Seg(u, v)
+    return offset(u, uv, seg_dot(Seg(u, p), uv) / sqdist(u, v))
 
 
 # -- primitives --------------------------------------------------------------
@@ -129,7 +128,7 @@ def ext(a: Point, b: Point, c: Point, d: Point,
         sem: str = CONSTRUCTIBLE) -> Point:
     """Extend ab beyond b by the length of cd (cd may be null)."""
     _apart(a, b, sem, "A4-i1", "a#b")
-    x = _along(b, a, b, c, d)
+    x = reach(b, a, b, c, d)
     _post(nonstrict_between(a, b, x) and congruent(b, x, c, d), "ext")
     _record("ext", [a, b, c, d], [x])
     return x
@@ -198,8 +197,9 @@ def line_circle(circle: CircleSpec, a: Point, b: Point, strict: bool = True,
     a must be (strictly, or non-strictly) inside the circle; b distinct
     from a fixes the line."""
     _apart(a, b, sem, "LC-strict" if strict else "LC-nonstrict", "a#b")
-    r2 = circle.sq_radius()
-    inside = r2 - sqdist(a, circle.center)
+    ca = Seg(circle.center, a)
+    r2, qca = circle.sq_radius(), seg_sq(ca)
+    inside = r2 - qca
     if strict:
         if not positive(inside, sem):
             raise ConstructionError("NotInside", "LC-strict", "a inside circle")
@@ -207,17 +207,7 @@ def line_circle(circle: CircleSpec, a: Point, b: Point, strict: bool = True,
         if inside.sign() < 0:
             raise ConstructionError("NotInside", "LC-nonstrict",
                                     "a non-strictly inside circle")
-    d = vsub(b, a)
-    ca = vsub(a, circle.center)
-    qa = dot(d, d)
-    qb = 2 * dot(ca, d)
-    qc = dot(ca, ca) - r2
-    disc = qb * qb - 4 * qa * qc
-    root = sqrt_nonneg(disc)
-    t1 = (-qb - root) / (2 * qa)
-    t2 = (-qb + root) / (2 * qa)
-    x1 = Point(a.x + d[0] * t1, a.y + d[1] * t1)
-    x2 = Point(a.x + d[0] * t2, a.y + d[1] * t2)
+    x1, x2 = chord(ca, Seg(a, b), qca - r2)
     for x in (x1, x2):
         _post(congruent(circle.center, x, circle.radius_from, circle.radius_to),
               "line_circle on-circle")
@@ -244,12 +234,11 @@ def circle_circle(c1: CircleSpec, c2: CircleSpec,
     if (d2 - (r1sq + r2sq - 2 * r1r2)).sign() < 0:
         raise ConstructionError("CirclesSeparated", "CC", "|r1-r2| <= d")
     k = (d2 + r1sq - r2sq) / (2 * d2)
-    base = vsub(o2, o1)
-    m = Point(o1.x + base[0] * k, o1.y + base[1] * k)
+    base = Seg(o1, o2)
+    m = offset(o1, base, k)
     w = sqrt_nonneg(r1sq / d2 - k * k)
-    off = rot90(base)
-    left = Point(m.x + off[0] * w, m.y + off[1] * w)
-    right = Point(m.x - off[0] * w, m.y - off[1] * w)
+    left = offset(m, base, w, turn=True)
+    right = offset(m, base, -w, turn=True)
     for x in (left, right):
         _post(congruent(o1, x, c1.radius_from, c1.radius_to)
               and congruent(o2, x, c2.radius_from, c2.radius_to),
@@ -264,7 +253,7 @@ def lay_off(a: Point, b: Point, c: Point, d: Point,
             sem: str = CONSTRUCTIBLE) -> Point:
     """The point on Ray(a,b) at distance |cd| from a."""
     _apart(a, b, sem, None, "a#b")
-    x = _along(a, a, b, c, d)
+    x = reach(a, a, b, c, d)
     _post(on_ray(a, b, x) and congruent(a, x, c, d), "lay_off")
     _record("lay_off", [a, b, c, d], [x])
     return x

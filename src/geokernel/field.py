@@ -31,7 +31,9 @@ kept as ints (A, B, D) for (A + B*sqrt(R))/D over the integer radicand R
 Against an int, a `Rat` or an element over the same tower, `+ - * /` are
 int formulas reduced once by one gcd; `sign` compares A^2 with B^2*R.
 Other elements keep only the rep.  `int_form` is the one reader of these
-forms outside this module, and builds the depth-2 form from them.
+forms outside this module, and builds the depth-2 form from them;
+`from_int_form`, its inverse, is the one writer: it builds a value of
+depth 0, 1 or 2 from such a form over a given tower.
 
 Every operation is exact.  `<` is the sign of the difference, and
 `total_ordering` derives `<=`, `>` and `>=` from it and `==`.  The sign of
@@ -551,6 +553,23 @@ def int_form(x):
     return (low[0].n * low[0].d, (P * E, Q * E)), lanes, D
 
 
+def from_int_form(tower, lanes, D):
+    """The value that `int_form` reads as (R, lanes, D), for R the key of
+    `tower` (eps-free, of depth 0, 1 or 2, with Rat leaves): at depth 0 the
+    Rat A/D of lanes (A, 0), at depth 1 (A + B*sqrt(R))/D, at depth 2 (c0 +
+    c1*sqrt(R1) + (c2 + c3*sqrt(R1))*sqrt(R2))/D.  D is nonzero, and the
+    value is normalized: one that lies lower in the tower drops there."""
+    if not tower:
+        return _ratio(lanes[0], D)
+    if len(tower) == 1:
+        return _abd_value(tower, *lanes, D)
+    c0, c1, c2, c3 = lanes
+    low, r2 = tower[:1], tower[1]
+    n, E = low[0].d, _abd_of(low, r2)[2]  # sqrt(R1) = n*sqrt(r1)
+    return _value(tower, ((_ratio(c0, D), _ratio(c1 * n, D)),
+                          (_ratio(c2 * E, D), _ratio(c3 * E * n, D))))
+
+
 def _parts(x):
     """(tower, rep) of a tower element or a base value."""
     return (x.tower, x.rep) if type(x) is FieldElement else ((), x)
@@ -585,6 +604,8 @@ def sqrt_nonneg(a):
         root = _value(tower, s)
         return -root if root.sign() < 0 else root
     _check_depth(depth + 1)
+    if type(rep) is Rat:  # sqrt(r) = sqrt(R)/r_d, kept as (0, 1, r_d)
+        return _abd_value((rep,), 0, 1, rep.d)
     return FieldElement(tower + (rep,), (_rzero(depth), _rlift(ONE, 0, depth)))
 
 

@@ -46,18 +46,32 @@ is d != 0 at every node but NODE0, and at NODE0 too when no eps occurs (a
 nonzero eps-free element has valuation 0).  A predicate that reads P hands
 its semantics to `_zpoints`, which turns points with an eps at NODE0 away
 to the tower, where `positive` reads P.
+
+The segment helpers (`Seg`, `meet`, `reach`, `chord`, `offset`,
+`seg_dot`, `seg_cross`, `seg_sq`, `sqdist`) are the constructions'
+arithmetic.  They read the kept forms of points that all have one
+(`_zkept`: no eps point, and towers that are prefixes of one chain), build
+a value with `field.from_int_form` and a point with its form kept
+(`_zpoint`).  Over Q, `meet`, `reach` and `chord` compute their one
+quotient or radicand from the forms' differences as ints, and build the
+point from ints and the root's form.  A rational step along a segment is
+left to `Rat` arithmetic, which is the int form at depth 0.  Otherwise a
+helper takes the tower, with a segment's difference computed once
+(`Seg.vec`) and the operands in the order the tower expressions had, so
+that where two towers share a key (sqrt(2) and sqrt(1/2)) the result's
+tower is the one they gave.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import mul, sub
 
 from . import nafield
-from .field import (FieldElement, Q, int_form, render_element,
-                    sqrt_nonneg)
+from .field import (FieldElement, Q, from_int_form, int_form,
+                    render_element, sqrt_nonneg)
 from .nafield import ONE, ZERO, _UNIT, Poly, Rat, RatFunc
 
 # semantics tags; CONSTRUCTIBLE also names its mode
@@ -157,8 +171,7 @@ def cross(u, v) -> FieldElement:
 
 
 def sqdist(p: Point, q: Point) -> FieldElement:
-    d = vsub(p, q)
-    return dot(d, d)
+    return seg_sq(Seg(q, p))
 
 
 def padd(p: Point, q: Point) -> Point:
@@ -181,6 +194,136 @@ def reflect_in_point(p: Point, c: Point) -> Point:
 def rot90(u):
     """Counterclockwise quarter turn of a vector."""
     return (-u[1], u[0])
+
+
+# -- segment helpers: the arithmetic of the constructions --------------------
+
+class Seg:
+    """The directed segment u -> v.  The helpers below read u's and v's
+    kept forms (`_zkept`); where those do not serve, they take the
+    difference v - u on the tower (`vec`), once per segment."""
+
+    __slots__ = ("u", "v", "_vec")
+
+    def __init__(self, u: Point, v: Point, vec=None):
+        self.u, self.v, self._vec = u, v, vec
+
+    @property
+    def vec(self):
+        if self._vec is None:
+            self._vec = vsub(self.v, self.u)
+        return self._vec
+
+
+def _seg_pair(f, g, s: Seg, t: Seg) -> FieldElement:
+    """f of the two segments' differences from their kept forms (f one of
+    `_zdot`, `_zcross`), or g of their tower vectors."""
+    if (z := _zkept(s.u, s.v, t.u, t.v)) is not None:
+        R, (a, b, c, d), T = z
+        return from_int_form(T, f(_zsub(b, a, R), _zsub(d, c, R), R),
+                             _zscale(a, b) * _zscale(c, d))
+    return g(s.vec, t.vec)
+
+
+def seg_dot(s: Seg, t: Seg) -> FieldElement:
+    """(b - a).(d - c) for s = Seg(a, b) and t = Seg(c, d)."""
+    return _seg_pair(_zdot, dot, s, t)
+
+
+def seg_cross(s: Seg, t: Seg) -> FieldElement:
+    """(b - a) x (d - c) for s = Seg(a, b) and t = Seg(c, d)."""
+    return _seg_pair(_zcross, cross, s, t)
+
+
+def seg_sq(s: Seg) -> FieldElement:
+    """|v - u|^2 for s = Seg(u, v)."""
+    return seg_dot(s, s)
+
+
+def meet(a: Point, b: Point, c: Point, d: Point) -> Point | None:
+    """Where the lines ab and cd meet, a + (b - a)*t for t = (c - a) x (d -
+    c)/(b - a) x (d - c) (Cramer's rule); None if they are parallel.  Over
+    Q, t is one int quotient of the forms' differences."""
+    if (z := _zkept(a, b, c, d)) is not None and not z[0]:
+        _, (a, b, c, d), _ = z
+        (X, Y), (U, V), (E, F) = (_zsub(b, a, 0), _zsub(d, c, 0),
+                                  _zsub(c, a, 0))
+        den = X * V - Y * U  # (b - a) x (d - c) times the scales
+        if not den:
+            return None
+        # X/Sab*t = X*(E*V - F*U)/(den*Sac): the scale of b - a cancels
+        t = 0, (E * V - F * U, 0), den * _zscale(a, c)
+        return _zshift(a, X, Y, 1, t, ())
+    ab, cd = Seg(a, b), Seg(c, d)
+    den = seg_cross(ab, cd)
+    if den.is_zero():
+        return None
+    return offset(a, ab, seg_cross(Seg(a, c), cd) / den)
+
+
+def reach(p: Point, a: Point, b: Point, c: Point, d: Point) -> Point:
+    """p + (b - a)*t, t = sqrt(|cd|^2/|ab|^2), for a # b: p itself when
+    cd is null (`_zreach` over Q)."""
+    if (x := _zreach(p, a, b, c, d)) is not None:
+        return x
+    q = sqdist(c, d)
+    if q.is_zero():
+        return p
+    return offset(p, Seg(a, b), sqrt_nonneg(q / sqdist(a, b)))
+
+
+def _zreach(p, a, b, c, d) -> Point | None:
+    """`reach` over Q, where the radicand is one int quotient of the forms'
+    differences and t a Rat or (A + B*sqrt(R))/D; None off Q."""
+    if (z := _zkept(p, a, b, c, d)) is None or z[0]:
+        return None
+    _, (zp, a, b, c, d), _ = z
+    (X, Y), (U, V) = _zsub(b, a, 0), _zsub(d, c, 0)
+    if not (U or V):
+        return p
+    s, u = _zscale(a, b), _zscale(c, d)
+    t = sqrt_nonneg(Q((U * U + V * V) * s * s, (X * X + Y * Y) * u * u))
+    return _zshift(zp, X, Y, s, _zform1(t), t.tower)
+
+
+def chord(ca: Seg, ab: Seg, qc) -> tuple[Point, Point]:
+    """Where the line ab meets the circle about c, ordered along a -> b,
+    for ca = Seg(c, a), ab = Seg(a, b) and qc = |ca|^2 - r^2 <= 0: a + (b -
+    a)*t for t = (-qb -+ sqrt(disc))/(2*qa), qa = |ab|^2, qb = 2*ca.ab and
+    disc = qb^2 - 4*qa*qc.  Over Q, disc is one int quotient of the forms'
+    differences, and t is built in Q(sqrt disc) from ints."""
+    c, a, b = ca.u, ca.v, ab.v
+    if type(qc) is Rat and (z := _zkept(c, a, b)) is not None and not z[0]:
+        _, (c, za, b), _ = z
+        (X, Y), (U, V) = _zsub(b, za, 0), _zsub(za, c, 0)
+        s, u = _zscale(za, b), _zscale(c, za)
+        S, W = X * X + Y * Y, U * X + V * Y  # qa = S/s^2, qb = 2*W/(s*u)
+        n, d = qc.n, qc.d
+        root = sqrt_nonneg(Q(4 * (W * W * d - S * u * u * n),
+                             s * s * u * u * d))
+        r, (A, B), D = _zform1(root)
+        # X/s*t = X*(-2*W*D -+ (A + B*sqrt(R))*s*u)/(2*S*u*D)
+        k, m, tD = 2 * W * D, s * u, 2 * S * u * D
+        return tuple(_zshift(za, X, Y, 1, (r, (-k - e * A * m, -e * B * m),
+                                           tD), root.tower) for e in (1, -1))
+    qa, qb = seg_sq(ab), 2 * seg_dot(ca, ab)
+    root = sqrt_nonneg(qb * qb - 4 * qa * qc)
+    return (offset(a, ab, (-qb - root) / (2 * qa)),
+            offset(a, ab, (-qb + root) / (2 * qa)))
+
+
+def offset(p: Point, s: Seg, t, turn: bool = False) -> Point:
+    """p + (v - u)*t for s = Seg(u, v) and a value t, or p + rot90(v -
+    u)*t with `turn`.  When p, u, v and t keep forms whose keys and towers
+    meet, the point is built from them as ints (`_zoffset`) and keeps its
+    own form."""
+    f = int_form(t)  # None for a base value, whose ops are its own
+    if f is not None and (z := _zkept(p, s.u, s.v)) is not None:
+        x = _zoffset(z, f, t.tower, turn)
+        if x is not None:
+            return x
+    w = rot90(s.vec) if turn else s.vec
+    return Point(p.x + w[0] * t, p.y + w[1] * t)
 
 
 # -- positivity --------------------------------------------------------------
@@ -230,6 +373,12 @@ def _zform(p: Point):
         u, v = u[2:] or (0, 0), v[2:] or (0, 0)
         lanes += u[0] * a, u[1] * a, v[0] * b, v[1] * b
     return R, (lanes, S)
+
+
+def _zform1(v):
+    """The `int_form` of a value over Q or one Q(sqrt r), a Rat n/d being
+    (0, (n, 0), d)."""
+    return (0, (v.n, 0), v.d) if type(v) is Rat else int_form(v)
 
 
 def _zjoin(R, r):
@@ -299,6 +448,106 @@ def _zeps_points(pts, sem):
     return rn * rd, [(c, 1) for c in zip(it, it, it, it)]
 
 
+def _zkept(*pts):
+    """(R, forms, T): `_zpoints` of points that all keep a form, and T the
+    deepest tower of their coordinates, which each other coordinate's tower
+    begins; None where `_zpoints` gives None, for a point over Q(eps), whose
+    form is made per call, and for towers that share a key but not their
+    radicands (sqrt(2) and sqrt(1/2) both give R = 2)."""
+    z = _zpoints(*pts, sem=NODE0)  # at NODE0, `_zeps_points` makes no form
+    if z is None:
+        return None
+    R, forms = z
+    T = ()
+    if R:
+        for p in pts:
+            for c in (p.x, p.y):
+                t = c.tower
+                if t and t is not T:
+                    if len(t) > len(T):
+                        t, T = T, t
+                    if t != T[:len(t)]:
+                        return None
+    return R, forms, T
+
+
+def _zlanes(lanes, n):
+    """The x and y of a point's form, or of a difference from `_zsub`, as
+    `int_form` lanes of n = 2 or 4 ints (n = 4 over a depth-2 key)."""
+    if len(lanes) == 8:
+        return ((lanes[0], lanes[1], lanes[4], lanes[5]),
+                (lanes[2], lanes[3], lanes[6], lanes[7]))
+    if len(lanes) == 2:  # over Q, (X, Y)
+        x, y = (lanes[0], 0), (lanes[1], 0)
+    else:
+        x, y = lanes[:2], lanes[2:]
+    return (x, y) if n == 2 else (x + (0, 0), y + (0, 0))
+
+
+def _zoffset(z, f, tower, turn):
+    """`offset` over ints: z is `_zkept` of (p, u, v) and (f, tower) the
+    form and tower of t; None if t's key or tower does not meet theirs.
+    With D = Sp*Sw*tD, x = (xp*Sw*tD + wx*tl*Sp)/D for w = v - u over the
+    scale Sw, and y likewise."""
+    R, (p, u, v), T = z
+    r, tl, tD = f
+    if not R and type(r) is int:  # p, u, v over Q; t over Q or Q(sqrt r)
+        X, Y = _zsub(v, u, 0)
+        if turn:
+            X, Y = -Y, X
+        return _zshift(p, X, Y, _zscale(u, v), f, tower)
+    k, sp = _zscale(u, v) * tD, p[1]
+    if r and r != R and (R := _zjoin(R, r)) is None:
+        return None
+    if len(tower) > len(T):
+        tower, T = T, tower
+    if tower and tower != T[:len(tower)]:
+        return None
+    n = 4 if type(R) is tuple else 2
+    wx, wy = _zlanes(_zsub(v, u, z[0]), n)
+    if turn:
+        wx, wy = tuple(-c for c in wy), wx
+    px, py = _zlanes(p[0], n)
+    tl = tl + (0, 0) if len(tl) < n else tl
+    x = tuple(a * k + b * sp for a, b in zip(px, _zmul(wx, tl, R)))
+    y = tuple(a * k + b * sp for a, b in zip(py, _zmul(wy, tl, R)))
+    return _zpoint(R, x, y, sp * k, T)
+
+
+def _zshift(p, X, Y, s, f, tower) -> Point:
+    """p + (X, Y)/s*t for p's form over Q and t's form f over Q or one
+    Q(sqrt r) (over `tower`): the build of `meet`, `_zreach`, `chord`, and
+    of `_zoffset` over Q."""
+    ((xp, _, yp, _), sp), (_, (A, B), D) = p, f
+    D *= s
+    if D % sp:
+        A, B, k, D = A * sp, B * sp, D, D * sp
+    else:  # p's scale divides the other's, as when p is an end of the segment
+        k = D // sp
+    return _zpoint(f[0], (xp * k + X * A, X * B), (yp * k + Y * A, Y * B),
+                   D, tower)
+
+
+def _zpoint(R, x, y, D, T) -> Point:
+    """The point (x/D, y/D), D != 0, for x and y `int_form` lanes over the
+    tower T of key R, keeping its form: that of `_zform`, over the key of
+    its deepest coordinate, in lowest terms."""
+    if type(R) is tuple and not (any(x[2:]) or any(y[2:])):
+        R, T, x, y = R[0], T[:1], x[:2], y[:2]  # no sqrt(R2) part
+    if type(R) is not tuple and not (x[1] or y[1]):  # over Q: two Rats
+        q = Point(Q(x[0], D), Q(y[0], D))
+        _SET_ZF(q, _zform(q))
+        return q
+    g = gcd(*x, *y, D)
+    if D < 0:
+        g = -g
+    if g != 1:
+        x, y, D = tuple(c // g for c in x), tuple(c // g for c in y), D // g
+    q = Point(from_int_form(T, x, D), from_int_form(T, y, D))
+    _SET_ZF(q, (R, ((*x[:2], *y[:2], *x[2:], *y[2:]), D)))
+    return q
+
+
 def _zsub(p, q, R):
     """A positive multiple of p - q: cp*Sq - cq*Sp, or cp - cq when the
     scales are equal (over the scale `_zscale(p, q)`).  Over Q (R = 0) it
@@ -340,6 +589,8 @@ def _zdot(u, v, R):
 
 
 def _zcross(u, v, R):
+    if not R:
+        return u[0] * v[1] - u[1] * v[0], 0
     if type(R) is tuple:
         return _zover2(_zcross, u, v, R)
     return (u[0] * v[2] - u[2] * v[0] + (u[1] * v[3] - u[3] * v[1]) * R,
@@ -569,19 +820,26 @@ def distinct_witness(a: Point, b: Point) -> DistinctWitness:
     return DistinctWitness(e=midpoint(a, b))
 
 
-def _apex(a: Point, b: Point, bc, qa, qc) -> AngleWitness:
-    """u = a, and v laid off on Ray(b,c) at distance |ba| (qa = |ba|^2,
-    qc = |bc|^2)."""
-    t = sqrt_nonneg(qa / qc)
+def _apex(a: Point, b: Point, c: Point, vecs=None) -> AngleWitness:
+    """u = a, and v laid off on Ray(b,c) at distance |ba| (`_zreach` over
+    Q), from the tower's (a - b, c - b, |a - b|^2, |c - b|^2) if given."""
+    if vecs is None:
+        if (v := _zreach(b, b, c, a, b)) is not None:
+            return AngleWitness(kind="apex", u=a, v=v)
+        bc = Seg(b, c)
+        qa, qc = sqdist(a, b), seg_sq(bc)
+    else:
+        _, vec, qa, qc = vecs
+        bc = Seg(b, c, vec)
     return AngleWitness(kind="apex", u=a,
-                        v=Point(b.x + bc[0] * t, b.y + bc[1] * t))
+                        v=offset(b, bc, sqrt_nonneg(qa / qc)))
 
 
 def _witness(a: Point, b: Point, c: Point, sem: str,
              right: bool) -> AngleWitness | None:
     """The apex pair of a positive angle abc (the reflection of a in b if
     it is right and `right` allows), or None if abc is not positive.  The
-    integer path decides, and the tower computes only the witness point."""
+    integer path decides, and only the witness point is computed."""
     if (z := _zpoints(a, b, c, sem=sem)) is not None:
         R, (za, zb, zc) = z
         zba, zbc = _zsub(za, zb, R), _zsub(zc, zb, R)
@@ -589,15 +847,13 @@ def _witness(a: Point, b: Point, c: Point, sem: str,
             return None
         if right and not any(_zdot(zba, zbc, R)):
             return AngleWitness(kind="right", d=reflect_in_point(a, b))
-        ba, bc = vsub(a, b), vsub(c, b)
-        return _apex(a, b, bc, dot(ba, ba), dot(bc, bc))
+        return _apex(a, b, c)
     vecs = _angle_vectors(a, b, c, sem)
     if vecs is None:
         return None
-    ba, bc, qa, qc = vecs
-    if right and dot(ba, bc).is_zero():
+    if right and dot(vecs[0], vecs[1]).is_zero():
         return AngleWitness(kind="right", d=reflect_in_point(a, b))
-    return _apex(a, b, bc, qa, qc)
+    return _apex(a, b, c, vecs)
 
 
 def apex_witness(a: Point, b: Point, c: Point,

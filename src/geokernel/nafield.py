@@ -305,10 +305,11 @@ def frac_sqrt(q) -> Rat | None:
     n, d = q.numerator, q.denominator
     if n < 0:
         return None
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn != n or rd * rd != d:
+    rn = isqrt(n)
+    if rn * rn != n:
         return None
-    return _rat(rn, rd)
+    rd = isqrt(d)
+    return _rat(rn, rd) if rd * rd == d else None
 
 
 class Poly:
@@ -337,6 +338,8 @@ class Poly:
 
     @classmethod
     def const(cls, q) -> "Poly":
+        if type(q) is Rat:  # n/d is the form already
+            return _poly((q.n,), q.d) if q.n else _NIL
         return cls((q,))
 
     @classmethod

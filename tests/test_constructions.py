@@ -5,20 +5,24 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from geokernel.field import Q, eps, sqrt_nonneg
+from geokernel import geometry
+from geokernel.field import FieldElement, Q, eps, sqrt_nonneg
 from geokernel.geometry import (
-    NODE0, NODE1, Point, between, collinear, congruent, distinct, midpoint,
-    nonstrict_between, on_ray, pos_angle, pt, right_angle,
+    NODE0, NODE1, Point, Seg, apex_witness, between, chord, collinear,
+    congruent, cross, distinct, dot, meet, midpoint, nonstrict_between,
+    offset, on_ray, pos_angle, pt, reach, right_angle, vsub,
 )
 from geokernel.constructions import (
-    CircleSpec, ConstructionError, PostconditionFailure, angle_bisect,
-    angle_copy, circle_circle, crossbar_point, equilateral, ext, ext_strict,
-    euclid5, inner_pasch, lay_off, line_circle, line_intersect,
-    midpoint_gupta, named_angle_tiling, outer_pasch, perpendicular, reflect,
-    tracing,
+    CircleSpec, ConstructionError, PostconditionFailure, _project,
+    angle_bisect, angle_copy, circle_circle, crossbar_point, equilateral,
+    ext, ext_strict, euclid5, inner_pasch, lay_off, line_circle,
+    line_intersect, midpoint_gupta, named_angle_tiling, outer_pasch,
+    perpendicular, reflect, tracing,
 )
 from geokernel.arithmetic import axis, geo_add, geo_inv, geo_sqrt
+from test_predicates import _DEPTH2, _SAME_R, _scalars
 
 O, X = pt(0, 0), pt(1, 0)
 UNIT = CircleSpec(O, O, X)
@@ -337,3 +341,222 @@ class TestGuardTable:
         with tracing(trace):
             assert lay_off(O, X, pt(5, 5), pt(5, 5)) == O
         assert [(e.op, e.outputs) for e in trace] == [("lay_off", [O])]
+
+
+# -- the integer build -------------------------------------------------------
+#
+# One field per example: Q, a group of radicands that share R = r_n*r_d (so
+# sqrt(2) meets sqrt(1/2), whose towers differ), or a depth-2 chain.  Each
+# construction built from the kept forms must return the tower's points: the
+# same values, coordinate kinds and towers.
+
+_BUILD_FIELDS = st.sampled_from(_SAME_R + _DEPTH2).map(
+    lambda units: _scalars(st.sampled_from(units)))
+
+
+def _tower_path(build):
+    """build() with the integer path switched off, as `_zpoints` declines
+    the points of two radicand chains."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_zpoints", lambda *points, sem=None: None)
+        return build()
+
+
+def _outcome(build):
+    """The points build() returns, or the type of the error it raises."""
+    try:
+        out = build()
+    except (ConstructionError, PostconditionFailure) as err:
+        return type(err)
+    out = out if isinstance(out, tuple) else (out,)
+    return [p.v if hasattr(p, "v") else p for p in out]
+
+
+def _same_points(got, want) -> None:
+    assert type(got) is type(want)
+    if not isinstance(want, list):
+        return
+    for p, q in zip(got, want, strict=True):
+        for c, d in ((p.x, q.x), (p.y, q.y)):
+            assert type(c) is type(d) and c == d and c.tower == d.tower
+
+
+def _kept(points) -> None:
+    """A form kept from birth is `_zform`'s."""
+    for p in points:
+        if p._zf is not None:
+            assert p._zf == geometry._zform(p)
+
+
+@st.composite
+def _configs(draw):
+    """Four points over the scalars of one example, the last two often a
+    combination of the first two (so that lines meet and circles cut)."""
+    scalar = draw(_BUILD_FIELDS)
+    point = st.builds(Point, scalar, scalar)
+    a, b, c, d = (draw(point) for _ in range(4))
+    if draw(st.booleans()):
+        t = draw(scalar)
+        c = Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+    return a, b, c, d
+
+
+class TestIntegerBuild:
+    @given(pts=_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_constructions_match_the_tower(self, pts):
+        a, b, c, d = pts
+        assume(a != b)
+        calls = [lambda: line_intersect(a, b, c, d),
+                 lambda: ext(a, b, c, d), lambda: lay_off(a, b, c, d),
+                 lambda: _project(c, a, b), lambda: apex_witness(c, a, b),
+                 # d may lie outside the circle: then both sides refuse
+                 lambda: line_circle(CircleSpec(a, a, c), d, b,
+                                     strict=False),
+                 lambda: circle_circle(CircleSpec(a, a, c),
+                                       CircleSpec(b, b, c))]
+        for build in calls:
+            got = _outcome(build)
+            _same_points(got, _tower_path(lambda: _outcome(build)))
+            if isinstance(got, list):
+                _kept(got)
+
+    @given(pts=_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_helpers_keep_zform(self, pts):
+        # the helpers return points whose forms were kept at birth
+        a, b, c, d = pts
+        assume(a != b)
+        built = [meet(a, b, c, d), reach(c, a, b, c, d),
+                 offset(c, Seg(a, b), sqrt_nonneg(Q(2)) + 1),
+                 offset(c, Seg(a, b), sqrt_nonneg(Q(3)), turn=True)]
+        qc = geometry.sqdist(a, d) - geometry.sqdist(d, c)
+        if qc <= 0:  # a lies inside the circle about d through c
+            built += chord(Seg(d, a), Seg(a, b), qc)
+        _kept([p for p in built if p is not None])
+        kept = [p for p in built if p is not None and p._zf is not None]
+        assert all(p._zf for p in kept)
+
+
+# The tower expressions the helpers replace, operand for operand: where two
+# towers share a key (sqrt(2) and sqrt(1/2)), a merge keeps its first
+# operand's tower, so the order decides the result's tower.
+
+def _sq(p, q):
+    d = vsub(p, q)
+    return dot(d, d)
+
+
+def _cramer(a, b, c, d):
+    d1, d2 = vsub(b, a), vsub(d, c)
+    t = cross(vsub(c, a), d2) / cross(d1, d2)
+    return Point(a.x + d1[0] * t, a.y + d1[1] * t)
+
+
+def _along(p, a, b, c, d):
+    t = sqrt_nonneg(_sq(c, d) / _sq(a, b))
+    return Point(p.x + (b.x - a.x) * t, p.y + (b.y - a.y) * t)
+
+
+def _foot(p, u, v):
+    d = vsub(v, u)
+    t = dot(vsub(p, u), d) / _sq(u, v)
+    return Point(u.x + d[0] * t, u.y + d[1] * t)
+
+
+def _cut(o, r2, a, b):
+    d, ca = vsub(b, a), vsub(a, o)
+    qa, qb, qc = dot(d, d), 2 * dot(ca, d), dot(ca, ca) - r2
+    root = sqrt_nonneg(qb * qb - 4 * qa * qc)
+    return tuple(Point(a.x + d[0] * t, a.y + d[1] * t)
+                 for t in ((-qb - root) / (2 * qa), (-qb + root) / (2 * qa)))
+
+
+def _circles(o1, o2, r1sq, r2sq):
+    d2 = _sq(o1, o2)
+    k = (d2 + r1sq - r2sq) / (2 * d2)
+    base = vsub(o2, o1)
+    m = Point(o1.x + base[0] * k, o1.y + base[1] * k)
+    w = sqrt_nonneg(r1sq / d2 - k * k)
+    off = (-base[1], base[0])
+    return (Point(m.x + off[0] * w, m.y + off[1] * w),
+            Point(m.x - off[0] * w, m.y - off[1] * w))
+
+
+def _apex_point(a, b, c):
+    ba, bc = vsub(a, b), vsub(c, b)
+    t = sqrt_nonneg(dot(ba, ba) / dot(bc, bc))
+    return Point(b.x + bc[0] * t, b.y + bc[1] * t)
+
+
+_R2, _RH = sqrt_nonneg(Q(2)), sqrt_nonneg(Q(1, 2))
+
+
+class TestTowerOrder:
+    # the three examples tell a reversed operand apart: in the length |ab|
+    # of `reach`, the |o1 o2| of `circle_circle`, and `line_circle`'s qc
+    @example(pts=(Point(-2 - 3 * _RH, Q(-1)), Point(1 - 3 * _R2, Q(-2)),
+                  pt(2, -3), Point(Q(2), -3 + 3 * _RH)))
+    @example(pts=(Point(3 + _R2, Q(-2)), Point(1 - 3 * _RH, Q(-3)),
+                  Point(3 * _R2, -_RH), pt(-3, 2)))
+    @example(pts=(pt(-2, -2), Point(Q(1), 2 - _RH),
+                  Point(-3 - 2 * _R2, Q(-3)), Point(Q(-3), 2 - _RH)))
+    @given(pts=st.sampled_from(_SAME_R[1:]).flatmap(
+        lambda units: st.tuples(*[st.builds(
+            Point, _scalars(st.sampled_from(units)),
+            _scalars(st.sampled_from(units))) for _ in range(4)])))
+    @settings(max_examples=100, deadline=None)
+    def test_helpers_keep_the_towers(self, pts):
+        a, b, c, d = pts
+        assume(a != b and a != c and d != b and not collinear(a, b, c))
+        pairs = [(reach(b, a, b, c, d), _along(b, a, b, c, d)),
+                 (_project(c, a, b), _foot(c, a, b)),
+                 (apex_witness(c, a, b).v, _apex_point(c, a, b))]
+        if not cross(vsub(b, a), vsub(d, c)).is_zero():
+            pairs.append((meet(a, b, c, d), _cramer(a, b, c, d)))
+        if _sq(a, d) <= _sq(a, c):  # d lies inside the circle about a
+            pairs += zip(line_circle(CircleSpec(a, a, c), d, b, strict=False),
+                         _cut(a, _sq(a, c), d, b))
+        pairs += zip(circle_circle(CircleSpec(a, a, c), CircleSpec(b, b, c)),
+                     _circles(a, b, _sq(a, c), _sq(b, c)))
+        _same_points([p for p, _ in pairs], [q for _, q in pairs])
+
+
+# each over Q, with an irrational output where the construction has one
+_OVER_Q = {
+    "line_intersect": lambda: line_intersect(pt(0, 0), pt(3, 1),
+                                             pt(1, 5), pt(2, -3)),
+    "ext-irrational": lambda: ext(pt(0, 0), pt(1, 2), pt(0, 0), pt(1, 1)),
+    "lay_off": lambda: lay_off(pt(1, 1), pt(4, 2), pt(0, 0), pt(2, 3)),
+    "line_circle": lambda: line_circle(CircleSpec(O, O, pt(3, 1)),
+                                       pt(Q(1, 2), 0), pt(1, 1)),
+    "line_circle-irrational": lambda: line_circle(
+        CircleSpec(O, O, pt(3, 1)), pt(Q(1, 2), 0), pt(Q(3, 2), 1)),
+    "equilateral": lambda: equilateral(pt(0, 0), pt(Q(3, 2), 1)),
+    "apex_witness": lambda: apex_witness(pt(3, 1), pt(0, 0), pt(1, 4)),
+}
+
+
+class TestBuildBudget:
+    def test_irrational_outputs(self):
+        # the instances reach the integer build of Q(sqrt r)
+        for name in ("ext-irrational", "lay_off", "line_circle-irrational",
+                     "equilateral", "apex_witness"):
+            out = _outcome(_OVER_Q[name])
+            assert any(type(c) is FieldElement for p in out
+                       for c in (p.x, p.y)), name
+
+    @pytest.mark.parametrize("build", _OVER_Q.values(), ids=_OVER_Q)
+    def test_over_q_makes_no_tower_op(self, build, monkeypatch):
+        # points over Q are built from their forms, outputs in Q(sqrt r)
+        # too: no FieldElement._binop
+        calls, binop = [], FieldElement._binop
+
+        def counted(self, other, op):
+            calls.append(op)
+            return binop(self, other, op)
+
+        assert isinstance(_outcome(build), list)
+        monkeypatch.setattr(FieldElement, "_binop", counted)
+        build()
+        assert calls == []

@@ -379,6 +379,16 @@ class TestCli:
         env = run_script(parse_script(script), NONARCHIMEDEAN)
         assert name not in env.bindings and env.trace == []
 
+    @pytest.mark.parametrize("field, why", [
+        ("constructible", "eps outside NonArchimedean mode"),
+        ("nonarch", "point e = ((1)/(eps), 0) is outside F0, the domain of "
+                    "node 0")])
+    def test_unbounded_literal_figure(self, field, why, capsys):
+        path = os.path.join(FIGURES, "unbounded_literal.geo")
+        assert cli_main(["run", path, "--field", field]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"error [DomainViolation]: point e 1 / eps 0;  ({why})"]
+
     def test_run_refuses_unbounded_literal(self, tmp_path, capsys):
         script = tmp_path / "unbounded.geo"
         script.write_text("point a (1/eps) 0; point b 1 0;")

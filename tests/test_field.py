@@ -612,6 +612,42 @@ class TestIntForm:
         assert field.int_form(x) is None
 
 
+class TestFromIntForm:
+    """`from_int_form` builds the value that a form stands for over a given
+    tower: `int_form` reads the form back in lowest terms, and a value that
+    lies lower in the tower drops there."""
+
+    TOWERS = [(), sqrt_nonneg(Q(2)).tower, sqrt_nonneg(Q(3, 2)).tower,
+              sqrt_nonneg(1 + sqrt_nonneg(Q(2))).tower,
+              sqrt_nonneg(Q(1, 3) + Q(2, 5) * sqrt_nonneg(Q(3, 2))).tower]
+
+    @given(tower=st.sampled_from(TOWERS),
+           lanes=st.lists(st.integers(-10 ** 6, 10 ** 6) | st.just(0),
+                          min_size=4, max_size=4),
+           D=st.integers(-10 ** 4, 10 ** 4).filter(bool),
+           scale=st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, tower, lanes, D, scale):
+        n = 2 * max(len(tower), 1)
+        lanes = tuple(c * scale for c in lanes[:n])
+        if not tower:
+            lanes = (lanes[0], 0)
+        D *= scale
+        x = field.from_int_form(tower, lanes, D)
+        g = math.gcd(*lanes, D) * (1 if D > 0 else -1)
+        low, E = tuple(c // g for c in lanes), D // g
+        if not tower:
+            assert type(x) is Rat and x == Q(lanes[0], D)
+            return
+        if any(low[n // 2:]):  # the top radicand's lanes
+            R, got, F = field.int_form(x)
+            assert (got, F) == (low, E) and x.tower == tower
+            assert _form_value(R, got, F) == x
+        else:
+            assert getattr(x, "depth", 0) < len(tower)
+            assert x == field.from_int_form(tower[:-1], low[:n // 2], E)
+
+
 def _is_value(v) -> bool:
     """v is a leaf, or a FieldElement of depth >= 1 whose top node is
     nonzero (normalized)."""

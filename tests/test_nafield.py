@@ -418,6 +418,20 @@ class TestIntegerForm:
                 assert x == q and hash(x) == hash(q)
 
 
+class TestConst:
+    @given(q=st.sampled_from([0, -1, 1, 2 ** 200 + 1, -(3 ** 150)])
+           .map(Rat) | st.fractions().map(Rat)
+           | st.builds(Fraction, st.integers(-2 ** 300, 2 ** 300),
+                       st.integers(1, 2 ** 200)).map(Rat))
+    @settings(max_examples=200, deadline=None)
+    def test_const_of_a_rat_is_its_form(self, q):
+        # Poly.const builds n/d directly; the list constructor agrees
+        p, ref = Poly.const(q), Poly((q,))
+        assert (p.z, p.m) == (ref.z, ref.m)
+        assert p == ref and hash(p) == hash(ref)
+        assert (p is nafield._NIL) is (q == 0)
+
+
 class TestIntegerFormOracle:
     """Poly's operations on the integer form against sympy over QQ."""
 

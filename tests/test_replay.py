@@ -259,3 +259,103 @@ def test_sympy_decides_as_the_kernel(recorded):
             if getattr(plane, kind)(*args) != out:
                 wrong.append((kind, sem, pts, out))
     assert wrong == []
+
+
+# -- constructions ------------------------------------------------------------
+#
+# The same audit with `constructions.tracing` on: each recorded construction
+# (its op, inputs and outputs) is checked again in the sympy plane, from the
+# conclusion it promises.  A Pasch, parallel or crossbar point lies strictly
+# between the points it names (at NODE0 too, as B at NODE0 implies B), an
+# extension or a laid-off point lies on its line at the length it copies,
+# the two points of a line and a circle lie on the line and at one distance
+# from the center, and the two of two circles at one distance from each.
+
+PER_OP = 6  # constructions replayed per (op, mode, output depth)
+
+
+def _trace(modes, per_axiom, seed) -> list:
+    """(mode, entry) of every construction that `audit_run` records."""
+    out = []
+    for mode in modes:
+        trace = []
+        with constructions.tracing(trace):
+            audit.audit_run(mode, per_axiom, seed)
+        out += [(mode, e) for e in trace]
+    return out
+
+
+def _op_sample(traced) -> list:
+    """Up to PER_OP entries of each (op, mode, output depth), spread evenly
+    over the run."""
+    groups = collections.defaultdict(list)
+    for mode, e in traced:
+        groups[e.op, mode, max(map(_depth, e.outputs))].append(e)
+    return [g[i * len(g) // PER_OP] for g in groups.values()
+            for i in range(min(PER_OP, len(g)))]
+
+
+def _conclusion(plane: _Plane, op: str, ins, outs) -> bool:
+    if op == "ext":
+        a, b, c, d = ins
+        return (plane.nonstrict_between(a, b, outs[0])
+                and plane.congruent(b, outs[0], c, d))
+    if op == "lay_off":
+        a, b, c, d = ins
+        return (plane.on_ray(a, b, outs[0])
+                and plane.congruent(a, outs[0], c, d))
+    if op in ("inner_pasch", "outer_pasch"):
+        a, p, c, b, q = ins
+        x = outs[0]
+        first = (p, x, b) if op == "inner_pasch" else (b, p, x)
+        return plane.between(*first) and plane.between(a, x, q)
+    if op == "euclid5":
+        t, p, q, s, r, a = ins
+        return plane.between(p, a, outs[0]) and plane.between(s, q, outs[0])
+    if op == "crossbar_point":
+        a, b, c, e, u, v = ins
+        return plane.between(u, outs[0], v) and plane.on_ray(b, e, outs[0])
+    if op == "angle_bisect":
+        a, b, c = ins
+        m = outs[0]
+        return plane.angle_cong(a, b, m, m, b, c) and plane.distinct(b, m)
+    if op == "line_circle":
+        o, a, b = ins
+        x, y = outs
+        return (plane.collinear(a, b, x) and plane.collinear(a, b, y)
+                and plane.congruent(o, x, o, y)
+                and plane.nonstrict_between(x, a, y))
+    if op == "circle_circle":
+        o1, o2 = ins
+        left, right = outs
+        return (plane.congruent(o1, left, o1, right)
+                and plane.congruent(o2, left, o2, right)
+                and plane.sign(plane.dot(plane.sub(left, right),
+                                         plane.sub(o2, o1))) == 0)
+    raise AssertionError(f"no conclusion to replay for {op!r}")
+
+
+@pytest.fixture(scope="module")
+def traced():
+    return _trace(("constructible", "nonarchimedean"), 16, 42)
+
+
+def test_construction_sample_covers_every_op(traced):
+    sample = _op_sample(traced)
+    assert {e.op for e in sample} == {
+        "ext", "lay_off", "inner_pasch", "outer_pasch", "euclid5",
+        "crossbar_point", "angle_bisect", "line_circle", "circle_circle"}
+    depths = {max(map(_depth, e.outputs)) for e in sample}
+    assert depths == {0, 1, 2}  # I.20 lays off along a depth-1 segment
+    assert any(_has_eps(p.x) or _has_eps(p.y)
+               for e in sample for p in e.outputs)
+
+
+def test_sympy_replays_each_construction(traced):
+    plane, wrong = _Plane(), []
+    for e in _op_sample(traced):
+        ins, outs = ([(_number(p.x), _number(p.y)) for p in ps]
+                     for ps in (e.inputs, e.outputs))
+        if not _conclusion(plane, e.op, ins, outs):
+            wrong.append((e.op, e.inputs, e.outputs))
+    assert wrong == []
