@@ -13,19 +13,27 @@ disagrees with `expect_refusal` is an `unexpected-refusal` or a
 `_Gen.schedule`, which draws the gap: the theorem labels draw none, so in
 NonArchimedean mode they run eps-free instances, and their summaries equal
 the constructible ones.
+
+`_Gen` draws from the stream of `random.Random(seed)`, seeded through its
+C base class `_random.Random` (the init_by_array seeding an int seed
+reaches there too).  A draw from n values takes getrandbits of n's bit
+length until the result is below n, as `randint` does: in `draw`, and
+inline in `q` and `t01`, which reduce their numbers once to a `Rat`.  The
+point builders compute a coordinate over Q as one fraction (`_lin`), and
+`LowerDim`'s points over Q(√3) are built from ints (`from_int_form`).
 """
 
 from __future__ import annotations
 
+import _random
 import json
-import random
 import time
 import zlib
 from typing import Callable, NamedTuple
 
 from .arithmetic import axis, expresses_negative
-from .field import Q, eps, sqrt_nonneg
-from .nafield import ONE, Rat, _ratio
+from .field import Q, eps, from_int_form
+from .nafield import ONE, ZERO, Rat, _ratio
 from .geometry import (
     CONSTRUCTIBLE, NODE0, Point, angle_cong, between, congruent,
     distinct, distinct_witness, midpoint, nonstrict_between, on_ray,
@@ -85,10 +93,11 @@ def _lin(x, *uv):
 
 class _Gen:
     """Random exact-rational geometry; in NonArchimedean mode some axiom
-    gaps are eps.  Every number is drawn as a base value, a `Rat`."""
+    gaps are eps.  Every number is drawn as a base value, a `Rat` (see
+    the module doc)."""
 
     def __init__(self, seed: int, mode: str = CONSTRUCTIBLE):
-        self.bits = random.Random(seed).getrandbits
+        self.bits = _random.Random(seed).getrandbits
         self.seed, self.mode = seed, mode
         self.sem = resolve_mode(mode)  # an unknown mode fails here
         self.degenerate = self.na_inf = self.probe = False
@@ -113,23 +122,37 @@ class _Gen:
         return lo + r
 
     def q(self, lo: int = -2 ** 16, hi: int = 2 ** 16) -> Rat:
-        return _ratio(self.draw(lo, hi), self.draw(1, 2 ** 10))
+        """n/d for n drawn from lo..hi, then d from 1..2¹⁰, reduced once."""
+        bits, n = self.bits, hi - lo + 1
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        d = bits(11)
+        while d >= 2 ** 10:
+            d = bits(11)
+        return _ratio(lo + r, d + 1)
 
     def qnz(self) -> Rat:
         while True:
             v = self.q()
-            if not v.is_zero():
+            if v.n:
                 return v
 
     def qpos(self) -> Rat:
         v = self.qnz()
-        return v if v.sign() > 0 else -v
+        return v if v.n > 0 else -v
 
     def t01(self, degenerate: bool = False) -> Rat:
-        """Interior parameter in (0,1); optionally pinned next to 0 or 1."""
+        """Interior parameter in (0,1), n/2¹⁰ for n from 1..2¹⁰ - 1;
+        optionally pinned next to 0 or 1."""
         if degenerate:
             return TINY if self.draw(0, 1) else 1 - TINY
-        return Q(self.draw(1, 2 ** 10 - 1), 2 ** 10)
+        bits = self.bits
+        r = bits(10)
+        while r >= 2 ** 10 - 1:
+            r = bits(10)
+        return _ratio(r + 1, 2 ** 10)
 
     def point(self) -> Point:
         return Point(self.q(), self.q())
@@ -184,15 +207,21 @@ class _Gen:
 
     def isometry(self):
         """Exact rigid motion (rotation + optional flip + translation)."""
-        c, s = self.unit_dir()
-        flip = self.draw(0, 1)
-        tx, ty = self.q(), self.q()
+        c, sy, s, cy, tx, ty = self._motion()
 
-        def phi(p: Point) -> Point:  # (c·x - s·y' + tx, s·x + c·y' + ty)
-            sy, cy = (s, -c) if flip else (-s, c)  # y' = -y under a flip
+        def phi(p: Point) -> Point:
             return Point(_lin(tx, c, p.x, sy, p.y), _lin(ty, s, p.x, cy, p.y))
 
         return phi
+
+    def _motion(self) -> tuple:
+        """`isometry`'s draws, as the coefficients (c, sy, s, cy, tx, ty) of
+        p -> (c·x + sy·y + tx, s·x + cy·y + ty)."""
+        c, s = self.unit_dir()
+        flip = self.draw(0, 1)
+        tx, ty = self.q(), self.q()
+        sy, cy = (s, -c) if flip else (-s, c)  # y' = -y under a flip
+        return c, sy, s, cy, tx, ty
 
 
 class Spec(NamedTuple):
@@ -345,23 +374,38 @@ def _euclid5_holds(i: dict, sem: str) -> bool:
     return between(i["p"], i["a"], e, sem) and between(i["s"], i["q"], e, sem)
 
 
+_ROOT3 = (Q(3),)  # the tower Q(√3) of LowerDim's points
+
+
 def _gen_lower_dim(g: _Gen) -> dict:
-    phi = g.isometry()
+    """An equilateral triangle, three side midpoints and its centre, each
+    (x, y·√3)·scale moved by an isometry: its rational part by `_lin`, its
+    √3 part a `Rat`, and the coordinate built from their ints."""
+    c, sy, s, cy, tx, ty = g._motion()
     scale = g.qpos()
-    root3 = sqrt_nonneg(Q(3))
     half, quarter = Q(1, 2), Q(1, 4)
 
-    def fixed(x, y):
-        return phi(Point(x * scale, y * scale))
+    def fixed(x, y=None):
+        x = x * scale
+        px, py = _lin(tx, c, x), _lin(ty, s, x)
+        if y is None:
+            return Point(px, py)
+        y = y * scale
+        return Point(_plus_root3(px, sy * y), _plus_root3(py, cy * y))
 
     return dict(
-        alpha=fixed(0, 0),
-        beta=fixed(1, 0),
-        gamma=fixed(half, root3 * half),
-        c1=fixed(half, 0),
-        c2=fixed(quarter, root3 * quarter),
-        c3=fixed(Q(3, 4), root3 * quarter),
-        c4=fixed(half, root3 * Q(1, 6)))
+        alpha=fixed(ZERO),
+        beta=fixed(ONE),
+        gamma=fixed(half, half),
+        c1=fixed(half),
+        c2=fixed(quarter, quarter),
+        c3=fixed(Q(3, 4), quarter),
+        c4=fixed(half, Q(1, 6)))
+
+
+def _plus_root3(a: Rat, b: Rat):
+    """a + b·√3 over `_ROOT3`, from ints."""
+    return from_int_form(_ROOT3, a.d * b.d, (a.n * b.d, b.n * a.d))[0]
 
 
 def _lower_dim_holds(i: dict, sem: str) -> bool:

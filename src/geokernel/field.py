@@ -32,8 +32,8 @@ Against an int, a `Rat` or an element over the same tower, `+ - * /` are
 int formulas reduced once by one gcd; `sign` compares A^2 with B^2*R.
 Other elements keep only the rep.  `int_form` is the one reader of these
 forms outside this module, and builds the depth-2 form from them;
-`from_int_form`, its inverse, is the one writer: it builds a value of
-depth 0, 1 or 2 from such a form over a given tower.
+`from_int_form`, its inverse, is the one writer: it builds values of
+depth 0, 1 or 2 from such forms over a given tower and one denominator.
 
 Every operation is exact.  `<` is the sign of the difference, and
 `total_ordering` derives `<=`, `>` and `>=` from it and `==`.  The sign of
@@ -553,21 +553,23 @@ def int_form(x):
     return (low[0].n * low[0].d, (P * E, Q * E)), lanes, D
 
 
-def from_int_form(tower, lanes, D):
-    """The value that `int_form` reads as (R, lanes, D), for R the key of
-    `tower` (eps-free, of depth 0, 1 or 2, with Rat leaves): at depth 0 the
-    Rat A/D of lanes (A, 0), at depth 1 (A + B*sqrt(R))/D, at depth 2 (c0 +
-    c1*sqrt(R1) + (c2 + c3*sqrt(R1))*sqrt(R2))/D.  D is nonzero, and the
-    value is normalized: one that lies lower in the tower drops there."""
+def from_int_form(tower, D, *lanes):
+    """The values that `int_form` reads as (R, lanes, D), one per lanes
+    over the one D, for R the key of `tower` (eps-free, of depth 0, 1 or 2,
+    with Rat leaves): at depth 0 the Rat A/D of lanes (A, 0), at depth 1 (A
+    + B*sqrt(R))/D, at depth 2 (c0 + c1*sqrt(R1) + (c2 +
+    c3*sqrt(R1))*sqrt(R2))/D, with r2's E read once for them all.  D is
+    nonzero, and each value is normalized: one that lies lower in the tower
+    drops there."""
     if not tower:
-        return _ratio(lanes[0], D)
+        return [_ratio(f[0], D) for f in lanes]
     if len(tower) == 1:
-        return _abd_value(tower, *lanes, D)
-    c0, c1, c2, c3 = lanes
+        return [_abd_value(tower, A, B, D) for A, B in lanes]
     low, r2 = tower[:1], tower[1]
     n, E = low[0].d, _abd_of(low, r2)[2]  # sqrt(R1) = n*sqrt(r1)
-    return _value(tower, ((_ratio(c0, D), _ratio(c1 * n, D)),
-                          (_ratio(c2 * E, D), _ratio(c3 * E * n, D))))
+    return [_value(tower, ((_ratio(c0, D), _ratio(c1 * n, D)),
+                           (_ratio(c2 * E, D), _ratio(c3 * E * n, D))))
+            for c0, c1, c2, c3 in lanes]
 
 
 def _parts(x):

@@ -220,8 +220,8 @@ def _seg_pair(f, g, s: Seg, t: Seg) -> FieldElement:
     `_zdot`, `_zcross`), or g of their tower vectors."""
     if (z := _zkept(s.u, s.v, t.u, t.v)) is not None:
         R, (a, b, c, d), T = z
-        return from_int_form(T, f(_zsub(b, a, R), _zsub(d, c, R), R),
-                             _zscale(a, b) * _zscale(c, d))
+        return from_int_form(T, _zscale(a, b) * _zscale(c, d),
+                             f(_zsub(b, a, R), _zsub(d, c, R), R))[0]
     return g(s.vec, t.vec)
 
 
@@ -543,7 +543,7 @@ def _zpoint(R, x, y, D, T) -> Point:
         g = -g
     if g != 1:
         x, y, D = tuple(c // g for c in x), tuple(c // g for c in y), D // g
-    q = Point(from_int_form(T, x, D), from_int_form(T, y, D))
+    q = Point(*from_int_form(T, D, x, y))
     _SET_ZF(q, (R, ((*x[:2], *y[:2], *x[2:], *y[2:]), D)))
     return q
 

@@ -113,6 +113,16 @@ def _rendered(v) -> str:
     return repr(v)  # seed, label, expect_refusal
 
 
+# seeds 0-999, and those the audit seeds _Gen with: crc32 values
+# (`_instance_seed`), up to 2³² - 1, and `all-right-angles-congruent`'s
+# second stream at seed + 10⁹, which can pass 2³² and so is a two-word key
+_CRC_SEEDS = sorted({audit._instance_seed(s, label, i) for s in (0, 7, 42)
+                     for label in ("A4-i1", "LowerDim", "crossbar")
+                     for i in range(40)} | {2 ** 32 - 1})
+_SEEDS = [*range(1000), *_CRC_SEEDS, *(s + 10 ** 9 for s in _CRC_SEEDS),
+          2 ** 32]
+
+
 class TestDraws:
     def test_draw_is_randint_on_every_range(self):
         # the ranges _Gen draws from, with 1..m-1 for every m in 2..40, and
@@ -121,7 +131,7 @@ class TestDraws:
         # changes
         ranges = [(-2 ** 16, 2 ** 16), (1, 2 ** 10), (1, 2 ** 10 - 1),
                   (2, 40), (0, 1)] + [(1, m - 1) for m in range(2, 41)]
-        for seed in range(1000):
+        for seed in _SEEDS:
             g, rng = _Gen(seed), random.Random(seed)
             for lo, hi in ranges:
                 assert g.draw(lo, hi) == rng.randint(lo, hi)
@@ -129,6 +139,29 @@ class TestDraws:
             assert g.draw(2, 40) == m
             assert g.draw(1, m - 1) == rng.randint(1, m - 1)
             assert g.draw(0, 1) == rng.randrange(2)
+            assert g.bits(32) == rng.getrandbits(32)  # still in step
+
+    def test_inline_draws_are_randint(self):
+        # q, qnz, qpos and t01 draw inline by `draw`'s rule: each equals
+        # its randint expression on the same stream
+        def q(lo=-2 ** 16, hi=2 ** 16):
+            return Q(rng.randint(lo, hi), rng.randint(1, 2 ** 10))
+
+        def qnz():
+            while True:
+                v = q()
+                if v != 0:
+                    return v
+
+        for seed in _SEEDS:
+            g, rng = _Gen(seed), random.Random(seed)
+            assert g.q() == q()
+            assert g.q(-8, 8) == q(-8, 8)
+            assert g.qnz() == qnz()
+            v = qnz()
+            assert g.qpos() == (v if v > 0 else -v)
+            assert g.t01() == Q(rng.randint(1, 2 ** 10 - 1), 2 ** 10)
+            assert g.t01(True) == (TINY if rng.randint(0, 1) else 1 - TINY)
             assert g.bits(32) == rng.getrandbits(32)  # still in step
 
 
@@ -172,12 +205,14 @@ class TestBuilders:
         (audit._gen_saccheri, lambda g: _saccheri(g)),
         (lambda g: dict(zip("abc", g.right_triangle())),
          lambda g: dict(zip("abc", _right_triangle(g)))),
+        (audit._gen_lower_dim, lambda g: _lower_dim(g)),
     ], ids=["lc-strict", "lc-nonstrict", "euclid5", "parallelogram",
-            "lambert", "saccheri", "right-triangle"])
+            "lambert", "saccheri", "right-triangle", "lower-dim"])
     def test_generators_equal_field_arithmetic(self, build, chain, mode):
         # the generators that build points as offsets of points give, over
         # one reduction per coordinate, the values and leaf kinds of their
-        # chains of field operations, and draw the same random numbers
+        # chains of field operations, and draw the same random numbers;
+        # LowerDim's points over Q(sqrt 3) too, built from ints
         for seed in range(200):
             g, ref = _Gen(seed, mode), _Gen(seed, mode)
             g.schedule()
@@ -252,6 +287,22 @@ def _saccheri(g):
 def _right_triangle(g):
     b, u = g.point(), g.direction()
     return _plus(b, u), b, _plus(b, rot90(u), g.qnz())
+
+
+def _lower_dim(g):
+    phi = _isometry(g)
+    scale = g.qpos()
+    root3 = sqrt_nonneg(Q(3))
+    half, quarter = Q(1, 2), Q(1, 4)
+
+    def fixed(x, y):
+        return phi(Point(x * scale, y * scale))
+
+    return dict(alpha=fixed(0, 0), beta=fixed(1, 0),
+                gamma=fixed(half, root3 * half), c1=fixed(half, 0),
+                c2=fixed(quarter, root3 * quarter),
+                c3=fixed(Q(3, 4), root3 * quarter),
+                c4=fixed(half, root3 * Q(1, 6)))
 
 
 def _combine(a, b, t):

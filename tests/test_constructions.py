@@ -2,12 +2,13 @@
 
 import doctest
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from geokernel import geometry
+from geokernel import audit, field, geometry
 from geokernel.field import FieldElement, Q, eps, sqrt_nonneg
 from geokernel.geometry import (
     NODE0, NODE1, Point, Seg, apex_witness, between, chord, collinear,
@@ -560,3 +561,20 @@ class TestBuildBudget:
         monkeypatch.setattr(FieldElement, "_binop", counted)
         build()
         assert calls == []
+
+    def test_depth_two_build_reads_e_once(self, monkeypatch):
+        # one I.20 check: `ext` puts d over Q(sqrt r1), and `lay_off` builds
+        # its point over Q(sqrt r1)(sqrt r2) from ints, reading r2's E once
+        # for both coordinates; the other six reads are `int_form` of the
+        # root (three) and the depth-2 inits, which return at once
+        inst = audit.gen_theorem_instance("triangle-inequality", 0)
+        reads, abd_of = [], field._abd_of
+
+        def counted(tower, rep):
+            reads.append(sys._getframe(1).f_code.co_name)
+            return abd_of(tower, rep)
+
+        monkeypatch.setattr(field, "_abd_of", counted)
+        res = audit.check_theorem("triangle-inequality", inst)
+        assert res["verdict"] == "pass"
+        assert reads.count("from_int_form") == 1 and len(reads) == 7

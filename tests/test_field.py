@@ -613,9 +613,10 @@ class TestIntForm:
 
 
 class TestFromIntForm:
-    """`from_int_form` builds the value that a form stands for over a given
-    tower: `int_form` reads the form back in lowest terms, and a value that
-    lies lower in the tower drops there."""
+    """`from_int_form` builds the values that forms over one denominator
+    stand for over a given tower, each as it would alone: `int_form` reads
+    a form back in lowest terms, and a value that lies lower in the tower
+    drops there."""
 
     TOWERS = [(), sqrt_nonneg(Q(2)).tower, sqrt_nonneg(Q(3, 2)).tower,
               sqrt_nonneg(1 + sqrt_nonneg(Q(2))).tower,
@@ -633,7 +634,8 @@ class TestFromIntForm:
         if not tower:
             lanes = (lanes[0], 0)
         D *= scale
-        x = field.from_int_form(tower, lanes, D)
+        x, y = field.from_int_form(tower, D, lanes, lanes[::-1])
+        assert [y] == field.from_int_form(tower, D, lanes[::-1])
         g = math.gcd(*lanes, D) * (1 if D > 0 else -1)
         low, E = tuple(c // g for c in lanes), D // g
         if not tower:
@@ -645,7 +647,7 @@ class TestFromIntForm:
             assert _form_value(R, got, F) == x
         else:
             assert getattr(x, "depth", 0) < len(tower)
-            assert x == field.from_int_form(tower[:-1], low[:n // 2], E)
+            assert [x] == field.from_int_form(tower[:-1], E, low[:n // 2])
 
 
 def _is_value(v) -> bool:

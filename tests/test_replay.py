@@ -351,6 +351,23 @@ def test_construction_sample_covers_every_op(traced):
                for e in sample for p in e.outputs)
 
 
+def test_node0_constructions_stay_in_f0(traced):
+    # the node-0 plane is F0²: in the NonArchimedean audit, every
+    # construction whose input coordinates all lie in F0 returns outputs
+    # in F0 (checked here, not at run time)
+    def in_f0(points):
+        return all(geometry.in_domain(NODE0, c) for p in points
+                   for c in (p.x, p.y))
+
+    calls = [e for mode, e in traced
+             if mode == "nonarchimedean" and in_f0(e.inputs)]
+    assert {e.op for e in calls} == {
+        "ext", "lay_off", "inner_pasch", "outer_pasch", "euclid5",
+        "crossbar_point", "angle_bisect", "line_circle", "circle_circle"}
+    assert [(e.op, e.inputs, e.outputs) for e in calls
+            if not in_f0(e.outputs)] == []
+
+
 def test_sympy_replays_each_construction(traced):
     plane, wrong = _Plane(), []
     for e in _op_sample(traced):
