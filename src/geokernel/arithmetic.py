@@ -12,7 +12,9 @@ result against the pure field operation, exactly.
 
 from __future__ import annotations
 
-from .field import FieldElement, Negative, Q, inv_positive, sqrt_nonneg
+from .field import (
+    DomainViolation, FieldElement, Negative, Q, inv_positive, sqrt_nonneg,
+)
 from .geometry import (
     CONSTRUCTIBLE, Point, between, distinct, midpoint, pt, reflect_in_point,
     right_angle, sqdist,
@@ -35,7 +37,7 @@ def axis(x) -> Point:
 
 def _as_axis(p: Point) -> Point:
     if not p.y.is_zero():
-        raise ValueError("not an axis point")
+        raise DomainViolation("not an axis point")
     return p
 
 

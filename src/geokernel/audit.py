@@ -2,10 +2,13 @@
 
 Each label is one `Spec` row in `AXIOMS` or `THEOREMS`: a generator whose
 configurations satisfy the hypotheses exactly *by construction*, an
-optional hypothesis re-checked first, a check that runs the construction
-and re-checks its conclusion with zero tolerance, and whether the label
-must refuse an infinitesimal gap.  Every 8th axiom instance has a gap of
-1/2³², infinitesimal in NonArchimedean mode, where the `refuses` labels
+optional hypothesis re-checked first, a zero-tolerance check, and whether
+the label must refuse an infinitesimal gap.  A construction label's
+conclusion is its construction's `_post`, decided once: the label holds
+once the construction returns, and a wrong output fails with the detail
+`postcondition: <what>` (`tests/test_replay.py` re-decides those
+conclusions independently, in sympy).  Every 8th axiom instance has a gap
+of 1/2³², infinitesimal in NonArchimedean mode, where the `refuses` labels
 must refuse rather than decide (deciding is Markov's principle); the a = b
 probes of the extension axioms refuse in both modes.  A verdict that
 disagrees with `expect_refusal` is an `unexpected-refusal` or a
@@ -225,12 +228,30 @@ class _Gen:
 
 
 class Spec(NamedTuple):
-    """One audit label: its generator, hypothesis, check and refusal."""
+    """One audit label: its generator, hypothesis, check and refusal.  A
+    construction label's check is `_built`: its conclusion is the
+    construction's `_post`, decided once (and re-decided independently by
+    `tests/test_replay.py`), so it has no `detail`."""
     generate: Callable[[_Gen], dict]
     check: Callable[[dict, str], bool]  # (instance, semantics) -> holds
-    detail: str  # reported when the check fails
+    detail: str | None = None  # reported when the check returns False
     hypothesis: tuple[str, Callable[[dict, str], bool]] | None = None
     refuses: bool = False  # must refuse when the gap is infinitesimal
+
+
+def _built(construct: Callable[[dict, str], object]):
+    """A construction label's check: `construct(i, sem)` runs the
+    construction, whose `_post` raises `PostconditionFailure` on a wrong
+    output, so the label holds once it returns."""
+    def check(i: dict, sem: str) -> bool:
+        construct(i, sem)
+        return True
+    return check
+
+
+def _pts(i: dict, names: str) -> list:
+    """The instance's points `names`, one letter each, in order."""
+    return [i[n] for n in names]
 
 
 # -- axiom generators and checks ----------------------------------------------
@@ -247,18 +268,6 @@ def _gen_ext(g: _Gen, null_ok: bool) -> dict:
     else:
         d = g.along(c, g.direction(), g.gap if g.degenerate else 1)
     return dict(a=a, b=b, c=c, d=d)
-
-
-def _ext_holds(i: dict, sem: str) -> bool:
-    e = ext(i["a"], i["b"], i["c"], i["d"], sem)
-    return (nonstrict_between(i["a"], i["b"], e)
-            and congruent(i["b"], e, i["c"], i["d"]))
-
-
-def _ext_strict_holds(i: dict, sem: str) -> bool:
-    e = ext_strict(i["a"], i["b"], i["c"], i["d"], sem)
-    return (between(i["a"], i["b"], e, sem)
-            and congruent(i["b"], e, i["c"], i["d"]))
 
 
 def _gen_chain(g: _Gen, names: str) -> dict:
@@ -302,16 +311,6 @@ def _gen_pasch(g: _Gen, q_beyond: bool) -> dict:
     return dict(a=a, c=c, b=b, p=g.combine(a, c, tp), q=g.combine(b, c, tq))
 
 
-def _inner_pasch_holds(i: dict, sem: str) -> bool:
-    x = inner_pasch(i["a"], i["p"], i["c"], i["b"], i["q"], sem)
-    return between(i["p"], x, i["b"], sem) and between(i["a"], x, i["q"], sem)
-
-
-def _outer_pasch_holds(i: dict, sem: str) -> bool:
-    x = outer_pasch(i["a"], i["p"], i["c"], i["b"], i["q"], sem)
-    return between(i["b"], i["p"], x, sem) and between(i["a"], x, i["q"], sem)
-
-
 def _gen_lc(g: _Gen, strict: bool) -> dict:
     center = g.point()
     ux, uy = g.unit_dir()
@@ -331,11 +330,9 @@ def _gen_lc(g: _Gen, strict: bool) -> dict:
                 b=g.off_line_point(center, u))
 
 
-def _lc_holds(i: dict, sem: str, strict: bool) -> bool:
-    o, p, q, a = i["center"], i["p"], i["q"], i["a"]
-    x, y = line_circle(CircleSpec(o, p, q), a, i["b"], strict=strict, sem=sem)
-    sep = between(x, a, y, sem) if strict else nonstrict_between(x, a, y)
-    return congruent(o, x, p, q) and congruent(o, y, p, q) and sep
+def _lc_args(i: dict) -> tuple:
+    """line_circle's circle (center, radius pq) and line ab."""
+    return CircleSpec(i["center"], i["p"], i["q"]), i["a"], i["b"]
 
 
 def _gen_cc(g: _Gen) -> dict:
@@ -344,13 +341,6 @@ def _gen_cc(g: _Gen) -> dict:
     e = (g.combine(o1, o2, g.t01()) if g.degenerate  # tangent-like
          else g.off_line_point(o1, o2))
     return dict(o1=o1, o2=o2, e=e)
-
-
-def _cc_holds(i: dict, sem: str) -> bool:
-    o1, o2, e = i["o1"], i["o2"], i["e"]
-    pts = circle_circle(CircleSpec(o1, o1, e), CircleSpec(o2, o2, e), sem=sem)
-    return all(congruent(o1, x, o1, e) and congruent(o2, x, o2, e)
-               for x in pts)
 
 
 def _gen_euclid5(g: _Gen) -> dict:
@@ -367,11 +357,6 @@ def _gen_euclid5(g: _Gen) -> dict:
     s = Point(t.x - v2[0], t.y - v2[1])
     ta = g.gap if g.na_inf else g.t01(g.degenerate)
     return dict(t=t, p=p, q=q, s=s, r=r, a=g.combine(q, r, ta))
-
-
-def _euclid5_holds(i: dict, sem: str) -> bool:
-    e = euclid5(i["t"], i["p"], i["q"], i["s"], i["r"], i["a"], sem)
-    return between(i["p"], i["a"], e, sem) and between(i["s"], i["q"], e, sem)
 
 
 _ROOT3 = (Q(3),)  # the tower Q(√3) of LowerDim's points
@@ -420,10 +405,10 @@ def _lower_dim_holds(i: dict, sem: str) -> bool:
 
 
 AXIOMS: dict[str, Spec] = {
-    "A4-i1": Spec(lambda g: _gen_ext(g, null_ok=True), _ext_holds,
-                  "extension conclusion failed"),
-    "A4-i2": Spec(lambda g: _gen_ext(g, null_ok=False), _ext_strict_holds,
-                  "strict extension conclusion failed", refuses=True),
+    "A4-i1": Spec(lambda g: _gen_ext(g, null_ok=True), _built(
+        lambda i, sem: ext(*_pts(i, "abcd"), sem))),
+    "A4-i2": Spec(lambda g: _gen_ext(g, null_ok=False), _built(
+        lambda i, sem: ext_strict(*_pts(i, "abcd"), sem)), refuses=True),
     "A5-i": Spec(_gen_a5,
                  lambda i, sem: congruent(i["c"], i["d"], i["C"], i["D"]),
                  "five-segment failed",
@@ -447,19 +432,19 @@ AXIOMS: dict[str, Spec] = {
     "A17-i": Spec(_gen_a17, lambda i, sem: i["b"] == i["c"],
                   "connectivity failed",
                   hypothesis=("hypotheses", _a17_hypothesis)),
-    "A7-i1": Spec(lambda g: _gen_pasch(g, q_beyond=False), _inner_pasch_holds,
-                  "inner Pasch conclusion failed", refuses=True),
-    "A7-i2": Spec(lambda g: _gen_pasch(g, q_beyond=True), _outer_pasch_holds,
-                  "outer Pasch conclusion failed", refuses=True),
-    "LC-strict": Spec(lambda g: _gen_lc(g, strict=True),
-                      lambda i, sem: _lc_holds(i, sem, strict=True),
-                      "line-circle conclusion failed", refuses=True),
-    "LC-nonstrict": Spec(lambda g: _gen_lc(g, strict=False),
-                         lambda i, sem: _lc_holds(i, sem, strict=False),
-                         "line-circle conclusion failed"),
-    "CC": Spec(_gen_cc, _cc_holds, "circle-circle conclusion failed"),
-    "Euclid5": Spec(_gen_euclid5, _euclid5_holds,
-                    "parallel-axiom conclusion failed", refuses=True),
+    "A7-i1": Spec(lambda g: _gen_pasch(g, q_beyond=False), _built(
+        lambda i, sem: inner_pasch(*_pts(i, "apcbq"), sem)), refuses=True),
+    "A7-i2": Spec(lambda g: _gen_pasch(g, q_beyond=True), _built(
+        lambda i, sem: outer_pasch(*_pts(i, "apcbq"), sem)), refuses=True),
+    "LC-strict": Spec(lambda g: _gen_lc(g, strict=True), _built(
+        lambda i, sem: line_circle(*_lc_args(i), True, sem)), refuses=True),
+    "LC-nonstrict": Spec(lambda g: _gen_lc(g, strict=False), _built(
+        lambda i, sem: line_circle(*_lc_args(i), False, sem))),
+    "CC": Spec(_gen_cc, _built(lambda i, sem: circle_circle(
+        CircleSpec(i["o1"], i["o1"], i["e"]),
+        CircleSpec(i["o2"], i["o2"], i["e"]), sem))),
+    "Euclid5": Spec(_gen_euclid5, _built(
+        lambda i, sem: euclid5(*_pts(i, "tpqsra"), sem)), refuses=True),
     "LowerDim": Spec(_gen_lower_dim, _lower_dim_holds,
                      "equilateral constants configuration failed"),
 }
@@ -502,9 +487,10 @@ def _gen_crossbar(g: _Gen) -> dict:
 
 
 def _crossbar_holds(i: dict, sem: str) -> bool:
-    b, e, u, v = i["b"], i["e"], i["u"], i["v"]
-    w = crossbar_point(i["a"], b, i["c"], e, u, v, sem)
-    return between(u, w, v, sem) and between(b, e, w, sem) and on_ray(b, e, w)
+    # crossbar_point's _post decides B(u,w,v) and B(b,e,w)
+    b, e = i["b"], i["e"]
+    w = crossbar_point(i["a"], b, i["c"], e, i["u"], i["v"], sem)
+    return on_ray(b, e, w)
 
 
 def _exterior_angle_holds(i: dict, sem: str) -> bool:
@@ -578,8 +564,8 @@ def _gen_lambert(g: _Gen) -> dict:
 
 def _angle_bisection_holds(i: dict, sem: str) -> bool:
     a, b, c = i["a"], i["b"], i["c"]
-    m = angle_bisect(a, b, c, sem)
-    return angle_cong(a, b, m, m, b, c) and distinct(b, m, sem)
+    m = angle_bisect(a, b, c, sem)  # its _post decides b#m
+    return angle_cong(a, b, m, m, b, c)
 
 
 def _two_sides_holds(i: dict, sem: str) -> bool:

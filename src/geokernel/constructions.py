@@ -14,7 +14,10 @@ Derived constructions (lay-off, equilateral apex, the Gupta midpoint, the
 30/120/150-degree tiling witnesses, perpendiculars, reflection in a line,
 angle copying and bisection, the crossbar point) follow the corresponding
 textbook proofs step by step.  Where a construction has two candidate
-points, it takes the one left of the directed base segment.
+points, it takes the one left of the directed base segment.  A derived
+construction posts only what its callees have not decided: a conclusion
+that a callee's `_require` or `_post` states on the same points is not
+checked again.
 
 The arithmetic is `geometry`'s segment helpers: `meet` (Cramer's rule),
 `reach` (a length laid off along a segment), `chord` (a line and a
@@ -264,7 +267,6 @@ def equilateral(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> Point:
     left of directed ab."""
     _apart(a, b, sem, None, "a#b")
     apex = circle_circle(CircleSpec(a, a, b), CircleSpec(b, a, b), sem)[0]
-    _post(congruent(a, apex, a, b) and congruent(b, apex, a, b), "equilateral")
     _record("equilateral", [a, b], [apex])
     return apex
 
@@ -282,7 +284,7 @@ def midpoint_gupta(a: Point, b: Point, sem: str = CONSTRUCTIBLE) -> Point:
     e = ext(c, a, a, b, sem)   # B(c,a,e), ae = ab
     f = inner_pasch(e, a, c, d, b, sem)   # B(a,f,d) and B(e,f,b)
     m = inner_pasch(a, f, d, c, b, sem)   # B(f,m,c) and B(a,m,b)
-    _post(between(a, m, b, sem) and congruent(a, m, m, b), "midpoint_gupta")
+    _post(congruent(a, m, m, b), "midpoint_gupta")
     _record("midpoint_gupta", [a, b], [m])
     return m
 
@@ -304,10 +306,8 @@ def named_angle_tiling(kind: str, a: Point, b: Point,
         x = midpoint(f, c)
         g = reflect_in_point(a, x)
         m = midpoint(g, c)
-        e = euclid5(x, f, c, a, g, m, sem)  # B(f,m,e) and B(a,c,e)
-        _post(between(a, x, g, sem), "deg120 B(a,x,g)")
-        _post(between(a, c, e, sem), "deg120 B(a,c,e)")
-        _post(between(f, m, e, sem), "deg120 B(f,m,e)")
+        # euclid5 requires B(a,x,g) and posts B(f,m,e) and B(a,c,e)
+        e = euclid5(x, f, c, a, g, m, sem)
         _post(congruent(a, c, c, g) and congruent(c, g, c, e)
               and congruent(c, e, g, e), "deg120 congruences")
         _post(pos_angle(a, c, g, sem), "deg120 angle acg")
@@ -371,6 +371,8 @@ def reflect(p: Point, u: Point, v: Point, sem: str = CONSTRUCTIBLE) -> Point:
     """Reflection of p in the line uv (an exact isometry)."""
     _apart(u, v, sem, None, "line u#v")
     out = reflect_in_point(p, _project(p, u, v))
+    _post(collinear(u, v, midpoint(p, out)) and congruent(u, p, u, out)
+          and congruent(v, p, v, out), "reflect")
     _record("reflect", [p], [out])
     return out
 

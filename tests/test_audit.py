@@ -439,6 +439,40 @@ class TestHarness:
         got = [e["verdict"] for e in rep["entries"] if e["axiom_id"] == label]
         assert got == [verdict]
 
+    @pytest.mark.parametrize("label, helper, post", [
+        ("A4-i1", "reach", "ext"),
+        ("A4-i2", "reach", "ext"),
+        ("A7-i1", "meet", "inner_pasch"),
+        ("A7-i2", "meet", "outer_pasch"),
+        ("Euclid5", "meet", "euclid5"),
+        ("LC-strict", "chord", "line_circle on-circle"),
+        ("LC-nonstrict", "chord", "line_circle on-circle"),
+        ("CC", "offset", "circle_circle on both circles"),
+    ])
+    def test_wrong_construction_fails_its_label(self, monkeypatch, label,
+                                                helper, post):
+        # a construction label holds once its construction returns, since
+        # the construction's _post decides the conclusion: with the
+        # arithmetic helper moving its output point(s) by (1, 0), every
+        # instance that is not refused must fail in that _post
+        build = getattr(constructions, helper)
+
+        def moved(*args, **kwargs):
+            out = build(*args, **kwargs)
+            if isinstance(out, Point):
+                return Point(out.x + 1, out.y)
+            return tuple(Point(p.x + 1, p.y) for p in out)
+
+        monkeypatch.setattr(constructions, helper, moved)
+        rep = audit_run("constructible", 4, 0, include_theorems=False)
+        counts = rep["summary"][label]
+        assert counts["passes"] == 0 and counts["failures"] > 0
+        assert counts["failures"] + counts["guard_refusals"] == 4
+        assert {(e["verdict"], e.get("detail")) for e in rep["entries"]
+                if e["axiom_id"] == label
+                and e["verdict"] != "guard-refused"} == {
+            ("fail", f"postcondition: {post}")}
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="nonarch"):
             audit_run(mode="nonarch", per_axiom=1)

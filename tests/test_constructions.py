@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from geokernel import audit, field, geometry
-from geokernel.field import FieldElement, Q, eps, sqrt_nonneg
+from geokernel import audit, constructions, field, geometry
+from geokernel.field import DomainViolation, FieldElement, Q, eps, sqrt_nonneg
 from geokernel.geometry import (
     NODE0, NODE1, Point, Seg, apex_witness, between, chord, collinear,
     congruent, cross, distinct, dot, meet, midpoint, nonstrict_between,
@@ -172,6 +172,19 @@ class TestDerived:
     def test_reflect(self):
         assert reflect(pt(1, 1), pt(0, 0), pt(1, 0)) == pt(1, -1)
 
+    def test_reflect_checks_its_output(self, monkeypatch):
+        # a foot moved along the line keeps the midpoint on it, but not
+        # the distances to u and v
+        project = constructions._project
+
+        def moved(p, u, v):
+            foot = project(p, u, v)
+            return Point(foot.x + 1, foot.y)
+
+        monkeypatch.setattr(constructions, "_project", moved)
+        with pytest.raises(PostconditionFailure, match="reflect"):
+            reflect(pt(1, 1), pt(0, 0), pt(1, 0))
+
     def test_angle_copy_right_angle(self):
         # copy the right angle at b=(0,0) to p=(10,0) along the axis,
         # away from q above the line
@@ -293,7 +306,8 @@ GUARDS = {
     "line_intersect parallel": (
         lambda: line_intersect(O, X, pt(0, 1), pt(1, 1)),
         PostconditionFailure),
-    "arithmetic off-axis operand": (lambda: geo_add(pt(1, 1), O), ValueError),
+    "arithmetic off-axis operand": (lambda: geo_add(pt(1, 1), O),
+                                    DomainViolation),
     "geo_inv a#0": (lambda: geo_inv(axis(0)), ("NotDistinct", None, "a#0")),
     "arithmetic strict sqrt a#0": (
         lambda: geo_sqrt(axis(0), strict=True),

@@ -299,6 +299,19 @@ class TestCli:
         assert cli_main(argv) == code
         assert line in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("call", [
+        "geo_add(a, b)", "geo_mul(a, b)", "geo_inv(a)", "geo_sqrt(a)"])
+    def test_run_off_axis_operand(self, call, capsys, tmp_path):
+        # geometric arithmetic takes axis points only: a point off the
+        # x-axis is a typed domain error, not a traceback
+        script = tmp_path / "off_axis.geo"
+        script.write_text(f"point a 0 1; point b 1 0; let c = {call};")
+        assert cli_main(["run", str(script)]) == 1
+        out, err = capsys.readouterr()
+        assert (f"error [DomainViolation]: let c = {call};  "
+                "(not an axis point)") in out.splitlines()
+        assert "Traceback" not in out + err
+
     def test_run_prints_oversized_binding(self, capsys, tmp_path):
         script = tmp_path / "big.geo"
         script.write_text(f"point a {N}*{N} 0;")

@@ -19,6 +19,7 @@ import collections
 import pytest
 
 from geokernel import arithmetic, audit, constructions, geometry
+from geokernel.constructions import CircleSpec
 from geokernel.field import FieldElement, render_element
 from geokernel.geometry import CONSTRUCTIBLE, NODE0, NODE1, Point
 from geokernel.nafield import RatFunc
@@ -268,20 +269,36 @@ def test_sympy_decides_as_the_kernel(recorded):
 # conclusion it promises.  A Pasch, parallel or crossbar point lies strictly
 # between the points it names (at NODE0 too, as B at NODE0 implies B), an
 # extension or a laid-off point lies on its line at the length it copies,
-# the two points of a line and a circle lie on the line and at one distance
-# from the center, and the two of two circles at one distance from each.
+# the two points of a line and a circle lie on the line, on the circle and
+# on either side of a, and the two of two circles on both circles.  A trace
+# entry holds only the centers, so the audit's calls of `line_circle` and
+# `circle_circle` are wrapped to record their circles (`CircleSpec`s).
 
 PER_OP = 6  # constructions replayed per (op, mode, output depth)
 
 
 def _trace(modes, per_axiom, seed) -> list:
-    """(mode, entry) of every construction that `audit_run` records."""
+    """(mode, entry, circles) of every construction that `audit_run`
+    records, where circles are the `CircleSpec`s of a line-circle or
+    circle-circle cut the audit makes, and None for any other entry."""
     out = []
     for mode in modes:
-        trace = []
-        with constructions.tracing(trace):
-            audit.audit_run(mode, per_axiom, seed)
-        out += [(mode, e) for e in trace]
+        trace, circles = [], {}
+
+        def cut(fn):
+            def recorded(*args, **kwargs):
+                res = fn(*args, **kwargs)  # its entry is the last traced
+                circles[len(trace) - 1] = [
+                    a for a in args if isinstance(a, CircleSpec)]
+                return res
+            return recorded
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("line_circle", "circle_circle"):
+                patch.setattr(audit, name, cut(getattr(audit, name)))
+            with constructions.tracing(trace):
+                audit.audit_run(mode, per_axiom, seed)
+        out += [(mode, e, circles.get(k)) for k, e in enumerate(trace)]
     return out
 
 
@@ -289,13 +306,19 @@ def _op_sample(traced) -> list:
     """Up to PER_OP entries of each (op, mode, output depth), spread evenly
     over the run."""
     groups = collections.defaultdict(list)
-    for mode, e in traced:
-        groups[e.op, mode, max(map(_depth, e.outputs))].append(e)
+    for mode, e, circles in traced:
+        groups[e.op, mode, max(map(_depth, e.outputs))].append((e, circles))
     return [g[i * len(g) // PER_OP] for g in groups.values()
             for i in range(min(PER_OP, len(g)))]
 
 
-def _conclusion(plane: _Plane, op: str, ins, outs) -> bool:
+def _on_circles(plane: _Plane, circles, outs) -> bool:
+    """Each point at each circle's radius: |ox|² = |pq|²."""
+    return all(plane.congruent(o, x, p, q)
+               for o, p, q in circles for x in outs)
+
+
+def _conclusion(plane: _Plane, op: str, ins, outs, circles) -> bool:
     if op == "ext":
         a, b, c, d = ins
         return (plane.nonstrict_between(a, b, outs[0])
@@ -322,16 +345,13 @@ def _conclusion(plane: _Plane, op: str, ins, outs) -> bool:
     if op == "line_circle":
         o, a, b = ins
         x, y = outs
-        return (plane.collinear(a, b, x) and plane.collinear(a, b, y)
-                and plane.congruent(o, x, o, y)
+        return (len(circles) == 1 and circles[0][0] == o
+                and plane.collinear(a, b, x) and plane.collinear(a, b, y)
+                and _on_circles(plane, circles, outs)
                 and plane.nonstrict_between(x, a, y))
     if op == "circle_circle":
-        o1, o2 = ins
-        left, right = outs
-        return (plane.congruent(o1, left, o1, right)
-                and plane.congruent(o2, left, o2, right)
-                and plane.sign(plane.dot(plane.sub(left, right),
-                                         plane.sub(o2, o1))) == 0)
+        return ([c[0] for c in circles] == list(ins)
+                and _on_circles(plane, circles, outs))
     raise AssertionError(f"no conclusion to replay for {op!r}")
 
 
@@ -341,7 +361,7 @@ def traced():
 
 
 def test_construction_sample_covers_every_op(traced):
-    sample = _op_sample(traced)
+    sample = [e for e, _ in _op_sample(traced)]
     assert {e.op for e in sample} == {
         "ext", "lay_off", "inner_pasch", "outer_pasch", "euclid5",
         "crossbar_point", "angle_bisect", "line_circle", "circle_circle"}
@@ -359,7 +379,7 @@ def test_node0_constructions_stay_in_f0(traced):
         return all(geometry.in_domain(NODE0, c) for p in points
                    for c in (p.x, p.y))
 
-    calls = [e for mode, e in traced
+    calls = [e for mode, e, _ in traced
              if mode == "nonarchimedean" and in_f0(e.inputs)]
     assert {e.op for e in calls} == {
         "ext", "lay_off", "inner_pasch", "outer_pasch", "euclid5",
@@ -370,9 +390,14 @@ def test_node0_constructions_stay_in_f0(traced):
 
 def test_sympy_replays_each_construction(traced):
     plane, wrong = _Plane(), []
-    for e in _op_sample(traced):
-        ins, outs = ([(_number(p.x), _number(p.y)) for p in ps]
-                     for ps in (e.inputs, e.outputs))
-        if not _conclusion(plane, e.op, ins, outs):
+
+    def number(p):
+        return _number(p.x), _number(p.y)
+
+    for e, circles in _op_sample(traced):
+        ins, outs = ([number(p) for p in ps] for ps in (e.inputs, e.outputs))
+        specs = [(number(c.center), number(c.radius_from),
+                  number(c.radius_to)) for c in circles or ()]
+        if not _conclusion(plane, e.op, ins, outs, specs):
             wrong.append((e.op, e.inputs, e.outputs))
     assert wrong == []
